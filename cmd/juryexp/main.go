@@ -64,11 +64,10 @@ func main() {
 		return
 	}
 	var (
-		id     = flag.String("exp", "", "experiment id (see -list)")
-		full   = flag.Bool("full", false, "run at the paper's full scale (slow on one CPU)")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		list   = flag.Bool("list", false, "list experiments")
-		shards = flag.Int("shards", 1, "max shards for space-parallel scenario execution (1 = sequential; results are shard-count independent)")
+		id   = flag.String("exp", "", "experiment id (see -list)")
+		full = flag.Bool("full", false, "run at the paper's full scale (slow on one CPU)")
+		seed = flag.Uint64("seed", 1, "random seed")
+		list = flag.Bool("list", false, "list experiments")
 
 		storeDir   = flag.String("store", "", "record completed runs in a WAL-backed store at this directory")
 		resume     = flag.Bool("resume", false, "serve runs already present in -store without re-simulating")
@@ -91,7 +90,6 @@ func main() {
 	exp.Telemetry = hub
 	defer hub.Close()
 	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
-	exp.DefaultShards = *shards
 	exp.StoreCompact = *compact
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "juryexp: -resume requires -store DIR")

@@ -64,7 +64,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		series   = flag.Bool("series", false, "print 1-second throughput series per flow")
 		csvPath  = flag.String("csv", "", "write per-flow time series as CSV to this path")
-		shards   = flag.Int("shards", 1, "max shards for space-parallel execution (1 = sequential; results are shard-count independent)")
 
 		telemetryOn = flag.Bool("telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
 		traceOut    = flag.String("trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
@@ -79,7 +78,6 @@ func main() {
 	hub := setupTelemetry(*telemetryOn, *traceOut, *debugAddr)
 	defer hub.Close()
 	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
-	exp.DefaultShards = *shards
 
 	names := strings.Split(*schemes, ",")
 	if len(names) == 1 && *flows > 1 {

@@ -17,9 +17,8 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/netsim"
+	"repro/internal/exp"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -50,20 +49,14 @@ func main() {
 		os.Exit(1)
 	}
 	defer hub.Close()
-	var obsRT *obs.Runtime
-	if *obsOn || *flightDir != "" {
-		obsRT = obs.New(obs.Options{Window: *obsWindow, FlightDir: *flightDir})
-		if d := hub.Debug(); d != nil {
-			d.Handle("/fairness", obsRT.State())
-			d.Handle("/fairness/stream", obsRT.State().StreamHandler())
-		}
-	}
+	exp.Telemetry = hub
+	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
 	if addr := hub.DebugAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/\n", addr)
 	}
 
 	if *eval != "" {
-		if err := evaluate(*eval, *rate*1e6, time.Duration(*rtt)*time.Millisecond, *seed, hub, obsRT); err != nil {
+		if err := evaluate(*eval, *rate*1e6, time.Duration(*rtt)*time.Millisecond, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "jurytrain:", err)
 			os.Exit(1)
 		}
@@ -102,8 +95,10 @@ func main() {
 	fmt.Printf("done: final epoch mean reward %.4f, weights -> %s\n", last, *out)
 }
 
-// evaluate runs a 2-flow fairness check with the trained policy.
-func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64, hub *telemetry.Hub, obsRT *obs.Runtime) error {
+// evaluate runs a 2-flow fairness check with the trained policy through the
+// harness's run pipeline, so -telemetry/-obs/JURY_SIMCHECK apply to it as to
+// any other run.
+func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -112,29 +107,32 @@ func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64, hub 
 	if err := json.Unmarshal(data, &actor); err != nil {
 		return fmt.Errorf("loading %s: %w", path, err)
 	}
-	mkJury := func(s uint64) cc.Algorithm {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s
-		return core.New(cfg, &core.NNPolicy{Net: &actor})
+	mkJury := func(s uint64) func(uint64) cc.Algorithm {
+		return func(uint64) cc.Algorithm {
+			cfg := core.DefaultConfig()
+			cfg.Seed = s
+			return core.New(cfg, &core.NNPolicy{Net: &actor})
+		}
 	}
-	n := netsim.New(netsim.Config{Seed: seed})
-	l := n.AddLink(netsim.LinkConfig{
-		Rate: rateBps, Delay: rtt / 2,
+	res, err := exp.Run(exp.Scenario{
+		Name: "jurytrain-eval", Rate: rateBps, OneWayDelay: rtt / 2,
 		BufferBytes: int(1.5 * rateBps / 8 * rtt.Seconds()),
+		Horizon:     80 * time.Second, Seed: seed,
+		Flows: []exp.FlowSpec{
+			{Scheme: "jury", CC: mkJury(seed + 1)},
+			{Scheme: "jury", Start: 20 * time.Second, CC: mkJury(seed + 2)},
+		},
 	})
-	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return mkJury(seed + 1) }})
-	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return mkJury(seed + 2) }})
-	telemetry.AttachSim(n, hub)
-	ob := obsRT.Attach(n, 1)
-	n.Run(80 * time.Second)
-	s1, s2 := f1.Stats(), f2.Stats()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("trained policy on %.0f Mbps / %v:\n", rateBps/1e6, rtt)
-	fmt.Printf("  flow a: %.1f Mbps (avg RTT %.1f ms)\n", s1.AvgThroughputBps/1e6, float64(s1.AvgRTT)/1e6)
-	fmt.Printf("  flow b: %.1f Mbps (avg RTT %.1f ms)\n", s2.AvgThroughputBps/1e6, float64(s2.AvgRTT)/1e6)
-	fmt.Printf("  link utilization: %.3f\n", l.Utilization(80*time.Second))
-	if sum := ob.Finish(80 * time.Second); sum != nil {
+	for i, name := range []string{"a", "b"} {
+		st := res.FlowSummaries[i].Stats()
+		fmt.Printf("  flow %s: %.1f Mbps (avg RTT %.1f ms)\n", name, st.AvgThroughputBps/1e6, float64(st.AvgRTT)/1e6)
+	}
+	fmt.Printf("  link utilization: %.3f\n", res.Utilization)
+	if sum := res.Stream; sum != nil {
 		fmt.Printf("  streaming fairness: final Jain %.3f (worst window %.3f over %d snapshots)\n",
 			sum.FinalJain, sum.MinWindowJain, sum.Snapshots)
 	}

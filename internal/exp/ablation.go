@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 )
 
 // AblationRow reports one Jury variant's fairness and performance on the
@@ -78,7 +76,7 @@ func AblationVariants() map[string]func(seed uint64) cc.Algorithm {
 }
 
 // RunAblation runs the 3-flow scenario for each variant (in sorted variant
-// order, one simulation per worker).
+// order) through RunMany.
 func RunAblation(o AblationOptions) ([]AblationRow, error) {
 	o.defaults()
 	variants := AblationVariants()
@@ -87,39 +85,40 @@ func RunAblation(o AblationOptions) ([]AblationRow, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	rows := make([]AblationRow, len(names))
-	err := parallelFor(len(names), func(vi int) error {
-		mk := variants[names[vi]]
-		n := netsim.New(netsim.Config{Seed: o.Seed})
-		link := n.AddLink(netsim.LinkConfig{
-			Rate: o.Rate, Delay: 15 * time.Millisecond,
+	horizon := 2*o.Stagger + o.Lifetime
+	jobs := make([]Scenario, len(names))
+	for vi, name := range names {
+		mk := variants[name]
+		s := Scenario{
+			Name: "ablation-" + name, Rate: o.Rate, OneWayDelay: 15 * time.Millisecond,
 			BufferBytes: int(1.5 * o.Rate / 8 * 0.030),
-		})
+			Horizon:     horizon, Seed: o.Seed,
+		}
 		for i := 0; i < 3; i++ {
 			seed := o.Seed*100 + uint64(i) + 1
-			n.AddFlow(netsim.FlowConfig{
-				Name:  fmt.Sprintf("f%d", i),
-				Path:  []*netsim.Link{link},
-				Start: time.Duration(i) * o.Stagger,
-				CC:    func() cc.Algorithm { return mk(seed) },
+			s.Flows = append(s.Flows, FlowSpec{
+				Scheme: name, Start: time.Duration(i) * o.Stagger,
+				CC: func(uint64) cc.Algorithm { return mk(seed) },
 			})
 		}
-		horizon := 2*o.Stagger + o.Lifetime
-		n.Run(horizon)
+		jobs[vi] = s
+	}
+	results, err := RunMany(jobs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(names))
+	for vi, r := range results {
 		var q float64
-		for _, f := range n.Flows() {
+		for _, f := range r.FlowSummaries {
 			q += metrics.MeanQueuingDelayMS(f, horizon/2, horizon)
 		}
 		rows[vi] = AblationRow{
 			Variant:     names[vi],
-			Jain:        metrics.TimewiseJain(n.Flows()),
-			Utilization: link.Utilization(horizon),
-			QueueMS:     q / float64(len(n.Flows())),
+			Jain:        metrics.TimewiseJain(r.FlowSummaries),
+			Utilization: r.Utilization,
+			QueueMS:     q / float64(len(r.FlowSummaries)),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

@@ -28,30 +28,23 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runstore"
-	"repro/internal/simcheck"
 	"repro/internal/telemetry"
 	"repro/internal/traces"
 )
 
 // Telemetry, when set to a live hub by a binary's -telemetry/-trace-out/
-// -debug-addr flags, instruments every Run: run lifecycle counters and
-// spans, plus a SimObserver attached to each scenario's network. A nil hub
-// (the default) keeps the harness on its uninstrumented fast path — Run
-// does one nil check and nothing else.
+// -debug-addr flags, instruments every run of the pipeline: run lifecycle
+// counters and spans, plus a SimObserver attached to each run's network. A
+// nil hub (the default) keeps the harness on its uninstrumented fast path —
+// the pipeline does one nil check and nothing else.
 var Telemetry *telemetry.Hub
 
-// DefaultShards is the shard count scenarios with Shards == 0 run at. The
-// binaries' -shards flag sets it; 1 (the default) is plain sequential
-// execution, so existing goldens and scripts are untouched unless a caller
-// opts in.
-var DefaultShards = 1
-
-// ForceCheck attaches a simcheck invariant checker to every scenario Run
-// executes, regardless of Scenario.Check. It is initialized from the
-// JURY_SIMCHECK environment variable so production figure runs can be
-// audited without code changes (see EXPERIMENTS.md), and the experiment
-// package's own tests turn it on in TestMain so the whole short suite runs
-// under the invariant checker.
+// ForceCheck attaches a simcheck invariant checker to every run of the
+// pipeline, regardless of Scenario.Check or HugeOptions.Check. It is
+// initialized from the JURY_SIMCHECK environment variable so production
+// figure runs can be audited without code changes (see EXPERIMENTS.md), and
+// the experiment package's own tests turn it on in TestMain so the whole
+// short suite runs under the invariant checker.
 var ForceCheck = os.Getenv("JURY_SIMCHECK") != ""
 
 // Schemes lists every congestion-control scheme the harness can run.
@@ -131,13 +124,6 @@ type Scenario struct {
 	// Check attaches a simcheck invariant checker to the run; Run fails if
 	// any invariant is violated. Overridden to true globally by ForceCheck.
 	Check bool
-	// Shards caps the shard count for space-parallel execution (see
-	// netsim.Network.RunSharded). 0 means DefaultShards; 1 runs sequentially.
-	// A single-bottleneck dumbbell always partitions into one shard, so the
-	// setting only changes execution — never results — for the scenarios this
-	// struct describes; multi-bottleneck topologies (RunMultiBottleneck,
-	// RunHuge) are where extra shards buy wall-clock time.
-	Shards int
 }
 
 // BufferBDP returns the byte size of n bandwidth-delay products for the
@@ -149,41 +135,33 @@ func (s Scenario) BufferBDP(n float64) int {
 // FlowSummary is the serializable read-only view of one flow of a run:
 // everything the figure and table consumers read, detached from the live
 // simulator objects so a result loaded from the run store (internal/
-// runstore) is indistinguishable from a fresh one. It satisfies
-// metrics.FlowSeries.
-type FlowSummary struct {
-	name        string
-	baseRTT     time.Duration
-	stats       netsim.FlowStats
-	series      []netsim.SeriesPoint
-	degraded    int64
-	nonFinite   int64
-	lateMeanBps float64
-}
+// runstore) is indistinguishable from a fresh one — it is the stored form,
+// behind read-only accessors. It satisfies metrics.FlowSeries.
+type FlowSummary struct{ rec runstore.FlowRecord }
 
 // Name returns the flow's label.
-func (f *FlowSummary) Name() string { return f.name }
+func (f *FlowSummary) Name() string { return f.rec.Stats.Name }
 
 // BaseRTT returns the flow's propagation round-trip floor.
-func (f *FlowSummary) BaseRTT() time.Duration { return f.baseRTT }
+func (f *FlowSummary) BaseRTT() time.Duration { return f.rec.BaseRTT }
 
 // Stats returns the flow's lifetime counters.
-func (f *FlowSummary) Stats() netsim.FlowStats { return f.stats }
+func (f *FlowSummary) Stats() netsim.FlowStats { return f.rec.Stats }
 
 // Series returns the recorded per-interval samples.
-func (f *FlowSummary) Series() []netsim.SeriesPoint { return f.series }
+func (f *FlowSummary) Series() []netsim.SeriesPoint { return f.rec.Series }
 
 // JuryCounters returns the Jury decision-guard counters (degraded
 // AIMD-fallback decisions, non-finite actions that reached Eq. 7); both are
 // zero for non-Jury schemes.
 func (f *FlowSummary) JuryCounters() (degraded, nonFinite int64) {
-	return f.degraded, f.nonFinite
+	return f.rec.Degraded, f.rec.NonFinite
 }
 
 // LateMeanBps returns the flow's mean throughput over the late window
 // [Horizon/3, Horizon], precomputed by summarize so fairness shares survive
 // a compact record whose Series was dropped (see StoreCompact).
-func (f *FlowSummary) LateMeanBps() float64 { return f.lateMeanBps }
+func (f *FlowSummary) LateMeanBps() float64 { return f.rec.LateMeanBps }
 
 // LinkSummary carries the bottleneck-link counters a stored run preserves.
 type LinkSummary struct {
@@ -193,13 +171,12 @@ type LinkSummary struct {
 }
 
 // RunResult holds everything the figure runners need from one simulation.
-// FlowSummaries and LinkSummary are always populated; Flows and Link are
-// the live simulator objects and are nil when the result was served from
-// the run store (Cached) rather than simulated.
+// FlowSummaries and LinkSummary are always populated; Flows are the live
+// simulator objects and are nil when the result was served from the run
+// store (Cached) rather than simulated.
 type RunResult struct {
 	Scenario    Scenario
 	Flows       []*netsim.Flow
-	Link        *netsim.Link
 	Utilization float64
 	// FlowSummaries is the detached per-flow view (stats, series, Jury
 	// counters) that every figure/table consumer reads.
@@ -221,53 +198,62 @@ type RunResult struct {
 
 // summarize detaches the result's flow and link state into FlowSummaries /
 // LinkSummary once the simulation is over.
-func (r *RunResult) summarize() {
+func (r *RunResult) summarize(link *netsim.Link) {
 	r.FlowSummaries = make([]*FlowSummary, 0, len(r.Flows))
 	for _, f := range r.Flows {
-		fs := &FlowSummary{
-			name:    f.Name(),
-			baseRTT: f.BaseRTT(),
-			stats:   f.Stats(),
-			series:  f.Series(),
-		}
-		fs.lateMeanBps = metrics.MeanThroughput(fs, r.Scenario.Horizon/3, r.Scenario.Horizon)
+		fs := &FlowSummary{rec: runstore.FlowRecord{BaseRTT: f.BaseRTT(), Stats: f.Stats(), Series: f.Series()}}
+		fs.rec.LateMeanBps = metrics.MeanThroughput(fs, r.Scenario.Horizon/3, r.Scenario.Horizon)
 		if j, ok := f.CC().(*core.Jury); ok {
-			fs.degraded = j.DegradedDecisions()
-			fs.nonFinite = j.NonFiniteActions()
+			fs.rec.Degraded = j.DegradedDecisions()
+			fs.rec.NonFinite = j.NonFiniteActions()
 		}
 		r.FlowSummaries = append(r.FlowSummaries, fs)
 	}
-	if r.Link != nil {
-		st := r.Link.FaultStats()
-		r.LinkSummary = LinkSummary{
-			FaultDrops: st.Drops(),
-			Reordered:  st.Reordered,
-			Duplicated: st.Duplicated,
-		}
+	st := link.FaultStats()
+	r.LinkSummary = LinkSummary{
+		FaultDrops: st.Drops(),
+		Reordered:  st.Reordered,
+		Duplicated: st.Duplicated,
 	}
 }
 
-// Run executes a scenario. When a run store is attached (see AttachStore),
-// the completed result is appended to it; in resume mode a scenario whose
-// content key is already stored is served from the store without touching
-// the simulator.
+// Run executes a scenario through the run pipeline (see execute). When a run
+// store is attached (see AttachStore), the completed result is appended to
+// it; in resume mode a scenario whose content key is already stored is
+// served from the store without touching the simulator.
 func Run(s Scenario) (*RunResult, error) {
 	if s.Horizon <= 0 {
 		return nil, fmt.Errorf("exp: scenario %q without horizon", s.Name)
 	}
-	st := Store
-	key, cacheable := runstore.Key{}, false
-	if st != nil {
-		key, cacheable = ScenarioKey(s)
-		if cacheable && StoreResume {
-			if rec, ok := st.Get(key); ok {
-				storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-				return resultFromRecord(s, rec), nil
+	return execute(job[*RunResult]{
+		name:    s.Name,
+		seed:    s.Seed,
+		horizon: s.Horizon,
+		shards:  1,
+		check:   s.Check,
+		build:   func() (*netsim.Network, error) { return buildDumbbell(s) },
+		shape: func(n *netsim.Network, out outcome) *RunResult {
+			link := n.Links()[0]
+			res := &RunResult{
+				Scenario:    s,
+				Flows:       n.Flows(),
+				Utilization: link.Utilization(s.Horizon),
+				Digest:      out.digest,
+				Checked:     out.checked,
+				Stream:      out.stream,
 			}
-			storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
-		}
-	}
-	liveRuns.Add(1)
+			res.summarize(link)
+			return res
+		},
+		key:     func() (runstore.Key, bool) { return ScenarioKey(s) },
+		record:  func(key runstore.Key, r *RunResult) *runstore.Record { return recordFromResult(key, s, r) },
+		restore: func(rec *runstore.Record) *RunResult { return resultFromRecord(s, rec) },
+	})
+}
+
+// buildDumbbell is the topology builder behind every Scenario: one
+// bottleneck link and the scenario's flows across it.
+func buildDumbbell(s Scenario) (*netsim.Network, error) {
 	n := netsim.New(netsim.Config{Seed: s.Seed})
 	link := n.AddLink(netsim.LinkConfig{
 		Rate:        s.Rate,
@@ -278,7 +264,6 @@ func Run(s Scenario) (*RunResult, error) {
 		Faults:      s.Faults,
 	})
 	for i, fs := range s.Flows {
-		fs := fs
 		seed := s.Seed*1000 + uint64(i) + 1
 		var alg cc.Algorithm
 		if fs.CC != nil {
@@ -300,94 +285,5 @@ func Run(s Scenario) (*RunResult, error) {
 			CC:          func() cc.Algorithm { return alg },
 		})
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	var ck *simcheck.Checker
-	if s.Check || ForceCheck {
-		ck = simcheck.Attach(n)
-	}
-	hub := Telemetry
-	var span telemetry.Span
-	var runSeconds *telemetry.Histogram
-	var started time.Time
-	if hub.Enabled() {
-		// The checker's tap and engine hook are installed first; AttachSim
-		// chains them, so checking and telemetry compose.
-		telemetry.AttachSim(n, hub)
-		hub.Registry.Counter("exp_runs_started_total", "scenario runs started").Inc()
-		runSeconds = hub.Registry.Histogram("exp_run_seconds", "wall time of one scenario run", telemetry.ExpBuckets(1e-3, 2, 18))
-		span = hub.StartSpan("run:"+s.Name, 0)
-		hub.Event("exp", "run_start", 0,
-			telemetry.Str("scenario", s.Name),
-			telemetry.I64("flows", int64(len(s.Flows))),
-			telemetry.I64("seed", int64(s.Seed)))
-		started = time.Now()
-	}
-	shards := s.Shards
-	if shards == 0 {
-		shards = DefaultShards
-	}
-	var ob *obs.Observer
-	if Obs != nil {
-		// The observatory chains behind checker and telemetry taps and claims
-		// the network's window hook. The violation hook and the panic dump
-		// are wired here so obs never imports simcheck or the harness.
-		ob = Obs.Attach(n, shards)
-		if ck != nil {
-			ck.SetViolationHook(func(v simcheck.Violation) { ob.NoteViolation(v.Time, v.Rule) })
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				ob.DumpFlight("panic")
-				panic(r)
-			}
-		}()
-	}
-	if shards > 1 {
-		sr, err := n.RunSharded(s.Horizon, shards)
-		if err != nil {
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
-		}
-		telemetry.RecordShards(hub, sr.Executed)
-		telemetry.RecordCoordinator(hub, sr.BarrierRounds, sr.FusedWindows)
-	} else {
-		n.Run(s.Horizon)
-	}
-	res := &RunResult{
-		Scenario:    s,
-		Flows:       n.Flows(),
-		Link:        link,
-		Utilization: link.Utilization(s.Horizon),
-	}
-	res.Stream = ob.Finish(s.Horizon)
-	if ck != nil {
-		ck.Finish()
-		if err := ck.Err(); err != nil {
-			if hub.Enabled() {
-				hub.Registry.Counter("exp_runs_failed_total", "scenario runs that returned an error").Inc()
-				span.End(s.Horizon, telemetry.Str("outcome", "invariant_violation"))
-			}
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
-		}
-		res.Digest = ck.Digest()
-		res.Checked = true
-	}
-	res.summarize()
-	if st != nil && cacheable {
-		if err := st.Put(recordFromResult(key, s, res)); err != nil {
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
-		}
-		storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
-	}
-	if hub.Enabled() {
-		runSeconds.Observe(time.Since(started).Seconds())
-		hub.Registry.Counter("exp_runs_finished_total", "scenario runs finished successfully").Inc()
-		span.End(s.Horizon, telemetry.Str("outcome", "ok"))
-		hub.Event("exp", "run_finish", s.Horizon,
-			telemetry.Str("scenario", s.Name),
-			telemetry.F64("utilization", res.Utilization),
-			telemetry.Str("digest", fmt.Sprintf("%016x", res.Digest)))
-	}
-	return res, nil
+	return n, n.Validate()
 }

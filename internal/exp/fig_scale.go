@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/simcore"
 )
 
@@ -50,7 +49,7 @@ type flowAgg struct {
 	n     int
 }
 
-func (a *flowAgg) add(f *netsim.Flow, from, to time.Duration) {
+func (a *flowAgg) add(f *FlowSummary, from, to time.Duration) {
 	thr := metrics.MeanThroughput(f, from, to)
 	if thr <= 0 {
 		return
@@ -72,31 +71,40 @@ func (a *flowAgg) row(exp, class string) Tab3Row {
 	}
 }
 
-// Tab3LongShort runs experiment (i): 4 long-running Jury flows plus a churn
-// of short flows with Poisson arrivals (λ=4/s) and N(4,1)-second lifetimes.
+// juryAt is a FlowSpec.CC factory that pins the controller's seed to one
+// drawn from the experiment's own RNG stream, in place of the per-index seed
+// Run would hand it.
+func juryAt(seed uint64) func(uint64) cc.Algorithm {
+	return func(uint64) cc.Algorithm { return core.NewDefault(seed) }
+}
+
+// tab3Sweep runs one Table 3 experiment: o.Repeats scenarios on the shared
+// 15 ms one-way link, each drawing its network seed and then its flows from
+// its own RNG stream (seeded o.Seed + rep·stride), fanned out through RunMany.
+func tab3Sweep(o Tab3Options, kind string, stride uint64, bufferSec float64, flows func(*simcore.RNG) []FlowSpec) ([]*RunResult, error) {
+	jobs := make([]Scenario, o.Repeats)
+	for rep := range jobs {
+		rng := simcore.NewRNG(o.Seed + uint64(rep)*stride)
+		jobs[rep] = Scenario{
+			Name: fmt.Sprintf("tab3-%s-%d", kind, rep),
+			Rate: o.Rate, OneWayDelay: 15 * time.Millisecond,
+			BufferBytes: int(o.Rate / 8 * bufferSec),
+			Horizon:     o.Lifetime, Seed: rng.Uint64(),
+		}
+		jobs[rep].Flows = flows(rng)
+	}
+	return RunMany(jobs)
+}
+
+// Tab3LongShort runs experiment (i): 4 long-running Jury flows (flows 0–3 of
+// each repeat) plus a churn of short flows with Poisson arrivals (λ=4/s) and
+// N(4,1)-second lifetimes.
 func Tab3LongShort(o Tab3Options) ([]Tab3Row, error) {
 	o.defaults()
-	// Each repeat owns its engine and RNG, so repeats fan out across the
-	// worker pool; aggregation below walks them in repeat order, keeping the
-	// result identical to the sequential loop.
-	type repFlows struct {
-		longs, shorts []*netsim.Flow
-	}
-	reps := make([]repFlows, o.Repeats)
-	err := parallelFor(o.Repeats, func(rep int) error {
-		rng := simcore.NewRNG(o.Seed + uint64(rep)*77)
-		n := netsim.New(netsim.Config{Seed: rng.Uint64()})
-		link := n.AddLink(netsim.LinkConfig{
-			Rate: o.Rate, Delay: 15 * time.Millisecond,
-			BufferBytes: int(o.Rate / 8 * 0.030),
-		})
-		r := &reps[rep]
+	results, err := tab3Sweep(o, "long-short", 77, 0.030, func(rng *simcore.RNG) []FlowSpec {
+		var flows []FlowSpec
 		for i := 0; i < 4; i++ {
-			seed := rng.Uint64()
-			r.longs = append(r.longs, n.AddFlow(netsim.FlowConfig{
-				Name: fmt.Sprintf("long-%d", i), Path: []*netsim.Link{link},
-				CC: func() cc.Algorithm { return core.NewDefault(seed) },
-			}))
+			flows = append(flows, FlowSpec{Scheme: "jury", CC: juryAt(rng.Uint64())})
 		}
 		// Poisson short-flow arrivals.
 		for t := 0.0; t < o.Lifetime.Seconds(); t += rng.ExpFloat64() / 4 {
@@ -104,91 +112,69 @@ func Tab3LongShort(o Tab3Options) ([]Tab3Row, error) {
 			if life < 0.5 {
 				life = 0.5
 			}
-			seed := rng.Uint64()
-			r.shorts = append(r.shorts, n.AddFlow(netsim.FlowConfig{
-				Name: fmt.Sprintf("short-%d", len(r.shorts)), Path: []*netsim.Link{link},
+			flows = append(flows, FlowSpec{
+				Scheme:   "jury",
 				Start:    time.Duration(t * float64(time.Second)),
 				Duration: time.Duration(life * float64(time.Second)),
-				CC:       func() cc.Algorithm { return core.NewDefault(seed) },
-			}))
+				CC:       juryAt(rng.Uint64()),
+			})
 		}
-		n.Run(o.Lifetime)
-		return nil
+		return flows
 	})
 	if err != nil {
 		return nil, err
 	}
 	var long, short, overall flowAgg
 	warm := o.Lifetime / 5
-	for _, r := range reps {
-		for _, f := range r.longs {
+	for _, r := range results {
+		for _, f := range r.FlowSummaries[:4] {
 			long.add(f, warm, o.Lifetime)
 			overall.add(f, warm, o.Lifetime)
 		}
-		for _, f := range r.shorts {
+		for _, f := range r.FlowSummaries[4:] {
 			short.add(f, 0, o.Lifetime)
 			overall.add(f, 0, o.Lifetime)
 		}
 	}
+	// The overall row's mean per-flow throughput, summed across concurrently
+	// active flows, approximates link usage (the paper reports ~192 Mbps on
+	// the 200 Mbps link).
 	return []Tab3Row{
-		overallRow(&overall, "long-short", o),
+		overall.row("long-short", "overall"),
 		long.row("long-short", "long"),
 		short.row("long-short", "short"),
 	}, nil
 }
 
-// overallRow reports the aggregate throughput (sum across concurrently
-// active flows approximates link usage; the paper reports ~192 Mbps on the
-// 200 Mbps link).
-func overallRow(a *flowAgg, exp string, o Tab3Options) Tab3Row {
-	r := a.row(exp, "overall")
-	return r
-}
-
-// Tab3HeteroRTT runs experiment (ii): 20 Jury flows, half with 30 ms and
-// half with 90 ms base RTT.
+// Tab3HeteroRTT runs experiment (ii): 20 Jury flows, half with 30 ms (even
+// indices) and half with 90 ms (odd indices) base RTT.
 func Tab3HeteroRTT(o Tab3Options) ([]Tab3Row, error) {
 	o.defaults()
-	type repFlows struct {
-		smalls, larges []*netsim.Flow
-	}
-	reps := make([]repFlows, o.Repeats)
-	err := parallelFor(o.Repeats, func(rep int) error {
-		rng := simcore.NewRNG(o.Seed + uint64(rep)*133)
-		n := netsim.New(netsim.Config{Seed: rng.Uint64()})
-		link := n.AddLink(netsim.LinkConfig{
-			Rate: o.Rate, Delay: 15 * time.Millisecond,
-			BufferBytes: int(o.Rate / 8 * 0.090),
-		})
-		r := &reps[rep]
-		for i := 0; i < 20; i++ {
-			seed := rng.Uint64()
-			fc := netsim.FlowConfig{
-				Name: fmt.Sprintf("f%d", i), Path: []*netsim.Link{link},
-				Start: time.Duration(i) * 500 * time.Millisecond,
-				CC:    func() cc.Algorithm { return core.NewDefault(seed) },
+	results, err := tab3Sweep(o, "hetero-rtt", 133, 0.090, func(rng *simcore.RNG) []FlowSpec {
+		flows := make([]FlowSpec, 20)
+		for i := range flows {
+			flows[i] = FlowSpec{
+				Scheme: "jury", Start: time.Duration(i) * 500 * time.Millisecond,
+				CC: juryAt(rng.Uint64()),
 			}
 			if i%2 == 1 {
-				fc.ExtraOneWay = 30 * time.Millisecond // 90 ms base RTT
-				r.larges = append(r.larges, n.AddFlow(fc))
-			} else {
-				r.smalls = append(r.smalls, n.AddFlow(fc))
+				flows[i].ExtraOneWay = 30 * time.Millisecond // 90 ms base RTT
 			}
 		}
-		n.Run(o.Lifetime)
-		return nil
+		return flows
 	})
 	if err != nil {
 		return nil, err
 	}
 	var small, large flowAgg
 	warm := o.Lifetime / 3
-	for _, r := range reps {
-		for _, f := range r.smalls {
-			small.add(f, warm, o.Lifetime)
-		}
-		for _, f := range r.larges {
-			large.add(f, warm, o.Lifetime)
+	for _, r := range results {
+		for i, f := range r.FlowSummaries {
+			if i%2 == 1 {
+				large.add(f, warm, o.Lifetime)
+			} else {
+				small.add(f, warm, o.Lifetime)
+			}
 		}
 	}
 	return []Tab3Row{

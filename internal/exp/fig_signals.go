@@ -9,6 +9,12 @@ import (
 	"repro/internal/netsim"
 )
 
+// The two studies in this file are interactive probes: they change a manual
+// sender's rate between successive n.Run calls on one network, which a
+// single build-run-finish pass cannot express. They are the only experiments
+// that drive a network themselves instead of going through the run pipeline
+// (see execute), so they run without checker, telemetry, observer or store.
+
 // Fig4Row is one sample of the Fig. 4 study: how throughput, RTT, and loss
 // respond as a single flow ramps its sending rate through the three queue
 // phases (empty → queuing → overflowing).

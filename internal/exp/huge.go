@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runstore"
-	"repro/internal/simcheck"
 )
 
 // This file builds the huge-scale stress scenario behind
@@ -155,68 +153,44 @@ func BuildHuge(o HugeOptions) (*netsim.Network, HugeOptions) {
 	return n, o
 }
 
-// RunHuge builds and runs the huge parking-lot mesh and reports event counts
-// (and, with Check, the simcheck digest). Same options, same shard count →
-// bit-identical results. With a resumable store attached, a previously
-// completed run with the same resolved options is served from the store.
+// RunHuge builds the huge parking-lot mesh and runs it through the run
+// pipeline (see execute), reporting event counts (and, with Check, the
+// simcheck digest). Same options, same shard count → bit-identical results.
+// With a resumable store attached, a previously completed run with the same
+// resolved options is served from the store.
 func RunHuge(o HugeOptions) (*HugeResult, error) {
 	customCC := o.CC != nil
 	o.defaults()
-	st := Store
-	key, cacheable := runstore.Key{}, false
-	if st != nil {
-		key, cacheable = HugeKey(o, customCC)
-		if cacheable && StoreResume {
-			if rec, ok := st.Get(key); ok {
-				storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-				return hugeFromRecord(o, rec), nil
+	shards := o.Shards
+	if shards > o.Segments {
+		shards = o.Segments // one atom per segment: the partition never uses more
+	}
+	return execute(job[*HugeResult]{
+		name:    "huge",
+		seed:    o.Seed,
+		horizon: o.Horizon,
+		shards:  shards,
+		check:   o.Check,
+		build: func() (*netsim.Network, error) {
+			n, _ := BuildHuge(o)
+			return n, nil
+		},
+		shape: func(_ *netsim.Network, out outcome) *HugeResult {
+			res := &HugeResult{
+				FlowCount:        o.TotalFlows,
+				Segments:         o.Segments,
+				ShardCount:       out.run.Partition.Shards,
+				ExecutedPerShard: out.run.Executed,
+				Digest:           out.digest,
+				Stream:           out.stream,
 			}
-			storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
-		}
-	}
-	liveRuns.Add(1)
-	n, o := BuildHuge(o)
-	var ck *simcheck.Checker
-	if o.Check || ForceCheck {
-		ck = simcheck.Attach(n)
-	}
-	var ob *obs.Observer
-	if Obs != nil {
-		shards := o.Shards
-		if shards > o.Segments {
-			shards = o.Segments
-		}
-		ob = Obs.Attach(n, shards)
-		if ck != nil {
-			ck.SetViolationHook(func(v simcheck.Violation) { ob.NoteViolation(v.Time, v.Rule) })
-		}
-	}
-	sr, err := n.RunSharded(o.Horizon, o.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("exp: huge: %w", err)
-	}
-	res := &HugeResult{
-		FlowCount:        o.TotalFlows,
-		Segments:         o.Segments,
-		ShardCount:       sr.Partition.Shards,
-		ExecutedPerShard: sr.Executed,
-	}
-	for _, e := range sr.Executed {
-		res.Events += e
-	}
-	res.Stream = ob.Finish(o.Horizon)
-	if ck != nil {
-		ck.Finish()
-		if err := ck.Err(); err != nil {
-			return nil, fmt.Errorf("exp: huge: %w", err)
-		}
-		res.Digest = ck.Digest()
-	}
-	if st != nil && cacheable {
-		if err := st.Put(hugeRecord(key, o, res)); err != nil {
-			return nil, fmt.Errorf("exp: huge: %w", err)
-		}
-		storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
-	}
-	return res, nil
+			for _, e := range out.run.Executed {
+				res.Events += e
+			}
+			return res
+		},
+		key:     func() (runstore.Key, bool) { return HugeKey(o, customCC) },
+		record:  func(key runstore.Key, r *HugeResult) *runstore.Record { return hugeRecord(key, o, r) },
+		restore: func(rec *runstore.Record) *HugeResult { return hugeFromRecord(o, rec) },
+	})
 }

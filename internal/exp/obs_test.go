@@ -163,30 +163,6 @@ func TestObsFlightRecorderOnFaults(t *testing.T) {
 	})
 }
 
-// BenchmarkScenarioObs is BenchmarkScenario with the streaming observer
-// attached: same scenario, same iteration shape, so the ns/op ratio between
-// the two is the obs tax on the hot path. bench.sh records both and
-// --compare fails when the ratio regresses more than 5% against the
-// baseline's ratio.
-func BenchmarkScenarioObs(b *testing.B) {
-	if Obs != nil {
-		b.Fatal("benchmark requires the package-level obs runtime to start nil")
-	}
-	Obs = obs.New(obs.Options{Window: 500 * time.Millisecond})
-	defer func() { Obs = nil }()
-	s := Scenario{
-		Name: "bench", Rate: 30e6, OneWayDelay: 10 * time.Millisecond,
-		BufferBytes: 75_000, Horizon: 5 * time.Second, Seed: 7,
-		Flows: []FlowSpec{{Scheme: "jury"}, {Scheme: "jury", Start: time.Second}},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestObsStreamSurvivesStore pins the compact round trip: a run stored with
 // StoreCompact keeps no series, yet the cached result still carries the
 // streaming summary and per-flow late means, and RobustnessTable rows built

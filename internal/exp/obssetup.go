@@ -12,7 +12,7 @@ import (
 )
 
 // Obs, when non-nil, attaches a constant-memory streaming fairness observer
-// to every run (Run and RunHuge): windowed Jain and rate/RTT percentile
+// to every run of the pipeline: windowed Jain and rate/RTT percentile
 // snapshots in virtual time, a per-shard flight recorder, and a compact
 // StreamSummary on the result. Set it directly or via SetupObs. Attaching
 // obs never changes what a run computes — the digest-parity tests pin that.

@@ -135,8 +135,8 @@ func keyTrace(b []byte, tr traces.Trace, horizon time.Duration) []byte {
 
 // ScenarioKey derives the content address of a scenario run: a hash over
 // every input that determines the result — link configuration, trace,
-// faults, flow specs, horizon, seed, the effective check and shard settings
-// — plus KeySchemaVersion. The scenario Name is deliberately excluded (it
+// faults, flow specs, horizon, seed, the effective check setting — plus
+// KeySchemaVersion. The scenario Name is deliberately excluded (it
 // labels, it does not simulate). A scenario using a FlowSpec.CC factory
 // override is not cacheable (function identity cannot be fingerprinted) and
 // reports ok = false.
@@ -166,15 +166,10 @@ func ScenarioKey(s Scenario) (key runstore.Key, ok bool) {
 	b = keyI64(b, int64(s.Horizon))
 	b = keyU64(b, s.Seed)
 	b = keyBool(b, s.Check || ForceCheck)
-	b = keyU32(b, uint32(effectiveShards(s)))
+	// The shard-cap field of the removed Scenario.Shards knob: every dumbbell
+	// ran (and was stored) at 1, so hashing the constant keeps those keys.
+	b = keyU32(b, 1)
 	return runstore.KeyOf(b), true
-}
-
-func effectiveShards(s Scenario) int {
-	if s.Shards != 0 {
-		return s.Shards
-	}
-	return DefaultShards
 }
 
 func keyFaults(b []byte, s Scenario) []byte {
@@ -243,14 +238,7 @@ func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Reco
 	}
 	rec.Flows = make([]runstore.FlowRecord, 0, len(r.FlowSummaries))
 	for _, f := range r.FlowSummaries {
-		fr := runstore.FlowRecord{
-			BaseRTT:     f.baseRTT,
-			Stats:       f.stats,
-			Degraded:    f.degraded,
-			NonFinite:   f.nonFinite,
-			LateMeanBps: f.lateMeanBps,
-			Series:      f.series,
-		}
+		fr := f.rec
 		if StoreCompact {
 			fr.Series = nil
 		}
@@ -260,49 +248,23 @@ func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Reco
 	return rec
 }
 
-// streamToRecord / streamFromRecord convert between the live obs summary and
-// its stored mirror (field-for-field; the mirror exists so runstore never
-// imports obs).
+// streamToRecord / streamFromRecord copy between the live obs summary and its
+// stored mirror (the mirror exists so runstore never imports obs). The type
+// conversion compiles only while the two structs stay field-for-field equal.
 func streamToRecord(s *obs.StreamSummary) *runstore.StreamSummary {
 	if s == nil {
 		return nil
 	}
-	return &runstore.StreamSummary{
-		FinalJain:     s.FinalJain,
-		MinWindowJain: s.MinWindowJain,
-		Snapshots:     s.Snapshots,
-		Samples:       s.Samples,
-		RateP50:       s.RateP50,
-		RateP95:       s.RateP95,
-		RateP99:       s.RateP99,
-		RTTP50:        s.RTTP50,
-		RTTP95:        s.RTTP95,
-		RTTP99:        s.RTTP99,
-		Drops:         s.Drops,
-		Faults:        s.Faults,
-		Degraded:      s.Degraded,
-	}
+	c := runstore.StreamSummary(*s)
+	return &c
 }
 
 func streamFromRecord(s *runstore.StreamSummary) *obs.StreamSummary {
 	if s == nil {
 		return nil
 	}
-	return &obs.StreamSummary{
-		FinalJain:     s.FinalJain,
-		MinWindowJain: s.MinWindowJain,
-		Snapshots:     s.Snapshots,
-		Samples:       s.Samples,
-		RateP50:       s.RateP50,
-		RateP95:       s.RateP95,
-		RateP99:       s.RateP99,
-		RTTP50:        s.RTTP50,
-		RTTP95:        s.RTTP95,
-		RTTP99:        s.RTTP99,
-		Drops:         s.Drops,
-		Faults:        s.Faults,
-		Degraded:      s.Degraded,
-	}
+	c := obs.StreamSummary(*s)
+	return &c
 }
 
 // scenarioSchemes lists the distinct schemes of a scenario in flow order.
@@ -333,17 +295,8 @@ func resultFromRecord(s Scenario, rec *runstore.Record) *RunResult {
 		},
 	}
 	r.FlowSummaries = make([]*FlowSummary, 0, len(rec.Flows))
-	for i := range rec.Flows {
-		f := &rec.Flows[i]
-		r.FlowSummaries = append(r.FlowSummaries, &FlowSummary{
-			name:        f.Stats.Name,
-			baseRTT:     f.BaseRTT,
-			stats:       f.Stats,
-			series:      f.Series,
-			degraded:    f.Degraded,
-			nonFinite:   f.NonFinite,
-			lateMeanBps: f.LateMeanBps,
-		})
+	for _, f := range rec.Flows {
+		r.FlowSummaries = append(r.FlowSummaries, &FlowSummary{rec: f})
 	}
 	r.Stream = streamFromRecord(rec.Stream)
 	return r

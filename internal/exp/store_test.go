@@ -319,12 +319,12 @@ func TestRunHugeStoreHit(t *testing.T) {
 }
 
 // keyStabilityScenarios are the canonical pinned-key scenarios. They pin
-// every key input: link knobs, traces, faults, flow specs, seeds, shards.
+// every key input: link knobs, traces, faults, flow specs, seeds.
 func keyStabilityScenarios() []Scenario {
 	basic := Scenario{
 		Name: "canon-basic", Rate: 50e6, OneWayDelay: 10 * time.Millisecond,
 		BufferBytes: 100_000, PacketSize: 1500, Horizon: 10 * time.Second,
-		Seed: 42, Shards: 1,
+		Seed: 42,
 		Flows: []FlowSpec{
 			{Scheme: "cubic"},
 			{Scheme: "bbr", Start: 2 * time.Second, Duration: 6 * time.Second, ExtraOneWay: 5 * time.Millisecond},
@@ -332,7 +332,6 @@ func keyStabilityScenarios() []Scenario {
 	}
 	withFaults := basic
 	withFaults.Name = "canon-faults"
-	withFaults.Shards = 2
 	withFaults.Faults = &faults.Config{
 		GE:          &faults.GEConfig{PGoodBad: 0.002, PBadGood: 0.25, LossGood: 0, LossBad: 1},
 		ReorderProb: 0.01, ReorderMaxDelay: 10 * time.Millisecond,
@@ -359,8 +358,11 @@ func keyStabilityScenarios() []Scenario {
 // JURY_PRINT_KEYS=1 go test -run TestScenarioKeyStability -v ./internal/exp.
 func TestScenarioKeyStability(t *testing.T) {
 	want := map[string]string{
-		"canon-basic":       "1d59e6e02e67229dd6709bed1670c4081e42bf5ab4c981f7d2066184bce45445",
-		"canon-faults":      "9cb0d094cc296f6f64a72370909da76a224d647f525f998dae0aca799b3697ba",
+		"canon-basic": "1d59e6e02e67229dd6709bed1670c4081e42bf5ab4c981f7d2066184bce45445",
+		// Repinned when Scenario.Shards was deleted: this scenario used to set
+		// Shards = 2, an input that no longer exists. The value is the key the
+		// previous schema gave the same scenario at Shards = 1.
+		"canon-faults":      "21eb77f81765628b66e7335a67425b2755ff3d78f035a7b687da78f131f390b9",
 		"canon-const-trace": "02bb19bbc0c3fc04a5a193b6880d5fc22003851d74b3af2129c4d3dd7e8c6638",
 		"canon-step-trace":  "e21ef44acf5cf3fa976bd8511b9a6b8514a23760f247c1a6ffc1e596612da5a7",
 	}
@@ -408,7 +410,6 @@ func TestScenarioKeyStability(t *testing.T) {
 		{"BufferBytes", func(s *Scenario) { s.BufferBytes = 50_000 }},
 		{"LossRate", func(s *Scenario) { s.LossRate = 0.001 }},
 		{"Seed", func(s *Scenario) { s.Seed = 43 }},
-		{"Shards", func(s *Scenario) { s.Shards = 2 }},
 		{"Horizon", func(s *Scenario) { s.Horizon = 11 * time.Second }},
 		{"scheme", func(s *Scenario) { s.Flows[0].Scheme = "vegas" }},
 		{"flow start", func(s *Scenario) { s.Flows[1].Start = 3 * time.Second }},

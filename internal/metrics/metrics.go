@@ -119,9 +119,17 @@ func TimewiseJain[F FlowSeries](flows []F) float64 {
 			series[p.T] = append(series[p.T], p.ThroughputBps)
 		}
 	}
+	// Sum instants in time order: float addition is not associative, so map
+	// iteration order would make the last bit differ between identical runs.
+	instants := make([]time.Duration, 0, len(series))
+	for t := range series {
+		instants = append(instants, t)
+	}
+	sort.Slice(instants, func(a, b int) bool { return instants[a] < instants[b] })
 	var sum float64
 	var n int
-	for _, shares := range series {
+	for _, t := range instants {
+		shares := series[t]
 		if len(shares) < 2 {
 			continue // a lone flow is trivially fair; skip
 		}

@@ -152,6 +152,34 @@ func TestTimewiseJain(t *testing.T) {
 	}
 }
 
+// stubSeries is a FlowSeries with a hand-built series.
+type stubSeries []netsim.SeriesPoint
+
+func (s stubSeries) Name() string                 { return "stub" }
+func (s stubSeries) BaseRTT() time.Duration       { return 0 }
+func (s stubSeries) Series() []netsim.SeriesPoint { return s }
+
+// TestTimewiseJainDeterministic pins that identical inputs give identical
+// bits: the per-instant indices (all different here, so their sum depends on
+// the order of addition) must be folded in time order, not map order.
+func TestTimewiseJainDeterministic(t *testing.T) {
+	flows := make([]stubSeries, 3)
+	for i := 0; i < 64; i++ {
+		for f := range flows {
+			flows[f] = append(flows[f], netsim.SeriesPoint{
+				T:             time.Duration(i) * 200 * time.Millisecond,
+				ThroughputBps: 1e6 * (1 + float64(f)*math.Sqrt(float64(i+1))),
+			})
+		}
+	}
+	want := math.Float64bits(TimewiseJain(flows))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(TimewiseJain(flows)); got != want {
+			t.Fatalf("call %d returned bits %016x, first call %016x", i, got, want)
+		}
+	}
+}
+
 func TestConvergenceTime(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 9})
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})

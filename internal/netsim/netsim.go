@@ -64,6 +64,20 @@ type Tap interface {
 	FaultInjected(l *Link, f *Flow, kind FaultKind, bytes int)
 }
 
+// NopTap implements every Tap callback as a no-op. Embed it in an observer
+// and define only the callbacks that observer cares about.
+type NopTap struct{}
+
+func (NopTap) PacketSent(*Flow, int)                      {}
+func (NopTap) PacketAcked(*Flow, int, time.Duration)      {}
+func (NopTap) PacketLost(*Flow, int)                      {}
+func (NopTap) QueueEnqueued(*Link, int)                   {}
+func (NopTap) QueueDeparted(*Link, int)                   {}
+func (NopTap) QueueDropped(*Link, int, bool)              {}
+func (NopTap) IntervalDelivered(*Flow, cc.IntervalStats)  {}
+func (NopTap) SampleRecorded(*Flow, SeriesPoint)          {}
+func (NopTap) FaultInjected(*Link, *Flow, FaultKind, int) {}
+
 // Config parameterizes a Network.
 type Config struct {
 	// Seed drives every random component (loss, traces via callers, CC

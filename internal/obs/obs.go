@@ -218,6 +218,8 @@ type shardAcc struct {
 // Observer instruments one run. Create it with Runtime.Attach before the
 // run, call Finish after. A nil Observer no-ops everywhere.
 type Observer struct {
+	netsim.NopTap // per-packet send/ack/loss and queue occupancy are not observed
+
 	rt  *Runtime
 	net *netsim.Network
 
@@ -511,21 +513,6 @@ func (o *Observer) SampleRecorded(f *netsim.Flow, p netsim.SeriesPoint) {
 		s.rtt.observe(p.AvgRTT.Seconds())
 	}
 }
-
-// PacketSent implements netsim.Tap.
-func (o *Observer) PacketSent(f *netsim.Flow, bytes int) {}
-
-// PacketAcked implements netsim.Tap.
-func (o *Observer) PacketAcked(f *netsim.Flow, bytes int, rtt time.Duration) {}
-
-// PacketLost implements netsim.Tap.
-func (o *Observer) PacketLost(f *netsim.Flow, bytes int) {}
-
-// QueueEnqueued implements netsim.Tap.
-func (o *Observer) QueueEnqueued(l *netsim.Link, bytes int) {}
-
-// QueueDeparted implements netsim.Tap.
-func (o *Observer) QueueDeparted(l *netsim.Link, bytes int) {}
 
 // QueueDropped implements netsim.Tap: a per-shard counter plus a flight
 // entry.

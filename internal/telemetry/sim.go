@@ -22,9 +22,15 @@ type juryCounters interface {
 // events. It composes with whatever Tap and engine hook are already
 // installed (the simcheck invariant checker runs first, telemetry second),
 // and it only reads — never schedules events or draws randomness — so an
-// instrumented run is digest-identical to a bare one.
+// instrumented run is digest-identical to a bare one. It is shard-safe:
+// instruments are atomic and event times come from the observed link's own
+// clock, never from another shard's engine.
 type SimObserver struct {
-	net    *netsim.Network
+	// Queue occupancy is not exported, and recorded series points are not
+	// duplicated into the trace: the per-interval event stream already
+	// carries the same signal at controller granularity.
+	netsim.NopTap
+
 	tracer *Tracer
 
 	pktSent   *Counter
@@ -47,7 +53,6 @@ func AttachSim(n *netsim.Network, h *Hub) *SimObserver {
 	}
 	r := h.Registry
 	o := &SimObserver{
-		net:       n,
 		tracer:    h.Tracer,
 		pktSent:   r.Counter("sim_packets_sent_total", "packets transmitted by all flows"),
 		pktAcked:  r.Counter("sim_packets_acked_total", "acknowledgments delivered to senders"),
@@ -147,12 +152,6 @@ func (o *SimObserver) PacketAcked(f *netsim.Flow, bytes int, rtt time.Duration) 
 // PacketLost implements netsim.Tap.
 func (o *SimObserver) PacketLost(f *netsim.Flow, bytes int) { o.pktLost.Inc() }
 
-// QueueEnqueued implements netsim.Tap.
-func (o *SimObserver) QueueEnqueued(l *netsim.Link, bytes int) {}
-
-// QueueDeparted implements netsim.Tap.
-func (o *SimObserver) QueueDeparted(l *netsim.Link, bytes int) {}
-
 // QueueDropped implements netsim.Tap: a counter plus a structured event
 // (drops are rare enough to log individually, and a drop timeline is
 // exactly what a degrading robustness case needs explained).
@@ -163,7 +162,7 @@ func (o *SimObserver) QueueDropped(l *netsim.Link, bytes int, random bool) {
 		if random {
 			kind = "random"
 		}
-		o.tracer.Event("sim", "drop", o.net.Now(), Str("kind", kind), I64("bytes", int64(bytes)))
+		o.tracer.Event("sim", "drop", l.Now(), Str("kind", kind), I64("bytes", int64(bytes)))
 	}
 }
 
@@ -191,16 +190,11 @@ func (o *SimObserver) IntervalDelivered(f *netsim.Flow, s cc.IntervalStats) {
 	)
 }
 
-// SampleRecorded implements netsim.Tap. The observer's per-interval event
-// stream already carries the same signal at controller granularity, so
-// recorded series points are not duplicated into the trace.
-func (o *SimObserver) SampleRecorded(f *netsim.Flow, p netsim.SeriesPoint) {}
-
 // FaultInjected implements netsim.Tap.
 func (o *SimObserver) FaultInjected(l *netsim.Link, f *netsim.Flow, kind netsim.FaultKind, bytes int) {
 	o.faults.Inc()
 	if o.tracer != nil {
-		o.tracer.Event("sim", "fault", o.net.Now(),
+		o.tracer.Event("sim", "fault", l.Now(),
 			Str("kind", kind.String()), Str("flow", f.Name()), I64("bytes", int64(bytes)))
 	}
 }

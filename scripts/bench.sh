@@ -56,10 +56,7 @@ trap 'rm -f "$TMP" "$JSONTMP"' EXIT
 go test -run '^$' -bench 'BenchmarkEngineSchedule' -benchmem ./internal/simcore | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkMLPForward|BenchmarkMLPBackward' -benchmem ./internal/nn | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkReplaySample|BenchmarkTD3Update' -benchmem ./internal/rl | tee -a "$TMP"
-# The plain scenario and its obs-attached twin run back to back: the ns/op
-# ratio between them is the streaming-observability tax, gated under
-# --compare (it may not regress >5% vs the baseline's ratio).
-go test -run '^$' -bench 'BenchmarkScenario$|BenchmarkScenarioObs$' -benchtime 3x -benchmem ./internal/exp | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkScenario$' -benchtime 3x -benchmem ./internal/exp | tee -a "$TMP"
 # The huge parking-lot mesh (10k flows by default) runs once per shard count:
 # a single iteration is already millions of events, and the events/sec column
 # is the figure of merit for the sharded engine.
@@ -173,27 +170,6 @@ END {
             status, n, bns[n], ns[n], bal[n], al[n]
         if (bf[n] != "" && bbf[n] != "") printf "  bytes/flow %s -> %s", bbf[n], bf[n]
         printf "\n"
-    }
-    # Obs overhead gate: the ratio of ScenarioObs ns/op to Scenario ns/op is
-    # the streaming-observability tax. Absolute timings swing with machine
-    # load, but both benchmarks run in the same process seconds apart, so
-    # their ratio is stable — it may not regress more than 5% against the
-    # baseline ratio. Skipped when either side lacks the obs benchmark (old
-    # baselines keep comparing).
-    ob = ""; ba = ""
-    for (n in ns) {
-        if (n ~ /^BenchmarkScenarioObs(-|$)/) ob = n
-        else if (n ~ /^BenchmarkScenario(-|$)/) ba = n
-    }
-    if (ob != "" && ba != "" && (ob in bns) && (ba in bns) && \
-        bns[ba] + 0 > 0 && bns[ob] + 0 > 0 && ns[ba] + 0 > 0 && ns[ob] + 0 > 0) {
-        r = (ns[ob] + 0) / (ns[ba] + 0)
-        br = (bns[ob] + 0) / (bns[ba] + 0)
-        printf "RATIO  obs-overhead (ScenarioObs/Scenario ns/op)   %.4f -> %.4f\n", br, r
-        if (r > br * 1.05) {
-            printf "OBS    streaming-observability overhead ratio regressed >5%%\n"
-            bad = 1
-        }
     }
     exit bad
 }

@@ -23,6 +23,26 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== one run path: attach sites and network builders"
+# Outside bench/ and tests, the checker, telemetry and the streaming observer
+# are attached to a network by the run pipeline alone, and only the topology
+# builders and the Fig. 4/5 probes construct one in internal/exp and cmd.
+sources=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
+for call in 'simcheck\.Attach(' 'telemetry\.AttachSim(' 'Obs\.Attach('; do
+    sites=$(grep -l "$call" $sources || true)
+    if [ "$sites" != "./internal/exp/pipeline.go" ]; then
+        echo "$call must be called from internal/exp/pipeline.go only, found in:" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
+builders=$(grep -l 'netsim\.New(' $(find internal/exp cmd -name '*.go' -not -name '*_test.go') | sort | tr '\n' ' ')
+want="internal/exp/exp.go internal/exp/fig_signals.go internal/exp/huge.go internal/exp/multibottleneck.go "
+if [ "$builders" != "$want" ]; then
+    echo "netsim.New( outside the topology builders and fig_signals.go: $builders" >&2
+    exit 1
+fi
+
 echo "== go test -short ./..."
 go test -short ./...
 
@@ -32,8 +52,9 @@ go test -race -short ./...
 echo "== fault-matrix smoke under the race detector"
 go test -race -short -run '^TestFaultMatrix' ./internal/simcheck
 
-echo "== sharded engine: digest parity (canonical scenarios, -shards=1 vs 4)"
-go test -run '^(TestShardedDigestParity|TestHugeShardedDigestParity)$' -count=1 ./internal/exp
+echo "== sharded engine: digest parity (huge mesh 1 vs 4 shards, netsim sequential vs sharded)"
+go test -run '^TestHugeShardedDigestParity$' -count=1 ./internal/exp
+go test -run '^TestRunShardedMatchesSequential$' -count=1 ./internal/netsim
 
 echo "== sharded engine: reduced-flow parity smoke (JURY_HUGE_FLOWS=5000, -race)"
 JURY_HUGE_FLOWS=5000 go test -race -run '^TestHugeEnvShardedDigestParity$' -count=1 -timeout 20m ./internal/exp
