@@ -1,11 +1,13 @@
 // Command juryserve runs the standalone policy-inference daemon: the
 // deployment shape of the paper's architecture, where one inference service
 // feeds congestion decisions to many datapath flows over the agentrpc wire
-// protocol (request batching, admission control, per-tenant accounting).
+// protocol (work-conserving request batching: whatever queued during one
+// policy execution is the next batch, nothing waits on a timer; admission
+// control; per-tenant accounting).
 //
 //	juryserve -addr 127.0.0.1:9000                     # reference policy
 //	juryserve -actor actor.json -debug-addr :9090      # trained actor + metrics
-//	juryserve -checkpoint ck.json -batch 128 -batch-delay 300us
+//	juryserve -checkpoint ck.json -batch 128 -max-queue 1024
 //
 // SIGHUP hot-swaps the policy by reloading -actor/-checkpoint through the
 // health gate (a rejected or later-misbehaving version is rolled back
@@ -51,7 +53,6 @@ func main() {
 		actor      = flag.String("actor", "", "serve a JSON actor network (jurytrain -out artifact)")
 		checkpoint = flag.String("checkpoint", "", "serve the actor inside a TD3 training checkpoint")
 		batch      = flag.Int("batch", 0, "max requests per policy execution (0 = default)")
-		batchDelay = flag.Duration("batch-delay", 0, "batch coalescing latency budget (0 = default)")
 		maxQueue   = flag.Int("max-queue", 0, "admission-control queue bound (0 = default, negative = shed unless idle)")
 		drainWait  = flag.Duration("drain", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 
@@ -86,9 +87,8 @@ func main() {
 		os.Exit(1)
 	}
 	srv, err := agentrpc.ServeConfig(*addr, p, agentrpc.Config{
-		MaxBatch:   *batch,
-		BatchDelay: *batchDelay,
-		MaxQueue:   *maxQueue,
+		MaxBatch: *batch,
+		MaxQueue: *maxQueue,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "juryserve:", err)

@@ -5,10 +5,12 @@
 // netlink; here a datapath-side Client talks to an inference Server over a
 // stream socket with a compact binary protocol).
 //
-// The Server is a multi-tenant inference daemon: concurrent Decide requests
-// are coalesced into minibatches executed under a latency budget (flush on
-// batch-full or deadline, whichever first), ideally through a BatchDecider
-// policy so one GEMM amortizes across every flow that asked in the window.
+// The Server is a multi-tenant inference daemon with work-conserving
+// batching: one batcher goroutine takes the first waiting request plus
+// whatever else is already queued (up to MaxBatch) and executes it at once,
+// ideally through a BatchDecider policy so one GEMM serves every flow that
+// asked while the previous execution ran. No request ever waits for company
+// — a lone flow is answered in one forward pass plus the socket round trip.
 // Admission control bounds the queue — overload is answered with a typed
 // BUSY response, never a silent hang — per-connection read *and* write
 // deadlines reclaim stalled peers, policies hot-swap between versions with a

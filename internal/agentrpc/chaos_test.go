@@ -344,11 +344,19 @@ func TestChaosBusyStorm(t *testing.T) {
 	defer cl.Close()
 	cfg = cl.cfg
 
+	// With no queue a request is shed unless the batcher is already parked
+	// on its receive, which the freshly started goroutine may not be yet.
 	var calls int64
-	if decideAndCount(t, cl, cfg, []float64{1}, fb) {
-		t.Fatal("healthy decision did not go remote")
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		calls++
+		if !decideAndCount(t, cl, cfg, []float64{1}, fb) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healthy decision did not go remote")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	calls++
 
 	// Jam the batcher: a raw connection parks one request inside Decide.
 	jam, err := net.Dial("tcp", srv.Addr())
@@ -359,16 +367,16 @@ func TestChaosBusyStorm(t *testing.T) {
 	if _, err := jam.Write(appendRequest(nil, []float64{jamMarker})); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the jam request is actually inside the policy (the batcher
-	// stops receiving, so a probe decision is shed).
+	// Wait until the jam request is actually inside the policy — its
+	// execution is the second one — before sending anything else: with no
+	// queue, a probe racing the jam to the batcher would get the jam itself
+	// shed and leave the batcher free.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Shed() == 0 {
+	for srv.Batches() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("batcher never jammed")
 		}
-		decideAndCount(t, cl, cfg, []float64{1}, fb)
-		calls++
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 
 	dials := cl.DialAttempts()
@@ -443,11 +451,19 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	defer cl.Close()
 	cfg = cl.cfg
 
+	// With no queue a request is shed unless the batcher is already parked
+	// on its receive, which the freshly started goroutine may not be yet.
 	var calls int64
-	if decideAndCount(t, cl, cfg, []float64{1}, fb) {
-		t.Fatal("healthy decision did not go remote")
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		calls++
+		if !decideAndCount(t, cl, cfg, []float64{1}, fb) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healthy decision did not go remote")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	calls++
 
 	dials := cl.DialAttempts()
 	for i := 0; i < 6; i++ {

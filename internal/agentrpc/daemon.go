@@ -20,20 +20,16 @@ const defaultReadTimeout = 2 * time.Minute
 // Serving defaults; see Config.
 const (
 	defaultMaxBatch     = 64
-	defaultBatchDelay   = 200 * time.Microsecond
 	defaultWriteTimeout = 2 * time.Second
 	defaultWaitTimeout  = time.Second
 )
 
 // Config tunes the inference daemon. The zero value selects the defaults.
 type Config struct {
-	// MaxBatch is the largest minibatch one policy execution may serve; a
-	// batch is flushed the moment it fills.
+	// MaxBatch is the largest minibatch one policy execution may serve. It
+	// bounds the batcher's scratch and the latency of a single execution;
+	// requests beyond it wait for the next execution.
 	MaxBatch int
-	// BatchDelay is the coalescing latency budget: after the first request
-	// of a batch arrives, the batcher waits at most this long for the batch
-	// to fill before executing what it has.
-	BatchDelay time.Duration
 	// MaxQueue bounds the admitted-but-unexecuted request queue. A request
 	// arriving with the queue full is shed with a typed BUSY response
 	// instead of waiting. Zero selects 4×MaxBatch; negative means no queue
@@ -55,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = defaultMaxBatch
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = defaultBatchDelay
 	}
 	switch {
 	case c.MaxQueue == 0:
@@ -581,10 +574,12 @@ func (s *Server) writeResponse(conn net.Conn, buf *[]byte, status byte, mu, delt
 	return true
 }
 
-// batchLoop is the daemon's single executor: block for the first request,
-// coalesce until the batch fills or the latency budget expires, execute.
-// It exits when the queue is closed (after every connection goroutine has),
-// flushing whatever is still queued first.
+// batchLoop is the daemon's single executor. Batching is work-conserving:
+// block for the first request, take whatever else is already queued (up to
+// MaxBatch), execute. Nothing waits for company — requests that arrive
+// during an execution are the next batch. It exits when the queue is closed
+// (after every connection goroutine has), flushing whatever is still queued
+// first.
 func (s *Server) batchLoop() {
 	defer close(s.batchDone)
 	cfg := s.cfg
@@ -592,36 +587,16 @@ func (s *Server) batchLoop() {
 	xbuf := make([]float64, 0, cfg.MaxBatch*64)
 	mus := make([]float64, cfg.MaxBatch)
 	deltas := make([]float64, cfg.MaxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		p, ok := <-s.queue
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], p)
-		if cfg.MaxBatch > 1 {
-			timer.Reset(cfg.BatchDelay)
-		collect:
-			for len(batch) < cfg.MaxBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
+		// The batcher is the queue's only receiver, so whatever len reports
+		// is there to take without blocking (also after the queue is closed).
+		for len(batch) < cfg.MaxBatch && len(s.queue) > 0 {
+			batch = append(batch, <-s.queue)
 		}
 		xbuf = s.execute(batch, xbuf, mus, deltas)
 	}

@@ -121,104 +121,184 @@ func TestRuntimeNonFiniteRollsBack(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing: concurrent clients against an NNPolicy must be served
-// through the batched GEMM path (fewer executions than requests) and every
-// batched decision must match the scalar path within float tolerance.
-func TestBatchCoalescing(t *testing.T) {
-	const dim = 16
-	srv, err := ServeConfig("127.0.0.1:0", testActor(t, dim), Config{MaxBatch: 64, BatchDelay: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// gatedActor is an NNPolicy that records the row count of every batched
+// execution and parks the batcher inside the execution whose first state
+// value is the jam marker until gate is closed. The batching tests use it to
+// build a known queue behind a held execution — no timing involved.
+type gatedActor struct {
+	*core.NNPolicy
+	entered chan struct{} // one token per parked execution
+	gate    chan struct{}
 
-	const workers = 8
-	const perWorker = 50
-	// Each worker verifies against its own deterministically-identical
-	// network: MLP forward scratch is not goroutine-safe, and the serving
-	// copy is concurrently exercised by the daemon's batcher.
-	locals := make([]*core.NNPolicy, workers)
-	for w := range locals {
-		locals[w] = testActor(t, dim)
+	mu   sync.Mutex
+	rows []int
+}
+
+func newGatedActor(t *testing.T, dim int) *gatedActor {
+	return &gatedActor{NNPolicy: testActor(t, dim), entered: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func (g *gatedActor) DecideBatch(states []float64, rows int, mu, delta []float64) {
+	g.mu.Lock()
+	g.rows = append(g.rows, rows)
+	g.mu.Unlock()
+	if states[0] == jamMarker {
+		g.entered <- struct{}{}
+		<-g.gate
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: 2 * time.Second})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cl.Close()
-			state := make([]float64, dim)
-			for i := 0; i < perWorker; i++ {
-				for j := range state {
-					state[j] = 0.05*float64(w+1) - 0.01*float64(i%7) + 0.001*float64(j)
-				}
-				mu, delta := cl.Decide(state)
-				wantMu, wantDelta := locals[w].Decide(state)
-				if math.Abs(mu-wantMu) > 1e-9 || math.Abs(delta-wantDelta) > 1e-9 {
-					errs <- errors.New("batched decision diverged from the scalar path")
-					return
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	g.NNPolicy.DecideBatch(states, rows, mu, delta)
+}
+
+func (g *gatedActor) executions() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.rows...)
+}
+
+// queueBehindHeldExecution parks the batcher inside a one-row execution,
+// waits until k more requests (one per client, each with its own state) sit
+// in the daemon's queue, then releases the gate and returns the k states and
+// their answers in client order.
+func queueBehindHeldExecution(t *testing.T, srv *Server, g *gatedActor, dim, k int) (states [][]float64, mus, deltas []float64) {
+	t.Helper()
+	dial := func() *Client {
+		cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
-	total := int64(workers * perWorker)
-	if srv.BatchedRequests() != total {
-		t.Fatalf("batched %d requests, want %d", srv.BatchedRequests(), total)
+
+	jam := make([]float64, dim)
+	jam[0] = jamMarker
+	jammer := dial()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if mu, _ := jammer.Decide(jam); mu == -9 {
+			t.Error("held decision fell back")
+		}
+	}()
+	<-g.entered // the batcher is now inside the execution
+
+	states = make([][]float64, k)
+	mus = make([]float64, k)
+	deltas = make([]float64, k)
+	for i := 0; i < k; i++ {
+		states[i] = make([]float64, dim)
+		for j := range states[i] {
+			states[i][j] = 0.05*float64(i+1) - 0.01*float64(i%7) + 0.001*float64(j)
+		}
+		cl := dial()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mus[i], deltas[i] = cl.Decide(states[i])
+		}(i)
 	}
-	if srv.Batches() >= total {
-		t.Fatalf("%d executions for %d requests — no coalescing happened", srv.Batches(), total)
+	for deadline := time.Now().Add(30 * time.Second); srv.QueueDepth() < k; {
+		if time.Now().After(deadline) {
+			close(g.gate) // let the deferred Close finish
+			t.Fatalf("only %d of %d requests reached the queue", srv.QueueDepth(), k)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if srv.Decisions() != total {
-		t.Fatalf("decisions %d, want %d", srv.Decisions(), total)
-	}
+	close(g.gate)
+	wg.Wait()
+	return states, mus, deltas
 }
 
-// TestBatchFullFlushesEarly: with a prohibitive latency budget, filling the
-// batch must flush it immediately — the budget is a deadline, not a sleep.
-func TestBatchFullFlushesEarly(t *testing.T) {
-	const dim = 8
-	srv, err := ServeConfig("127.0.0.1:0", testActor(t, dim),
-		Config{MaxBatch: 4, BatchDelay: 10 * time.Second, WaitTimeout: 5 * time.Second})
+// TestBatchCoalescing: requests that queue up while the batcher is inside an
+// execution are served together by the next one — 1 + K requests cost
+// exactly two policy executions — and every batched decision matches the
+// scalar path within float tolerance.
+func TestBatchCoalescing(t *testing.T) {
+	const dim, k = 16, 8
+	g := newGatedActor(t, dim)
+	srv, err := ServeConfig("127.0.0.1:0", g, Config{MaxBatch: 64, WaitTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: 4 * time.Second})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer cl.Close()
-			state := make([]float64, dim)
-			if mu, _ := cl.Decide(state); mu == -9 {
-				t.Error("decision fell back — batch never flushed")
-			}
-		}()
+	states, mus, deltas := queueBehindHeldExecution(t, srv, g, dim, k)
+	local := testActor(t, dim)
+	for i, st := range states {
+		wantMu, wantDelta := local.Decide(st)
+		if math.Abs(mus[i]-wantMu) > 1e-9 || math.Abs(deltas[i]-wantDelta) > 1e-9 {
+			t.Fatalf("client %d: batched decision (%v, %v) diverged from the scalar path (%v, %v)",
+				i, mus[i], deltas[i], wantMu, wantDelta)
+		}
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("4 decisions with a 10s budget took %v — batch-full flush broken", elapsed)
+	if got := g.executions(); len(got) != 2 || got[0] != 1 || got[1] != k {
+		t.Fatalf("executions ran %v rows, want [1 %d]", got, k)
+	}
+	if srv.Batches() != 2 || srv.BatchedRequests() != k+1 || srv.Decisions() != k+1 {
+		t.Fatalf("batches=%d batched=%d decisions=%d, want 2/%d/%d",
+			srv.Batches(), srv.BatchedRequests(), srv.Decisions(), k+1, k+1)
+	}
+}
+
+// TestBatchNeverExceedsMaxBatch: a queue deeper than MaxBatch is served in
+// MaxBatch-sized executions plus the remainder, in arrival order.
+func TestBatchNeverExceedsMaxBatch(t *testing.T) {
+	const dim, maxBatch = 8, 4
+	g := newGatedActor(t, dim)
+	srv, err := ServeConfig("127.0.0.1:0", g, Config{MaxBatch: maxBatch, WaitTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	_, mus, _ := queueBehindHeldExecution(t, srv, g, dim, maxBatch+3)
+	for i, mu := range mus {
+		if mu == -9 {
+			t.Fatalf("client %d fell back", i)
+		}
+	}
+	if got := g.executions(); len(got) != 3 || got[0] != 1 || got[1] != maxBatch || got[2] != 3 {
+		t.Fatalf("executions ran %v rows, want [1 %d 3]", got, maxBatch)
+	}
+	if srv.Batches() != 3 || srv.BatchedRequests() != maxBatch+4 {
+		t.Fatalf("batches=%d batched=%d, want 3/%d", srv.Batches(), srv.BatchedRequests(), maxBatch+4)
+	}
+}
+
+// TestLoneClientNeverWaitsForCompany: one closed-loop client is served one
+// execution per decision — the batcher does not hold a request back hoping
+// for a fuller batch — and every answer is bit-equal to a local one-row
+// DecideBatch.
+func TestLoneClientNeverWaitsForCompany(t *testing.T) {
+	const dim, n = 16, 200
+	srv, err := Serve("127.0.0.1:0", testActor(t, dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr(), constPolicy{-9, -9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	local := testActor(t, dim)
+	state := make([]float64, dim)
+	var wantMu, wantDelta [1]float64
+	for i := 0; i < n; i++ {
+		for j := range state {
+			state[j] = 0.03*float64(i%11) - 0.002*float64(j)
+		}
+		mu, delta := cl.Decide(state)
+		local.DecideBatch(state, 1, wantMu[:], wantDelta[:])
+		if mu != wantMu[0] || delta != wantDelta[0] {
+			t.Fatalf("decision %d: served (%v, %v), local one-row batch (%v, %v)", i, mu, delta, wantMu[0], wantDelta[0])
+		}
+	}
+	if srv.Batches() != n || srv.Decisions() != n || srv.BatchedRequests() != n {
+		t.Fatalf("batches=%d decisions=%d batched=%d, want %d each",
+			srv.Batches(), srv.Decisions(), srv.BatchedRequests(), n)
 	}
 }
 

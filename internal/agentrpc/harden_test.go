@@ -227,3 +227,57 @@ func TestServerDropsHungConnection(t *testing.T) {
 		t.Fatal("server never dropped the hung connection")
 	}
 }
+
+// TestFramingPipelinedAndDribbled: the server reads its request stream
+// through a buffered reader, so frame boundaries must not depend on how the
+// bytes arrive. Three frames in one Write are answered in order, and one
+// frame dribbled a byte at a time is answered once it is whole — both
+// credited to the connection's tenant.
+func TestFramingPipelinedAndDribbled(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	expect := func(what string, wantMu, wantDelta float64) {
+		t.Helper()
+		var buf [respSize]byte
+		status, mu, delta, err := readResponse(conn, &buf)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if status != statusOK || mu != wantMu || delta != wantDelta {
+			t.Fatalf("%s answered status %d (%v, %v), want OK (%v, %v)", what, status, mu, delta, wantMu, wantDelta)
+		}
+	}
+
+	burst := appendHello(nil, "framing")
+	burst = appendRequest(burst, []float64{0.25, 0.5, -0.25})
+	burst = appendRequest(burst, nil) // ping
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	expect("pipelined decide", 0.5, 3)
+	expect("pipelined ping", 0, 0)
+
+	for _, b := range appendRequest(nil, []float64{1, 2}) {
+		if _, err := conn.Write([]byte{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("dribbled decide", 3, 2)
+
+	if got := srv.TenantDecisions("framing"); got != 2 {
+		t.Fatalf("tenant credited with %d decisions, want 2", got)
+	}
+	if srv.Decisions() != 2 {
+		t.Fatalf("server counted %d decisions, want 2", srv.Decisions())
+	}
+}

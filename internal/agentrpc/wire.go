@@ -1,6 +1,7 @@
 package agentrpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -108,9 +109,11 @@ func readResponse(r io.Reader, buf *[respSize]byte) (status byte, mu, delta floa
 }
 
 // requestReader decodes request frames from a byte stream, reusing its
-// scratch buffers across frames (the server keeps one per connection).
+// scratch buffers across frames (the server keeps one per connection). The
+// stream is buffered, so a frame's header and body — and any frames the peer
+// pipelined behind it — cost one read of the underlying connection.
 type requestReader struct {
-	r    io.Reader
+	r    *bufio.Reader
 	hdr  [4]byte
 	raw  []byte
 	buf  []float64
@@ -118,7 +121,7 @@ type requestReader struct {
 }
 
 func newRequestReader(r io.Reader) *requestReader {
-	return &requestReader{r: r, raw: make([]byte, 0, 64*8), buf: make([]float64, 0, 64)}
+	return &requestReader{r: bufio.NewReader(r), raw: make([]byte, 0, 64*8), buf: make([]float64, 0, 64)}
 }
 
 // next reads one frame. The returned frame's state (and tenant backing

@@ -24,8 +24,8 @@ func (p *NNPolicy) InputDim() int { return p.Net.InputDim() }
 // DecideBatch runs one batched forward pass over the rows×InputDim()
 // row-major state matrix, writing the per-row decisions into mu and delta.
 // Together with InputDim it implements agentrpc.BatchDecider: one GEMM
-// amortizes the weight traffic across every flow that asked within the
-// daemon's latency budget.
+// serves every flow whose request queued while the daemon's previous
+// execution ran.
 //
 // Like Decide, it is not safe for concurrent use — the daemon's single
 // batcher goroutine is the intended caller.

@@ -15,7 +15,7 @@ func (p fixedPolicy) Decide([]float64) (float64, float64) { return p.mu, p.delta
 
 // TestRPCInstrumentation wires a real client/server pair through the hub:
 // the latency hook feeds the histogram and remote/fallback counters, and
-// ExportRPCServer mirrors the server's own accounting onto the registry.
+// ExportRPCDaemon mirrors the server's own accounting onto the registry.
 func TestRPCInstrumentation(t *testing.T) {
 	srv, err := agentrpc.Serve("127.0.0.1:0", fixedPolicy{0.5, 0.25})
 	if err != nil {
@@ -29,7 +29,7 @@ func TestRPCInstrumentation(t *testing.T) {
 	defer cl.Close()
 
 	hub := &telemetry.Hub{Registry: telemetry.NewRegistry()}
-	hub.ExportRPCServer(srv)
+	hub.ExportRPCDaemon(srv)
 	cl.SetLatencyHook(hub.RPCClientHook())
 
 	for i := 0; i < 3; i++ {

@@ -269,7 +269,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	hub.Training().EpochEnd(0, 0, 0, 0, 0, 0, 0)
 	hub.Training().CheckpointSaved(0, 0)
-	hub.ExportRPCServer(nil)
+	hub.ExportRPCDaemon(nil)
 	if hub.RPCClientHook() != nil {
 		t.Fatal("nil hub must return a nil RPC hook")
 	}

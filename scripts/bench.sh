@@ -16,7 +16,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEngineSchedule|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch'
+BENCHES='BenchmarkEngineSchedule|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch|BenchmarkServeLoopback'
 
 MODE=record
 case "${1:-}" in
@@ -65,10 +65,13 @@ go test -run '^$' -bench 'BenchmarkScenarioHuge' -benchtime 1x -benchmem ./inter
 # 8 shards, shortened horizon): one iteration records events/sec plus the
 # memory figures — bytes/flow and peak heap — that gate under --compare.
 go test -run '^$' -bench 'BenchmarkScenarioMillion' -benchtime 1x -benchmem -timeout 60m ./internal/exp | tee -a "$TMP"
-# The inference-daemon serving path: decisions/sec through the batcher at
-# batch sizes 1, 64, and 1024 (single-request latency floor up to full GEMM
-# coalescing).
-go test -run '^$' -bench 'BenchmarkServeBatch' -benchmem ./internal/agentrpc | tee -a "$TMP"
+# The inference-daemon serving path. ServeBatch is the execution core alone
+# (decisions/sec at 1, 64 and 1024 rows per policy execution); it never runs
+# the batch loop. ServeLoopback is one closed-loop client over loopback TCP —
+# socket, framing, batcher hand-off, forward pass — so a per-decision wait in
+# the batcher (the old coalescing timer cost 1.2 ms against a ~20 us round
+# trip) fails --compare by a wide margin.
+go test -run '^$' -bench 'BenchmarkServeBatch|BenchmarkServeLoopback' -benchmem ./internal/agentrpc | tee -a "$TMP"
 
 # The _meta entry records provenance (plus free-form NOTES from the caller,
 # e.g. shard-count speedup observations); --compare's parser only loads lines

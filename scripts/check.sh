@@ -43,6 +43,14 @@ if [ "$builders" != "$want" ]; then
     exit 1
 fi
 
+echo "== the batcher has no delay knob"
+# The daemon's batching is work-conserving (DESIGN.md "Server-side batching");
+# the coalescing timer and its option were deleted and must not come back.
+if grep -n 'BatchDelay\|batch-delay' $sources; then
+    echo "BatchDelay / -batch-delay reintroduced (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go test -short ./..."
 go test -short ./...
 
@@ -74,8 +82,8 @@ echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + diges
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
 go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults)$' -count=1 ./internal/exp
 
-echo "== inference daemon: chaos matrix under the race detector"
-go test -race -run '^(TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight)' -count=1 ./internal/agentrpc
+echo "== inference daemon: chaos matrix + batching rule + framing under the race detector"
+go test -race -run '^(TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
 
 echo "== run store: crash matrix + bit-flip sweep under the race detector"
 go test -race -short -run '^(TestCrashMatrix|TestCompactionCrashMatrix|TestBitFlipSweep)$' -count=1 ./internal/runstore
