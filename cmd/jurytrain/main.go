@@ -1,6 +1,8 @@
 // Command jurytrain trains a Jury actor with TD3 on emulated Table 1
 // environments (§3.5/§4) and writes the actor weights as JSON. The weights
 // can be loaded back with -eval to run the trained policy on a test link.
+// The learner's updates run on every core GOMAXPROCS grants; the trained
+// weights do not depend on how many that is.
 //
 // Examples:
 //
@@ -28,7 +30,6 @@ func main() {
 		actors  = flag.Int("actors", 8, "parallel experience collectors")
 		steps   = flag.Int("steps", 512, "environment steps per actor per epoch")
 		updates = flag.Int("updates", 128, "TD3 updates per epoch")
-		workers = flag.Int("workers", 1, "goroutines per TD3 update (results are worker-count independent)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		out     = flag.String("out", "jury-actor.json", "output weights path")
 		eval    = flag.String("eval", "", "evaluate a weights file instead of training")
@@ -68,7 +69,6 @@ func main() {
 	opts.Actors = *actors
 	opts.StepsPerActor = *steps
 	opts.UpdatesPerEpoch = *updates
-	opts.UpdateWorkers = *workers
 	opts.Progress = func(epoch int, meanReward, tdErr float64) {
 		fmt.Printf("epoch %3d  mean reward %8.4f  TD error %8.4f\n", epoch, meanReward, tdErr)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,6 +106,31 @@ func TestTrainPolicySmoke(t *testing.T) {
 	mu, delta := policy.Decide(make([]float64, opts.Env.Jury.StateDim()))
 	if mu < -1 || mu > 1 || delta < 0 || delta > 1 {
 		t.Fatalf("trained policy range (%v, %v) out of bounds", mu, delta)
+	}
+}
+
+// TestTrainPolicyLeavesNoGoroutines: on a multi-core box the learner owns
+// parked helper goroutines while it trains, and none once TrainPolicy has
+// returned — callers do not have to remember agent.Close.
+func TestTrainPolicyLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+	opts := DefaultTrainOptions(7)
+	opts.Epochs = 1
+	opts.Actors = 2
+	opts.StepsPerActor = 64
+	opts.UpdatesPerEpoch = 4
+	opts.Env.Episode = 3 * time.Second
+	var during int
+	opts.Progress = func(int, float64, float64) { during = runtime.NumGoroutine() }
+	if _, _, err := TrainPolicy(opts); err != nil {
+		t.Fatal(err)
+	}
+	if during <= before {
+		t.Fatalf("no helper goroutines while training (%d before, %d during): the test proves nothing", before, during)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before TrainPolicy, %d after", before, after)
 	}
 }
 

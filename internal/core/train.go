@@ -13,12 +13,8 @@ type TrainOptions struct {
 	Actors          int
 	StepsPerActor   int
 	UpdatesPerEpoch int
-	// UpdateWorkers shards each TD3 update's minibatch across this many
-	// goroutines (see rl.Config.Workers); the trained weights are
-	// bit-identical for every value, so it is purely a throughput knob.
-	UpdateWorkers int
-	Seed          uint64
-	Progress      func(epoch int, meanReward, tdErr float64)
+	Seed            uint64
+	Progress        func(epoch int, meanReward, tdErr float64)
 	// Observer, if non-nil, receives structured training telemetry (see
 	// rl.TrainObserver; internal/telemetry provides the implementation).
 	Observer rl.TrainObserver
@@ -47,7 +43,6 @@ func TrainPolicy(opts TrainOptions) (*rl.TD3, *rl.TrainResult, error) {
 	cfg.Gamma = 0.98    // Table 2
 	cfg.Batch = 64      // Table 2
 	cfg.Seed = opts.Seed
-	cfg.Workers = opts.UpdateWorkers
 	agent := rl.NewTD3(cfg)
 
 	res, err := rl.Train(rl.TrainConfig{

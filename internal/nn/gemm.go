@@ -220,16 +220,32 @@ func ColSumSet(dst, a []float64, rows, n int) {
 	}
 }
 
+// The four axpy kernels below are the streaming inner loops of MatMul and
+// the MatMulT{Acc,Set} weight-gradient products. Each has one Go body,
+// xFrom(i, …), that runs elements [i, n), and a platform prefix, xVec(…),
+// that handles the largest multiple-of-4 prefix it can and returns its
+// length: AVX on amd64 (gemm_amd64.go), nothing elsewhere or under -tags
+// purego (gemm_generic.go). Every element gets the same correctly rounded
+// multiply-then-add in both, so the two are bit-identical (DESIGN.md
+// "Batched linear algebra"); the zero-scale early-outs live here, above the
+// dispatch, because skipping dst += 0*x is observable for NaN/Inf/−0 inputs.
+
 // axpy computes dst += s * x elementwise. The iterations are independent,
-// so the loop retires ~1 FMA per cycle instead of serializing on one
-// accumulator the way a dot product does; the 4-way unroll keeps bounds
-// checks out of the hot path.
+// so the loop streams instead of serializing on one accumulator the way a
+// dot product does.
 func axpy(s float64, x, dst []float64) {
 	if s == 0 {
 		return
 	}
+	if i := axpyVec(s, x, dst); i < len(dst) {
+		axpyFrom(i, s, x, dst)
+	}
+}
+
+// axpyFrom is axpy's Go body over elements [i, len(dst)); the 4-way unroll
+// keeps bounds checks out of the hot path.
+func axpyFrom(i int, s float64, x, dst []float64) {
 	n := len(dst)
-	i := 0
 	for ; i+4 <= n; i += 4 {
 		d := dst[i : i+4 : i+4]
 		xv := x[i : i+4 : i+4]
@@ -255,8 +271,13 @@ func axpy2(s0, s1 float64, x, d0, d1 []float64) {
 		axpy(s0, x, d0)
 		return
 	}
+	if i := axpy2Vec(s0, s1, x, d0, d1); i < len(d0) {
+		axpy2From(i, s0, s1, x, d0, d1)
+	}
+}
+
+func axpy2From(i int, s0, s1 float64, x, d0, d1 []float64) {
 	n := len(d0)
-	i := 0
 	for ; i+4 <= n; i += 4 {
 		xv := x[i : i+4 : i+4]
 		e0 := d0[i : i+4 : i+4]
@@ -289,8 +310,13 @@ func axpy21(s0 float64, x0 []float64, s1 float64, x1, dst []float64) {
 		axpy(s0, x0, dst)
 		return
 	}
+	if i := axpy21Vec(s0, x0, s1, x1, dst); i < len(dst) {
+		axpy21From(i, s0, x0, s1, x1, dst)
+	}
+}
+
+func axpy21From(i int, s0 float64, x0 []float64, s1 float64, x1, dst []float64) {
 	n := len(dst)
-	i := 0
 	for ; i+4 <= n; i += 4 {
 		u := x0[i : i+4 : i+4]
 		v := x1[i : i+4 : i+4]
@@ -308,8 +334,13 @@ func axpy21(s0 float64, x0 []float64, s1 float64, x1, dst []float64) {
 // axpySet computes dst = s * x elementwise (no early-out on s == 0: the
 // overwrite must happen even for a zero scale).
 func axpySet(s float64, x, dst []float64) {
+	if i := axpySetVec(s, x, dst); i < len(dst) {
+		axpySetFrom(i, s, x, dst)
+	}
+}
+
+func axpySetFrom(i int, s float64, x, dst []float64) {
 	n := len(dst)
-	i := 0
 	for ; i+4 <= n; i += 4 {
 		d := dst[i : i+4 : i+4]
 		xv := x[i : i+4 : i+4]

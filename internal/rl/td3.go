@@ -3,6 +3,8 @@ package rl
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/nn"
@@ -30,13 +32,6 @@ type Config struct {
 
 	GradClip float64
 	Seed     uint64
-
-	// Workers shards Update's batch across this many goroutines. The batch
-	// is always split into fixed shardRows-row shards whose gradients are
-	// folded in a fixed pairwise order, so the updated weights are
-	// bit-identical for every worker count; 0/1 runs the shards serially on
-	// the calling goroutine (and allocates nothing).
-	Workers int
 }
 
 // DefaultConfig returns the paper's hyperparameters (Table 2) for the given
@@ -61,7 +56,7 @@ func DefaultConfig(stateDim, actionDim int) Config {
 
 // shardRows is the fixed shard height of the batched update. It is part of
 // the determinism contract: shard boundaries depend only on the batch size,
-// never on Config.Workers, so the per-shard gradient sums (and their fixed
+// never on the worker count, so the per-shard gradient sums (and their fixed
 // pairwise reduction) are identical no matter how many goroutines run them.
 const shardRows = 16
 
@@ -111,20 +106,27 @@ type TD3 struct {
 	yBuf       []float64 // B: clipped double-Q TD targets
 	dOut1      []float64 // B×1: critic-1 output gradients (reused as -1s in the actor phase)
 	dOut2      []float64 // B×1: critic-2 output gradients
-	actorBS    *nn.BatchScratch
-	criticBS   *nn.BatchScratch
 
 	shards  []updateShard
 	tdShard []float64 // per-shard Σ|TD error|, summed in shard order
 
-	// Method values bound once so the serial runShards path passes a
-	// prebuilt func and stays allocation-free.
-	criticShardFn func(int)
-	actorShardFn  func(int)
+	criticFinite [2]bool // criticTail's verdict on each critic's gradient; Update reads both
 
-	// pool holds the persistent helper goroutines of a multi-worker agent
-	// (nil until the first Workers>1 Update; see shardPool).
-	pool *shardPool
+	// The task bodies of Update's pool rounds, bound once so the serial path
+	// passes a prebuilt func and stays allocation-free.
+	targetActionFn func(int)
+	criticShardFn  func(int)
+	criticTailFn   func(int)
+	criticStepFn   func(int)
+	actorShardFn   func(int)
+	delayedTailFn  func(int)
+
+	// workers is how many goroutines one round may run on, the caller
+	// included: GOMAXPROCS at construction. 1 is the serial path — no pool,
+	// no goroutines. pool holds the persistent helpers (nil until the first
+	// parallel round; see shardPool).
+	workers int
+	pool    *shardPool
 
 	updates        int
 	skippedUpdates int64
@@ -216,8 +218,6 @@ func NewTD3(cfg Config) *TD3 {
 	t.yBuf = make([]float64, B)
 	t.dOut1 = make([]float64, B)
 	t.dOut2 = make([]float64, B)
-	t.actorBS = nn.NewBatchScratch(t.Actor, B)
-	t.criticBS = nn.NewBatchScratch(t.critic1, B)
 
 	c1Tr := nn.NewBatchTrace(t.critic1, B)
 	c2Tr := nn.NewBatchTrace(t.critic2, B)
@@ -244,8 +244,13 @@ func NewTD3(cfg Config) *TD3 {
 			dAct:    make([]float64, (r1-r0)*A),
 		}
 	}
+	t.targetActionFn = t.targetActionShard
 	t.criticShardFn = t.criticShard
+	t.criticTailFn = t.criticTail
+	t.criticStepFn = t.criticStep
 	t.actorShardFn = t.actorShard
+	t.delayedTailFn = t.delayedTail
+	t.workers = runtime.GOMAXPROCS(0)
 	return t
 }
 
@@ -287,13 +292,17 @@ func concat(a, b []float64) []float64 {
 // returns the mean critic TD error (diagnostic). Every PolicyDelay-th call
 // also updates the actor and the target networks.
 //
-// The step runs in three phases. Phase A is sequential because it consumes
-// the agent RNG: sample indices, gather the batch into flat matrices, and
-// compute the clipped double-Q targets with batched target-network
-// forwards. Phases B (critic forward/backward) and C (actor phase, every
-// PolicyDelay-th call) run per shard — serially or on Config.Workers
-// goroutines — and fold the per-shard gradients pairwise; see shardRows for
-// why the result is independent of the worker count.
+// Only what consumes the agent RNG runs on the calling goroutine, in a fixed
+// order: the index sample, the gather it drives, and the B×A smoothing-noise
+// draws. Everything else is a round of independent tasks (see run): the
+// target actions per shard; the TD targets and the critic forward/backward
+// per shard; the two critics' gradient tails, then their two optimizer
+// steps; and on every PolicyDelay-th call the actor phase per shard, then
+// the three target-network tails. A row's forward output does not depend on
+// which rows share the kernel call, shard boundaries and the gradient fold
+// order depend on the batch size alone (see shardRows), and the tasks of one
+// round touch disjoint state — so the weights are bit-identical on any
+// number of goroutines.
 func (t *TD3) Update(buf *ReplayBuffer) float64 {
 	if buf.Len() < t.cfg.Batch {
 		return 0
@@ -311,45 +320,26 @@ func (t *TD3) Update(buf *ReplayBuffer) float64 {
 		t.done[k] = tr.Done
 	}
 
-	// Target actions with smoothing noise (TD3 trick #3), batched; the
-	// noise stream is drawn in row-major order, matching the retired
-	// per-sample path draw for draw.
-	aT := t.actorTarget.ForwardBatchInto(t.nextStates, B, t.actorBS)
+	// Target policy smoothing (TD3 trick #3): the shards leave the target
+	// actor's raw actions in saNext, and the noise stream is drawn here in
+	// row-major order, matching the retired per-sample path draw for draw.
+	t.run(t.targetActionFn, len(t.shards))
 	for k := 0; k < B; k++ {
-		copy(t.saNext[k*W:k*W+S], t.nextStates[k*S:(k+1)*S])
-		for i := 0; i < A; i++ {
+		act := t.saNext[k*W+S : (k+1)*W]
+		for i := range act {
 			noise := clip(t.rng.Norm(0, t.cfg.TargetNoise), -t.cfg.NoiseClip, t.cfg.NoiseClip)
-			t.saNext[k*W+S+i] = clip(aT[k*A+i]+noise, -1, 1)
+			act[i] = clip(act[i]+noise, -1, 1)
 		}
-	}
-	// Clipped double-Q targets (trick #1). The second forward reuses the
-	// critic scratch, so the first result is copied out before it runs.
-	q1 := t.c1Target.ForwardBatchInto(t.saNext, B, t.criticBS)
-	copy(t.yBuf, q1[:B])
-	q2 := t.c2Target.ForwardBatchInto(t.saNext, B, t.criticBS)
-	for k := 0; k < B; k++ {
-		y := t.rewards[k]
-		if !t.done[k] {
-			y += t.cfg.Gamma * math.Min(t.yBuf[k], q2[k])
-		}
-		t.yBuf[k] = y
 	}
 
-	t.runShards(t.criticShardFn)
+	t.run(t.criticShardFn, len(t.shards))
 	var tdErr float64
 	for _, td := range t.tdShard {
 		tdErr += td
 	}
-	c1G := t.reduceShards(pickC1)
-	c2G := t.reduceShards(pickC2)
-	inv := 1 / float64(B)
-	c1G.Scale(inv)
-	c2G.Scale(inv)
-	c1G.ClipNorm(t.cfg.GradClip)
-	c2G.ClipNorm(t.cfg.GradClip)
-	if c1G.AllFinite() && c2G.AllFinite() {
-		t.c1Opt.Step(t.critic1, c1G)
-		t.c2Opt.Step(t.critic2, c2G)
+	t.run(t.criticTailFn, 2)
+	if t.criticFinite[0] && t.criticFinite[1] { // step both critics or neither
+		t.run(t.criticStepFn, 2)
 	} else {
 		t.skippedUpdates++
 		tdErr = 0 // the TD error of a poisoned batch is meaningless
@@ -357,39 +347,62 @@ func (t *TD3) Update(buf *ReplayBuffer) float64 {
 
 	t.updates++
 	if t.updates%t.cfg.PolicyDelay == 0 { // delayed policy update (TD3 trick #2)
-		t.runShards(t.actorShardFn)
-		aG := t.reduceShards(pickActor)
-		aG.Scale(inv)
-		aG.ClipNorm(t.cfg.GradClip)
-		if aG.AllFinite() {
-			t.actorOpt.Step(t.Actor, aG)
-		} else {
-			t.skippedUpdates++
-		}
-
-		nn.SoftUpdate(t.actorTarget, t.Actor, t.cfg.Tau)
-		nn.SoftUpdate(t.c1Target, t.critic1, t.cfg.Tau)
-		nn.SoftUpdate(t.c2Target, t.critic2, t.cfg.Tau)
+		t.run(t.actorShardFn, len(t.shards))
+		t.run(t.delayedTailFn, 3)
 	}
-	return tdErr * inv
+	return tdErr * (1 / float64(B)) // times the reciprocal, not ÷B: the bits differ
 }
 
-// criticShard runs the critic phase for shard si: forward-trace both
-// critics over the shard's rows, derive the squared-TD-error output
-// gradients against the precomputed targets, and backpropagate into the
+// joinRows writes rows of x (width S) ++ a (width A) into sa (width S+A).
+func joinRows(sa, x, a []float64, rows, S, A int) {
+	W := S + A
+	for r := 0; r < rows; r++ {
+		copy(sa[r*W:r*W+S], x[r*S:(r+1)*S])
+		copy(sa[r*W+S:(r+1)*W], a[r*A:(r+1)*A])
+	}
+}
+
+// targetActionShard fills shard si's rows of saNext with next-state ++
+// target-actor action, before smoothing noise.
+func (t *TD3) targetActionShard(si int) {
+	sh := &t.shards[si]
+	rows := sh.r1 - sh.r0
+	S, A := t.cfg.StateDim, t.cfg.ActionDim
+	xs := t.nextStates[sh.r0*S : sh.r1*S]
+	aT := t.actorTarget.ForwardBatchInto(xs, rows, sh.actorS)
+	joinRows(t.saNext[sh.r0*(S+A):sh.r1*(S+A)], xs, aT, rows, S, A)
+}
+
+// criticShard runs the critic phase for shard si: the clipped double-Q
+// targets of its rows (trick #1) from the two target critics, then
+// forward-trace both critics over the rows, derive the squared-TD-error
+// output gradients against those targets, and backpropagate into the
 // shard's private gradient accumulators.
 func (t *TD3) criticShard(si int) {
 	sh := &t.shards[si]
 	rows := sh.r1 - sh.r0
 	W := t.cfg.StateDim + t.cfg.ActionDim
+	// The second target forward reuses the critic scratch (free until the
+	// backward below), so the first result is copied out before it runs.
+	saNext := t.saNext[sh.r0*W : sh.r1*W]
+	ys := t.yBuf[sh.r0:sh.r1]
+	copy(ys, t.c1Target.ForwardBatchInto(saNext, rows, sh.criticS))
+	q2 := t.c2Target.ForwardBatchInto(saNext, rows, sh.criticS)
+	for r := range ys {
+		y := t.rewards[sh.r0+r]
+		if !t.done[sh.r0+r] {
+			y += t.cfg.Gamma * math.Min(ys[r], q2[r])
+		}
+		ys[r] = y
+	}
+
 	sa := t.saCur[sh.r0*W : sh.r1*W]
 	t.critic1.ForwardBatchTraceInto(sa, rows, sh.c1Tr)
 	t.critic2.ForwardBatchTraceInto(sa, rows, sh.c2Tr)
 	out1 := sh.c1Tr.Output()
 	out2 := sh.c2Tr.Output()
 	var td float64
-	for r := 0; r < rows; r++ {
-		y := t.yBuf[sh.r0+r]
+	for r, y := range ys {
 		e1 := out1[r] - y
 		e2 := out2[r] - y
 		td += math.Abs(e1)
@@ -401,6 +414,34 @@ func (t *TD3) criticShard(si int) {
 	t.critic2.BackwardBatchParams(sh.c2Tr, rows, t.dOut2[sh.r0:sh.r1], sh.c2G, sh.criticS)
 }
 
+// criticTail folds, averages and clips critic i's shard gradients and
+// records whether the result is finite.
+func (t *TD3) criticTail(i int) {
+	pick := pickC1
+	if i == 1 {
+		pick = pickC2
+	}
+	t.criticFinite[i] = t.finishGrads(t.reduceShards(pick))
+}
+
+// criticStep applies critic i's reduced gradients (left in shard 0's
+// accumulator by criticTail).
+func (t *TD3) criticStep(i int) {
+	if i == 0 {
+		t.c1Opt.Step(t.critic1, t.shards[0].c1G)
+	} else {
+		t.c2Opt.Step(t.critic2, t.shards[0].c2G)
+	}
+}
+
+// finishGrads turns a batch-summed gradient into the clipped batch mean and
+// reports whether it is finite (a poisoned one must not reach the optimizer).
+func (t *TD3) finishGrads(g *nn.Grads) bool {
+	g.Scale(1 / float64(t.cfg.Batch))
+	g.ClipNorm(t.cfg.GradClip)
+	return g.AllFinite()
+}
+
 // actorShard runs the deterministic-policy-gradient phase for shard si:
 // maximize Q1(s, π(s)) by pushing dQ1/dAction through the actor.
 func (t *TD3) actorShard(si int) {
@@ -410,14 +451,10 @@ func (t *TD3) actorShard(si int) {
 	W := S + A
 	xs := t.states[sh.r0*S : sh.r1*S]
 	t.Actor.ForwardBatchTraceInto(xs, rows, sh.actorTr)
-	a := sh.actorTr.Output()
 	// Rebuild state ++ action rows with the current policy's actions,
 	// reusing saNext's shard rows (their TD-target contents are spent).
 	sa := t.saNext[sh.r0*W : sh.r1*W]
-	for r := 0; r < rows; r++ {
-		copy(sa[r*W:r*W+S], xs[r*S:(r+1)*S])
-		copy(sa[r*W+S:(r+1)*W], a[r*A:(r+1)*A])
-	}
+	joinRows(sa, xs, sh.actorTr.Output(), rows, S, A)
 	t.critic1.ForwardBatchTraceInto(sa, rows, sh.c1Tr)
 	dq := t.dOut1[sh.r0:sh.r1]
 	for r := range dq {
@@ -432,44 +469,62 @@ func (t *TD3) actorShard(si int) {
 	t.Actor.BackwardBatchParams(sh.actorTr, rows, sh.dAct, sh.actorG, sh.actorS)
 }
 
-// runShards executes fn(s) for every shard. Workers ≤ 1 runs them on the
-// calling goroutine; otherwise the calling goroutine and up to Workers-1
-// pooled helpers pull shard indices from an atomic counter. Work stealing is
-// safe because shards are mutually independent and the reduction order is
-// fixed afterwards.
-func (t *TD3) runShards(fn func(int)) {
-	n := len(t.shards)
-	w := t.cfg.Workers
-	if w > n {
-		w = n
+// delayedTail is the policy-delay step's closing round: task 0 steps the
+// actor on its reduced gradient (or counts the skip — the one writer of
+// skippedUpdates in this round) and moves its target; tasks 1 and 2 move
+// the critic targets, which the actor step neither reads nor writes.
+func (t *TD3) delayedTail(i int) {
+	switch i {
+	case 0:
+		g := t.reduceShards(pickActor)
+		if t.finishGrads(g) {
+			t.actorOpt.Step(t.Actor, g)
+		} else {
+			t.skippedUpdates++
+		}
+		nn.SoftUpdate(t.actorTarget, t.Actor, t.cfg.Tau)
+	case 1:
+		nn.SoftUpdate(t.c1Target, t.critic1, t.cfg.Tau)
+	case 2:
+		nn.SoftUpdate(t.c2Target, t.critic2, t.cfg.Tau)
 	}
+}
+
+// run executes fn(0) … fn(n-1), which must be mutually independent, and
+// returns when all are done: on the calling goroutine alone at one worker,
+// otherwise on the caller plus up to workers-1 pooled helpers pulling task
+// indices from an atomic counter. Stealing is safe because no task reads
+// what another of its round writes, and every order-sensitive fold happens
+// inside one task or on the caller afterwards.
+func (t *TD3) run(fn func(int), n int) {
+	w := min(t.workers, n)
 	if w <= 1 {
-		for s := 0; s < n; s++ {
-			fn(s)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
 	if t.pool == nil {
-		t.pool = newShardPool(t.cfg.Workers - 1)
+		t.pool = newShardPool(t.workers - 1)
 	}
 	t.pool.run(fn, n, w-1)
 }
 
-// shardPool keeps Workers-1 helper goroutines alive across Update calls so a
-// multi-worker step costs two channel operations per helper instead of a
-// goroutine spawn — the per-call closure and WaitGroup allocations of the
-// spawn-per-Update scheme were the only thing separating Workers>1 from the
-// serial path's zero-allocation contract.
+// shardPool keeps workers-1 helper goroutines alive across Update calls so a
+// round costs two channel operations per helper instead of a goroutine
+// spawn, and allocates nothing — the same zero-allocation contract as the
+// serial path.
 type shardPool struct {
-	fn   func(int)    // the current round's shard body
-	n    int32        // shards in the current round
-	next atomic.Int32 // work-stealing shard cursor
+	fn   func(int)    // the current round's task body
+	n    int32        // tasks in the current round
+	next atomic.Int32 // work-stealing task cursor
 	left atomic.Int32 // round participants (helpers + caller) still running
 
 	start   chan struct{} // each token wakes one helper for one round
 	done    chan struct{} // posted by the round's last finisher
 	closed  chan struct{}
-	spawned int // helpers launched so far (lazy, grows toward cap(start))
+	spawned int            // helpers launched so far (lazy, grows toward cap(start))
+	exited  sync.WaitGroup // … and not yet returned; close waits on it
 }
 
 func newShardPool(maxHelpers int) *shardPool {
@@ -480,14 +535,15 @@ func newShardPool(maxHelpers int) *shardPool {
 	}
 }
 
-// run executes fn over n shards on the calling goroutine plus helpers pooled
-// goroutines, returning when all shards are done. The start-token send
+// run executes fn over n tasks on the calling goroutine plus helpers pooled
+// goroutines, returning when all tasks are done. The start-token send
 // happens-before a helper's reads of fn/n, and the last finisher's done send
 // happens-before run's return, so rounds never overlap and fn's effects are
 // visible to the caller.
 func (p *shardPool) run(fn func(int), n, helpers int) {
 	for p.spawned < helpers {
 		p.spawned++
+		p.exited.Add(1)
 		go p.loop()
 	}
 	p.fn, p.n = fn, int32(n)
@@ -510,11 +566,12 @@ func (p *shardPool) run(fn func(int), n, helpers int) {
 	p.fn = nil
 }
 
-// loop is one helper: sleep until a round token arrives, steal shards until
+// loop is one helper: sleep until a round token arrives, steal tasks until
 // the cursor drains, signal if last out, repeat. A helper that drains the
 // cursor and loops around may consume a second token of the same round and
 // find no work — harmless, since tokens and left-decrements stay one-to-one.
 func (p *shardPool) loop() {
+	defer p.exited.Done()
 	for {
 		select {
 		case <-p.closed:
@@ -535,13 +592,15 @@ func (p *shardPool) loop() {
 	}
 }
 
-// Close releases the helper goroutines of a multi-worker agent. The agent
-// stays usable — the next multi-worker Update lazily respawns the pool — so
-// Close is only about not parking idle goroutines past the agent's working
-// life. Serial agents never spawn any, and Close on them is a no-op.
+// Close releases the agent's helper goroutines. The agent stays usable — the
+// next parallel Update lazily respawns the pool — so Close is only about not
+// parking idle goroutines past the agent's working life (Train calls it on
+// return); the helpers have exited when it returns. A one-worker agent never
+// spawns any, and Close on it is a no-op.
 func (t *TD3) Close() {
 	if t.pool != nil {
 		close(t.pool.closed)
+		t.pool.exited.Wait() // helpers are parked between rounds, so this is prompt
 		t.pool = nil
 	}
 }
@@ -550,7 +609,7 @@ func (t *TD3) Close() {
 // 0's accumulator with a fixed pairwise (stride-doubling) tree, then
 // returns it. The fold order depends only on the shard count, never on
 // which worker produced which shard, so the summed gradient is
-// bit-identical for every Config.Workers.
+// bit-identical for every worker count.
 func (t *TD3) reduceShards(pick func(*updateShard) *nn.Grads) *nn.Grads {
 	n := len(t.shards)
 	for stride := 1; stride < n; stride *= 2 {

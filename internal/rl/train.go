@@ -92,6 +92,9 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
 	}
+	// The agent's update helpers are parked goroutines; they must not outlive
+	// the run (the agent stays usable and respawns them on demand).
+	defer cfg.Agent.Close()
 
 	startEpoch := 0
 	noise := cfg.NoiseStd
@@ -217,6 +220,10 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 func collect(env Env, state []float64, policy *nn.MLP, actionDim, steps int, noise float64, rng *simcore.RNG) (trs []Transition, rewardSum float64, endState []float64) {
 	trs = make([]Transition, 0, steps)
 	state = cloneFloats(state)
+	var scratch *nn.Scratch // this collector's own: a Scratch is not goroutine-safe
+	if policy != nil {
+		scratch = nn.NewScratch(policy)
+	}
 	for s := 0; s < steps; s++ {
 		var action []float64
 		if policy == nil {
@@ -225,7 +232,7 @@ func collect(env Env, state []float64, policy *nn.MLP, actionDim, steps int, noi
 				action[i] = rng.Range(-1, 1)
 			}
 		} else {
-			action = forwardWithNoise(policy, state, noise, rng)
+			action = forwardWithNoise(policy, scratch, state, noise, rng)
 		}
 		next, reward, done := env.Step(action)
 		next = cloneFloats(next)
@@ -250,9 +257,11 @@ func cloneFloats(v []float64) []float64 {
 }
 
 // forwardWithNoise evaluates a policy snapshot with exploration noise using
-// the collector's own RNG (the shared agent RNG is not goroutine-safe).
-func forwardWithNoise(policy *nn.MLP, state []float64, noiseStd float64, rng *simcore.RNG) []float64 {
-	a := policy.Forward(state)
+// the collector's own scratch and RNG (the shared agent RNG is not
+// goroutine-safe). The action is copied out of the scratch: the replay
+// buffer keeps it.
+func forwardWithNoise(policy *nn.MLP, scratch *nn.Scratch, state []float64, noiseStd float64, rng *simcore.RNG) []float64 {
+	a := cloneFloats(policy.ForwardInto(state, scratch))
 	for i := range a {
 		if noiseStd > 0 {
 			a[i] += rng.Norm(0, noiseStd)

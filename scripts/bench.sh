@@ -3,8 +3,9 @@
 # BENCH_harness.json for before/after comparison.
 #
 # Covers the per-step allocation work: event scheduling (simcore), full
-# scenario simulation (exp), NN inference/backprop and the batched kernels
-# (nn), replay sampling and the TD3 update loop (rl). Usage:
+# scenario simulation (exp), NN inference/backprop, the batched kernels and
+# the axpy streaming kernels as dispatched vs their Go bodies (nn), replay
+# sampling and the TD3 update at the Table 2 sizes (rl). Usage:
 #
 #   scripts/bench.sh             # writes BENCH_harness.json in the repo root
 #   OUT=/tmp/b.json scripts/bench.sh
@@ -16,7 +17,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEngineSchedule|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch|BenchmarkServeLoopback'
+BENCHES='BenchmarkEngineSchedule|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkAxpyKernels|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch|BenchmarkServeLoopback'
 
 MODE=record
 case "${1:-}" in
@@ -54,8 +55,12 @@ JSONTMP=$(mktemp)
 trap 'rm -f "$TMP" "$JSONTMP"' EXIT
 
 go test -run '^$' -bench 'BenchmarkEngineSchedule' -benchmem ./internal/simcore | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkMLPForward|BenchmarkMLPBackward' -benchmem ./internal/nn | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkReplaySample|BenchmarkTD3Update' -benchmem ./internal/rl | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkAxpyKernels' -benchmem ./internal/nn | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkReplaySample' -benchmem ./internal/rl | tee -a "$TMP"
+# The agent sizes its shard pool from GOMAXPROCS, so one benchmark at -cpu 1,2
+# records the serial path (BenchmarkTD3Update) and the pooled one
+# (BenchmarkTD3Update-2); on a 1-core box the second only measures hand-off.
+go test -run '^$' -bench 'BenchmarkTD3Update$' -cpu 1,2 -benchmem ./internal/rl | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkScenario$' -benchtime 3x -benchmem ./internal/exp | tee -a "$TMP"
 # The huge parking-lot mesh (10k flows by default) runs once per shard count:
 # a single iteration is already millions of events, and the events/sec column

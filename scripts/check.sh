@@ -17,8 +17,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet ./..."
+echo "== go vet ./... (asmdecl checks internal/nn/gemm_amd64.s), then the purego build of nn and rl"
 go vet ./...
+go vet -tags purego ./internal/nn ./internal/rl
 
 echo "== go build ./..."
 go build ./...
@@ -51,8 +52,26 @@ if grep -n 'BatchDelay\|batch-delay' $sources; then
     exit 1
 fi
 
+echo "== the learner has no worker-count knob"
+# TD3.Update runs every phase on all cores GOMAXPROCS grants, bit-identically
+# at any count (DESIGN.md "Batched linear algebra"); rl.Config.Workers,
+# core.TrainOptions.UpdateWorkers and jurytrain -workers were deleted and
+# must not come back under any name.
+if grep -n 'UpdateWorkers' $sources ||
+    grep -n '\bWorkers\b' $(find internal/rl -name '*.go' -not -name '*_test.go') ||
+    grep -n '"workers"' cmd/jurytrain/*.go; then
+    echo "a TD3 worker-count knob was reintroduced (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go test -short ./..."
 go test -short ./...
+
+echo "== nn + rl again on the Go kernel bodies alone (-tags purego)"
+go test -tags purego ./internal/nn ./internal/rl
+
+echo "== TD3 update: worker-count determinism + zero-alloc paths under the race detector, GOMAXPROCS=4"
+GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers)$' -count=1 ./internal/rl
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
