@@ -3,7 +3,7 @@
 // corresponding experiment (this machine has one CPU; the paper used a
 // testbed — see DESIGN.md) and reports the figure's headline quantities as
 // benchmark metrics; run with -v to also get the underlying rows. The full
-// published protocol is available through cmd/juryexp with -full.
+// published protocol is available through `jury exp -full`.
 //
 //	go test -bench=. -benchmem
 package jury_test

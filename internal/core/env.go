@@ -26,7 +26,7 @@ type EnvConfig struct {
 	Seed                uint64
 }
 
-// DefaultEnvConfig returns the training setup used by cmd/jurytrain.
+// DefaultEnvConfig returns the training setup used by `jury train`.
 func DefaultEnvConfig(seed uint64) EnvConfig {
 	return EnvConfig{
 		Jury:                DefaultConfig(),

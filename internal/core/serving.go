@@ -85,7 +85,7 @@ func PolicyFromCheckpoint(path string) (*NNPolicy, error) {
 }
 
 // PolicyFromActorFile loads a bare actor network exported as JSON (the
-// jurytrain -out artifact) and wraps it as a servable policy.
+// `jury train -out` artifact) and wraps it as a servable policy.
 func PolicyFromActorFile(path string) (*NNPolicy, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

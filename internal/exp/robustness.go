@@ -18,7 +18,7 @@ type RobustnessCase struct {
 	Faults *faults.Config
 }
 
-// RobustnessCases returns the canonical fault family of the `jurysim
+// RobustnessCases returns the canonical fault family of the `jury sim
 // faults` robustness table: a clean baseline plus one case per fault type
 // and a combined worst-case.
 func RobustnessCases() []RobustnessCase {

@@ -1,6 +1,6 @@
 // Package plot renders line charts and scatter plots as standalone SVG
 // documents using only the standard library, so the experiment harness can
-// regenerate the paper's figures as images (cmd/juryplot), not just rows.
+// regenerate the paper's figures as images (`jury plot`), not just rows.
 package plot
 
 import (

@@ -214,7 +214,7 @@ func (sp Span) End(virtual time.Duration, kvs ...KV) {
 //
 // domain is "sim", "train", or "exp"; virtual is the virtual time of the
 // event (0 where none applies). Fields land at the top level so line-
-// oriented tools (jq, juryplot -trace) can filter without nesting.
+// oriented tools (jq, jury plot -trace) can filter without nesting.
 func (t *Tracer) Event(domain, name string, virtual time.Duration, kvs ...KV) {
 	if t == nil {
 		return

@@ -24,6 +24,13 @@
 // (EstimateOccupancy, PostProcess). Training runs through TrainPolicy,
 // and every table/figure of the paper is reproduced by the benchmarks in
 // bench_test.go (see DESIGN.md and EXPERIMENTS.md).
+//
+// The command line is one binary, cmd/jury, whose subcommands simulate
+// (sim), reproduce the paper's tables and figures (exp), train (train),
+// serve a policy (serve) and render SVG figures (plot):
+//
+//	go run ./cmd/jury exp -list
+//	go run ./cmd/jury exp -exp fig7b
 package jury
 
 import (

@@ -55,14 +55,31 @@ fi
 echo "== the learner has no worker-count knob"
 # TD3.Update runs every phase on all cores GOMAXPROCS grants, bit-identically
 # at any count (DESIGN.md "Batched linear algebra"); rl.Config.Workers,
-# core.TrainOptions.UpdateWorkers and jurytrain -workers were deleted and
+# core.TrainOptions.UpdateWorkers and `jury train -workers` were deleted and
 # must not come back under any name.
 if grep -n 'UpdateWorkers' $sources ||
     grep -n '\bWorkers\b' $(find internal/rl -name '*.go' -not -name '*_test.go') ||
-    grep -n '"workers"' cmd/jurytrain/*.go; then
+    grep -n '"workers"' cmd/jury/*.go; then
     echo "a TD3 worker-count knob was reintroduced (see the matches above)" >&2
     exit 1
 fi
+
+echo "== one binary: one package main under cmd/, each shared flag declared once"
+# The five mains became subcommands of cmd/jury (README.md "Command line");
+# the telemetry/obs flags every subcommand shares are registered by one helper.
+mains=$(grep -rl --include='*.go' '^package main$' cmd | xargs -n1 dirname | sort -u)
+if [ "$mains" != "cmd/jury" ]; then
+    echo "package main outside cmd/jury: $mains" >&2
+    exit 1
+fi
+cmdsources=$(find cmd -name '*.go' -not -name '*_test.go')
+for name in telemetry trace-out debug-addr obs obs-window flight-dir; do
+    if [ "$(grep -h "\"$name\"," $cmdsources | wc -l)" -ne 1 ]; then
+        echo "flag -$name must be declared exactly once under cmd/, found:" >&2
+        grep -n "\"$name\"," $cmdsources >&2
+        exit 1
+    fi
+done
 
 echo "== go test -short ./..."
 go test -short ./...

@@ -1,7 +1,7 @@
 #!/bin/sh
 # profile.sh — capture profiles from a live run through the telemetry debug
-# endpoint. Builds jurysim, starts a long scenario with -debug-addr, waits
-# for /metrics to come up, and pulls profiles for `go tool pprof`.
+# endpoint. Builds jury, starts a long `jury sim` scenario with -debug-addr,
+# waits for /metrics to come up, and pulls profiles for `go tool pprof`.
 #
 # Default mode writes one CPU profile:
 #
@@ -16,7 +16,7 @@
 #   scripts/profile.sh --bundle                           # profiles/<UTC stamp>/
 #   OUTDIR=/tmp/bundle scripts/profile.sh --bundle -scheme jury -flows 8
 #
-# Extra arguments replace the default jurysim scenario flags. Virtual time
+# Extra arguments replace the default `jury sim` scenario flags. Virtual time
 # runs much faster than wall time (~600 virtual seconds per wall second per
 # 100 Mbps-class flow pair is typical), so pick a -duration whose *wall*
 # time outlives the profile window; the default scenario lasts a few wall
@@ -35,7 +35,7 @@ if [ "${1:-}" = "--bundle" ]; then
 fi
 
 BINDIR=$(mktemp -d)
-go build -o "$BINDIR/jurysim" ./cmd/jurysim
+go build -o "$BINDIR/jury" ./cmd/jury
 
 if [ $# -eq 0 ]; then
     set -- -scheme cubic,jury -rate 100 -duration 36000s
@@ -44,14 +44,14 @@ fi
 if [ "$MODE" = bundle ]; then
     set -- "$@" -obs
 fi
-"$BINDIR/jurysim" "$@" -debug-addr "$ADDR" >/dev/null 2>&1 &
+"$BINDIR/jury" sim "$@" -debug-addr "$ADDR" >/dev/null 2>&1 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true; rm -rf "$BINDIR"' EXIT
 
 i=0
 until curl -sf "http://$ADDR/metrics" >/dev/null 2>&1; do
     if ! kill -0 "$PID" 2>/dev/null; then
-        echo "profile.sh: jurysim exited before the debug endpoint came up" >&2
+        echo "profile.sh: jury sim exited before the debug endpoint came up" >&2
         exit 1
     fi
     i=$((i + 1))
@@ -84,4 +84,4 @@ curl -sf -o "$OUTDIR/cpu.pprof" "http://$ADDR/debug/pprof/profile?seconds=$PROF_
 # advanced while profiled.
 curl -sf -o "$OUTDIR/fairness-after.json" "http://$ADDR/fairness" || true
 ls -l "$OUTDIR"
-echo "bundle in $OUTDIR  (inspect: go tool pprof $OUTDIR/cpu.pprof; juryplot fairness -in $OUTDIR/fairness.json)"
+echo "bundle in $OUTDIR  (inspect: go tool pprof $OUTDIR/cpu.pprof; jury plot fairness -in $OUTDIR/fairness.json)"
