@@ -147,7 +147,7 @@ func runExp(args []string) error {
 // and maintenance of a run store.
 func runStore(args []string) error {
 	if len(args) != 2 {
-		return fmt.Errorf("usage: jury exp store <ls|verify|compact> DIR")
+		return usageError("usage: jury exp store <ls|verify|compact> DIR")
 	}
 	cmd, dir := args[0], args[1]
 	switch cmd {
@@ -203,7 +203,7 @@ func runStore(args []string) error {
 		fmt.Printf("compacted %d records into snapshot\n", st.Len())
 		return st.Close()
 	default:
-		return fmt.Errorf("unknown store command %q (want ls, verify, or compact)", cmd)
+		return usageError(fmt.Sprintf("unknown store command %q (want ls, verify, or compact)", cmd))
 	}
 }
 

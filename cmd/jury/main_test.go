@@ -100,10 +100,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"exp", "-exp", "nope"}, 2, `unknown experiment "nope" (use -list)`},
 		{[]string{"exp", "-resume"}, 2, "-resume requires -store DIR"},
 		{[]string{"exp", "-store", dir, "-store-fsync", "sometimes"}, 2, "sometimes"},
-		{[]string{"exp", "store", "ls"}, 1, "usage: jury exp store <ls|verify|compact> DIR"},
-		{[]string{"exp", "store", "frob", dir}, 1, `unknown store command "frob"`},
+		{[]string{"exp", "store", "ls"}, 2, "usage: jury exp store <ls|verify|compact> DIR"},
+		{[]string{"exp", "store", "frob", dir}, 2, `unknown store command "frob"`},
 		{[]string{"train", "-eval", filepath.Join(dir, "missing.json")}, 1, "missing.json"},
-		{[]string{"serve", "-actor", "a.json", "-checkpoint", "c.json"}, 1, "mutually exclusive"},
+		{[]string{"serve", "-actor", "a.json", "-checkpoint", "c.json"}, 2, "mutually exclusive"},
 		{[]string{"plot"}, 2, "Usage of jury plot:"},
 		{[]string{"plot", "-fig", "nope"}, 1, `unknown figure "nope"`},
 		{[]string{"plot", "fairness"}, 2, "Usage of jury plot fairness:"},

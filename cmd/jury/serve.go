@@ -43,6 +43,9 @@ func runServe(args []string) error {
 		return err
 	}
 	defer hub.Close()
+	if *actor != "" && *checkpoint != "" {
+		return usageError("-actor and -checkpoint are mutually exclusive")
+	}
 	// Listen for signals before announcing the address, so a supervisor
 	// that signals as soon as it reads the announcement is heard.
 	sigs := make(chan os.Signal, 2)
@@ -87,13 +90,12 @@ func runServe(args []string) error {
 	return nil
 }
 
-// loadPolicy builds the serving policy from the artifact flags. With neither
-// set, the tuned reference policy serves — useful for wiring tests and as a
-// known-good SIGHUP rollback target.
+// loadPolicy builds the serving policy from the artifact flags, at most one
+// of which runServe lets through. With neither set, the tuned reference
+// policy serves — useful for wiring tests and as a known-good SIGHUP
+// rollback target.
 func loadPolicy(actor, checkpoint string) (agentrpc.Policy, string, error) {
 	switch {
-	case actor != "" && checkpoint != "":
-		return nil, "", fmt.Errorf("-actor and -checkpoint are mutually exclusive")
 	case actor != "":
 		p, err := core.PolicyFromActorFile(actor)
 		return p, "actor " + actor, err

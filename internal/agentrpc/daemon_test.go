@@ -443,3 +443,43 @@ func TestTenantAccounting(t *testing.T) {
 		t.Fatalf("tenant hook fired %v, want once per label", seen)
 	}
 }
+
+// TestExecuteAllocFree pins the daemon's execution core — one batched
+// policy execution plus the hand-back of every decision — to zero
+// allocations in steady state, for a lone request and for a full default
+// batch.
+func TestExecuteAllocFree(t *testing.T) {
+	const dim = 16
+	for _, rows := range []int{1, defaultMaxBatch} {
+		s := &Server{}
+		s.pv.Store(newPolicyVersion(1, testActor(t, dim), nil))
+		batch := make([]*pending, rows)
+		for i := range batch {
+			p := newPending()
+			for j := 0; j < dim; j++ {
+				p.state = append(p.state, 0.01*float64(i%17)+0.001*float64(j))
+			}
+			batch[i] = p
+		}
+		xbuf := make([]float64, 0, rows*dim)
+		mus := make([]float64, rows)
+		deltas := make([]float64, rows)
+		avg := testing.AllocsPerRun(100, func() {
+			xbuf = s.execute(batch, xbuf, mus, deltas)
+			for _, p := range batch {
+				<-p.done
+			}
+		})
+		if avg != 0 {
+			t.Errorf("execute at %d rows allocates %v per batch, want 0", rows, avg)
+		}
+		for i, p := range batch {
+			if p.status != statusOK {
+				t.Fatalf("%d rows: row %d finished with status %d", rows, i, p.status)
+			}
+		}
+		if got := s.batchedRequests.Load(); got != int64(101*rows) {
+			t.Fatalf("%d rows: batched %d requests, want %d", rows, got, 101*rows)
+		}
+	}
+}

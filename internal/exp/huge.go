@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/cc"
@@ -12,26 +10,20 @@ import (
 	"repro/internal/runstore"
 )
 
-// This file builds the huge-scale stress scenario behind
-// BenchmarkScenarioHuge: a parking-lot mesh — a chain of bottleneck links
-// with thousands of single-segment flows plus a population of multi-segment
-// flows stitching the chain together — sized in the tens of thousands of
-// flows. It exists to exercise the sharded engine (netsim.RunSharded) at the
-// scale the sequential engine cannot reach in interactive time, and to give
-// bench.sh a stable events-per-second figure per shard count.
-
-// HugeFlowsEnv names the environment variable that overrides the default
-// flow population (10_000) of RunHuge when HugeOptions.TotalFlows is zero.
-// check.sh sets it low for smoke runs; a 100k-flow run is
-// JURY_HUGE_FLOWS=100000 with a multi-core machine and some patience.
-const HugeFlowsEnv = "JURY_HUGE_FLOWS"
+// This file builds the huge-scale stress scenario: a parking-lot mesh — a
+// chain of bottleneck links with thousands of single-segment flows plus a
+// population of multi-segment flows stitching the chain together — sized in
+// the tens of thousands of flows. It exists to exercise the sharded engine
+// (netsim.RunSharded) at the scale the sequential engine cannot reach in
+// interactive time: bench's mesh_100k workload runs it at 100k flows, and
+// BenchmarkScenarioMillion at a million.
 
 // HugeOptions parameterizes the parking-lot mesh.
 type HugeOptions struct {
 	// Segments is the number of chained bottleneck links (default 8). Every
 	// segment is a partition atom, so shard counts up to Segments scale.
 	Segments int
-	// TotalFlows is the flow population (default: JURY_HUGE_FLOWS, or 10_000).
+	// TotalFlows is the flow population (default 10_000).
 	// One in every spanStride flows crosses several consecutive segments; the
 	// rest are single-segment locals spread round-robin.
 	TotalFlows int
@@ -66,9 +58,6 @@ func (o *HugeOptions) defaults() {
 	}
 	if o.TotalFlows <= 0 {
 		o.TotalFlows = 10_000
-		if v, err := strconv.Atoi(os.Getenv(HugeFlowsEnv)); err == nil && v > 0 {
-			o.TotalFlows = v
-		}
 	}
 	if o.Rate <= 0 {
 		o.Rate = 1e9

@@ -2,15 +2,14 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/cc/vegas"
-	"repro/internal/obs"
+	"repro/internal/netsim"
 )
 
 // canonicalScenarios mirror the two golden scenarios pinned in
@@ -74,17 +73,17 @@ func TestHugeShardedDigestParity(t *testing.T) {
 	}
 }
 
-// TestHugeEnvShardedDigestParity is the reduced-flow smoke gate check.sh runs
-// under -race with JURY_HUGE_FLOWS=5000: a loss-free mesh built through the
-// environment override (TotalFlows left zero) must digest identically
-// sequentially and at 4 shards. Without the variable set it pins a small
-// population itself so the ordinary test run stays fast.
+// TestHugeEnvShardedDigestParity is the reduced-flow parity smoke check.sh
+// runs under -race: a loss-free mesh of 5,000 flows (600 under -short)
+// built at the default segment count must digest identically sequentially
+// and at 4 shards.
 func TestHugeEnvShardedDigestParity(t *testing.T) {
-	if os.Getenv(HugeFlowsEnv) == "" {
-		t.Setenv(HugeFlowsEnv, "600")
+	want := 5000
+	if testing.Short() {
+		want = 600
 	}
-	want, _ := strconv.Atoi(os.Getenv(HugeFlowsEnv))
 	opt := HugeOptions{
+		TotalFlows: want,
 		// Capacity scales with the population so per-flow bandwidth stays
 		// constant, and the buffers are 4 BDP deep so slow-start overshoot
 		// during the staggered ramp is absorbed: vegas then keeps queues
@@ -111,7 +110,7 @@ func TestHugeEnvShardedDigestParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.FlowCount != want || b.FlowCount != want {
-		t.Fatalf("env-driven flow counts %d/%d, want %d from %s", a.FlowCount, b.FlowCount, want, HugeFlowsEnv)
+		t.Fatalf("flow counts %d/%d, want %d", a.FlowCount, b.FlowCount, want)
 	}
 	if b.ShardCount != 4 {
 		t.Fatalf("sharded run used %d shards, want 4", b.ShardCount)
@@ -121,20 +120,6 @@ func TestHugeEnvShardedDigestParity(t *testing.T) {
 	}
 	if a.Digest != b.Digest {
 		t.Fatalf("digest diverged: shards=1 %016x, shards=4 %016x", a.Digest, b.Digest)
-	}
-}
-
-// TestHugeFlowsEnvWiring pins the precedence of the flow-population override:
-// the environment variable applies exactly when TotalFlows is zero.
-func TestHugeFlowsEnvWiring(t *testing.T) {
-	t.Setenv(HugeFlowsEnv, "123")
-	n, o := BuildHuge(HugeOptions{})
-	if len(n.Flows()) != 123 || o.TotalFlows != 123 {
-		t.Fatalf("env override built %d flows (resolved %d), want 123", len(n.Flows()), o.TotalFlows)
-	}
-	n, o = BuildHuge(HugeOptions{TotalFlows: 48})
-	if len(n.Flows()) != 48 || o.TotalFlows != 48 {
-		t.Fatalf("explicit TotalFlows built %d flows (resolved %d), want 48", len(n.Flows()), o.TotalFlows)
 	}
 }
 
@@ -169,97 +154,59 @@ func TestHugeBuildShape(t *testing.T) {
 	}
 }
 
-// liveBytesPerFlow builds a mesh of the resolved default population (so
-// JURY_HUGE_FLOWS applies) and reports the live heap bytes it retains per
-// flow after a full collection — the flyweight figure bench.sh records and
-// gates under --compare.
-func liveBytesPerFlow() float64 {
+// maxLiveBytesPerFlow bounds the live heap a built mesh retains per flow:
+// 1.25 × the 532.9 B the 10,000-flow default retained when flows became
+// slab-carved flyweights.
+const maxLiveBytesPerFlow = 666
+
+// TestHugeLiveBytesPerFlow pins the flyweight flow's memory: building the
+// default 10,000-flow mesh retains at most maxLiveBytesPerFlow live bytes
+// per flow. A figure below one Flow struct means the mesh escaped the
+// measurement, which fails too.
+func TestHugeLiveBytesPerFlow(t *testing.T) {
+	bpf, err := liveBytesPerFlow(10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := unsafe.Sizeof(netsim.Flow{}); bpf < float64(floor) {
+		t.Fatalf("built mesh retains %.1f live bytes per flow, less than one %d-byte Flow", bpf, floor)
+	}
+	if bpf > maxLiveBytesPerFlow {
+		t.Fatalf("built mesh retains %.1f live bytes per flow, want at most %d", bpf, maxLiveBytesPerFlow)
+	}
+	t.Logf("%.1f live bytes per flow", bpf)
+}
+
+// liveBytesPerFlow builds a mesh of flows flows and reports the live heap
+// bytes it retains per flow after a full collection. A heap that did not
+// grow is a failed measurement, not a free mesh.
+func liveBytesPerFlow(flows int) (float64, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	n, o := BuildHuge(HugeOptions{Seed: 7})
+	n, _ := BuildHuge(HugeOptions{TotalFlows: flows, Seed: 7})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc <= before.HeapAlloc {
-		return 0
-	}
-	bpf := float64(after.HeapAlloc-before.HeapAlloc) / float64(o.TotalFlows)
 	runtime.KeepAlive(n)
-	return bpf
-}
-
-// reportMemory attaches the memory metrics to a benchmark: live bytes per
-// built flow and the heap's OS-level high-water mark over the run so far.
-func reportMemory(b *testing.B) {
-	b.ReportMetric(liveBytesPerFlow(), "bytes/flow")
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapSys), "peak-heap-bytes")
-}
-
-// BenchObsEnv, when set non-empty, attaches the streaming fairness observer
-// to the huge benchmarks: live snapshots stream from the coordinator
-// barriers while the mesh runs, and each shard count reports the observer's
-// fixed footprint (obs-bytes, O(shards × window), not O(flows)) plus the
-// snapshot count — the million-flow-scale observability proof:
-//
-//	JURY_HUGE_FLOWS=10000 JURY_BENCH_OBS=1 \
-//	    go test -bench BenchmarkScenarioHuge -benchtime 1x ./internal/exp
-const BenchObsEnv = "JURY_BENCH_OBS"
-
-// BenchmarkScenarioHuge measures the sharded engine on the parking-lot mesh
-// (JURY_HUGE_FLOWS flows, default 10_000) at 1/2/4/8 shards. The headline
-// metric is events/sec; speedup over shards=1 requires a multi-core runner —
-// on one core the extra shards only add synchronization overhead. Each shard
-// count also reports bytes/flow (live heap per built flow) and
-// peak-heap-bytes so memory regressions gate alongside throughput.
-func BenchmarkScenarioHuge(b *testing.B) {
-	if os.Getenv(BenchObsEnv) != "" {
-		Obs = obs.New(obs.Options{})
-		defer func() { Obs = nil }()
+	if after.HeapAlloc <= before.HeapAlloc {
+		return 0, fmt.Errorf("live heap went from %d to %d bytes across building %d flows", before.HeapAlloc, after.HeapAlloc, flows)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			var stream *obs.StreamSummary
-			for i := 0; i < b.N; i++ {
-				res, err := RunHuge(HugeOptions{Shards: shards, Seed: 7})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-				stream = res.Stream
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			reportMemory(b)
-			if stream != nil {
-				b.ReportMetric(float64(stream.Snapshots), "snapshots")
-				b.ReportMetric(stream.FinalJain, "final-jain")
-			}
-		})
-	}
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(flows), nil
 }
 
-// MillionFlowsEnv overrides BenchmarkScenarioMillion's flow population
-// (default 1_000_000); bench.sh smoke runs set it low.
-const MillionFlowsEnv = "JURY_MILLION_FLOWS"
+// millionFlows is BenchmarkScenarioMillion's population.
+const millionFlows = 1_000_000
 
 // BenchmarkScenarioMillion is the million-flow capacity proof: one sharded
 // run of the parking-lot mesh at 8 shards with a shortened horizon, reporting
 // events/sec, bytes/flow, and peak heap. Run it with -benchtime 1x; a full
 // million-flow iteration is minutes, not microseconds.
 func BenchmarkScenarioMillion(b *testing.B) {
-	flows := 1_000_000
-	if v, err := strconv.Atoi(os.Getenv(MillionFlowsEnv)); err == nil && v > 0 {
-		flows = v
-	}
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
 		res, err := RunHuge(HugeOptions{
-			TotalFlows: flows,
+			TotalFlows: millionFlows,
 			Shards:     8,
 			Horizon:    500 * time.Millisecond,
 			Seed:       7,
@@ -274,16 +221,11 @@ func BenchmarkScenarioMillion(b *testing.B) {
 
 	// The bytes/flow probe builds at the benchmark's own scale so the figure
 	// reflects million-flow packing, not the 10k default.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n, _ := BuildHuge(HugeOptions{TotalFlows: flows, Seed: 7})
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > before.HeapAlloc {
-		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(flows), "bytes/flow")
+	bpf, err := liveBytesPerFlow(millionFlows)
+	if err != nil {
+		b.Fatal(err)
 	}
-	runtime.KeepAlive(n)
+	b.ReportMetric(bpf, "bytes/flow")
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.HeapSys), "peak-heap-bytes")

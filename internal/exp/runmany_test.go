@@ -124,22 +124,35 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
-// BenchmarkScenario measures a full scenario simulation — the unit of work
-// RunMany distributes. Allocations here are dominated by the per-step hot
-// path (event scheduling, packets, NN inference), so allocs/op tracks the
-// pooling work in simcore, netsim, and nn.
-func BenchmarkScenario(b *testing.B) {
+// maxScenarioAllocs bounds the allocations of one checked Run of
+// TestScenarioAllocCeiling's scenario: 1.10 × the 1,366 it took when the
+// ceiling was set.
+const maxScenarioAllocs = 1502
+
+// TestScenarioAllocCeiling pins what a full scenario simulation — the unit
+// of work RunMany distributes — allocates. The count is set-up (network,
+// controllers, checker) plus time series that grow with the horizon; the
+// per-packet path (event scheduling, packets, NN inference) stays off the
+// heap, where one allocation per packet would add some 10,000.
+func TestScenarioAllocCeiling(t *testing.T) {
 	s := Scenario{
-		Name: "bench", Rate: 30e6, OneWayDelay: 10 * time.Millisecond,
+		Name: "alloc-ceiling", Rate: 30e6, OneWayDelay: 10 * time.Millisecond,
 		BufferBytes: 75_000, Horizon: 5 * time.Second, Seed: 7,
 		Flows: []FlowSpec{{Scheme: "jury"}, {Scheme: "jury", Start: time.Second}},
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s); err != nil {
-			b.Fatal(err)
+	var err error
+	avg := testing.AllocsPerRun(3, func() {
+		if _, e := Run(s); e != nil {
+			err = e
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if avg > maxScenarioAllocs {
+		t.Fatalf("one Run allocates %v times, want at most %d", avg, maxScenarioAllocs)
+	}
+	t.Logf("%v allocations per Run", avg)
 }
 
 var _ = []*netsim.Flow(nil) // keep the import tied to the fingerprint helper

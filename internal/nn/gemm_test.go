@@ -309,7 +309,7 @@ func TestBatchTraceSliceViews(t *testing.T) {
 // TestBatchKernelsAllocFree pins the steady-state allocation contract of
 // the batched pipeline.
 func TestBatchKernelsAllocFree(t *testing.T) {
-	m := benchMLP()
+	m := policySizedMLP()
 	const rows = 64
 	x := make([]float64, rows*m.InputDim())
 	dOut := make([]float64, rows*m.OutputDim())
@@ -324,44 +324,5 @@ func TestBatchKernelsAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("batched forward/backward allocates %v per run, want 0", avg)
-	}
-}
-
-func BenchmarkMLPForwardBatch(b *testing.B) {
-	m := benchMLP()
-	const rows = 64
-	x := make([]float64, rows*m.InputDim())
-	for i := range x {
-		x[i] = float64(i%31) * 0.1
-	}
-	bs := NewBatchScratch(m, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := m.ForwardBatchInto(x, rows, bs)
-		sinkF64 = out[0]
-	}
-}
-
-func BenchmarkMLPBackwardBatch(b *testing.B) {
-	m := benchMLP()
-	const rows = 64
-	x := make([]float64, rows*m.InputDim())
-	for i := range x {
-		x[i] = float64(i%31) * 0.1
-	}
-	dOut := make([]float64, rows*m.OutputDim())
-	for i := range dOut {
-		dOut[i] = 1
-	}
-	bs := NewBatchScratch(m, rows)
-	tr := NewBatchTrace(m, rows)
-	g := NewGrads(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBatchTraceInto(x, rows, tr)
-		g.Zero()
-		sinkSlice = m.BackwardBatchInto(tr, rows, dOut, g, bs)
 	}
 }

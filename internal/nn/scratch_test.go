@@ -110,63 +110,32 @@ func TestScratchReuseAcrossCalls(t *testing.T) {
 	}
 }
 
-func benchMLP() *MLP {
-	rng := simcore.NewRNG(7)
-	// Jury/Astraea-sized policy net.
-	return NewMLP(rng, []int{15, 64, 32, 1}, []Activation{ReLU, ReLU, Tanh})
+// policySizedMLP is a Jury/Astraea-sized policy net.
+func policySizedMLP() *MLP {
+	return NewMLP(simcore.NewRNG(7), []int{15, 64, 32, 1}, []Activation{ReLU, ReLU, Tanh})
 }
 
-func BenchmarkMLPForward(b *testing.B) {
-	m := benchMLP()
+// TestScratchPathsAllocFree pins the steady-state allocation contract of
+// the scalar scratch paths: inference through ForwardInto, and a training
+// step through ForwardTraceInto and BackwardInto.
+func TestScratchPathsAllocFree(t *testing.T) {
+	m := policySizedMLP()
 	x := make([]float64, m.InputDim())
 	for i := range x {
 		x[i] = float64(i) * 0.1
 	}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkF64 = m.Forward(x)[0]
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		s := NewScratch(m)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkF64 = m.ForwardInto(x, s)[0]
-		}
-	})
-}
-
-func BenchmarkMLPBackward(b *testing.B) {
-	m := benchMLP()
-	x := make([]float64, m.InputDim())
-	for i := range x {
-		x[i] = float64(i) * 0.1
+	s := NewScratch(m)
+	if avg := testing.AllocsPerRun(100, func() { m.ForwardInto(x, s) }); avg != 0 {
+		t.Errorf("ForwardInto allocates %v per call, want 0", avg)
 	}
 	dOut := []float64{1}
-	b.Run("alloc", func(b *testing.B) {
-		g := NewGrads(m)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := m.ForwardTrace(x)
-			g.Zero()
-			sinkSlice = m.Backward(tr, dOut, g)
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		g := NewGrads(m)
-		s := NewScratch(m)
-		tr := NewTrace(m)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ForwardTraceInto(x, tr)
-			g.Zero()
-			sinkSlice = m.BackwardInto(tr, dOut, g, s)
-		}
-	})
+	g := NewGrads(m)
+	tr := NewTrace(m)
+	if avg := testing.AllocsPerRun(100, func() {
+		m.ForwardTraceInto(x, tr)
+		g.Zero()
+		m.BackwardInto(tr, dOut, g, s)
+	}); avg != 0 {
+		t.Errorf("ForwardTraceInto+BackwardInto allocates %v per call, want 0", avg)
+	}
 }
-
-var (
-	sinkF64   float64
-	sinkSlice []float64
-)

@@ -139,16 +139,18 @@ func TestUpdateAllocFreeWorkers(t *testing.T) {
 	}
 }
 
-func BenchmarkReplaySample(b *testing.B) {
+// TestReplaySampleAllocFree pins minibatch sampling to zero allocations
+// once the caller's destination slice has grown to the batch size.
+func TestReplaySampleAllocFree(t *testing.T) {
 	buf := fillBuffer(8, 2, 1024, 9)
 	rng := simcore.NewRNG(10)
-	var dst []Transition
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	dst := buf.Sample(rng, 64, nil)
+	if avg := testing.AllocsPerRun(100, func() {
 		dst = buf.Sample(rng, 64, dst)
+	}); avg != 0 {
+		t.Fatalf("Sample allocates %v per minibatch, want 0", avg)
 	}
 	if len(dst) != 64 {
-		b.Fatal("short sample")
+		t.Fatalf("sampled %d transitions, want 64", len(dst))
 	}
 }

@@ -23,7 +23,7 @@ func TestCoordinatorPingPong(t *testing.T) {
 		trace = append(trace, "s1@"+engs[1].Now().String())
 		s1.Send(0, engs[1].Now()+10*time.Millisecond, bounce0, nil)
 	}
-	engs[0].Schedule(0, func() { bounce0(nil) })
+	schedule(engs[0], 0, func() { bounce0(nil) })
 
 	total := c.Run(45 * time.Millisecond)
 	if total != 5 {
@@ -62,7 +62,7 @@ func TestCoordinatorMergedHookOrderAndRestore(t *testing.T) {
 	// Interleaved local events on all shards, no cross traffic.
 	for i, e := range engs {
 		for k := 0; k < 10; k++ {
-			e.Schedule(time.Duration(i+3*k)*time.Millisecond, nop)
+			schedule(e, time.Duration(i+3*k)*time.Millisecond, nop)
 		}
 	}
 	total := c.Run(50 * time.Millisecond)
@@ -79,7 +79,7 @@ func TestCoordinatorMergedHookOrderAndRestore(t *testing.T) {
 	}
 	// Hook restored: a direct event on the primary engine still reaches orig.
 	n := len(ats)
-	engs[0].Schedule(60*time.Millisecond, nop)
+	schedule(engs[0], 60*time.Millisecond, nop)
 	engs[0].Run(60 * time.Millisecond)
 	if len(ats) != n+1 {
 		t.Fatal("primary engine hook not restored after coordinator run")
@@ -105,7 +105,7 @@ func TestCoordinatorLookaheadViolationPanics(t *testing.T) {
 	engs := []*Engine{NewEngine(), NewEngine()}
 	c := NewCoordinator(engs, 10*time.Millisecond)
 	s0 := c.Shard(0)
-	engs[0].Schedule(0, func() {
+	schedule(engs[0], 0, func() {
 		s0.Send(1, 2*time.Millisecond, func(any) {}, nil) // < window end
 	})
 	defer func() {
@@ -123,7 +123,7 @@ func TestCoordinatorIndependentShards(t *testing.T) {
 	var fired atomic.Int64
 	for _, e := range engs {
 		for k := 0; k < 100; k++ {
-			e.Schedule(time.Duration(k)*time.Millisecond, func() { fired.Add(1) })
+			schedule(e, time.Duration(k)*time.Millisecond, func() { fired.Add(1) })
 		}
 	}
 	c := NewCoordinator(engs, 0)
@@ -144,7 +144,7 @@ func TestCoordinatorCrossEventTieBreak(t *testing.T) {
 		for src := 1; src <= 2; src++ {
 			src := src
 			s := c.Shard(src)
-			engs[src].Schedule(0, func() {
+			schedule(engs[src], 0, func() {
 				// Two sends per source, all landing at the same instant on shard 0.
 				s.Send(0, 15*time.Millisecond, rec, src*10)
 				s.Send(0, 15*time.Millisecond, rec, src*10+1)
@@ -172,8 +172,8 @@ func TestCoordinatorHorizonInclusive(t *testing.T) {
 	engs := []*Engine{NewEngine(), NewEngine()}
 	c := NewCoordinator(engs, time.Millisecond)
 	fired := 0
-	engs[1].Schedule(30*time.Millisecond, func() { fired++ })
-	engs[1].Schedule(30*time.Millisecond+1, func() { fired++ }) // past horizon
+	schedule(engs[1], 30*time.Millisecond, func() { fired++ })
+	schedule(engs[1], 30*time.Millisecond+1, func() { fired++ }) // past horizon
 	c.Run(30 * time.Millisecond)
 	if fired != 1 {
 		t.Fatalf("fired %d, want 1 (horizon-inclusive, not beyond)", fired)
@@ -189,10 +189,10 @@ func TestEngineFIFOAcrossSlabBoundary(t *testing.T) {
 	const n = 200 // > 3 slabs of 64
 	for i := 0; i < n; i++ {
 		i := i
-		e.Schedule(time.Millisecond, func() { got = append(got, i) })
+		schedule(e, time.Millisecond, func() { got = append(got, i) })
 	}
-	if e.Len() != n {
-		t.Fatalf("Len %d, want %d", e.Len(), n)
+	if e.Pending() != n {
+		t.Fatalf("Pending %d, want %d", e.Pending(), n)
 	}
 	e.Run(time.Millisecond)
 	if len(got) != n {
@@ -208,7 +208,7 @@ func TestEngineFIFOAcrossSlabBoundary(t *testing.T) {
 	got = got[:0]
 	for i := 0; i < n; i++ {
 		i := i
-		e.Schedule(2*time.Millisecond, func() { got = append(got, i) })
+		schedule(e, 2*time.Millisecond, func() { got = append(got, i) })
 	}
 	e.Run(2 * time.Millisecond)
 	for i := range got {
@@ -220,13 +220,13 @@ func TestEngineFIFOAcrossSlabBoundary(t *testing.T) {
 
 func TestEnginePendingEventsExcludesCancelled(t *testing.T) {
 	e := NewEngine()
-	a := e.Schedule(10, func() {})
-	e.Schedule(20, func() {})
-	t3 := e.Schedule(30, func() {})
+	a := schedule(e, 10, func() {})
+	schedule(e, 20, func() {})
+	t3 := schedule(e, 30, func() {})
 	_ = a
 	t3.Cancel()
-	if e.Len() != 3 {
-		t.Fatalf("Len %d, want 3 (cancelled still queued)", e.Len())
+	if e.Pending() != 3 {
+		t.Fatalf("Pending %d, want 3 (cancelled still queued)", e.Pending())
 	}
 	if e.PendingEvents() != 2 {
 		t.Fatalf("PendingEvents %d, want 2", e.PendingEvents())
@@ -238,8 +238,8 @@ func TestEngineNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("NextAt ok on empty queue")
 	}
-	e.Schedule(25, func() {})
-	e.Schedule(15, func() {})
+	schedule(e, 25, func() {})
+	schedule(e, 15, func() {})
 	if at, ok := e.NextAt(); !ok || at != 15 {
 		t.Fatalf("NextAt = %v,%v, want 15,true", at, ok)
 	}
@@ -248,8 +248,8 @@ func TestEngineNextAt(t *testing.T) {
 func TestEngineRunUntilExclusive(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(20, func() { fired++ }) // exactly at stop: must NOT fire
+	schedule(e, 10, func() { fired++ })
+	schedule(e, 20, func() { fired++ }) // exactly at stop: must NOT fire
 	n := e.RunUntil(20)
 	if n != 1 || fired != 1 {
 		t.Fatalf("RunUntil fired %d, want 1", fired)

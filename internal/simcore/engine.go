@@ -19,8 +19,8 @@ import (
 // restores the exact tie order a sequential replay would have produced.
 //
 // Events are pooled: once an event has fired (or a cancelled event has been
-// drained), the engine recycles its storage for a future Schedule call.
-// Callers therefore never hold *Event directly — Schedule returns a Timer
+// drained), the engine recycles its storage for a future ScheduleArg call.
+// Callers therefore never hold *Event directly — ScheduleArg returns a Timer
 // handle carrying a generation number, so operations on a stale handle are
 // safe no-ops instead of corrupting an unrelated recycled event.
 type Event struct {
@@ -28,9 +28,8 @@ type Event struct {
 	schedAt time.Duration
 	seq     uint64
 
-	// Exactly one of fn/argFn is set. argFn+arg lets hot paths schedule a
-	// per-object callback without allocating a fresh closure per event.
-	fn    func()
+	// argFn+arg lets hot paths schedule a per-object callback without
+	// allocating a fresh closure per event.
 	argFn func(any)
 	arg   any
 
@@ -198,10 +197,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // have not yet been drained).
 func (e *Engine) Pending() int { return e.queue.size() }
 
-// Len is the queue length — identical to Pending, exported under the name
-// the shard coordinator and its tests use for "events left in this engine".
-func (e *Engine) Len() int { return e.queue.size() }
-
 // PendingEvents reports how many queued events are still live, i.e. not yet
 // cancelled. Unlike Pending it excludes cancelled-but-undrained entries; it
 // scans the queue (O(n)), so it is meant for tests and debug surfaces, not
@@ -262,32 +257,16 @@ func (e *Engine) allocSched(at, schedAt time.Duration) *Event {
 // outstanding Timer handles via the generation counter.
 func (e *Engine) release(ev *Event) {
 	ev.gen++
-	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
 	e.free = append(e.free, ev)
 }
 
-// Schedule queues fn to run at absolute virtual time at and returns a
-// cancellable handle. Scheduling in the past (before Now) panics: it always
+// ScheduleArg queues fn(arg) at absolute virtual time at and returns a
+// cancellable handle. It takes a long-lived callback plus a per-event
+// argument, so hot paths (one event per packet hop) do not allocate a
+// closure per call. Scheduling in the past (before Now) panics: it always
 // indicates a simulation bug, and silently clamping would corrupt causality.
-func (e *Engine) Schedule(at time.Duration, fn func()) Timer {
-	ev := e.alloc(at)
-	ev.fn = fn
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// ScheduleAfter queues fn to run after delay d from the current time.
-func (e *Engine) ScheduleAfter(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
-// ScheduleArg queues fn(arg) at absolute virtual time at. Unlike Schedule,
-// it takes a long-lived callback plus a per-event argument, so hot paths
-// (one event per packet hop) do not allocate a closure per call.
 func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 	ev := e.alloc(at)
 	ev.argFn = fn
@@ -388,11 +367,7 @@ func (e *Engine) exec(bound time.Duration, inclusive bool) int {
 		if e.eventHook != nil {
 			e.eventHook(ev.at, ev.seq)
 		}
-		if ev.argFn != nil {
-			ev.argFn(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.argFn(ev.arg)
 		executed++
 		e.release(ev)
 	}

@@ -7,12 +7,19 @@ import (
 	"time"
 )
 
+// schedule queues fn at absolute time at through ScheduleArg, the engine's
+// one scheduling call. The per-call closure is fine in tests that are not
+// measuring the hot path.
+func schedule(e *Engine, at time.Duration, fn func()) Timer {
+	return e.ScheduleArg(at, func(any) { fn() }, nil)
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []time.Duration
 	for _, d := range []time.Duration{30, 10, 20, 10, 40} {
 		d := d
-		e.Schedule(d, func() { got = append(got, d) })
+		schedule(e, d, func() { got = append(got, d) })
 	}
 	n := e.Run(100)
 	if n != 5 {
@@ -31,7 +38,7 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		schedule(e, 5, func() { got = append(got, i) })
 	}
 	e.Run(10)
 	for i := range got {
@@ -44,9 +51,9 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(20, func() { fired++ }) // exactly at horizon: fires
-	e.Schedule(21, func() { fired++ }) // after horizon: stays queued
+	schedule(e, 10, func() { fired++ })
+	schedule(e, 20, func() { fired++ }) // exactly at horizon: fires
+	schedule(e, 21, func() { fired++ }) // after horizon: stays queued
 	e.Run(20)
 	if fired != 2 {
 		t.Fatalf("fired %d events, want 2", fired)
@@ -75,11 +82,11 @@ func TestEngineClockAdvancesToHorizonWhenIdle(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Schedule(10, func() {
+	schedule(e, 10, func() {
 		order = append(order, "a")
-		e.ScheduleAfter(5, func() { order = append(order, "b") })
+		schedule(e, e.Now()+5, func() { order = append(order, "b") })
 	})
-	e.Schedule(12, func() { order = append(order, "c") })
+	schedule(e, 12, func() { order = append(order, "c") })
 	e.Run(100)
 	want := []string{"a", "c", "b"}
 	for i := range want {
@@ -92,7 +99,7 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
+	ev := schedule(e, 10, func() { fired = true })
 	ev.Cancel()
 	e.Run(100)
 	if fired {
@@ -102,13 +109,13 @@ func TestEventCancel(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	schedule(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		schedule(e, 5, func() {})
 	})
 	e.Run(100)
 }
@@ -116,8 +123,8 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
+	schedule(e, 1, func() { fired++; e.Stop() })
+	schedule(e, 2, func() { fired++ })
 	e.Run(10)
 	if fired != 1 {
 		t.Fatalf("fired %d, want 1 (stopped)", fired)

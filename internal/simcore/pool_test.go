@@ -15,10 +15,10 @@ func TestEventPoolRecycles(t *testing.T) {
 	tick = func() {
 		fired++
 		if fired < 1000 {
-			e.ScheduleAfter(time.Millisecond, tick)
+			schedule(e, e.Now()+time.Millisecond, tick)
 		}
 	}
-	e.ScheduleAfter(time.Millisecond, tick)
+	schedule(e, e.Now()+time.Millisecond, tick)
 	e.Run(2 * time.Second)
 	if fired != 1000 {
 		t.Fatalf("fired %d, want 1000", fired)
@@ -36,7 +36,7 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 	e := NewEngine()
 	var stale Timer
 	secondFired := false
-	e.Schedule(10, func() {
+	schedule(e, 10, func() {
 		// stale's event has fired and its storage may back the later event;
 		// cancelling through the old handle must be a no-op.
 		stale.Cancel()
@@ -47,12 +47,12 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 			t.Errorf("stale handle At() = %v, want 0", stale.At())
 		}
 	})
-	stale = e.Schedule(5, func() {})
+	stale = schedule(e, 5, func() {})
 	e.Run(15)
 
 	// Force recycling: the new event must fire even though a stale handle to
 	// its storage was cancelled.
-	ev := e.Schedule(20, func() { secondFired = true })
+	ev := schedule(e, 20, func() { secondFired = true })
 	_ = ev
 	e.Run(30)
 	if !secondFired {
@@ -63,9 +63,9 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 func TestTimerCancelStopsRescheduledStorage(t *testing.T) {
 	e := NewEngine()
 	firedA, firedB := false, false
-	a := e.Schedule(5, func() { firedA = true })
+	a := schedule(e, 5, func() { firedA = true })
 	a.Cancel()
-	b := e.Schedule(7, func() { firedB = true })
+	b := schedule(e, 7, func() { firedB = true })
 	if a.Active() {
 		t.Fatal("cancelled handle reports Active")
 	}
@@ -78,44 +78,37 @@ func TestTimerCancelStopsRescheduledStorage(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the hot path of the simulator: schedule
-// one event, run it, recycle it. After warm-up this must be allocation-free.
-func BenchmarkEngineSchedule(b *testing.B) {
-	b.Run("closure", func(b *testing.B) {
-		e := NewEngine()
-		n := 0
-		fn := func() { n++ }
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Schedule(e.Now()+time.Microsecond, fn)
-			e.Run(e.Now() + time.Microsecond)
-		}
-	})
-	b.Run("arg", func(b *testing.B) {
-		e := NewEngine()
-		n := 0
-		fn := func(any) { n++ }
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.ScheduleArg(e.Now()+time.Microsecond, fn, nil)
-			e.Run(e.Now() + time.Microsecond)
-		}
-	})
-	b.Run("deep-queue", func(b *testing.B) {
-		// 1024 pending events approximates a busy multi-flow simulation.
-		e := NewEngine()
-		fn := func(any) {}
-		for i := 0; i < 1024; i++ {
-			e.ScheduleArg(e.Now()+time.Hour+time.Duration(i), fn, nil)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tm := e.ScheduleArg(e.Now()+time.Minute, fn, nil)
-			tm.Cancel()
-			e.Run(e.Now() + time.Minute)
-		}
-	})
+// TestScheduleArgAllocFree pins the simulator's hot path: once the
+// free-list is warm, scheduling one event with ScheduleArg, running it and
+// recycling it allocates nothing — and neither does scheduling and
+// cancelling an event behind a deep queue (1024 pending events, about what a
+// busy multi-flow simulation keeps queued).
+func TestScheduleArgAllocFree(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func(any) { n++ }
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleArg(e.Now()+time.Microsecond, fn, nil)
+		e.Run(e.Now() + time.Microsecond)
+	}); avg != 0 {
+		t.Errorf("ScheduleArg+Run allocates %v per event, want 0", avg)
+	}
+	if n != 1001 {
+		t.Fatalf("fired %d events, want 1001", n)
+	}
+
+	deep := NewEngine()
+	nop := func(any) {}
+	for i := 0; i < 1024; i++ {
+		deep.ScheduleArg(24*time.Hour+time.Duration(i), nop, nil)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		deep.ScheduleArg(deep.Now()+time.Minute, nop, nil).Cancel()
+		deep.Run(deep.Now() + time.Minute)
+	}); avg != 0 {
+		t.Errorf("deep-queue schedule+cancel allocates %v per event, want 0", avg)
+	}
+	if deep.Pending() != 1024 {
+		t.Fatalf("deep queue holds %d events, want the 1024 parked ones", deep.Pending())
+	}
 }

@@ -40,12 +40,12 @@ func TestWheelPopOrderMatchesHeap(t *testing.T) {
 		spawn = func() {
 			for i, n := 0, rng.Intn(3); i < n && budget > 0; i++ {
 				budget--
-				e.ScheduleAfter(randomDelay(), spawn)
+				schedule(e, e.Now()+randomDelay(), spawn)
 			}
 		}
 		for i := 0; i < 64; i++ {
 			budget--
-			e.ScheduleAfter(randomDelay(), spawn)
+			schedule(e, e.Now()+randomDelay(), spawn)
 		}
 		e.Run(10 * span1)
 		return order
@@ -86,7 +86,7 @@ func TestWheelCancelAcrossSlotBoundaries(t *testing.T) {
 	var timers []Timer
 	for i, d := range delays {
 		i, d := i, d
-		timers = append(timers, e.ScheduleAfter(d, func() { fired[i] = e.Now() }))
+		timers = append(timers, schedule(e, e.Now()+d, func() { fired[i] = e.Now() }))
 	}
 	for i, tm := range timers {
 		if !tm.Active() {
@@ -104,7 +104,7 @@ func TestWheelCancelAcrossSlotBoundaries(t *testing.T) {
 		nd := delays[(i+3)%len(delays)] + slot0Gran
 		replacement[i] = nd
 		i := i
-		e.ScheduleAfter(nd, func() { fired[100+i] = e.Now() })
+		schedule(e, e.Now()+nd, func() { fired[100+i] = e.Now() })
 	}
 	e.Run(span1 + 2*time.Hour)
 	for i, d := range delays {
@@ -134,7 +134,7 @@ func TestWheelSlotAliasFiresOnTime(t *testing.T) {
 	// Drag the cursor off zero first so the wheel is mid-rotation.
 	warm := slot1Gran + slot1Gran/2
 	var warmAt time.Duration
-	e.Schedule(warm, func() { warmAt = e.Now() })
+	schedule(e, warm, func() { warmAt = e.Now() })
 	e.Run(warm)
 	if warmAt != warm {
 		t.Fatalf("warmup fired at %v, want %v", warmAt, warm)
@@ -144,8 +144,8 @@ func TestWheelSlotAliasFiresOnTime(t *testing.T) {
 	alias := e.Now() + span1 - slot1Gran/4
 	near := e.Now() + span1 - slot1Gran - slot1Gran/4
 	var got []time.Duration
-	e.Schedule(alias, func() { got = append(got, e.Now()) })
-	e.Schedule(near, func() { got = append(got, e.Now()) })
+	schedule(e, alias, func() { got = append(got, e.Now()) })
+	schedule(e, near, func() { got = append(got, e.Now()) })
 	e.Run(alias + time.Second)
 	if len(got) != 2 || got[0] != near || got[1] != alias {
 		t.Fatalf("alias firing order/time wrong: got %v, want [%v %v]", got, near, alias)
@@ -160,7 +160,7 @@ func TestWheelStaleHandleIsInert(t *testing.T) {
 	e := NewEngine()
 	// Park in a level-1 slot so the event travels wheel -> level 0 -> heap
 	// before firing and recycling.
-	old := e.ScheduleAfter(span0*2, func() {})
+	old := schedule(e, e.Now()+span0*2, func() {})
 	if !old.Active() {
 		t.Fatal("wheel-resident timer not Active")
 	}
@@ -170,7 +170,7 @@ func TestWheelStaleHandleIsInert(t *testing.T) {
 	}
 	// Recycle the same Event storage for a replacement.
 	var fired bool
-	repl := e.ScheduleAfter(span0, func() { fired = true })
+	repl := schedule(e, e.Now()+span0, func() { fired = true })
 	old.Cancel() // stale: must not cancel the recycled event
 	if old.At() != 0 {
 		t.Fatalf("stale handle At = %v, want 0", old.At())
@@ -191,10 +191,10 @@ func TestWheelStaleHandleIsInert(t *testing.T) {
 func TestWheelDrainReanchors(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.ScheduleAfter(slot0Gran*2, func() { order = append(order, 0) })
+	schedule(e, e.Now()+slot0Gran*2, func() { order = append(order, 0) })
 	e.Run(100 * span1) // drain, clock ends far past the cursor
-	e.ScheduleAfter(slot0Gran*3, func() { order = append(order, 1) })
-	e.ScheduleAfter(slot0Gran*2, func() { order = append(order, 2) })
+	schedule(e, e.Now()+slot0Gran*3, func() { order = append(order, 1) })
+	schedule(e, e.Now()+slot0Gran*2, func() { order = append(order, 2) })
 	if e.queue.count0 != 2 {
 		t.Fatalf("post-drain wheel-distance events not parked in level 0: count0=%d", e.queue.count0)
 	}

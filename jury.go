@@ -22,8 +22,8 @@
 // Transformer), the decision-range policy abstraction (Policy,
 // ReferencePolicy, NNPolicy), and the occupancy-driven post-processing
 // (EstimateOccupancy, PostProcess). Training runs through TrainPolicy,
-// and every table/figure of the paper is reproduced by the benchmarks in
-// bench_test.go (see DESIGN.md and EXPERIMENTS.md).
+// and every table/figure of the paper is reproduced by `jury exp` (see
+// DESIGN.md and EXPERIMENTS.md).
 //
 // The command line is one binary, cmd/jury, whose subcommands simulate
 // (sim), reproduce the paper's tables and figures (exp), train (train),

@@ -64,12 +64,21 @@ if grep -n 'UpdateWorkers' $sources ||
     exit 1
 fi
 
-echo "== one binary: one package main under cmd/, each shared flag declared once"
-# The five mains became subcommands of cmd/jury (README.md "Command line");
-# the telemetry/obs flags every subcommand shares are registered by one helper.
-mains=$(grep -rl --include='*.go' '^package main$' cmd | xargs -n1 dirname | sort -u)
-if [ "$mains" != "cmd/jury" ]; then
-    echo "package main outside cmd/jury: $mains" >&2
+echo "== one environment variable: non-test code outside bench/ reads JURY_SIMCHECK and nothing else"
+# Run sizes are options, not environment knobs (internal/exp/exp.go reads the
+# one variable, which forces the simcheck checker onto every run).
+if grep -n 'os\.Getenv(\|os\.LookupEnv(\|os\.Environ(' $sources | grep -v 'os\.Getenv("JURY_SIMCHECK")'; then
+    echo "non-test code outside bench/ reads an environment variable (see the matches above)" >&2
+    exit 1
+fi
+
+echo "== one binary: package main only in cmd/jury and bench/, each shared flag declared once"
+# The five mains became subcommands of cmd/jury (README.md "Command line") and
+# the examples became Example functions; bench/ is the benchmark program. The
+# telemetry/obs flags every subcommand shares are registered by one helper.
+mains=$(grep -rl --include='*.go' '^package main$' . | xargs -n1 dirname | sort -u | tr '\n' ' ')
+if [ "$mains" != "./bench ./cmd/jury " ]; then
+    echo "package main outside cmd/jury and bench/: $mains" >&2
     exit 1
 fi
 cmdsources=$(find cmd -name '*.go' -not -name '*_test.go')
@@ -81,14 +90,18 @@ for name in telemetry trace-out debug-addr obs obs-window flight-dir; do
     fi
 done
 
-echo "== go test -short ./..."
+echo "== go test -short ./..., then the paper claims it skips"
 go test -short ./...
+go test -run '^TestPaperClaims$' -count=1 ./internal/exp
 
 echo "== nn + rl again on the Go kernel bodies alone (-tags purego)"
 go test -tags purego ./internal/nn ./internal/rl
 
-echo "== TD3 update: worker-count determinism + zero-alloc paths under the race detector, GOMAXPROCS=4"
-GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers)$' -count=1 ./internal/rl
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay sampling, event scheduling, NN scratch paths, and a scenario's allocation ceiling"
+GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree)$' -count=1 ./internal/rl
+go test -race -run '^TestScheduleArgAllocFree$' -count=1 ./internal/simcore
+go test -race -run '^TestScratchPathsAllocFree$' -count=1 ./internal/nn
+go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
@@ -96,12 +109,12 @@ go test -race -short ./...
 echo "== fault-matrix smoke under the race detector"
 go test -race -short -run '^TestFaultMatrix' ./internal/simcheck
 
-echo "== sharded engine: digest parity (huge mesh 1 vs 4 shards, netsim sequential vs sharded)"
-go test -run '^TestHugeShardedDigestParity$' -count=1 ./internal/exp
+echo "== sharded engine: digest parity (huge mesh 1 vs 4 shards, netsim sequential vs sharded) + live bytes per mesh flow"
+go test -run '^(TestHugeShardedDigestParity|TestHugeLiveBytesPerFlow)$' -count=1 ./internal/exp
 go test -run '^TestRunShardedMatchesSequential$' -count=1 ./internal/netsim
 
-echo "== sharded engine: reduced-flow parity smoke (JURY_HUGE_FLOWS=5000, -race)"
-JURY_HUGE_FLOWS=5000 go test -race -run '^TestHugeEnvShardedDigestParity$' -count=1 -timeout 20m ./internal/exp
+echo "== sharded engine: reduced-flow parity smoke (5,000 flows, -race)"
+go test -race -run '^TestHugeEnvShardedDigestParity$' -count=1 -timeout 20m ./internal/exp
 
 echo "== shard coordinator race smoke"
 go test -race -run '^TestCoordinator' -count=1 ./internal/simcore
@@ -118,17 +131,14 @@ echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + diges
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
 go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults)$' -count=1 ./internal/exp
 
-echo "== inference daemon: chaos matrix + batching rule + framing under the race detector"
-go test -race -run '^(TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
+echo "== inference daemon: chaos matrix + batching rule + framing + zero-alloc execute under the race detector"
+go test -race -run '^(TestExecuteAllocFree|TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
 
 echo "== run store: crash matrix + bit-flip sweep under the race detector"
 go test -race -short -run '^(TestCrashMatrix|TestCompactionCrashMatrix|TestBitFlipSweep)$' -count=1 ./internal/runstore
 
 echo "== run store: warm-sweep skip + kill-and-resume"
 go test -run '^(TestRunManyWarmStoreSkipsSimulation|TestKillAndResumeSweep|TestRetryPathLeavesStoreIntact|TestScenarioKeyStability)$' -count=1 ./internal/exp
-
-echo "== bench harness smoke (1 iteration per benchmark)"
-scripts/bench.sh --smoke
 
 echo "== fuzz smoke (10s each)"
 go test -run='^$' -fuzz='^FuzzMahimahiParse$' -fuzztime=10s ./internal/traces
