@@ -56,8 +56,16 @@ func jury(t *testing.T, dir string, args ...string) result {
 	cmd := child(t, dir, args...)
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("jury %s: %v", strings.Join(args, " "), err)
+	}
+	// A subcommand that never exits (say, a daemon that should have refused
+	// to start) fails its case instead of hanging the suite.
+	kill := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
+	err := cmd.Wait()
+	kill.Stop()
 	var exitErr *exec.ExitError
-	if err := cmd.Run(); err != nil && !errors.As(err, &exitErr) {
+	if err != nil && !errors.As(err, &exitErr) {
 		t.Fatalf("jury %s: %v", strings.Join(args, " "), err)
 	}
 	return result{stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()}
@@ -87,6 +95,14 @@ func TestSubcommandFlags(t *testing.T) {
 
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
+	narrow, err := json.Marshal(nn.NewMLP(simcore.NewRNG(1), []int{3, 4, 1}, []nn.Activation{nn.ReLU, nn.Tanh}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "narrow.json"), narrow, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	state := core.DefaultConfig().StateDim()
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -104,6 +120,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"exp", "store", "frob", dir}, 2, `unknown store command "frob"`},
 		{[]string{"train", "-eval", filepath.Join(dir, "missing.json")}, 1, "missing.json"},
 		{[]string{"serve", "-actor", "a.json", "-checkpoint", "c.json"}, 2, "mutually exclusive"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-actor", "narrow.json"}, 1,
+			fmt.Sprintf("actor narrow.json maps 3 inputs to 1 outputs; a Jury actor maps %d to 2", state)},
 		{[]string{"plot"}, 2, "Usage of jury plot:"},
 		{[]string{"plot", "-fig", "nope"}, 1, `unknown figure "nope"`},
 		{[]string{"plot", "fairness"}, 2, "Usage of jury plot fairness:"},

@@ -81,10 +81,6 @@ func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64) erro
 	if err != nil {
 		return err
 	}
-	stateDim := core.DefaultConfig().StateDim()
-	if in, out := actor.Net.InputDim(), actor.Net.OutputDim(); in != stateDim || out != 2 {
-		return fmt.Errorf("actor %s maps %d inputs to %d outputs; a Jury actor maps %d to 2 (μ, δ)", path, in, out, stateDim)
-	}
 	mkJury := func(s uint64) func(uint64) cc.Algorithm {
 		return func(uint64) cc.Algorithm {
 			cfg := core.DefaultConfig()

@@ -20,7 +20,7 @@
 // The Client implements core.Policy, so a Jury controller can be pointed at
 // a remote inference service transparently:
 //
-//	srv, _ := agentrpc.Serve("127.0.0.1:0", jury.NewReferencePolicy())
+//	srv, _ := agentrpc.ServeConfig("127.0.0.1:0", jury.NewReferencePolicy(), agentrpc.Config{})
 //	client, _ := agentrpc.Dial(srv.Addr(), fallback)
 //	ctrl := core.New(cfg, client)
 //

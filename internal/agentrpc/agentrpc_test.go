@@ -27,7 +27,7 @@ type constPolicy struct{ mu, delta float64 }
 func (p constPolicy) Decide([]float64) (float64, float64) { return p.mu, p.delta }
 
 func TestRoundTrip(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestManyDecisionsOneConnection(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestManyDecisionsOneConnection(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestFallbackOnDeadServer(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestDialValidation(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", constPolicy{}); err == nil {
 		t.Fatal("dial to a closed port succeeded")
 	}
-	if _, err := Serve("127.0.0.1:0", nil); err == nil {
+	if _, err := ServeConfig("127.0.0.1:0", nil, Config{}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
 }
 
 func TestOversizedStateFallsBack(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestJuryOverRPCEndToEnd(t *testing.T) {
 	// The paper's deployment shape: the emulated datapath's Jury controller
 	// asks a separate inference service for every decision. The flow must
 	// behave like a local-policy flow.
-	srv, err := Serve("127.0.0.1:0", core.NewReferencePolicy())
+	srv, err := ServeConfig("127.0.0.1:0", core.NewReferencePolicy(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestChaosMatrix(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			srv, err := Serve("127.0.0.1:0", echoPolicy{})
+			srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +431,7 @@ func TestChaosBusyStorm(t *testing.T) {
 // again immediately — the daemon itself never dies.
 func TestChaosPanicMidBatch(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv, err := Serve("127.0.0.1:0", panicPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", panicPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

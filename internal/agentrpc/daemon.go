@@ -141,12 +141,6 @@ type Server struct {
 	writeDrops      atomic.Int64
 }
 
-// Serve starts a daemon with default Config on addr ("127.0.0.1:0" for an
-// ephemeral port).
-func Serve(addr string, p Policy) (*Server, error) {
-	return ServeConfig(addr, p, Config{})
-}
-
 // ServeConfig starts a daemon on addr with the given tuning.
 func ServeConfig(addr string, p Policy, cfg Config) (*Server, error) {
 	if p == nil {

@@ -29,7 +29,7 @@ func testActor(t *testing.T, dim int) *core.NNPolicy {
 }
 
 func TestHotSwapServesNewVersion(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", constPolicy{0.1, 0.2})
+	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestHotSwapServesNewVersion(t *testing.T) {
 }
 
 func TestSwapHealthGateRejectsUnhealthyCandidates(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", constPolicy{0.1, 0.2})
+	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSwapHealthGateRejectsUnhealthyCandidates(t *testing.T) {
 }
 
 func TestRuntimeNonFiniteRollsBack(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", constPolicy{0.1, 0.2})
+	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestBatchNeverExceedsMaxBatch(t *testing.T) {
 // DecideBatch.
 func TestLoneClientNeverWaitsForCompany(t *testing.T) {
 	const dim, n = 16, 200
-	srv, err := Serve("127.0.0.1:0", testActor(t, dim))
+	srv, err := ServeConfig("127.0.0.1:0", testActor(t, dim), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestDrainAnswersInFlight(t *testing.T) {
 // TestTenantAccounting: hello-labelled connections are accounted per tenant
 // and the OnTenant hook fires for existing and future labels exactly once.
 func TestTenantAccounting(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func (panicPolicy) Decide(state []float64) (float64, float64) {
 // decisions must not pay one connect timeout each — after the first failed
 // dial, redials are suppressed until the backoff window expires.
 func TestDialBackoffSuppressesDialStorm(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestServerWriteDeadlineDropsStalledReader(t *testing.T) {
 // TestClientReconnectsAfterServerReturns: backoff must delay redials, not
 // prevent them — when the service comes back, remote decisions resume.
 func TestClientReconnectsAfterServerReturns(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestClientReconnectsAfterServerReturns(t *testing.T) {
 		cl.Decide([]float64{1}) // fail, enter backoff
 	}
 
-	srv2, err := Serve(addr, echoPolicy{})
+	srv2, err := ServeConfig(addr, echoPolicy{}, Config{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
@@ -167,7 +167,7 @@ func TestClientReconnectsAfterServerReturns(t *testing.T) {
 // TestServerSurvivesPanickingPolicy: a panic costs the offending connection
 // only; the listener keeps serving and the client recovers by redialing.
 func TestServerSurvivesPanickingPolicy(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", panicPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", panicPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestServerSurvivesPanickingPolicy(t *testing.T) {
 // TestServerDropsHungConnection: a connected peer that never sends a request
 // must be reclaimed by the read deadline, not hold its goroutine forever.
 func TestServerDropsHungConnection(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestServerDropsHungConnection(t *testing.T) {
 // frame dribbled a byte at a time is answered once it is whole — both
 // credited to the connection's tenant.
 func TestFramingPipelinedAndDribbled(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoPolicy{})
+	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func runParitySim(t *testing.T, mkPolicy func(flow int) core.Policy) uint64 {
 func TestDigestParityAgainstDaemon(t *testing.T) {
 	local := runParitySim(t, func(int) core.Policy { return core.NewReferencePolicy() })
 
-	srv, err := Serve("127.0.0.1:0", core.NewReferencePolicy())
+	srv, err := ServeConfig("127.0.0.1:0", core.NewReferencePolicy(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,86 +2,6 @@ package cc
 
 import "time"
 
-// EWMA is an exponentially weighted moving average. The zero value is empty;
-// the first Update seeds it.
-type EWMA struct {
-	alpha  float64
-	value  float64
-	seeded bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha weights recent samples more.
-func NewEWMA(alpha float64) *EWMA {
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds sample in and returns the new average.
-func (e *EWMA) Update(sample float64) float64 {
-	if !e.seeded {
-		e.value = sample
-		e.seeded = true
-		return e.value
-	}
-	e.value += e.alpha * (sample - e.value)
-	return e.value
-}
-
-// Value reports the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Seeded reports whether at least one sample has been folded in.
-func (e *EWMA) Seeded() bool { return e.seeded }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.value, e.seeded = 0, false }
-
-// MovingAverage is a fixed-capacity sliding-window mean, used by Jury's
-// signal-averaging stage (§3.4).
-type MovingAverage struct {
-	buf  []float64
-	next int
-	n    int
-	sum  float64
-}
-
-// NewMovingAverage returns a window of the given size (minimum 1).
-func NewMovingAverage(size int) *MovingAverage {
-	if size < 1 {
-		size = 1
-	}
-	return &MovingAverage{buf: make([]float64, size)}
-}
-
-// Update inserts a sample, evicting the oldest if full, and returns the mean.
-func (m *MovingAverage) Update(sample float64) float64 {
-	if m.n == len(m.buf) {
-		m.sum -= m.buf[m.next]
-	} else {
-		m.n++
-	}
-	m.buf[m.next] = sample
-	m.sum += sample
-	m.next = (m.next + 1) % len(m.buf)
-	return m.Value()
-}
-
-// Value reports the current mean (0 when empty).
-func (m *MovingAverage) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Len reports how many samples are in the window.
-func (m *MovingAverage) Len() int { return m.n }
-
-// Reset empties the window.
-func (m *MovingAverage) Reset() {
-	m.next, m.n, m.sum = 0, 0, 0
-}
-
 // windowedSample pairs a value with its timestamp.
 type windowedSample struct {
 	at time.Duration

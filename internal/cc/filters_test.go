@@ -7,83 +7,6 @@ import (
 	"time"
 )
 
-func TestEWMASeedsWithFirstSample(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Seeded() {
-		t.Fatal("zero EWMA reports seeded")
-	}
-	if got := e.Update(10); got != 10 {
-		t.Fatalf("first update = %v, want 10", got)
-	}
-	if got := e.Update(20); got != 15 {
-		t.Fatalf("second update = %v, want 15", got)
-	}
-	e.Reset()
-	if e.Seeded() || e.Value() != 0 {
-		t.Fatal("reset did not clear EWMA")
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Update(7)
-	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Fatalf("EWMA of constant 7 = %v", e.Value())
-	}
-}
-
-func TestMovingAverageWindow(t *testing.T) {
-	m := NewMovingAverage(3)
-	m.Update(1)
-	m.Update(2)
-	if got := m.Value(); got != 1.5 {
-		t.Fatalf("partial window mean %v, want 1.5", got)
-	}
-	m.Update(3)
-	m.Update(4) // evicts 1
-	if got := m.Value(); got != 3 {
-		t.Fatalf("full window mean %v, want 3", got)
-	}
-	if m.Len() != 3 {
-		t.Fatalf("len %d, want 3", m.Len())
-	}
-	m.Reset()
-	if m.Len() != 0 || m.Value() != 0 {
-		t.Fatal("reset did not clear moving average")
-	}
-}
-
-func TestMovingAverageMatchesNaive(t *testing.T) {
-	if err := quick.Check(func(samples []float64, size uint8) bool {
-		n := int(size%10) + 1
-		m := NewMovingAverage(n)
-		var window []float64
-		for _, s := range samples {
-			if math.IsNaN(s) || math.IsInf(s, 0) || math.Abs(s) > 1e6 {
-				continue
-			}
-			m.Update(s)
-			window = append(window, s)
-			if len(window) > n {
-				window = window[1:]
-			}
-			naive := 0.0
-			for _, v := range window {
-				naive += v
-			}
-			naive /= float64(len(window))
-			if math.Abs(m.Value()-naive) > 1e-6*(1+math.Abs(naive)) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWindowedMaxExpiry(t *testing.T) {
 	w := NewWindowedMax(10 * time.Second)
 	w.Update(0, 5)

@@ -67,9 +67,10 @@ func (AIMDPolicy) Decide(state []float64) (float64, float64) {
 }
 
 // PolicyFromCheckpoint loads a training checkpoint (rl.SaveCheckpoint) and
-// wraps its actor as a servable policy. The weights are validated finite —
-// a checkpoint that would trip the daemon's health gate is rejected here,
-// at load time, with a useful path in the error.
+// wraps its actor as a servable policy. The weights are validated finite and
+// the widths StateDim→2 — a checkpoint that would trip the daemon's health
+// gate, or panic in Decide, is rejected here, at load time, with a useful
+// path in the error.
 func PolicyFromCheckpoint(path string) (*NNPolicy, error) {
 	ck, err := rl.LoadCheckpoint(path)
 	if err != nil {
@@ -81,11 +82,15 @@ func PolicyFromCheckpoint(path string) (*NNPolicy, error) {
 	if !ck.Actor.AllFinite() {
 		return nil, fmt.Errorf("checkpoint %s actor has non-finite weights", path)
 	}
+	if err := checkActorWidths(path, ck.Actor); err != nil {
+		return nil, err
+	}
 	return &NNPolicy{Net: ck.Actor}, nil
 }
 
 // PolicyFromActorFile loads a bare actor network exported as JSON (the
-// `jury train -out` artifact) and wraps it as a servable policy.
+// `jury train -out` artifact) and wraps it as a servable policy, validated
+// as PolicyFromCheckpoint validates its actor.
 func PolicyFromActorFile(path string) (*NNPolicy, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -101,7 +106,20 @@ func PolicyFromActorFile(path string) (*NNPolicy, error) {
 	if !net.AllFinite() {
 		return nil, fmt.Errorf("actor %s has non-finite weights", path)
 	}
+	if err := checkActorWidths(path, &net); err != nil {
+		return nil, err
+	}
 	return &NNPolicy{Net: &net}, nil
+}
+
+// checkActorWidths rejects a network that is not a Jury actor at the default
+// configuration: Decide feeds it StateDim inputs and reads two outputs (μ, δ).
+func checkActorWidths(path string, net *nn.MLP) error {
+	stateDim := DefaultConfig().StateDim()
+	if in, out := net.InputDim(), net.OutputDim(); in != stateDim || out != 2 {
+		return fmt.Errorf("actor %s maps %d inputs to %d outputs; a Jury actor maps %d to 2 (μ, δ)", path, in, out, stateDim)
+	}
+	return nil
 }
 
 // NonFiniteProbePolicy wraps a policy and corrupts its μ output whenever the

@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -66,7 +68,8 @@ func TestAIMDPolicy(t *testing.T) {
 
 func TestPolicyFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	actor := nn.NewMLP(simcore.NewRNG(5), []int{8, 16, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
+	dim := DefaultConfig().StateDim()
+	actor := nn.NewMLP(simcore.NewRNG(5), []int{dim, 16, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
 	path := filepath.Join(dir, "ck.json")
 	if err := rl.SaveCheckpoint(path, &rl.Checkpoint{Actor: actor}); err != nil {
 		t.Fatal(err)
@@ -75,10 +78,10 @@ func TestPolicyFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.InputDim() != 8 {
+	if p.InputDim() != dim {
 		t.Fatalf("loaded actor dim %d", p.InputDim())
 	}
-	mu, delta := p.Decide(make([]float64, 8))
+	mu, delta := p.Decide(make([]float64, dim))
 	if math.IsNaN(mu) || delta < 0 || delta > 1 {
 		t.Fatalf("loaded policy answered (%v, %v)", mu, delta)
 	}
@@ -98,11 +101,19 @@ func TestPolicyFromCheckpoint(t *testing.T) {
 	if _, err := PolicyFromCheckpoint(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing checkpoint accepted")
 	}
+	critic := nn.NewMLP(simcore.NewRNG(5), []int{dim + 2, 16, 1}, []nn.Activation{nn.ReLU, nn.Linear})
+	if err := rl.SaveCheckpoint(bad, &rl.Checkpoint{Actor: critic}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PolicyFromCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "a Jury actor maps") {
+		t.Fatalf("checkpoint with a %d→1 actor: err %v, want a width error", dim+2, err)
+	}
 }
 
 func TestPolicyFromActorFile(t *testing.T) {
 	dir := t.TempDir()
-	actor := nn.NewMLP(simcore.NewRNG(5), []int{6, 12, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
+	dim := DefaultConfig().StateDim()
+	actor := nn.NewMLP(simcore.NewRNG(5), []int{dim, 12, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
 	data, err := json.Marshal(actor)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +126,7 @@ func TestPolicyFromActorFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.InputDim() != 6 {
+	if p.InputDim() != dim {
 		t.Fatalf("loaded actor dim %d", p.InputDim())
 	}
 	if _, err := PolicyFromActorFile(filepath.Join(dir, "nope.json")); err == nil {
@@ -126,5 +137,19 @@ func TestPolicyFromActorFile(t *testing.T) {
 	}
 	if _, err := PolicyFromActorFile(path); err == nil {
 		t.Fatal("corrupt actor accepted")
+	}
+	for _, sizes := range [][]int{{3, 4, 1}, {dim, 4, 3}, {dim - 2, 4, 2}} {
+		net := nn.NewMLP(simcore.NewRNG(5), sizes, []nn.Activation{nn.ReLU, nn.Tanh})
+		data, err := json.Marshal(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("maps %d inputs to %d outputs; a Jury actor maps %d to 2", sizes[0], sizes[2], dim)
+		if _, err := PolicyFromActorFile(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v actor: err %v, want %q", sizes, err, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 )
@@ -87,6 +86,3 @@ func min(a, b int) int {
 
 // FmtMbps formats bits/second as Mbps.
 func FmtMbps(bps float64) string { return fmt.Sprintf("%.1f", bps/1e6) }
-
-// FmtDur formats a duration in seconds with one decimal.
-func FmtDur(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) }

@@ -536,7 +536,7 @@ func (m *MLP) ForwardBatchTraceInto(x []float64, rows int, tr *BatchTrace) *Batc
 // batched pass over rows samples, given the rows×out matrix dOut =
 // dLoss/dOutput, and returns the rows×in input-gradient matrix (aliasing
 // the scratch, valid until the next use of s). The per-parameter result
-// equals summing the per-sample BackwardInto gradients over the rows (up to
+// equals summing the per-sample Backward gradients over the rows (up to
 // floating-point reassociation).
 func (m *MLP) BackwardBatchInto(tr *BatchTrace, rows int, dOut []float64, g *Grads, s *BatchScratch) []float64 {
 	return m.backwardBatch(tr, rows, dOut, g, s, false, true)

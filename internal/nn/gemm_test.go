@@ -226,7 +226,7 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestBackwardBatchMatchesPerSample: the batched backward's parameter
-// gradients must equal the sum of per-sample BackwardInto gradients, and
+// gradients must equal the sum of per-sample Backward gradients, and
 // its input-gradient rows must match per-sample input gradients, within
 // 1e-9 across random shapes/activations/seeds.
 func TestBackwardBatchMatchesPerSample(t *testing.T) {
@@ -247,11 +247,9 @@ func TestBackwardBatchMatchesPerSample(t *testing.T) {
 
 		// Per-sample reference, gradients summed over the batch.
 		sg := NewGrads(m)
-		s := NewScratch(m)
-		tr := NewTrace(m)
 		for r := 0; r < rows; r++ {
-			m.ForwardTraceInto(x[r*in:(r+1)*in], tr)
-			dInWant := m.BackwardInto(tr, dOut[r*out:(r+1)*out], sg, s)
+			tr := m.ForwardTrace(x[r*in : (r+1)*in])
+			dInWant := m.Backward(tr, dOut[r*out:(r+1)*out], sg)
 			if d := maxAbsDiff(dIn[r*in:(r+1)*in], dInWant); d > 1e-9 {
 				t.Fatalf("seed %d row %d: input gradient differs by %g", seed, r, d)
 			}

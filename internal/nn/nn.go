@@ -3,6 +3,11 @@
 // sigmoid activations, reverse-mode gradients (including input gradients,
 // which actor-critic updates need), Adam, soft target updates, and JSON
 // serialization. Everything is deterministic given a seeded RNG.
+//
+// Inference runs through ForwardInto (one sample) and ForwardBatchInto;
+// training runs through the batched trace/backward kernels in gemm.go.
+// ForwardTrace and Backward are the scalar reference those kernels are
+// tested against; no production path runs them.
 package nn
 
 import (
@@ -119,28 +124,9 @@ func (m *MLP) InputDim() int { return m.Layers[0].In }
 // OutputDim reports the output width.
 func (m *MLP) OutputDim() int { return m.Layers[len(m.Layers)-1].Out }
 
-// Forward runs inference, allocating the output.
-func (m *MLP) Forward(x []float64) []float64 {
-	cur := x
-	for _, l := range m.Layers {
-		next := make([]float64, l.Out)
-		for o := 0; o < l.Out; o++ {
-			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			next[o] = sum
-		}
-		l.Act.apply(next)
-		cur = next
-	}
-	return cur
-}
-
-// Scratch holds reusable ping-pong buffers for ForwardInto and BackwardInto,
-// sized to the widest layer of the MLP it was built for. A Scratch is not
-// safe for concurrent use; give each goroutine its own.
+// Scratch holds reusable ping-pong buffers for ForwardInto, sized to the
+// widest layer of the MLP it was built for. A Scratch is not safe for
+// concurrent use; give each goroutine its own.
 type Scratch struct {
 	a, b []float64
 }
@@ -161,7 +147,7 @@ func NewScratch(m *MLP) *Scratch {
 
 // ForwardInto runs inference using s's buffers instead of allocating. The
 // returned slice aliases the scratch and is valid only until the next
-// ForwardInto/BackwardInto call with the same Scratch.
+// ForwardInto call with the same Scratch.
 func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 	cur := x
 	useA := true
@@ -193,38 +179,6 @@ type Trace struct {
 
 // Output returns the network output of the traced pass.
 func (t *Trace) Output() []float64 { return t.acts[len(t.acts)-1] }
-
-// NewTrace allocates a reusable Trace shaped for m (see ForwardTraceInto).
-func NewTrace(m *MLP) *Trace {
-	tr := &Trace{acts: make([][]float64, len(m.Layers)+1)}
-	tr.acts[0] = make([]float64, m.Layers[0].In)
-	for i, l := range m.Layers {
-		tr.acts[i+1] = make([]float64, l.Out)
-	}
-	return tr
-}
-
-// ForwardTraceInto runs inference recording activations into tr, which must
-// have been built by NewTrace for an MLP of m's shape. The input is copied
-// into tr's own buffer, so tr never aliases x. Returns tr.
-func (m *MLP) ForwardTraceInto(x []float64, tr *Trace) *Trace {
-	copy(tr.acts[0], x)
-	cur := tr.acts[0]
-	for li, l := range m.Layers {
-		next := tr.acts[li+1]
-		for o := 0; o < l.Out; o++ {
-			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			next[o] = sum
-		}
-		l.Act.apply(next)
-		cur = next
-	}
-	return tr
-}
 
 // ForwardTrace runs inference and records the activations.
 func (m *MLP) ForwardTrace(x []float64) *Trace {
@@ -353,48 +307,6 @@ func (m *MLP) Backward(tr *Trace, dOut []float64, g *Grads) []float64 {
 		}
 		// Input gradient for the next (previous) layer.
 		next := make([]float64, l.In)
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i := range next {
-				next[i] += d * row[i]
-			}
-		}
-		delta = next
-	}
-	return delta
-}
-
-// BackwardInto is Backward using s's ping-pong buffers for the per-layer
-// deltas instead of allocating. The returned input gradient aliases the
-// scratch and is valid only until the next use of s.
-func (m *MLP) BackwardInto(tr *Trace, dOut []float64, g *Grads, s *Scratch) []float64 {
-	delta := s.a[:len(dOut)]
-	copy(delta, dOut)
-	useA := false // delta occupies a; the first input-gradient buffer is b
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		l := m.Layers[li]
-		in := tr.acts[li]
-		out := tr.acts[li+1]
-		for o := range delta {
-			delta[o] *= l.Act.derivFromOutput(out[o])
-		}
-		gw := g.W[li]
-		gb := g.B[li]
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			gb[o] += d
-			row := gw[o*l.In : (o+1)*l.In]
-			for i, xi := range in {
-				row[i] += d * xi
-			}
-		}
-		next := s.b[:l.In]
-		if useA {
-			next = s.a[:l.In]
-		}
-		useA = !useA
-		clearSlice(next)
 		for o := 0; o < l.Out; o++ {
 			d := delta[o]
 			row := l.W[o*l.In : (o+1)*l.In]

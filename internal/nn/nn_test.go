@@ -19,7 +19,7 @@ func TestForwardShapes(t *testing.T) {
 	if m.InputDim() != 3 || m.OutputDim() != 2 {
 		t.Fatalf("dims %d/%d", m.InputDim(), m.OutputDim())
 	}
-	out := m.Forward([]float64{0.1, -0.2, 0.3})
+	out := m.ForwardTrace([]float64{0.1, -0.2, 0.3}).Output()
 	if len(out) != 2 {
 		t.Fatalf("output len %d", len(out))
 	}
@@ -33,8 +33,8 @@ func TestForwardShapes(t *testing.T) {
 func TestForwardTraceMatchesForward(t *testing.T) {
 	m := newTestMLP(2)
 	x := []float64{0.5, -1, 0.25}
-	a := m.Forward(x)
-	b := m.ForwardTrace(x).Output()
+	a := m.ForwardTrace(x).Output()
+	b := m.ForwardInto(x, NewScratch(m))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace output diverges: %v vs %v", a, b)
@@ -48,7 +48,7 @@ func numericalGrad(m *MLP, x, dOut []float64, theta *float64) float64 {
 	const h = 1e-6
 	orig := *theta
 	loss := func() float64 {
-		out := m.Forward(x)
+		out := m.ForwardTrace(x).Output()
 		var s float64
 		for i, o := range out {
 			s += o * dOut[i]
@@ -102,7 +102,7 @@ func TestBackwardInputGradientMatchesNumerical(t *testing.T) {
 	for i := range x {
 		orig := x[i]
 		loss := func() float64 {
-			out := m.Forward(x)
+			out := m.ForwardTrace(x).Output()
 			return out[0]*dOut[0] + out[1]*dOut[1]
 		}
 		x[i] = orig + h
@@ -153,7 +153,7 @@ func TestAdamLearnsXOR(t *testing.T) {
 		opt.Step(m, g)
 	}
 	for i, x := range inputs {
-		out := m.Forward(x)[0]
+		out := m.ForwardTrace(x).Output()[0]
 		if math.Abs(out-targets[i]) > 0.1 {
 			t.Fatalf("XOR not learned: f(%v)=%v want %v", x, out, targets[i])
 		}
@@ -196,7 +196,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	// Equal architecture and (pre-mutation) outputs.
 	x := []float64{0.1, 0.2, 0.3}
 	m.Layers[0].W[0] -= 100
-	a, b := m.Forward(x), c.Forward(x)
+	a, b := m.ForwardTrace(x).Output(), c.ForwardTrace(x).Output()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("clone output differs")
@@ -248,7 +248,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.2, -0.4, 0.6}
-	a, b := m.Forward(x), back.Forward(x)
+	a, b := m.ForwardTrace(x).Output(), back.ForwardTrace(x).Output()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("round-trip output differs: %v vs %v", a, b)
@@ -262,6 +262,8 @@ func TestJSONRejectsCorruptShapes(t *testing.T) {
 		`{"layers":[{"in":2,"out":1,"act":0,"w":[1,2,3],"b":[0]}]}`,                                            // |w| != in*out
 		`{"layers":[{"in":2,"out":1,"act":0,"w":[1,2],"b":[0,0]}]}`,                                            // |b| != out
 		`{"layers":[{"in":2,"out":1,"act":0,"w":[1,2],"b":[0]},{"in":3,"out":1,"act":0,"w":[1,2,3],"b":[0]}]}`, // chain mismatch
+		`{"layers":[{"in":2,"out":1,"act":7,"w":[1,2],"b":[0]}]}`,                                              // unknown activation
+		`{"layers":[{"in":2,"out":1,"act":-1,"w":[1,2],"b":[0]}]}`,                                             // unknown activation
 	}
 	for i, s := range bad {
 		var m MLP
@@ -315,7 +317,7 @@ func TestDeterministicInit(t *testing.T) {
 	a := newTestMLP(42)
 	b := newTestMLP(42)
 	x := []float64{1, 2, 3}
-	oa, ob := a.Forward(x), b.Forward(x)
+	oa, ob := a.ForwardTrace(x).Output(), b.ForwardTrace(x).Output()
 	for i := range oa {
 		if oa[i] != ob[i] {
 			t.Fatal("same-seed networks differ")

@@ -15,75 +15,14 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 		{-2, 3, 0.125},
 	}
 	for _, x := range xs {
-		want := m.Forward(x)
+		want := m.ForwardTrace(x).Output()
 		got := m.ForwardInto(x, s)
 		if len(got) != len(want) {
 			t.Fatalf("len %d vs %d", len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("x=%v: ForwardInto=%v Forward=%v", x, got, want)
-			}
-		}
-	}
-}
-
-func TestForwardTraceIntoMatchesForwardTrace(t *testing.T) {
-	m := newTestMLP(12)
-	tr := NewTrace(m)
-	x := []float64{0.5, -1, 0.25}
-	want := m.ForwardTrace(x)
-	got := m.ForwardTraceInto(x, tr)
-	if got != tr {
-		t.Fatal("ForwardTraceInto must return its argument")
-	}
-	for li := range want.acts {
-		for i := range want.acts[li] {
-			if got.acts[li][i] != want.acts[li][i] {
-				t.Fatalf("layer %d act %d: %v vs %v", li, i, got.acts[li], want.acts[li])
-			}
-		}
-	}
-	// The trace must own its input buffer: mutating x afterwards must not
-	// change the recorded activations.
-	x[0] = 99
-	if tr.acts[0][0] == 99 {
-		t.Fatal("trace aliases caller input")
-	}
-}
-
-func TestBackwardIntoMatchesBackward(t *testing.T) {
-	m := newTestMLP(13)
-	s := NewScratch(m)
-	x := []float64{0.3, -0.7, 1.1}
-	dOut := []float64{1.0, -0.5}
-
-	tr := m.ForwardTrace(x)
-	gWant := NewGrads(m)
-	dInWant := m.Backward(tr, dOut, gWant)
-
-	tr2 := NewTrace(m)
-	m.ForwardTraceInto(x, tr2)
-	gGot := NewGrads(m)
-	dInGot := m.BackwardInto(tr2, dOut, gGot, s)
-
-	if len(dInGot) != len(dInWant) {
-		t.Fatalf("input grad len %d vs %d", len(dInGot), len(dInWant))
-	}
-	for i := range dInWant {
-		if dInGot[i] != dInWant[i] {
-			t.Fatalf("input grad %d: %v vs %v", i, dInGot, dInWant)
-		}
-	}
-	for li := range gWant.W {
-		for j := range gWant.W[li] {
-			if gGot.W[li][j] != gWant.W[li][j] {
-				t.Fatalf("W grad layer %d idx %d: %v vs %v", li, j, gGot.W[li][j], gWant.W[li][j])
-			}
-		}
-		for j := range gWant.B[li] {
-			if gGot.B[li][j] != gWant.B[li][j] {
-				t.Fatalf("B grad layer %d idx %d: %v vs %v", li, j, gGot.B[li][j], gWant.B[li][j])
+				t.Fatalf("x=%v: ForwardInto=%v ForwardTrace=%v", x, got, want)
 			}
 		}
 	}
@@ -91,7 +30,7 @@ func TestBackwardIntoMatchesBackward(t *testing.T) {
 
 func TestScratchReuseAcrossCalls(t *testing.T) {
 	// Repeated ForwardInto calls with one scratch must keep producing
-	// results identical to the allocating path (no stale-state leakage).
+	// results identical to the allocating reference (no stale-state leakage).
 	m := newTestMLP(14)
 	s := NewScratch(m)
 	rng := simcore.NewRNG(99)
@@ -100,7 +39,7 @@ func TestScratchReuseAcrossCalls(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Range(-2, 2)
 		}
-		want := m.Forward(x)
+		want := m.ForwardTrace(x).Output()
 		got := m.ForwardInto(x, s)
 		for i := range want {
 			if got[i] != want[i] {
@@ -116,8 +55,8 @@ func policySizedMLP() *MLP {
 }
 
 // TestScratchPathsAllocFree pins the steady-state allocation contract of
-// the scalar scratch paths: inference through ForwardInto, and a training
-// step through ForwardTraceInto and BackwardInto.
+// single-sample inference through ForwardInto, the path core.NNPolicy and
+// the rl collectors run.
 func TestScratchPathsAllocFree(t *testing.T) {
 	m := policySizedMLP()
 	x := make([]float64, m.InputDim())
@@ -127,15 +66,5 @@ func TestScratchPathsAllocFree(t *testing.T) {
 	s := NewScratch(m)
 	if avg := testing.AllocsPerRun(100, func() { m.ForwardInto(x, s) }); avg != 0 {
 		t.Errorf("ForwardInto allocates %v per call, want 0", avg)
-	}
-	dOut := []float64{1}
-	g := NewGrads(m)
-	tr := NewTrace(m)
-	if avg := testing.AllocsPerRun(100, func() {
-		m.ForwardTraceInto(x, tr)
-		g.Zero()
-		m.BackwardInto(tr, dOut, g, s)
-	}); avg != 0 {
-		t.Errorf("ForwardTraceInto+BackwardInto allocates %v per call, want 0", avg)
 	}
 }

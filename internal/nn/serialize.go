@@ -46,6 +46,9 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 		if i > 0 && l.In != in.Layers[i-1].Out {
 			return fmt.Errorf("nn: layer %d input %d does not match previous output %d", i, l.In, in.Layers[i-1].Out)
 		}
+		if l.Act < Linear || l.Act > Sigmoid {
+			return fmt.Errorf("nn: layer %d has unknown activation %d", i, int(l.Act))
+		}
 		layers = append(layers, &Dense{In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B})
 	}
 	m.Layers = layers

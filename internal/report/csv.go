@@ -1,6 +1,6 @@
-// Package report exports experiment data in machine-readable forms: CSV of
-// flow time series and result rows, so figures can be re-plotted with
-// external tooling (the analogue of the paper artifact's data dumps).
+// Package report exports experiment data in machine-readable form: CSV of
+// flow time series, so figures can be re-plotted with external tooling (the
+// analogue of the paper artifact's data dumps).
 package report
 
 import (
@@ -35,21 +35,6 @@ func WriteFlowSeriesCSV(w io.Writer, flows []*netsim.Flow) error {
 			if err := cw.Write(rec); err != nil {
 				return err
 			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteRowsCSV writes a generic header + rows table as CSV.
-func WriteRowsCSV(w io.Writer, header []string, rows [][]string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write(r); err != nil {
-			return err
 		}
 	}
 	cw.Flush()

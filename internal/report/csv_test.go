@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -44,20 +43,5 @@ func TestWriteFlowSeriesCSV(t *testing.T) {
 	}
 	if !seen["a"] || !seen["b"] {
 		t.Fatalf("flows missing from CSV: %v", seen)
-	}
-}
-
-func TestWriteRowsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteRowsCSV(&buf, []string{"x", "y"}, [][]string{{"1", "2"}, {"a,b", "3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"a,b"`) {
-		t.Fatalf("comma field not quoted: %q", out)
-	}
-	if !strings.HasPrefix(out, "x,y\n") {
-		t.Fatalf("header wrong: %q", out)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/simcore"
 )
 
@@ -51,8 +52,8 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{0.7}
-	want := src.Actor.Forward(state)[0]
-	got := dst.Actor.Forward(state)[0]
+	want := src.Actor.ForwardInto(state, nn.NewScratch(src.Actor))[0]
+	got := dst.Actor.ForwardInto(state, nn.NewScratch(dst.Actor))[0]
 	if want != got {
 		t.Fatalf("restored actor output %v, want %v", got, want)
 	}

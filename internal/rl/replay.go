@@ -49,8 +49,8 @@ func (r *ReplayBuffer) Len() int { return r.n }
 
 // SampleIndices draws batch positions uniformly with replacement into the
 // buffer's preallocated index scratch and returns it (valid until the next
-// Sample/SampleIndices call). Steady state allocates nothing; the RNG
-// stream is identical to Sample's.
+// SampleIndices call). The buffer must not be empty. Steady state allocates
+// nothing.
 func (r *ReplayBuffer) SampleIndices(rng *simcore.RNG, batch int) []int {
 	if cap(r.idx) < batch {
 		r.idx = make([]int, batch)
@@ -65,22 +65,6 @@ func (r *ReplayBuffer) SampleIndices(rng *simcore.RNG, batch int) []int {
 // At returns the stored transition at buffer position i (as produced by
 // SampleIndices). The pointer is valid until Add overwrites the slot.
 func (r *ReplayBuffer) At(i int) *Transition { return &r.buf[i] }
-
-// Sample draws batch transitions uniformly with replacement into dst
-// (allocating if dst is short) and returns it.
-func (r *ReplayBuffer) Sample(rng *simcore.RNG, batch int, dst []Transition) []Transition {
-	if r.n == 0 {
-		return dst[:0]
-	}
-	if cap(dst) < batch {
-		dst = make([]Transition, batch)
-	}
-	dst = dst[:batch]
-	for i, j := range r.SampleIndices(rng, batch) {
-		dst[i] = r.buf[j]
-	}
-	return dst
-}
 
 // Env is the Gym-like environment interface Jury's training loop drives.
 // Implementations wrap the network emulator (see internal/core).

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/nn"
 	"repro/internal/simcore"
 )
 
@@ -19,8 +20,8 @@ func TestReplayBufferRingEviction(t *testing.T) {
 	rng := simcore.NewRNG(1)
 	seen := map[float64]bool{}
 	for i := 0; i < 200; i++ {
-		for _, tr := range b.Sample(rng, 3, nil) {
-			seen[tr.Reward] = true
+		for _, j := range b.SampleIndices(rng, 3) {
+			seen[b.At(j).Reward] = true
 		}
 	}
 	for _, old := range []float64{0, 1} {
@@ -35,13 +36,6 @@ func TestReplayBufferRingEviction(t *testing.T) {
 	}
 }
 
-func TestReplayBufferSampleEmpty(t *testing.T) {
-	b := NewReplayBuffer(4)
-	if got := b.Sample(simcore.NewRNG(1), 2, nil); len(got) != 0 {
-		t.Fatalf("sampling empty buffer returned %d items", len(got))
-	}
-}
-
 func TestReplayBufferSampleUniform(t *testing.T) {
 	b := NewReplayBuffer(10)
 	for i := 0; i < 10; i++ {
@@ -51,8 +45,8 @@ func TestReplayBufferSampleUniform(t *testing.T) {
 	counts := map[float64]int{}
 	const draws = 20000
 	for i := 0; i < draws/10; i++ {
-		for _, tr := range b.Sample(rng, 10, nil) {
-			counts[tr.Reward]++
+		for _, j := range b.SampleIndices(rng, 10) {
+			counts[b.At(j).Reward]++
 		}
 	}
 	for r, c := range counts {
@@ -65,9 +59,10 @@ func TestReplayBufferSampleUniform(t *testing.T) {
 
 func TestActClipsToActionBox(t *testing.T) {
 	agent := NewTD3(Config{StateDim: 3, ActionDim: 2, Hidden: []int{8}, Seed: 3})
+	scratch, rng := nn.NewScratch(agent.Actor), simcore.NewRNG(3)
 	if err := quick.Check(func(a, b, c float64) bool {
 		s := []float64{sane(a), sane(b), sane(c)}
-		act := agent.Act(s, 2.0) // huge exploration noise
+		act := forwardWithNoise(agent.Actor, scratch, s, 2.0, rng) // huge exploration noise
 		for _, v := range act {
 			if v < -1 || v > 1 {
 				return false
@@ -77,6 +72,12 @@ func TestActClipsToActionBox(t *testing.T) {
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// greedy is the noiseless policy action for state, evaluated the way the
+// collectors evaluate it.
+func greedy(agent *TD3, state []float64) []float64 {
+	return forwardWithNoise(agent.Actor, nn.NewScratch(agent.Actor), state, 0, nil)
 }
 
 func sane(v float64) float64 {
@@ -89,8 +90,8 @@ func sane(v float64) float64 {
 func TestActDeterministicWithoutNoise(t *testing.T) {
 	agent := NewTD3(Config{StateDim: 2, ActionDim: 1, Hidden: []int{8}, Seed: 4})
 	s := []float64{0.5, -0.5}
-	a1 := agent.Act(s, 0)
-	a2 := agent.Act(s, 0)
+	a1 := greedy(agent, s)
+	a2 := greedy(agent, s)
 	if a1[0] != a2[0] {
 		t.Fatal("noiseless policy not deterministic")
 	}
@@ -164,10 +165,10 @@ func TestTD3SolvesContextualBandit(t *testing.T) {
 		t.Fatalf("reward did not improve: early %v late %v", early, late)
 	}
 	// The learned policy must pick near-optimal actions for both contexts.
-	if a := agent.Act([]float64{1}, 0)[0]; math.Abs(a-0.6) > 0.15 {
+	if a := greedy(agent, []float64{1})[0]; math.Abs(a-0.6) > 0.15 {
 		t.Fatalf("action for s=+1 is %v, want ~0.6", a)
 	}
-	if a := agent.Act([]float64{-1}, 0)[0]; math.Abs(a+0.4) > 0.15 {
+	if a := greedy(agent, []float64{-1})[0]; math.Abs(a+0.4) > 0.15 {
 		t.Fatalf("action for s=-1 is %v, want ~-0.4", a)
 	}
 	// Epoch rewards include exploration noise (std ~0.3 at the end, i.e.
@@ -227,7 +228,7 @@ func TestTD3LearnsMultiStepCredit(t *testing.T) {
 	if last < 0.5 {
 		t.Fatalf("final mean reward %v, want ≥0.5", last)
 	}
-	if a := agent.Act([]float64{0.5}, 0)[0]; a < 0.5 {
+	if a := greedy(agent, []float64{0.5})[0]; a < 0.5 {
 		t.Fatalf("policy at pos 0.5 should push hard positive, got %v", a)
 	}
 }
@@ -261,7 +262,7 @@ func TestCriticLearnsValueOfFixedPolicy(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		agent.Update(buf)
 	}
-	if q := agent.Q1([]float64{0.3}, []float64{-0.2}); math.Abs(q-1) > 0.2 {
+	if q := agent.critic1.ForwardInto([]float64{0.3, -0.2}, nn.NewScratch(agent.critic1))[0]; math.Abs(q-1) > 0.2 {
 		t.Fatalf("critic value %v, want ~1", q)
 	}
 }

@@ -254,19 +254,6 @@ func NewTD3(cfg Config) *TD3 {
 	return t
 }
 
-// Act returns the deterministic policy action for state, plus Gaussian
-// exploration noise of the given standard deviation, clipped to [-1, 1].
-func (t *TD3) Act(state []float64, noiseStd float64) []float64 {
-	a := t.Actor.Forward(state)
-	for i := range a {
-		if noiseStd > 0 {
-			a[i] += t.rng.Norm(0, noiseStd)
-		}
-		a[i] = clip(a[i], -1, 1)
-	}
-	return a
-}
-
 func clip(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -275,17 +262,6 @@ func clip(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Q1 evaluates the first critic (exposed for tests and diagnostics).
-func (t *TD3) Q1(state, action []float64) float64 {
-	return t.critic1.Forward(concat(state, action))[0]
-}
-
-func concat(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
 }
 
 // Update performs one TD3 training step on a batch sampled from buf and

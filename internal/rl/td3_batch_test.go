@@ -114,7 +114,9 @@ func TestUpdateAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Update allocates %v per call on one worker, want 0", avg)
 	}
-	if agent.pool != nil || runtime.NumGoroutine() != before {
+	// Fewer goroutines is fine: an earlier test's closed pool may still be
+	// unwinding helpers that have already signalled their exit.
+	if agent.pool != nil || runtime.NumGoroutine() > before {
 		t.Fatalf("one-worker Update started helpers (pool %v, goroutines %d -> %d)", agent.pool != nil, before, runtime.NumGoroutine())
 	}
 }
@@ -139,18 +141,22 @@ func TestUpdateAllocFreeWorkers(t *testing.T) {
 	}
 }
 
-// TestReplaySampleAllocFree pins minibatch sampling to zero allocations
-// once the caller's destination slice has grown to the batch size.
+// TestReplaySampleAllocFree pins minibatch sampling — SampleIndices plus
+// At, the path Update runs — to zero allocations once the index scratch has
+// grown to the batch size.
 func TestReplaySampleAllocFree(t *testing.T) {
 	buf := fillBuffer(8, 2, 1024, 9)
 	rng := simcore.NewRNG(10)
-	dst := buf.Sample(rng, 64, nil)
+	buf.SampleIndices(rng, 64)
+	var sum float64
 	if avg := testing.AllocsPerRun(100, func() {
-		dst = buf.Sample(rng, 64, dst)
+		for _, j := range buf.SampleIndices(rng, 64) {
+			sum += buf.At(j).Reward
+		}
 	}); avg != 0 {
-		t.Fatalf("Sample allocates %v per minibatch, want 0", avg)
+		t.Fatalf("SampleIndices+At allocates %v per minibatch, want 0", avg)
 	}
-	if len(dst) != 64 {
-		t.Fatalf("sampled %d transitions, want 64", len(dst))
+	if n := len(buf.SampleIndices(rng, 64)); n != 64 {
+		t.Fatalf("sampled %d indices, want 64", n)
 	}
 }

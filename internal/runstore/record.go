@@ -40,20 +40,6 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // Short returns a 12-hex-digit prefix for display.
 func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
 
-// ParseKey parses the hex form produced by String.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return k, fmt.Errorf("runstore: bad key %q: %w", s, err)
-	}
-	if len(b) != len(k) {
-		return k, fmt.Errorf("runstore: key %q is %d bytes, want %d", s, len(b), len(k))
-	}
-	copy(k[:], b)
-	return k, nil
-}
-
 // FlowRecord is the stored summary of one flow of a run: lifetime stats,
 // the recorded throughput/RTT series, and the Jury guard counters. It is
 // exactly the data exp.FlowSummary serves back to the figure runners, so a

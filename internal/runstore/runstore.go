@@ -75,12 +75,6 @@ func (r RepairReport) Dirty() bool {
 	return r.SnapshotTorn != 0 || r.WALTorn != 0 || r.HeaderRewritten
 }
 
-// Stats counts store activity since Open.
-type Stats struct {
-	Appends     int64
-	Compactions int64
-}
-
 // Store is an append-only, checksummed, content-addressed store of run
 // records: an in-memory index (one record per key, insertion-ordered)
 // backed by snapshot.dat + wal.log. All methods are safe for concurrent use
@@ -97,7 +91,6 @@ type Store struct {
 	recs   []*Record
 	byKey  map[Key]int // key -> index into recs
 	repair RepairReport
-	stats  Stats
 	closed bool
 }
 
@@ -308,7 +301,6 @@ func (s *Store) Put(rec *Record) error {
 		return err
 	}
 	s.index(rec)
-	s.stats.Appends++
 	s.walAppends++
 	if s.opts.CompactEvery > 0 && s.walAppends >= s.opts.CompactEvery {
 		return s.compactLocked()
@@ -343,58 +335,11 @@ func (s *Store) Records() []*Record {
 	return out
 }
 
-func (s *Store) selectRecords(keep func(*Record) bool) []*Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Record
-	for _, r := range s.recs {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByScenario returns the records whose scenario label matches name.
-func (s *Store) ByScenario(name string) []*Record {
-	return s.selectRecords(func(r *Record) bool { return r.Scenario == name })
-}
-
-// ByScheme returns the records that ran scheme.
-func (s *Store) ByScheme(scheme string) []*Record {
-	return s.selectRecords(func(r *Record) bool {
-		for _, sc := range r.Schemes {
-			if sc == scheme {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// ByDigest returns the records whose simcheck digest matches d.
-func (s *Store) ByDigest(d uint64) []*Record {
-	return s.selectRecords(func(r *Record) bool { return r.Checked && r.Digest == d })
-}
-
-// Between returns the records appended in [from, to).
-func (s *Store) Between(from, to time.Time) []*Record {
-	lo, hi := from.UnixNano(), to.UnixNano()
-	return s.selectRecords(func(r *Record) bool { return r.AppendedAt >= lo && r.AppendedAt < hi })
-}
-
 // Repair returns what startup repair found.
 func (s *Store) Repair() RepairReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.repair
-}
-
-// StoreStats returns activity counters since Open.
-func (s *Store) StoreStats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }
 
 // Compact folds the full index into a fresh snapshot and truncates the WAL:
@@ -446,7 +391,6 @@ func (s *Store) compactLocked() error {
 	}
 	s.lastSync = time.Now()
 	s.walAppends = 0
-	s.stats.Compactions++
 	return nil
 }
 

@@ -218,21 +218,6 @@ func TestEngineFIFOAcrossSlabBoundary(t *testing.T) {
 	}
 }
 
-func TestEnginePendingEventsExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	a := schedule(e, 10, func() {})
-	schedule(e, 20, func() {})
-	t3 := schedule(e, 30, func() {})
-	_ = a
-	t3.Cancel()
-	if e.Pending() != 3 {
-		t.Fatalf("Pending %d, want 3 (cancelled still queued)", e.Pending())
-	}
-	if e.PendingEvents() != 2 {
-		t.Fatalf("PendingEvents %d, want 2", e.PendingEvents())
-	}
-}
-
 func TestEngineNextAt(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.NextAt(); ok {

@@ -164,7 +164,6 @@ type Engine struct {
 	queue   timerWheel
 	nextSeq uint64
 	running bool
-	stopped bool
 
 	// free is the event free-list: fired/drained events are recycled here so
 	// steady-state simulation schedules without heap allocation (packet-level
@@ -196,14 +195,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Pending reports how many events are queued (including cancelled ones that
 // have not yet been drained).
 func (e *Engine) Pending() int { return e.queue.size() }
-
-// PendingEvents reports how many queued events are still live, i.e. not yet
-// cancelled. Unlike Pending it excludes cancelled-but-undrained entries; it
-// scans the queue (O(n)), so it is meant for tests and debug surfaces, not
-// per-event hot paths.
-func (e *Engine) PendingEvents() int {
-	return e.queue.live()
-}
 
 // NextAt reports the firing time of the earliest queued event. ok is false
 // when the queue is empty. Cancelled events still count: they occupy the
@@ -316,16 +307,13 @@ func (e *Engine) EventHook() func(at time.Duration, seq uint64) {
 	return e.eventHook
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in time order until the queue empties, the horizon is
-// reached, or Stop is called. Events scheduled exactly at the horizon still
+// Run executes events in time order until the queue empties or the horizon
+// is reached. Events scheduled exactly at the horizon still
 // fire; events strictly after it remain queued. It returns the number of
 // events executed.
 func (e *Engine) Run(horizon time.Duration) int {
 	executed := e.exec(horizon, true)
-	if e.now < horizon && !e.stopped {
+	if e.now < horizon {
 		// Advance the clock to the horizon so repeated Run calls observe
 		// monotonic time even when the queue drains early.
 		e.now = horizon
@@ -349,11 +337,10 @@ func (e *Engine) exec(bound time.Duration, inclusive bool) int {
 		panic("simcore: Run re-entered")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
 	executed := 0
-	for !e.stopped {
+	for {
 		ev := e.queue.min()
 		if ev == nil || ev.at > bound || (!inclusive && ev.at == bound) {
 			break

@@ -195,28 +195,3 @@ func (w *timerWheel) cascade() {
 		}
 	}
 }
-
-// live counts queued events that are not cancelled, scanning heap and wheel.
-func (w *timerWheel) live() int {
-	n := 0
-	for _, ev := range w.heap {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	for i := range w.slot0 {
-		for _, ev := range w.slot0[i] {
-			if !ev.cancelled {
-				n++
-			}
-		}
-	}
-	for i := range w.slot1 {
-		for _, ev := range w.slot1[i] {
-			if !ev.cancelled {
-				n++
-			}
-		}
-	}
-	return n
-}

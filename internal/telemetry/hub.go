@@ -154,14 +154,6 @@ func (h *Hub) Event(domain, name string, virtual time.Duration, kvs ...KV) {
 	h.Tracer.Event(domain, name, virtual, kvs...)
 }
 
-// Flush drains the trace sink.
-func (h *Hub) Flush() error {
-	if h == nil {
-		return nil
-	}
-	return h.sink.Flush()
-}
-
 // Close flushes the trace sink and stops the debug server.
 func (h *Hub) Close() error {
 	if h == nil {

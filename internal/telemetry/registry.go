@@ -94,20 +94,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add increments the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

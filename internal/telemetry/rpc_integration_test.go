@@ -17,7 +17,7 @@ func (p fixedPolicy) Decide([]float64) (float64, float64) { return p.mu, p.delta
 // the latency hook feeds the histogram and remote/fallback counters, and
 // ExportRPCDaemon mirrors the server's own accounting onto the registry.
 func TestRPCInstrumentation(t *testing.T) {
-	srv, err := agentrpc.Serve("127.0.0.1:0", fixedPolicy{0.5, 0.25})
+	srv, err := agentrpc.ServeConfig("127.0.0.1:0", fixedPolicy{0.5, 0.25}, agentrpc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRPCInstrumentation(t *testing.T) {
 // TestRPCDaemonInstrumentation exports the full daemon surface: batching,
 // hot-swap, and lazily registered per-tenant decision gauges.
 func TestRPCDaemonInstrumentation(t *testing.T) {
-	srv, err := agentrpc.Serve("127.0.0.1:0", fixedPolicy{0.5, 0.25})
+	srv, err := agentrpc.ServeConfig("127.0.0.1:0", fixedPolicy{0.5, 0.25}, agentrpc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,14 +90,14 @@ for name in telemetry trace-out debug-addr obs obs-window flight-dir; do
     fi
 done
 
-echo "== go test -short ./..., then the paper claims it skips"
+echo "== go test -short ./... (includes the root TestNoTestOnlyAPI guard: no exported identifier only tests use, beyond testdata/test_only_api.txt), then the paper claims it skips"
 go test -short ./...
 go test -run '^TestPaperClaims$' -count=1 ./internal/exp
 
 echo "== nn + rl again on the Go kernel bodies alone (-tags purego)"
 go test -tags purego ./internal/nn ./internal/rl
 
-echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay sampling, event scheduling, NN scratch paths, and a scenario's allocation ceiling"
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling, NN ForwardInto, and a scenario's allocation ceiling"
 GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree)$' -count=1 ./internal/rl
 go test -race -run '^TestScheduleArgAllocFree$' -count=1 ./internal/simcore
 go test -race -run '^TestScratchPathsAllocFree$' -count=1 ./internal/nn
