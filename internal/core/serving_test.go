@@ -43,6 +43,22 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 	if got := batched.InputDim(); got != dim {
 		t.Fatalf("InputDim = %d, want %d", got, dim)
 	}
+
+	// A poisoned state: (+Inf, −Inf) through all-positive first-layer weights
+	// is Inf−Inf, x86's default NaN, whose sign bit is set. Decide returns
+	// NaN, so the batched path must as well — a finite answer there would
+	// slip past the daemon's non-finite rollback.
+	poison := nn.NewMLP(simcore.NewRNG(4), []int{2, 4, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
+	for i := range poison.Layers[0].W {
+		poison.Layers[0].W[i] = 1
+	}
+	state := []float64{math.Inf(1), math.Inf(-1)}
+	mu, delta := (&NNPolicy{Net: poison}).Decide(state)
+	mus, deltas := make([]float64, 1), make([]float64, 1)
+	(&NNPolicy{Net: poison}).DecideBatch(state, 1, mus, deltas)
+	if !math.IsNaN(mu) || !math.IsNaN(mus[0]) || !math.IsNaN(delta) || !math.IsNaN(deltas[0]) {
+		t.Fatalf("poisoned state: Decide (%v, %v), DecideBatch (%v, %v), want NaN from both", mu, delta, mus[0], deltas[0])
+	}
 }
 
 // TestAIMDPolicy: net loss across the window backs off, anything else

@@ -96,13 +96,72 @@ func TestAxpyKernelsMatchGoBodies(t *testing.T) {
 
 func cloneF64(v []float64) []float64 { return append([]float64(nil), v...) }
 
+// saltedMat returns rows×cols salted values (see saltedVec) in which only
+// every fifth row, starting at row 1, keeps its NaNs and infinities; the
+// other rows keep the finite salt (±0, denormals). A product of two such
+// matrices then has mostly finite outputs, compared bit for bit, and a NaN
+// row, landing in every lane position of a 4-row panel in turn, has to stay
+// out of the other lanes.
+func saltedMat(rng *simcore.RNG, rows, cols int) []float64 {
+	v := saltedVec(rng, rows*cols)
+	for r := 0; r < rows; r++ {
+		if r%5 == 1 {
+			continue
+		}
+		for i := r * cols; i < (r+1)*cols; i++ {
+			if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
+				v[i] = 0
+			}
+		}
+	}
+	return v
+}
+
+// TestMatMulTKernelMatchesGoBody is the oracle for MatMulT's vector prefix:
+// the dispatched product (4-row panels on the platform prefix, the Go body
+// over the rows left) must equal the Go body alone bit for bit (NaN for NaN)
+// for m 0–19 and 64, k 1–67 and across the gemmBlockK panel block (128, 130,
+// 256, 300), and n 0–9 and 128, on salted inputs. dst starts as garbage with
+// a guard tail: the product must overwrite exactly its m×n elements. Under
+// -tags purego, and on a machine without AVX, both sides are the Go body.
+func TestMatMulTKernelMatchesGoBody(t *testing.T) {
+	rng := simcore.NewRNG(23)
+	var ms, ks, ns []int
+	for m := 0; m <= 19; m++ {
+		ms = append(ms, m)
+	}
+	for k := 1; k <= 67; k++ {
+		ks = append(ks, k)
+	}
+	for n := 0; n <= 9; n++ {
+		ns = append(ns, n)
+	}
+	ms, ks, ns = append(ms, 64), append(ks, 128, 130, 256, 300), append(ns, 128)
+	stale := saltedVec(rng, 64*128+4)
+	for _, k := range ks {
+		a, b := saltedMat(rng, 64, k), saltedMat(rng, 128, k)
+		for _, m := range ms {
+			for _, n := range ns {
+				got, want := cloneF64(stale[:m*n+4]), cloneF64(stale[:m*n+4])
+				MatMulT(got, a, b, m, k, n)
+				matMulTFrom(0, want, a, b, m, k, n)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("m=%d k=%d n=%d: element %d (row %d, column %d) is %v (%#x), Go body gives %v (%#x)",
+						m, k, n, i, i/max(n, 1), i%max(n, 1), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestForwardBatchRowIndependence pins the property the sharded TD3 update
 // stands on: a row's output does not depend on which other rows share the
 // ForwardBatchInto call. MatMulT gives every output element its own serial
-// accumulator in both its paired-row and single-row paths, so forwarding
-// rows [r0, r1) alone must reproduce those rows of the full-batch call bit
-// for bit — for every split of batches of 1–17 rows, and for a 50-row batch
-// cut into the update's 16-row shards (short last shard).
+// accumulator in its 4-row panels, paired-row and single-row paths alike, so
+// forwarding rows [r0, r1) alone must reproduce those rows of the full-batch
+// call bit for bit — for every split of batches of 1–17 rows, for a 64-row
+// batch cut at every multiple of 4 and into the update's 16-row shards, and
+// for a 50-row batch in 16-row shards (short last shard).
 func TestForwardBatchRowIndependence(t *testing.T) {
 	rng := simcore.NewRNG(21)
 	// Widths off the 4-column blocking on purpose: 18 in, 3 out.
@@ -125,21 +184,46 @@ func TestForwardBatchRowIndependence(t *testing.T) {
 			}
 		}
 	}
-	const rows, shard = 50, 16
-	x := randMat(rng, rows*in)
-	full := cloneF64(m.ForwardBatchInto(x, rows, NewBatchScratch(m, rows)))
-	part := NewBatchScratch(m, shard)
-	for r0 := 0; r0 < rows; r0 += shard {
-		checkRange(x, full, r0, min(r0+shard, rows), part)
+	// The 64-row batch: every [r0, r1) on multiples of 4, which includes the
+	// four 16-row shards.
+	x := randMat(rng, 64*in)
+	full := cloneF64(m.ForwardBatchInto(x, 64, NewBatchScratch(m, 64)))
+	part := NewBatchScratch(m, 64)
+	for r0 := 0; r0 < 64; r0 += 4 {
+		for r1 := r0 + 4; r1 <= 64; r1 += 4 {
+			checkRange(x, full, r0, r1, part)
+		}
+	}
+	const shard = 16
+	x = randMat(rng, 50*in)
+	full = cloneF64(m.ForwardBatchInto(x, 50, NewBatchScratch(m, 50)))
+	for r0 := 0; r0 < 50; r0 += shard {
+		checkRange(x, full, r0, min(r0+shard, 50), part)
 	}
 }
 
 // BenchmarkAxpyKernels times each streaming kernel as dispatched on this
 // machine ("vec": the AVX body on amd64) against its Go body, at the two row
 // widths the Table 2 networks stream (16-wide input rows, 128-wide hidden
-// rows). Under -tags purego both columns are the Go body.
+// rows), and MatMulT at the forward products of one 16-row update shard
+// (input, hidden and the actor's 2-wide output layer, which stays on dot).
+// Under -tags purego both columns are the Go body.
 func BenchmarkAxpyKernels(b *testing.B) {
 	rng := simcore.NewRNG(22)
+	for _, sh := range [][3]int{{16, 16, 128}, {16, 128, 128}, {16, 128, 2}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		x, w, dst := randMat(rng, m*k), randMat(rng, n*k), make([]float64, m*n)
+		b.Run(fmt.Sprintf("MatMulT/%dx%d->%d/vec", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulT(dst, x, w, m, k, n)
+			}
+		})
+		b.Run(fmt.Sprintf("MatMulT/%dx%d->%d/go", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matMulTFrom(0, dst, x, w, m, k, n)
+			}
+		})
+	}
 	for _, n := range []int{16, 128} {
 		x0, x1, d0, d1 := randMat(rng, n), randMat(rng, n), randMat(rng, n), randMat(rng, n)
 		const s0, s1 = 1.0000001, -0.9999999 // non-zero: the wrappers' zero-skips stay out of the timing

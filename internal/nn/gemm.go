@@ -18,7 +18,10 @@
 // block suffices and the blocking collapses to the plain loop.
 package nn
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // gemmBlockK is the reduction-dimension block size. 256 float64 columns are
 // 2 KiB per row — several rows of both operands fit in L1 alongside the
@@ -67,15 +70,20 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 // the right operand already transposed (n rows of k columns — the Dense
 // weight layout). dst must not alias a or b.
 //
-// The kernel walks four b-rows (four output columns) per pass: the a-row is
-// streamed once per pass and the four accumulator chains are independent,
-// so the loop is latency-bound on neither loads nor adds.
+// Every output element is one serial chain, +0 then += a[i][p]·b[j][p] in p
+// order (dot for the n mod 4 tail columns), whichever body runs it: the
+// platform prefix takes whole 4-row panels (AVX on amd64, a lane per row;
+// gemm_amd64.go) and the Go body the rows left.
 func MatMulT(dst, a, b []float64, m, k, n int) {
-	// 2×4 register blocking: a pair of a-rows shares each loaded b-column
-	// block, so the inner loop retires 8 independent multiply-adds per 6
-	// loads instead of 8 per 10, and every output keeps its own serial
-	// accumulator (results are bit-identical to the single-row path).
-	i := 0
+	matMulTFrom(matMulTVec(dst, a, b, m, k, n), dst, a, b, m, k, n)
+}
+
+// matMulTFrom is MatMulT's Go body over rows [i, m). It walks four b-rows
+// (four output columns) per pass with 2×4 register blocking: a pair of
+// a-rows shares each loaded b-column block, so the inner loop retires 8
+// independent multiply-adds per 6 loads instead of 8 per 10, and every output
+// keeps its own serial accumulator (bit-identical to the single-row path).
+func matMulTFrom(i int, dst, a, b []float64, m, k, n int) {
 	for ; i+2 <= m; i += 2 {
 		a0 := a[i*k : (i+1)*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k : (i+2)*k]
@@ -220,15 +228,16 @@ func ColSumSet(dst, a []float64, rows, n int) {
 	}
 }
 
-// The four axpy kernels below are the streaming inner loops of MatMul and
-// the MatMulT{Acc,Set} weight-gradient products. Each has one Go body,
-// xFrom(i, …), that runs elements [i, n), and a platform prefix, xVec(…),
-// that handles the largest multiple-of-4 prefix it can and returns its
-// length: AVX on amd64 (gemm_amd64.go), nothing elsewhere or under -tags
-// purego (gemm_generic.go). Every element gets the same correctly rounded
-// multiply-then-add in both, so the two are bit-identical (DESIGN.md
-// "Batched linear algebra"); the zero-scale early-outs live here, above the
-// dispatch, because skipping dst += 0*x is observable for NaN/Inf/−0 inputs.
+// The four axpy kernels below are the streaming inner loops of MatMul, the
+// MatMulT{Acc,Set} weight-gradient products and Grads.Add/Scale. Each has
+// one Go body, xFrom(i, …), that runs elements [i, n), and a platform
+// prefix, xVec(…), that handles the largest multiple-of-4 prefix it can and
+// returns its length: AVX on amd64 (gemm_amd64.go), nothing elsewhere or
+// under -tags purego (gemm_generic.go). Every element gets the same
+// correctly rounded multiply-then-add in both, so the two are bit-identical
+// (DESIGN.md "Batched linear algebra"); the zero-scale early-outs live here,
+// above the dispatch, because skipping dst += 0*x is observable for
+// NaN/Inf/−0 inputs.
 
 // axpy computes dst += s * x elementwise. The iterations are independent,
 // so the loop streams instead of serializing on one accumulator the way a
@@ -380,15 +389,23 @@ func dot(a, b []float64) float64 {
 // applyRows applies the activation elementwise over a flat rows×n matrix
 // (every activation is elementwise, so the flat buffer is enough). ReLU
 // clamps via a sign-bit mask: pre-activation signs are effectively random,
-// so a compare-and-store loop would mispredict on half the elements.
+// so a compare-and-store loop would mispredict on half the elements. The
+// mask spares NaNs, whose sign bit is noise (x86's default NaN has it set),
+// so a NaN propagates as it does through apply; −0 becomes +0, which
+// mulDerivRows relies on (a zero output passes no gradient).
 func (a Activation) applyRows(m []float64) {
 	if a != ReLU {
 		a.apply(m)
 		return
 	}
+	const inf = 0x7ff0000000000000
 	for i, x := range m {
+		// With the sign bit flipped, a negative non-NaN is at most +Inf's
+		// bits and everything kept (positive, +0, NaN) is above them; the
+		// borrow of inf − that is 1 exactly for the kept values (SUB/SBB).
 		b := math.Float64bits(x)
-		m[i] = math.Float64frombits(b &^ uint64(int64(b)>>63))
+		_, keep := bits.Sub64(inf, b^(1<<63), 0)
+		m[i] = math.Float64frombits(b & -keep)
 	}
 }
 

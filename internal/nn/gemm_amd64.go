@@ -28,6 +28,16 @@ func axpy21AVX(s0 float64, x0 *float64, s1 float64, x1, dst *float64, n int)
 //go:noescape
 func axpySetAVX(s float64, x, dst *float64, n int)
 
+// matMulT4AVX runs one 4-row panel of MatMulT over n4 columns (a positive
+// multiple of 4) and kc reductions. Its lane is one of the four batch rows:
+// ap holds the panel k-major (ap[p*4+r] = a[i+r][k0+p]), b[j][p] is
+// broadcast, and each lane does VMULPD then VADDPD into its own accumulator
+// in p order — the Go body's serial chain. The accumulator starts at +0, or
+// at dst's value when cont is set.
+//
+//go:noescape
+func matMulT4AVX(dst *float64, ldd int, ap, b *float64, ldb, kc, n4 int, cont bool)
+
 // The xVec prefixes check the operand lengths the Go bodies would have
 // checked element by element, then hand raw pointers to the assembly.
 
@@ -69,4 +79,41 @@ func axpySetVec(s float64, x, dst []float64) int {
 	_ = x[n-1]
 	axpySetAVX(s, &x[0], &dst[0], n)
 	return n
+}
+
+// matMulTVec runs MatMulT's rows in whole 4-row panels, [0, m&^3), and
+// returns how many it ran. Each panel is packed k-major into a stack buffer
+// one gemmBlockK block at a time; a later block continues the accumulators
+// the kernel stored. The n mod 4 tail columns keep dot, as in the Go body.
+// With fewer than four rows or four columns it runs nothing.
+func matMulTVec(dst, a, b []float64, m, k, n int) int {
+	m4, n4 := m&^3, n&^3
+	if !useAVX || m4 == 0 || n4 == 0 || k == 0 {
+		return 0
+	}
+	_, _ = dst[m4*n-1], b[n*k-1]
+	var ap [4 * gemmBlockK]float64
+	for i := 0; i < m4; i += 4 {
+		a0 := a[i*k : (i+1)*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k : (i+2)*k]
+		a2 := a[(i+2)*k : (i+3)*k : (i+3)*k]
+		a3 := a[(i+3)*k : (i+4)*k : (i+4)*k]
+		for k0 := 0; k0 < k; k0 += gemmBlockK {
+			k1 := min(k0+gemmBlockK, k)
+			panel := ap[:4*(k1-k0)]
+			for p := k0; p < k1; p++ {
+				q := panel[4*(p-k0) : 4*(p-k0)+4 : 4*(p-k0)+4]
+				q[0], q[1], q[2], q[3] = a0[p], a1[p], a2[p], a3[p]
+			}
+			matMulT4AVX(&dst[i*n], n, &ap[0], &b[k0], k, k1-k0, n4, k0 > 0)
+		}
+		for j := n4; j < n; j++ {
+			bcol := b[j*k : (j+1)*k]
+			dst[i*n+j] = dot(a0, bcol)
+			dst[(i+1)*n+j] = dot(a1, bcol)
+			dst[(i+2)*n+j] = dot(a2, bcol)
+			dst[(i+3)*n+j] = dot(a3, bcol)
+		}
+	}
+	return m4
 }

@@ -125,3 +125,154 @@ loop:
 	JNZ     loop
 	VZEROUPPER
 	RET
+
+// TRANSPOSE4 transposes the 4×4 block held in r0..r3 in place (clobbers
+// Y8–Y11). It turns four column accumulators (lane = row) into four rows of
+// dst (lane = column), and back.
+#define TRANSPOSE4(r0, r1, r2, r3) \
+	VUNPCKLPD  r1, r0, Y8; \
+	VUNPCKHPD  r1, r0, Y9; \
+	VUNPCKLPD  r3, r2, Y10; \
+	VUNPCKHPD  r3, r2, Y11; \
+	VPERM2F128 $0x20, Y10, Y8, r0; \
+	VPERM2F128 $0x20, Y11, Y9, r1; \
+	VPERM2F128 $0x31, Y10, Y8, r2; \
+	VPERM2F128 $0x31, Y11, Y9, r3
+
+// MADD4 adds the panel row Y8 times the broadcast b values of four columns
+// (at base, base+ldb, base+2·ldb, base+3·ldb) into a0..a3: VMULPD then
+// VADDPD, panel first in the product and accumulator first in the sum.
+#define MADD4(base, a0, a1, a2, a3) \
+	VBROADCASTSD (base), Y9; \
+	VBROADCASTSD (base)(R12*1), Y10; \
+	VBROADCASTSD (base)(R12*2), Y11; \
+	VBROADCASTSD (base)(R13*1), Y12; \
+	VMULPD       Y9, Y8, Y9; \
+	VMULPD       Y10, Y8, Y10; \
+	VMULPD       Y11, Y8, Y11; \
+	VMULPD       Y12, Y8, Y12; \
+	VADDPD       Y9, a0, a0; \
+	VADDPD       Y10, a1, a1; \
+	VADDPD       Y11, a2, a2; \
+	VADDPD       Y12, a3, a3
+
+// func matMulT4AVX(dst *float64, ldd int, ap, b *float64, ldb, kc, n4 int, cont bool)
+// One 4-row panel of MatMulT over a block of kc reductions: for every column
+// j < n4 (n4 a positive multiple of 4, kc > 0),
+//
+//	dst[r*ldd+j] = acc + Σ_{p<kc} ap[p*4+r] * b[j*ldb+p]   (r = 0..3, p in order)
+//
+// where ap is the panel packed k-major and acc is +0, or dst's own value when
+// cont is set (a later k block continues the chain). A lane is one of the
+// four rows; columns go eight at a time (eight independent chains hide the
+// add latency), then four.
+TEXT ·matMulT4AVX(SB), NOSPLIT, $0-57
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), AX
+	SHLQ $3, AX             // dst row stride in bytes
+	LEAQ (AX)(AX*2), DX     // three rows
+	MOVQ ap+16(FP), R11
+	MOVQ b+24(FP), R10      // first b row of the current column group
+	MOVQ ldb+32(FP), R12
+	SHLQ $3, R12            // b row stride in bytes
+	LEAQ (R12)(R12*2), R13  // three rows
+	MOVQ n4+48(FP), BX      // columns left
+
+cols8:
+	CMPQ BX, $8
+	JLT  cols4
+	CMPB cont+56(FP), $0
+	JNE  load8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP    run8
+
+load8:
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(AX*1), Y1
+	VMOVUPD (DI)(AX*2), Y2
+	VMOVUPD (DI)(DX*1), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+	VMOVUPD 32(DI), Y4
+	VMOVUPD 32(DI)(AX*1), Y5
+	VMOVUPD 32(DI)(AX*2), Y6
+	VMOVUPD 32(DI)(DX*1), Y7
+	TRANSPOSE4(Y4, Y5, Y6, Y7)
+
+run8:
+	MOVQ R11, SI
+	MOVQ R10, R8
+	LEAQ (R10)(R12*4), R9
+	MOVQ kc+40(FP), CX
+
+loop8:
+	VMOVUPD (SI), Y8
+	MADD4(R8, Y0, Y1, Y2, Y3)
+	MADD4(R9, Y4, Y5, Y6, Y7)
+	ADDQ    $32, SI
+	ADDQ    $8, R8
+	ADDQ    $8, R9
+	DECQ    CX
+	JNZ     loop8
+
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(AX*1)
+	VMOVUPD Y2, (DI)(AX*2)
+	VMOVUPD Y3, (DI)(DX*1)
+	TRANSPOSE4(Y4, Y5, Y6, Y7)
+	VMOVUPD Y4, 32(DI)
+	VMOVUPD Y5, 32(DI)(AX*1)
+	VMOVUPD Y6, 32(DI)(AX*2)
+	VMOVUPD Y7, 32(DI)(DX*1)
+	ADDQ    $64, DI
+	LEAQ    (R10)(R12*8), R10
+	SUBQ    $8, BX
+	JMP     cols8
+
+cols4:
+	CMPQ BX, $4
+	JLT  done
+	CMPB cont+56(FP), $0
+	JNE  load4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	JMP    run4
+
+load4:
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(AX*1), Y1
+	VMOVUPD (DI)(AX*2), Y2
+	VMOVUPD (DI)(DX*1), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+
+run4:
+	MOVQ R11, SI
+	MOVQ R10, R8
+	MOVQ kc+40(FP), CX
+
+loop4:
+	VMOVUPD (SI), Y8
+	MADD4(R8, Y0, Y1, Y2, Y3)
+	ADDQ    $32, SI
+	ADDQ    $8, R8
+	DECQ    CX
+	JNZ     loop4
+
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(AX*1)
+	VMOVUPD Y2, (DI)(AX*2)
+	VMOVUPD Y3, (DI)(DX*1)
+
+done:
+	VZEROUPPER
+	RET

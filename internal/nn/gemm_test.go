@@ -132,6 +132,54 @@ func TestAddBiasRowsAndColSum(t *testing.T) {
 	}
 }
 
+// TestReLUApplyRowsMatchesApply: the batched ReLU must agree with the scalar
+// one on the edges of the float range, NaN of either sign included — x86's
+// default NaN (0·Inf, Inf−Inf) has its sign bit set, and a sign-bit mask
+// that cleared it would turn a poisoned row into a finite one. A NaN keeps
+// its bits; zeros compare by value (applyRows writes −0 as +0, apply keeps
+// it), every other finite output by bits.
+func TestReLUApplyRowsMatchesApply(t *testing.T) {
+	negNaN := math.Float64frombits(0xfff8000000000000)
+	cases := []struct{ in, want float64 }{
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{1.5, 1.5},
+		{-1.5, 0},
+		{math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64},
+		{-math.SmallestNonzeroFloat64, 0},
+		{math.MaxFloat64, math.MaxFloat64},
+		{-math.MaxFloat64, 0},
+		{math.Inf(1), math.Inf(1)},
+		{math.Inf(-1), 0},
+		{math.NaN(), math.NaN()},
+		{negNaN, negNaN},
+		{math.Float64frombits(0xfff0000000000001), math.Float64frombits(0xfff0000000000001)},
+	}
+	for _, c := range cases {
+		rows, scalar := []float64{c.in}, []float64{c.in}
+		ReLU.applyRows(rows)
+		ReLU.apply(scalar)
+		got := rows[0]
+		if math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("applyRows(%v [%#x]) = %v [%#x], want %v [%#x]", c.in, math.Float64bits(c.in),
+				got, math.Float64bits(got), c.want, math.Float64bits(c.want))
+		}
+		if got != scalar[0] && !(math.IsNaN(got) && math.IsNaN(scalar[0])) {
+			t.Errorf("ReLU(%v [%#x]): applyRows %v, apply %v", c.in, math.Float64bits(c.in), got, scalar[0])
+		}
+	}
+	// The poisoned state end to end: (+Inf, −Inf) through all-ones weights is
+	// Inf−Inf, the negative default NaN, which both forwards must return.
+	m := NewMLP(simcore.NewRNG(1), []int{2, 1}, []Activation{ReLU})
+	m.Layers[0].W[0], m.Layers[0].W[1] = 1, 1
+	x := []float64{math.Inf(1), math.Inf(-1)}
+	one := m.ForwardInto(x, NewScratch(m))[0]
+	batch := m.ForwardBatchInto(x, 1, NewBatchScratch(m, 1))[0]
+	if !math.IsNaN(one) || !math.IsNaN(batch) {
+		t.Fatalf("ReLU net on (+Inf, -Inf): ForwardInto %v, ForwardBatchInto %v, want NaN from both", one, batch)
+	}
+}
+
 // TestBackwardBatchVariants checks the lean backward entry points against
 // the accumulating reference: BackwardBatchParams must match a zeroed
 // BackwardBatchInto within 1e-9 (its overwrite kernel pairs sample rows on

@@ -147,7 +147,8 @@ func NewScratch(m *MLP) *Scratch {
 
 // ForwardInto runs inference using s's buffers instead of allocating. The
 // returned slice aliases the scratch and is valid only until the next
-// ForwardInto call with the same Scratch.
+// ForwardInto call with the same Scratch. Its outputs equal ForwardTrace's
+// bit for bit.
 func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 	cur := x
 	useA := true
@@ -157,9 +158,28 @@ func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 			next = s.a[:l.Out]
 		}
 		useA = !useA
-		for o := 0; o < l.Out; o++ {
+		// Four outputs per pass are four independent chains, so the adds
+		// overlap instead of waiting on one another; each chain is still
+		// B[o] then += W[o][i]·x[i] in i order, ForwardTrace's sum.
+		in := l.In
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			r0 := l.W[o*in : (o+1)*in : (o+1)*in]
+			r1 := l.W[(o+1)*in : (o+2)*in : (o+2)*in]
+			r2 := l.W[(o+2)*in : (o+3)*in : (o+3)*in]
+			r3 := l.W[(o+3)*in : (o+4)*in : (o+4)*in]
+			s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+			for i, xi := range cur {
+				s0 += r0[i] * xi
+				s1 += r1[i] * xi
+				s2 += r2[i] * xi
+				s3 += r3[i] * xi
+			}
+			next[o], next[o+1], next[o+2], next[o+3] = s0, s1, s2, s3
+		}
+		for ; o < l.Out; o++ {
 			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
+			row := l.W[o*in : (o+1)*in]
 			for i, xi := range cur {
 				sum += row[i] * xi
 			}
@@ -234,29 +254,21 @@ func clearSlice(v []float64) {
 
 // Add accumulates o's gradients into g. The deterministic pairwise shard
 // reduction of the batched TD3 update is built on it; o must have been
-// allocated for the same network shape.
+// allocated for the same network shape. It runs on the axpy kernel: 1·x is
+// x exactly, so every element is g + o as a plain loop would add it.
 func (g *Grads) Add(o *Grads) {
 	for i := range g.W {
-		gw, ow := g.W[i], o.W[i]
-		for j := range gw {
-			gw[j] += ow[j]
-		}
-		gb, ob := g.B[i], o.B[i]
-		for j := range gb {
-			gb[j] += ob[j]
-		}
+		axpy(1, o.W[i], g.W[i])
+		axpy(1, o.B[i], g.B[i])
 	}
 }
 
-// Scale multiplies all gradients by s (e.g. 1/batchSize).
+// Scale multiplies all gradients by s (e.g. 1/batchSize), in place on the
+// axpySet kernel, which has no zero-scale early-out.
 func (g *Grads) Scale(s float64) {
 	for i := range g.W {
-		for j := range g.W[i] {
-			g.W[i][j] *= s
-		}
-		for j := range g.B[i] {
-			g.B[i][j] *= s
-		}
+		axpySet(s, g.W[i], g.W[i])
+		axpySet(s, g.B[i], g.B[i])
 	}
 }
 

@@ -1,28 +1,38 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/simcore"
 )
 
+// TestForwardIntoMatchesForward: ForwardInto runs four output chains at a
+// time, each in ForwardTrace's order, so the two agree bit for bit — on the
+// toy net and at the Table 2 actor widths (16-128-128-2), whose 128-wide
+// layers take the four-chain loop and whose 2-wide head the single-chain tail.
 func TestForwardIntoMatchesForward(t *testing.T) {
-	m := newTestMLP(11)
-	s := NewScratch(m)
-	xs := [][]float64{
-		{0.5, -1, 0.25},
-		{0, 0, 0},
-		{-2, 3, 0.125},
+	rng := simcore.NewRNG(12)
+	table2 := NewMLP(rng, []int{16, 128, 128, 2}, []Activation{ReLU, ReLU, Tanh})
+	cases := []struct {
+		m  *MLP
+		xs [][]float64
+	}{
+		{newTestMLP(11), [][]float64{{0.5, -1, 0.25}, {0, 0, 0}, {-2, 3, 0.125}}},
+		{table2, [][]float64{randMat(rng, 16), randMat(rng, 16), make([]float64, 16)}},
 	}
-	for _, x := range xs {
-		want := m.ForwardTrace(x).Output()
-		got := m.ForwardInto(x, s)
-		if len(got) != len(want) {
-			t.Fatalf("len %d vs %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("x=%v: ForwardInto=%v ForwardTrace=%v", x, got, want)
+	for _, c := range cases {
+		s := NewScratch(c.m)
+		for _, x := range c.xs {
+			want := c.m.ForwardTrace(x).Output()
+			got := c.m.ForwardInto(x, s)
+			if len(got) != len(want) {
+				t.Fatalf("len %d vs %d", len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("x=%v: ForwardInto=%v ForwardTrace=%v", x, got, want)
+				}
 			}
 		}
 	}

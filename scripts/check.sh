@@ -24,6 +24,16 @@ go vet -tags purego ./internal/nn ./internal/rl
 echo "== go build ./..."
 go build ./...
 
+echo "== no fused multiply-add in the nn assembly"
+# The vector kernels are bit-identical to their Go bodies because each lane
+# rounds the product and then the sum, as MULSD/ADDSD do; a fused
+# multiply-add rounds once and changes bits (DESIGN.md "Batched linear
+# algebra").
+if grep -n 'VFMADD\|VFMSUB\|VFNMADD\|VFNMSUB' internal/nn/*.s; then
+    echo "fused multiply-add in internal/nn assembly (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== one run path: attach sites and network builders"
 # Outside bench/ and tests, the checker, telemetry and the streaming observer
 # are attached to a network by the run pipeline alone, and only the topology
