@@ -182,6 +182,19 @@ func (l *apiLoader) load(path, dir string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A method's receiver names its own type; that is not a use of the type.
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						delete(info.Uses, id)
+					}
+					return true
+				})
+			}
+		}
+	}
 	l.pkgs[path] = pkg
 	l.infos = append(l.infos, info)
 	return pkg, nil

@@ -20,7 +20,8 @@ import (
 //	jury plot -fig fig12 -out fig12.svg
 //
 // It can also render a telemetry trace captured with any subcommand's
-// -trace-out flag: the sim-domain "interval" events become a per-flow
+// -trace-out flag: the sim-domain "sample" events (one per recorded series
+// point, written when each run finishes) become a per-flow
 // throughput-over-virtual-time chart:
 //
 //	jury sim -scheme cubic,jury -trace-out run.jsonl
@@ -34,7 +35,7 @@ func runPlot(args []string) error {
 	fs := flag.NewFlagSet("jury plot", flag.ExitOnError)
 	var (
 		fig   = fs.String("fig", "", "figure id: fig1a fig1b fig4 fig5 fig7a..fig7h fig8 fig11a fig11b fig12 fig13a fig13b")
-		trace = fs.String("trace", "", "plot a telemetry JSONL trace (sim interval events) instead of a figure")
+		trace = fs.String("trace", "", "plot a telemetry JSONL trace (sim sample events) instead of a figure")
 		out   = fs.String("out", "", "output SVG path (default <fig>.svg or trace.svg)")
 		seed  = fs.Uint64("seed", 1, "random seed")
 		full  = fs.Bool("full", false, "run at the paper's full scale")
@@ -73,7 +74,7 @@ func writeSVG(path string, chart *plot.Chart) error {
 }
 
 // traceLine is the subset of a telemetry JSONL line the trace plot needs
-// (sim-domain "interval" events; everything else is skipped).
+// (sim-domain "sample" events; everything else is skipped).
 type traceLine struct {
 	T      string  `json:"t"`
 	Domain string  `json:"domain"`
@@ -101,7 +102,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, lines, err)
 		}
-		if tl.T != "event" || tl.Domain != "sim" || tl.Name != "interval" {
+		if tl.T != "event" || tl.Domain != "sim" || tl.Name != "sample" {
 			continue
 		}
 		flows.add(tl.Flow, float64(tl.VTNS)/1e9, tl.ThrBps/1e6)
@@ -110,7 +111,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		return nil, err
 	}
 	if len(flows) == 0 {
-		return nil, fmt.Errorf("%s: no sim interval events (was the trace captured with -trace-out?)", path)
+		return nil, fmt.Errorf("%s: no sim sample events (was the trace captured with -trace-out?)", path)
 	}
 	return &plot.Chart{Title: "telemetry trace: " + path, XLabel: "virtual time (s)", YLabel: "throughput (Mbps)",
 		Series: flows.series()}, nil

@@ -22,6 +22,22 @@ type probeBomb struct{}
 
 func (probeBomb) Decide([]float64) (float64, float64) { panic("poisoned candidate") }
 
+// nonFiniteTrap wraps a policy and corrupts its μ output whenever the first
+// state value exceeds the trigger: it passes the health probe, then NaNs
+// under load.
+type nonFiniteTrap struct {
+	inner   Policy
+	trigger float64
+}
+
+func (p nonFiniteTrap) Decide(state []float64) (float64, float64) {
+	mu, delta := p.inner.Decide(state)
+	if len(state) > 0 && state[0] > p.trigger {
+		return math.NaN(), delta
+	}
+	return mu, delta
+}
+
 func testActor(t *testing.T, dim int) *core.NNPolicy {
 	t.Helper()
 	net := nn.NewMLP(simcore.NewRNG(7), []int{dim, 32, 32, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh})
@@ -92,7 +108,7 @@ func TestRuntimeNonFiniteRollsBack(t *testing.T) {
 	// The trap policy is finite on the canonical probe states (small values)
 	// but NaNs once the first state value exceeds the trigger — the failure
 	// mode a load-time health gate cannot catch.
-	trap := core.NonFiniteProbePolicy{Inner: constPolicy{0.3, 0.4}, Trigger: 100}
+	trap := nonFiniteTrap{inner: constPolicy{0.3, 0.4}, trigger: 100}
 	if _, err := srv.Swap(trap); err != nil {
 		t.Fatalf("trap policy failed the probe: %v", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/cc"
@@ -120,22 +119,4 @@ func checkActorWidths(path string, net *nn.MLP) error {
 		return fmt.Errorf("actor %s maps %d inputs to %d outputs; a Jury actor maps %d to 2 (μ, δ)", path, in, out, stateDim)
 	}
 	return nil
-}
-
-// NonFiniteProbePolicy wraps a policy and corrupts its μ output whenever the
-// first state value exceeds the trigger — a test hook for exercising the
-// daemon's non-finite rollback path with a policy that passes the health
-// probe. Exported because the chaos harness lives in another package.
-type NonFiniteProbePolicy struct {
-	Inner   Policy
-	Trigger float64
-}
-
-// Decide implements Policy.
-func (p NonFiniteProbePolicy) Decide(state []float64) (float64, float64) {
-	mu, delta := p.Inner.Decide(state)
-	if len(state) > 0 && state[0] > p.Trigger {
-		return math.NaN(), delta
-	}
-	return mu, delta
 }

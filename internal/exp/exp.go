@@ -34,9 +34,10 @@ import (
 
 // Telemetry, when set to a live hub by a binary's -telemetry/-trace-out/
 // -debug-addr flags, instruments every run of the pipeline: run lifecycle
-// counters and spans, plus a SimObserver attached to each run's network. A
-// nil hub (the default) keeps the harness on its uninstrumented fast path —
-// the pipeline does one nil check and nothing else.
+// counters and spans, live Jury decision-guard gauges, and each finished
+// run's sim totals (see foldSimTotals). A nil hub (the default) keeps the
+// harness on its uninstrumented fast path — the pipeline does one nil check
+// and nothing else.
 var Telemetry *telemetry.Hub
 
 // ForceCheck attaches a simcheck invariant checker to every run of the

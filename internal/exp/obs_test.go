@@ -127,6 +127,39 @@ func TestObsShardedDigestParity(t *testing.T) {
 	})
 }
 
+// TestObsHugeMeshSummaryPinned pins, as bits, the rate and RTT quantiles obs
+// streams on a 10,000-flow two-shard mesh. The values were recorded when obs
+// kept its own quantile sketch; they pin that the shared histogram it now
+// uses (telemetry.Histogram: per-shard accumulators merged at barriers, then
+// a nearest-rank walk) left every quantile bit-identical.
+func TestObsHugeMeshSummaryPinned(t *testing.T) {
+	withObs(t, obs.Options{}, func(*obs.Runtime) {
+		res, err := RunHuge(HugeOptions{TotalFlows: 10_000, Shards: 2, Seed: 1, Horizon: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Stream
+		if res.ShardCount != 2 || s.Samples != 38002 {
+			t.Fatalf("mesh ran on %d shards with %d samples, want 2 and 38002", res.ShardCount, s.Samples)
+		}
+		got := [6]uint64{}
+		for i, v := range []float64{s.RateP50, s.RateP95, s.RateP99, s.RTTP50, s.RTTP95, s.RTTP99} {
+			got[i] = math.Float64bits(v)
+		}
+		want := [6]uint64{
+			0x4123000000000000, // rate p50 622592 bps
+			0x4143000000000000, // rate p95 2.490368e6 bps
+			0x4157000000000000, // rate p99 6.029312e6 bps
+			0x3fa7000000000000, // RTT p50 0.044921875 s
+			0x3fa7000000000000, // RTT p95 0.044921875 s
+			0x3fc1000000000000, // RTT p99 0.1328125 s
+		}
+		if got != want {
+			t.Fatalf("rate/RTT p50/p95/p99 bits = %016x, want %016x", got, want)
+		}
+	})
+}
+
 // TestObsFlightRecorderOnFaults runs a fault-injected scenario and requires a
 // non-empty flight dump: injected losses must land in the ring as fault
 // events and the burst trigger must fire a JSONL dump on its own.

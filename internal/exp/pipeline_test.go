@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/cc/cubic"
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -148,7 +152,7 @@ func TestEveryRunGoesThroughThePipeline(t *testing.T) {
 				t.Errorf("exp_runs_finished_total = %d, want %d", got, tc.sims)
 			}
 			if hub.Registry.Counter("sim_packets_sent_total", "").Value() == 0 {
-				t.Error("telemetry's sim observer saw no packets")
+				t.Error("the pipeline added no sent packets to the sim counters")
 			}
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
@@ -218,5 +222,132 @@ func TestTableShapedJobPanicIsAnError(t *testing.T) {
 	})
 	if dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*-panic.jsonl")); len(dumps) == 0 {
 		t.Error("mid-run panic left no flight dump")
+	}
+}
+
+// countingTap counts, one callback at a time, the packet events the sim
+// counters total at run end. Shards fire taps concurrently, so it counts
+// atomically.
+type countingTap struct {
+	netsim.NopTap
+	sent, acked, lost, drops, faults, intervals, events atomic.Int64
+}
+
+func (c *countingTap) PacketSent(*netsim.Flow, int)                     { c.sent.Add(1) }
+func (c *countingTap) PacketAcked(*netsim.Flow, int, time.Duration)     { c.acked.Add(1) }
+func (c *countingTap) PacketLost(*netsim.Flow, int)                     { c.lost.Add(1) }
+func (c *countingTap) QueueDropped(*netsim.Link, int, bool)             { c.drops.Add(1) }
+func (c *countingTap) IntervalDelivered(*netsim.Flow, cc.IntervalStats) { c.intervals.Add(1) }
+func (c *countingTap) FaultInjected(*netsim.Link, *netsim.Flow, netsim.FaultKind, int) {
+	c.faults.Add(1)
+}
+
+// TestSimTotalsFoldMatchesTap runs a counting tap beside the pipeline and
+// checks the totals it folds into the sim counters at run end: sent, queue
+// drops, faults, intervals and engine events equal the per-packet counts
+// exactly, and acked and lost equal the flows' own stats — what running
+// senders were credited with, which leaves out the ACKs and losses a flow
+// meets after its Duration ends. The dumbbell's flows stop early under
+// every fault process; the mesh runs on two shards.
+func TestSimTotalsFoldMatchesTap(t *testing.T) {
+	defer func(prev bool) { ForceCheck = prev }(ForceCheck)
+	ForceCheck = false // the checker would take the tap slot and event hook
+	faulted := Scenario{
+		Name: "fold-faulted", Rate: 20e6, OneWayDelay: 15 * time.Millisecond, BufferBytes: 16 * 1500,
+		Horizon: 4 * time.Second, Seed: 3,
+		Faults: &faults.Config{
+			GE:          &faults.GEConfig{PGoodBad: 0.001, PBadGood: 0.3, LossBad: 1},
+			ReorderProb: 0.01, ReorderMaxDelay: 5 * time.Millisecond,
+			DupProb:    0.01,
+			JitterProb: 0.01, JitterMax: 5 * time.Millisecond,
+			Flap: &faults.FlapConfig{MeanUp: 2 * time.Second, MeanDown: 20 * time.Millisecond},
+		},
+		Flows: []FlowSpec{
+			{Scheme: "jury", Duration: 2500 * time.Millisecond},
+			{Scheme: "cubic", Start: 500 * time.Millisecond, Duration: 3 * time.Second},
+		},
+	}
+	for _, tc := range []struct {
+		name    string
+		horizon time.Duration
+		shards  int
+		build   func() (*netsim.Network, error)
+	}{
+		{"faulted-dumbbell", faulted.Horizon, 1, func() (*netsim.Network, error) { return buildDumbbell(faulted) }},
+		{"mesh-2-shards", 500 * time.Millisecond, 2, func() (*netsim.Network, error) {
+			n, _ := BuildHuge(HugeOptions{Segments: 4, TotalFlows: 2000, Rate: 200e6, Horizon: 500 * time.Millisecond, Seed: 5,
+				CC: func(seed uint64) cc.Algorithm { // every fourth flow interval-driven
+					if seed%4 == 0 {
+						return core.NewDefault(seed)
+					}
+					return cubic.New()
+				}})
+			return n, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub, err := telemetry.Setup(telemetry.Options{Enabled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hub.Close()
+			Telemetry = hub
+			defer func() { Telemetry = nil }()
+			tap := &countingTap{}
+			var stats netsim.FlowStats
+			var run *netsim.ShardRun
+			_, err = execute(job[struct{}]{
+				name: tc.name, horizon: tc.horizon, shards: tc.shards,
+				build: func() (*netsim.Network, error) {
+					n, err := tc.build()
+					if err == nil {
+						n.SetTap(tap)
+						n.Engine().SetEventHook(func(time.Duration, uint64) { tap.events.Add(1) })
+					}
+					return n, err
+				},
+				shape: func(n *netsim.Network, out outcome) struct{} {
+					run = out.run
+					for _, f := range n.Flows() {
+						st := f.Stats()
+						stats.AckedPackets += st.AckedPackets
+						stats.LostPackets += st.LostPackets
+					}
+					return struct{}{}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Partition.Shards != tc.shards {
+				t.Fatalf("ran on %d shards, want %d", run.Partition.Shards, tc.shards)
+			}
+			count := func(name string) int64 { return hub.Registry.Counter(name, "").Value() }
+			for _, c := range []struct {
+				name      string
+				fold, ref int64
+			}{
+				{"sim_packets_sent_total", count("sim_packets_sent_total"), tap.sent.Load()},
+				{"sim_queue_drops_total", count("sim_queue_drops_total"), tap.drops.Load()},
+				{"sim_faults_injected_total", count("sim_faults_injected_total"), tap.faults.Load()},
+				{"sim_intervals_total", count("sim_intervals_total"), tap.intervals.Load()},
+				{"sim_engine_events_total", count("sim_engine_events_total"), tap.events.Load()},
+				{"sim_packets_acked_total", count("sim_packets_acked_total"), stats.AckedPackets},
+				{"sim_packets_lost_total", count("sim_packets_lost_total"), stats.LostPackets},
+				{"sim_barrier_rounds_total", count("sim_barrier_rounds_total"), run.BarrierRounds},
+			} {
+				if c.fold != c.ref {
+					t.Errorf("%s = %d, want %d", c.name, c.fold, c.ref)
+				}
+			}
+			if tap.drops.Load() == 0 || tap.intervals.Load() == 0 || tap.lost.Load() == 0 {
+				t.Errorf("scenario too tame: %d queue drops, %d intervals, %d losses",
+					tap.drops.Load(), tap.intervals.Load(), tap.lost.Load())
+			}
+			if tc.shards == 1 && (tap.faults.Load() == 0 || tap.acked.Load() <= stats.AckedPackets) {
+				t.Errorf("%d faults, and the tap saw %d acks to the flows' %d: want faults and ACKs after a flow stops",
+					tap.faults.Load(), tap.acked.Load(), stats.AckedPackets)
+			}
+		})
 	}
 }

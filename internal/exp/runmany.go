@@ -102,7 +102,7 @@ func RunMany(jobs []Scenario) ([]*RunResult, error) {
 		r, err := runSafe(jobs[i])
 		if _, panicked := err.(*PanicError); panicked {
 			if hub.Enabled() {
-				hub.Registry.Counter("exp_panic_retries_total", "scenario runs retried after a panic").Inc()
+				hub.Registry.Counter("exp_panic_retries_total", "").Inc()
 				hub.Event("exp", "panic_retry", 0, telemetry.Str("scenario", jobs[i].Name))
 			}
 			r, err = runSafe(jobs[i])

@@ -241,6 +241,16 @@ func (f *Flow) Now() time.Duration { return f.eng.Now() }
 // Series returns the recorded time series.
 func (f *Flow) Series() []SeriesPoint { return f.series }
 
+// Intervals reports how many control intervals the flow has delivered to
+// its controller, including any that completed after the flow stopped (0
+// for a scheme that is not interval-driven).
+func (f *Flow) Intervals() int64 {
+	if f.tracker == nil {
+		return 0
+	}
+	return f.tracker.next
+}
+
 // Shard reports which shard the flow runs on (0 in sequential runs). Tap
 // callbacks fired by this flow use it to index per-shard observer state
 // without cross-shard races.

@@ -200,8 +200,8 @@ func (n *Network) installWindowHook() {
 }
 
 // teeTap fans every Tap callback out to two observers in order. It exists
-// so the invariant checker (internal/simcheck) and the telemetry layer can
-// observe the same run through the single tap slot.
+// so the invariant checker (internal/simcheck) and the streaming observer
+// (internal/obs) can observe the same run through the single tap slot.
 type teeTap struct{ a, b Tap }
 
 func (t teeTap) PacketSent(f *Flow, bytes int) { t.a.PacketSent(f, bytes); t.b.PacketSent(f, bytes) }

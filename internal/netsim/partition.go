@@ -248,7 +248,7 @@ type ShardRun struct {
 // synchronization overhead. With more, links and flows are pinned to
 // per-shard engines and advanced in conservative lock-step windows by a
 // simcore.Coordinator; the network's primary engine becomes shard 0, so
-// observers attached to it (simcheck, telemetry) see the merged
+// an observer attached to it (the simcheck checker) sees the merged
 // time-ordered event stream of all shards.
 //
 // Determinism: a sharded run is bit-reproducible for a given shard count,
@@ -259,8 +259,7 @@ type ShardRun struct {
 // packet.lossDelay).
 //
 // Taps fire concurrently from different shards in a sharded run; the taps
-// in this repository (simcheck's checker, telemetry's observer) are
-// shard-safe.
+// in this repository (simcheck's checker, obs's observer) are shard-safe.
 func (n *Network) RunSharded(horizon time.Duration, maxShards int) (*ShardRun, error) {
 	p, err := n.Partition(maxShards)
 	if err != nil {

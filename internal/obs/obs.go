@@ -4,8 +4,8 @@
 //
 //   - per-shard mergeable accumulators — an exact-instant group table
 //     (count/sum/sum-of-squares per recording instant, for windowed Jain
-//     over throughput) plus log-bucketed quantile sketches for per-flow rate
-//     and RTT — updated with zero allocations on the hot path;
+//     over throughput) plus log-bucketed histograms (telemetry.Histogram)
+//     for per-flow rate and RTT — updated with zero allocations on the hot path;
 //   - a merge at each due coordinator barrier (or, sequentially, at the
 //     first event past each window boundary), emitting a FairnessSnapshot
 //     series in virtual time: windowed and cumulative Jain, p50/p95/p99
@@ -26,9 +26,11 @@ package obs
 
 import (
 	"time"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // Options configures a Runtime.
@@ -79,7 +81,7 @@ func (rt *Runtime) State() *State {
 
 // FairnessSnapshot is one emitted point of the streaming fairness series.
 // Jain indices follow metrics.TimewiseJain's conventions; percentiles come
-// from the cumulative sketches (the distribution of all samples up to T).
+// from the cumulative histograms (the distribution of all samples up to T).
 type FairnessSnapshot struct {
 	T             time.Duration `json:"t_ns"`
 	WindowJain    float64       `json:"window_jain"` // mean instant Jain within this window (1 if no multi-flow instant)
@@ -211,8 +213,8 @@ type shardAcc struct {
 	drops   int64
 	faults  int64
 	groups  groupTable
-	rate    sketch
-	rtt     sketch
+	rate    telemetry.Histogram
+	rtt     telemetry.Histogram
 }
 
 // Observer instruments one run. Create it with Runtime.Attach before the
@@ -238,13 +240,13 @@ type Observer struct {
 	minWindowJain float64
 	snaps         []FairnessSnapshot
 	scratch       []instGroup
-	mergedRate    sketch
-	mergedRTT     sketch
+	mergedRate    telemetry.Histogram
+	mergedRTT     telemetry.Histogram
 	finished      bool
 }
 
-// Attach instruments n, chaining any previously installed tap (simcheck,
-// telemetry) and claiming the network's window hook. shards must be at
+// Attach instruments n, chaining any previously installed tap (the simcheck
+// checker) and claiming the network's window hook. shards must be at
 // least the shard count the run will use (exp passes the requested
 // max-shards; netsim.Flow.Shard always stays below it).
 func (rt *Runtime) Attach(n *netsim.Network, shards int) *Observer {
@@ -354,13 +356,13 @@ func (o *Observer) flush(bound time.Duration) {
 	if instants > 0 && windowJain < o.minWindowJain {
 		o.minWindowJain = windowJain
 	}
-	// Cumulative sketches: merge fresh each flush (cheap: shards × ~1000
+	// Cumulative histograms: merge fresh each flush (cheap: shards × ~1000
 	// buckets), so per-shard observes stay uncoordinated.
-	o.mergedRate.reset()
-	o.mergedRTT.reset()
+	o.mergedRate = telemetry.Histogram{}
+	o.mergedRTT = telemetry.Histogram{}
 	for i := range o.shards {
-		o.mergedRate.merge(&o.shards[i].rate)
-		o.mergedRTT.merge(&o.shards[i].rtt)
+		o.mergedRate.Merge(&o.shards[i].rate)
+		o.mergedRTT.Merge(&o.shards[i].rtt)
 	}
 	degraded := o.sumDegraded()
 	snap := FairnessSnapshot{
@@ -370,12 +372,12 @@ func (o *Observer) flush(bound time.Duration) {
 		Instants:      instants,
 		CumInstants:   o.cumInstants,
 		Samples:       samples,
-		RateP50:       o.mergedRate.quantile(0.50),
-		RateP95:       o.mergedRate.quantile(0.95),
-		RateP99:       o.mergedRate.quantile(0.99),
-		RTTP50:        o.mergedRTT.quantile(0.50),
-		RTTP95:        o.mergedRTT.quantile(0.95),
-		RTTP99:        o.mergedRTT.quantile(0.99),
+		RateP50:       o.mergedRate.Quantile(0.50),
+		RateP95:       o.mergedRate.Quantile(0.95),
+		RateP99:       o.mergedRate.Quantile(0.99),
+		RTTP50:        o.mergedRTT.Quantile(0.50),
+		RTTP95:        o.mergedRTT.Quantile(0.95),
+		RTTP99:        o.mergedRTT.Quantile(0.99),
 		Drops:         drops,
 		Faults:        faults,
 		Degraded:      degraded,
@@ -491,7 +493,7 @@ func (o *Observer) FootprintBytes() int64 {
 	if o == nil {
 		return 0
 	}
-	perShard := int64(groupSlots*32 + 2*(sketchBuckets+2)*8 + 64)
+	perShard := int64(unsafe.Sizeof(shardAcc{}))
 	flight := int64(0)
 	if o.rec != nil && len(o.rec.rings) > 0 {
 		flight = int64(len(o.rec.rings)) * int64(len(o.rec.rings[0].e)) * 96
@@ -503,14 +505,14 @@ func (o *Observer) FootprintBytes() int64 {
 
 // SampleRecorded is the streaming seam: one recorded per-flow sample folds
 // into the owning shard's instant group (windowed Jain) and rate/RTT
-// sketches. Zero allocations.
+// histograms. Zero allocations.
 func (o *Observer) SampleRecorded(f *netsim.Flow, p netsim.SeriesPoint) {
 	s := &o.shards[f.Shard()]
 	s.samples++
 	s.groups.add(int64(p.T), p.ThroughputBps)
-	s.rate.observe(p.ThroughputBps)
+	s.rate.Observe(p.ThroughputBps)
 	if p.AvgRTT > 0 {
-		s.rtt.observe(p.AvgRTT.Seconds())
+		s.rtt.Observe(p.AvgRTT.Seconds())
 	}
 }
 

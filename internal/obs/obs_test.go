@@ -3,8 +3,10 @@ package obs
 import (
 	"bufio"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/cc/reno"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // buildDumbbell builds a 2-flow single-bottleneck network.
@@ -237,5 +240,81 @@ func TestStatePublishAndRecent(t *testing.T) {
 	}
 	if recent[0].T != time.Duration(11) {
 		t.Errorf("oldest retained %v, want 11", recent[0].T)
+	}
+}
+
+// The TestSketch* cases pin the quantile contract obs relies on for its
+// rate and RTT panels, on the histogram the accumulators use
+// (telemetry.Histogram).
+
+// TestSketchQuantileAccuracy pins the relative error bound of the
+// log-bucketed histogram against exact nearest-rank quantiles over a
+// log-uniform sample.
+func TestSketchQuantileAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h telemetry.Histogram
+	xs := make([]float64, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		v := math.Pow(10, rng.Float64()*8-2) // 1e-2 .. 1e6
+		xs = append(xs, v)
+		h.Observe(v)
+	}
+	sort.Float64s(xs)
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.95, 0.99} {
+		exact := xs[int(q*float64(len(xs)-1))]
+		got := h.Quantile(q)
+		if rel := math.Abs(got-exact) / exact; rel > 0.07 {
+			t.Errorf("q=%v: histogram %v vs exact %v (rel err %.3f > 0.07)", q, got, exact, rel)
+		}
+	}
+}
+
+// TestSketchZeroAndClamp covers the zero bucket and out-of-range clamping.
+func TestSketchZeroAndClamp(t *testing.T) {
+	var h telemetry.Histogram
+	for _, v := range []float64{0, -1, math.NaN()} {
+		h.Observe(v)
+	}
+	if h.Count() != 3 || h.Sum() != 0 {
+		t.Fatalf("count %d / sum %v after three zero-bucket samples, want 3/0", h.Count(), h.Sum())
+	}
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("all-zero median %v, want 0", got)
+	}
+	h.Observe(1e300) // above range: clamps into the top bucket, no panic
+	h.Observe(1e-300)
+	if got := h.Quantile(1); got <= 0 {
+		t.Errorf("max quantile %v after clamped observe", got)
+	}
+}
+
+// TestSketchMerge checks merge equals observing the union.
+func TestSketchMerge(t *testing.T) {
+	var a, b, u telemetry.Histogram
+	for i := 0; i <= 1000; i++ {
+		v := float64(i)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+		u.Observe(v)
+	}
+	a.Merge(&b)
+	if a.Count() != u.Count() || a.Sum() != u.Sum() {
+		t.Fatalf("merged count=%d sum=%v, want %d/%v", a.Count(), a.Sum(), u.Count(), u.Sum())
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.99} {
+		if got, want := a.Quantile(q), u.Quantile(q); got != want {
+			t.Errorf("q=%v: merged %v != union %v", q, got, want)
+		}
+	}
+}
+
+// TestSketchObserveAllocs pins the zero-allocation hot path.
+func TestSketchObserveAllocs(t *testing.T) {
+	var h telemetry.Histogram
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(123.4) }); allocs != 0 {
+		t.Errorf("Observe allocates %.1f per op", allocs)
 	}
 }

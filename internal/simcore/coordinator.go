@@ -193,9 +193,9 @@ type Coordinator struct {
 
 	// merged is the event hook stolen from the primary engine (shard 0) at
 	// construction: the coordinator feeds it the k-way time-ordered merge of
-	// every shard's window stream, so observers attached to the primary
-	// engine (the simcheck checker, telemetry) see one globally ordered
-	// event stream exactly as they would in a sequential run.
+	// every shard's window stream, so an observer attached to the primary
+	// engine (the simcheck checker) sees one globally ordered
+	// event stream exactly as it would in a sequential run.
 	merged func(at time.Duration, seq uint64)
 
 	bar    barrier

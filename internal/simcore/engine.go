@@ -294,9 +294,9 @@ func (e *Engine) InjectArg(at, schedAt time.Duration, fn func(any), arg any) Tim
 // SetEventHook registers fn to observe every executed event. The hook runs
 // on the simulation goroutine immediately before each event's callback, with
 // the event's firing time and global sequence number. A nil fn detaches the
-// hook. At most one hook is registered at a time; observers that need to
-// stack (internal/simcheck plus internal/telemetry) read the current hook
-// with EventHook and chain it inside their own.
+// hook. At most one hook is registered at a time; an observer that needs to
+// stack on another reads the current hook with EventHook and chains it
+// inside its own.
 func (e *Engine) SetEventHook(fn func(at time.Duration, seq uint64)) {
 	e.eventHook = fn
 }

@@ -68,53 +68,38 @@ type nopCloser struct{ w *os.File }
 
 func (n nopCloser) Write(p []byte) (int, error) { return n.w.Write(p) }
 
-// preRegister creates the core metric families of all three runtime domains
+// preRegister creates the core metric families of all four runtime domains
 // up front, so the exposition page always shows the full schema (zeros
 // included) even before — or without — the corresponding subsystem running.
+// Each family's help text is written once: here for the sim and exp
+// families, which internal/exp looks up by name with an empty help string,
+// and in the train and rpc constructors this calls.
 func (h *Hub) preRegister() {
 	r := h.Registry
-	// sim domain
+	// sim domain: the run pipeline adds each finished run's totals.
 	r.Counter("sim_packets_sent_total", "packets transmitted by all flows")
-	r.Counter("sim_packets_acked_total", "acknowledgments delivered to senders")
-	r.Counter("sim_packets_lost_total", "sender-detected packet losses")
+	r.Counter("sim_packets_acked_total", "acknowledgments credited to running senders (not those arriving after a flow stopped)")
+	r.Counter("sim_packets_lost_total", "packet losses detected by running senders")
 	r.Counter("sim_queue_drops_total", "packets discarded by link queues (overflow + random)")
 	r.Counter("sim_faults_injected_total", "fault-injector actions on packets")
 	r.Counter("sim_intervals_total", "interval statistics delivered to controllers")
-	r.Counter("sim_engine_events_total", "discrete events executed by instrumented engines")
-	r.Histogram("sim_ack_rtt_seconds", "per-ACK round-trip time", ExpBuckets(1e-3, 2, 14))
-	r.Gauge("sim_virtual_time_seconds", "virtual clock of the most recently attached network")
-	// train domain
-	r.Gauge("train_epoch", "last completed training epoch")
-	r.Gauge("train_mean_reward", "mean per-step reward of the last epoch")
-	r.Gauge("train_td_error", "mean TD error of the last epoch's final update")
-	r.Gauge("train_replay_occupancy", "transitions resident in the replay buffer")
-	r.Gauge("train_skipped_updates", "optimizer steps skipped on non-finite gradients")
-	r.Counter("train_epochs_total", "training epochs completed")
-	r.Histogram("train_update_phase_seconds", "wall time of each epoch's TD3 update phase", ExpBuckets(1e-3, 2, 16))
-	r.Histogram("train_checkpoint_seconds", "wall time of atomic checkpoint writes", ExpBuckets(1e-4, 2, 14))
-	// rpc domain
-	r.Counter("rpc_remote_decisions_total", "policy decisions answered by the inference service")
-	r.Counter("rpc_fallback_decisions_total", "policy decisions served by the local fallback")
-	r.Histogram("rpc_decide_seconds", "client-observed decision round-trip latency", ExpBuckets(1e-5, 2, 16))
-	r.Gauge("rpc_server_decisions", "requests served by the local inference server")
-	r.Gauge("rpc_server_panics", "connections dropped by a panicking policy")
-	r.Gauge("rpc_server_batches", "policy executions (batched or single) run by the daemon")
-	r.Gauge("rpc_server_batched_requests", "requests that entered batch execution")
-	r.Gauge("rpc_server_shed", "requests shed with BUSY by admission control")
-	r.Gauge("rpc_server_nonfinite", "decisions suppressed by the non-finite output guard")
-	r.Gauge("rpc_server_swaps", "successful policy hot-swaps")
-	r.Gauge("rpc_server_rollbacks", "automatic policy-version rollbacks")
-	r.Gauge("rpc_server_timeouts", "requests that outlived the serving deadline")
-	r.Gauge("rpc_server_write_drops", "connections dropped by the response write deadline")
-	r.Gauge("rpc_server_queue_depth", "admitted requests awaiting batch execution")
-	r.Gauge("rpc_server_active_conns", "currently served connections")
-	r.Gauge("rpc_server_policy_version", "id of the serving policy version")
+	r.Counter("sim_engine_events_total", "discrete events executed across all shards")
+	r.Counter("sim_barrier_rounds_total", "barrier episodes across sharded runs")
+	r.Counter("sim_fused_windows_total", "windows that skipped the exchange phase across sharded runs")
+	r.Gauge("sim_shards", "shard count of the most recently finished run")
+	r.Gauge("sim_virtual_time_seconds", "virtual horizon of the most recently finished run")
+	// train and rpc domains
+	h.Training()
+	h.RPCClientHook()
+	for _, g := range rpcServerGauges {
+		r.Gauge(g.name, g.help)
+	}
 	// exp domain
 	r.Counter("exp_runs_started_total", "scenario runs started")
 	r.Counter("exp_runs_finished_total", "scenario runs finished successfully")
 	r.Counter("exp_runs_failed_total", "scenario runs that returned an error")
 	r.Counter("exp_panic_retries_total", "scenario runs retried after a panic")
-	r.Histogram("exp_run_seconds", "wall time of one scenario run", ExpBuckets(1e-3, 2, 18))
+	r.Histogram("exp_run_seconds", "wall time of one scenario run")
 }
 
 // Enabled reports whether the hub is live.

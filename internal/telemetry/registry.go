@@ -1,5 +1,5 @@
 // Package telemetry is the repository's zero-dependency observability
-// layer: a metric registry (atomic counters, gauges, fixed-bucket
+// layer: a metric registry (atomic counters, gauges, log-bucketed
 // histograms) with Prometheus-text and JSON exposition, lightweight tracing
 // spans that carry both wall-clock and simcore virtual time, structured
 // JSONL event logs for the sim/training/experiment domains, and a live
@@ -7,8 +7,9 @@
 //
 // The layer is nil-by-default: every instrument and every hub method is a
 // safe no-op on a nil receiver, so instrumented code pays one nil check —
-// and zero allocations — when telemetry is disabled. Telemetry only ever
-// *observes* a simulation (no RNG draws, no event-queue writes), so a
+// and zero allocations — when telemetry is disabled. Telemetry imports no
+// domain package and attaches nothing to a simulation: the run pipeline
+// (internal/exp) adds each finished run's totals to the sim counters, so a
 // deterministic run produces a bit-identical simcheck digest with telemetry
 // on or off; TestTelemetryDigestParity pins that guarantee.
 package telemetry
@@ -16,7 +17,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,30 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// ErrBadBuckets reports a histogram bucket slice that cannot define a valid
-// partition: empty, not strictly increasing, or containing NaN. Observe
-// depends on a strictly increasing bound slice (it binary-searches it), so a
-// bad slice would silently misbucket every sample; construction rejects it
-// instead.
-var ErrBadBuckets = errors.New("telemetry: histogram buckets must be non-empty, finite-or-+Inf-free of NaN, and strictly increasing")
-
-// validateBuckets returns ErrBadBuckets (wrapped with the offending detail)
-// unless bounds is non-empty, NaN-free, and strictly increasing.
-func validateBuckets(bounds []float64) error {
-	if len(bounds) == 0 {
-		return fmt.Errorf("%w: empty slice", ErrBadBuckets)
-	}
-	for i, b := range bounds {
-		if math.IsNaN(b) {
-			return fmt.Errorf("%w: NaN at index %d", ErrBadBuckets, i)
-		}
-		if i > 0 && bounds[i-1] >= b {
-			return fmt.Errorf("%w: bounds[%d]=%v not above bounds[%d]=%v", ErrBadBuckets, i, b, i-1, bounds[i-1])
-		}
-	}
-	return nil
-}
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // usable; a nil Counter is a no-op.
@@ -102,35 +78,102 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram (cumulative exposition, like
-// Prometheus): bounds are inclusive upper bucket limits, with an implicit
-// +Inf bucket at the end. A nil Histogram is a no-op. Observe is lock-free
-// and allocation-free.
+// Histogram is a log-bucketed histogram: a fixed array of buckets over
+// positive float64 samples whose index is carved straight out of the
+// sample's bit pattern (biased exponent plus the top histSubBits mantissa
+// bits), so Observe is a shift, a mask and an atomic increment — no search,
+// no allocation. With 8 sub-buckets per octave a quantile is within half a
+// bucket width (≤ ~6 %) of the exact one, and the layout needs no bounds
+// from its caller. The covered range is 2^-60 .. 2^+60 (≈1e-18 .. 1e18);
+// samples outside it clamp into the edge buckets, and zero, negative and NaN
+// samples count into a zero bucket (and add nothing to the sum). Counts are
+// atomic, so a registry histogram takes concurrent Observe calls; two
+// histograms merge by adding their arrays, which is how obs folds its
+// per-shard accumulators. A nil Histogram is a no-op.
 type Histogram struct {
-	bounds []float64 // strictly increasing upper bounds
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits
-	name   string
-	help   string
+	count   atomic.Int64  // all samples, including the zero bucket
+	zero    atomic.Int64  // samples ≤ 0 or NaN
+	sum     atomic.Uint64 // float64 bits of the sum of positive samples
+	buckets [histBuckets]atomic.Int64
+	name    string
+	help    string
 }
 
-// Observe records one sample.
+const (
+	histSubBits = 3                          // mantissa bits per bucket
+	histSub     = 1 << histSubBits           // sub-buckets per octave
+	histSpan    = 60                         // octaves on each side of 1.0
+	histBuckets = (2*histSpan + 1) * histSub // total array size
+	histMinExp  = 1023 - histSpan            // lowest biased exponent covered
+)
+
+// Observe records one sample. The bucket is counted before the total, so a
+// concurrent reader never sees a count its buckets cannot account for.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// First bucket whose upper bound is >= v; len(bounds) is the +Inf slot.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	if v > 0 {
+		idx := int(math.Float64bits(v)>>(52-histSubBits)) - histMinExp*histSub
+		h.buckets[min(max(idx, 0), histBuckets-1)].Add(1)
+		h.addSum(v)
+	} else { // 0, negatives and NaN
+		h.zero.Add(1)
+	}
 	h.count.Add(1)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
+}
+
+// Merge adds other's samples to h.
+func (h *Histogram) Merge(other *Histogram) {
+	h.zero.Add(other.zero.Load())
+	for i := range h.buckets {
+		if c := other.buckets[i].Load(); c != 0 {
+			h.buckets[i].Add(c)
+		}
+	}
+	h.count.Add(other.count.Load())
+	h.addSum(other.Sum())
+}
+
+// bucketEdges returns the lower and upper edge of bucket idx.
+func bucketEdges(idx int) (lo, hi float64) {
+	exp := idx/histSub + histMinExp - 1023
+	sub := float64(idx % histSub)
+	return math.Ldexp(1+sub/histSub, exp), math.Ldexp(1+(sub+1)/histSub, exp)
+}
+
+// Quantile returns the q-th quantile (0..1) by a nearest-rank walk: the
+// midpoint of the bucket holding the sample of rank ⌊q·(n−1)⌋, 0 when that
+// sample is in the zero bucket or the histogram is empty.
+func (h *Histogram) Quantile(q float64) float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	q = math.Max(0, math.Min(1, q))
+	rank := int64(q * float64(n-1))
+	cum := h.zero.Load()
+	if rank < cum {
+		return 0
+	}
+	idx := histBuckets - 1
+	for i := range h.buckets {
+		if cum += h.buckets[i].Load(); rank < cum {
+			idx = i
+			break
+		}
+	}
+	lo, hi := bucketEdges(idx)
+	return (lo + hi) / 2
 }
 
 // Count returns the total number of observations (0 for nil).
@@ -141,7 +184,7 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values (0 for nil).
+// Sum returns the sum of all positive observed values (0 for nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
@@ -149,16 +192,18 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// ExpBuckets returns n strictly increasing bucket bounds starting at start
-// and growing by factor — the usual latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	bs := make([]float64, n)
-	v := start
-	for i := range bs {
-		bs[i] = v
-		v *= factor
+// nonEmpty calls fn with the upper edge and count of every non-empty bucket
+// in increasing order, the zero bucket (edge 0) first.
+func (h *Histogram) nonEmpty(fn func(le float64, n int64)) {
+	if z := h.zero.Load(); z != 0 {
+		fn(0, z)
 	}
-	return bs
+	for i := range h.buckets {
+		if c := h.buckets[i].Load(); c != 0 {
+			_, hi := bucketEdges(i)
+			fn(hi, c)
+		}
+	}
 }
 
 // gaugeFunc is a read-on-exposition gauge backed by a callback, used to
@@ -207,8 +252,17 @@ func NewRegistry() *Registry {
 	}
 }
 
-func (r *Registry) addName(name string) {
+// getOrCreate returns m[name], making and registering it on first use.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok := m[name]; ok {
+		return v
+	}
+	v := mk()
+	m[name] = v
 	r.names = append(r.names, name)
+	return v
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -217,15 +271,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counts[name]; ok {
-		return c
-	}
-	c := &Counter{name: name, help: help}
-	r.counts[name] = c
-	r.addName(name)
-	return c
+	return getOrCreate(r, r.counts, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -233,15 +279,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	r.addName(name)
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
 // GaugeFunc registers (or re-points) a callback-backed gauge. Re-pointing is
@@ -263,7 +301,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 		if _, shadowed := r.gauges[name]; shadowed {
 			delete(r.gauges, name)
 		} else {
-			r.addName(name)
+			r.names = append(r.names, name)
 		}
 	}
 	r.mu.Unlock()
@@ -272,45 +310,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	g.mu.Unlock()
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket bounds on first use (bounds are ignored on reuse). It
-// panics on invalid bounds — histogram schemas are compile-time constants in
-// this repository, so a bad slice is a programming error; callers taking
-// bounds from config should use TryHistogram.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h, err := r.TryHistogram(name, help, bounds)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// TryHistogram is Histogram returning ErrBadBuckets (wrapped) instead of
-// panicking when bounds is empty, unsorted, or contains NaN. Validation
-// happens at construction only: on reuse, bounds are ignored (passing nil
-// to look up an existing histogram is the read-path idiom), and on a nil
-// registry the disabled no-op contract wins — nil instrument, no error.
-func (r *Registry) TryHistogram(name, help string, bounds []float64) (*Histogram, error) {
+// Histogram returns the histogram registered under name, creating it on
+// first use.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	if r == nil {
-		return nil, nil
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h, nil
-	}
-	if err := validateBuckets(bounds); err != nil {
-		return nil, err
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-		name:   name,
-		help:   help,
-	}
-	r.hists[name] = h
-	r.addName(name)
-	return h, nil
+	return getOrCreate(r, r.hists, name, func() *Histogram { return &Histogram{name: name, help: help} })
 }
 
 // snapshot returns the registered names in sorted order plus the lookup
@@ -360,12 +366,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case h != nil:
 			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s histogram\n", name, h.help, name)
 			var cum int64
-			for i, b := range h.bounds {
-				cum += h.counts[i].Load()
-				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, fmtFloat(b), cum)
-			}
-			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
-			fmt.Fprintf(bw, "%s_sum %s\n%s_count %d\n", name, fmtFloat(h.Sum()), name, h.Count())
+			h.nonEmpty(func(le float64, n int64) {
+				cum += n
+				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, fmtFloat(le), cum)
+			})
+			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+			fmt.Fprintf(bw, "%s_sum %s\n%s_count %d\n", name, fmtFloat(h.Sum()), name, cum)
 		}
 	}
 	return bw.Flush()
@@ -375,8 +381,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 type histJSON struct {
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
-	Bounds  []float64 `json:"bounds"`
-	Buckets []int64   `json:"buckets"` // non-cumulative; last entry is +Inf
+	Bounds  []float64 `json:"bounds"`  // upper edges of the non-empty buckets
+	Buckets []int64   `json:"buckets"` // their non-cumulative counts
 }
 
 // WriteJSON renders every instrument as one JSON object keyed by metric
@@ -399,10 +405,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			case gf != nil:
 				out[name] = gf.value()
 			case h != nil:
-				hj := histJSON{Count: h.Count(), Sum: h.Sum(), Bounds: h.bounds}
-				for i := range h.counts {
-					hj.Buckets = append(hj.Buckets, h.counts[i].Load())
-				}
+				hj := histJSON{Count: h.Count(), Sum: h.Sum()}
+				h.nonEmpty(func(le float64, n int64) {
+					hj.Bounds = append(hj.Bounds, le)
+					hj.Buckets = append(hj.Buckets, n)
+				})
 				out[name] = hj
 			}
 		}

@@ -1,81 +1,42 @@
 package telemetry
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// TestHistogramBucketValidation pins the construction-time rejection of
-// bucket slices Observe cannot binary-search: empty, unsorted, duplicated,
-// and NaN-bearing slices all fail with ErrBadBuckets; a valid slice is
-// copied (caller mutation cannot corrupt the histogram).
-func TestHistogramBucketValidation(t *testing.T) {
-	r := NewRegistry()
-	bad := [][]float64{
-		nil,
-		{},
-		{2, 1},               // unsorted
-		{1, 1},               // duplicate
-		{1, 2, 2, 3},         // duplicate mid-slice
-		{1, math.NaN()},      // NaN
-		{math.NaN()},         // lone NaN
-		{3, 2, 1},            // descending
-		{1, 2, math.Inf(-1)}, // -Inf after finite
-	}
-	for i, bs := range bad {
-		if _, err := r.TryHistogram(fmt.Sprintf("h_bad_%d", i), "", bs); !errors.Is(err, ErrBadBuckets) {
-			t.Errorf("buckets %v: err = %v, want ErrBadBuckets", bs, err)
-		}
-	}
-	// Valid boundary shapes: single bucket, +Inf as last bound, negatives.
-	for i, bs := range [][]float64{
-		{1},
-		{-5, 0, 5},
-		{1, math.Inf(1)},
-	} {
-		h, err := r.TryHistogram(fmt.Sprintf("h_ok_%d", i), "", bs)
-		if err != nil || h == nil {
-			t.Fatalf("valid buckets %v rejected: %v", bs, err)
-		}
-	}
-	// Histogram (the panicking variant) must reject too.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Histogram with empty buckets did not panic")
-			}
-		}()
-		r.Histogram("h_panic", "", nil)
-	}()
-	// The copied-bounds guarantee: mutate the input after construction.
-	in := []float64{1, 2, 3}
-	h := r.Histogram("h_copy", "", in)
-	in[0] = 99
-	h.Observe(1.5)
-	if got := h.counts[1].Load(); got != 1 {
-		t.Errorf("sample landed in bucket counts[1]=%d after caller mutated input bounds", got)
-	}
-}
-
-// TestHistogramObserveBoundaries pins the bucket edge semantics: bounds are
-// inclusive upper limits and the +Inf slot catches the rest.
+// TestHistogramObserveBoundaries pins the bucket edge semantics: an octave
+// splits into eight buckets [lo, hi), a sample on an upper edge opens the
+// next bucket, samples ≤ 0 land in the zero bucket (le="0"), and samples
+// beyond the covered range clamp into the top bucket (upper edge 2^61).
+// Exposition writes one cumulative line per non-empty bucket.
 func TestHistogramObserveBoundaries(t *testing.T) {
-	h := NewRegistry().Histogram("h_edges", "", []float64{1, 10})
-	for _, v := range []float64{0.5, 1, 1.0000001, 10, 11, math.Inf(1)} {
+	r := NewRegistry()
+	h := r.Histogram("h_edges", "")
+	for _, v := range []float64{0, -1, 1, 1.1, 1.125, 2, math.Inf(1)} {
 		h.Observe(v)
 	}
-	want := []int64{2, 2, 2} // (-inf,1], (1,10], (10,+inf)
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Errorf("bucket %d: %d samples, want %d", i, got, w)
-		}
+	if h.Count() != 7 {
+		t.Errorf("count = %d, want 7", h.Count())
 	}
-	if h.Count() != 6 {
-		t.Errorf("count = %d, want 6", h.Count())
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `h_edges_bucket{le="0"} 2
+h_edges_bucket{le="1.125"} 4
+h_edges_bucket{le="1.25"} 5
+h_edges_bucket{le="2.25"} 6
+h_edges_bucket{le="2.305843009213694e+18"} 7
+h_edges_bucket{le="+Inf"} 7
+`
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks the bucket lines\n%s\nin:\n%s", want, b.String())
 	}
 }
 
@@ -99,7 +60,7 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 			defer wg.Done()
 			sameC[w] = r.Counter("shared_total", "")
 			sameG[w] = r.Gauge("shared_gauge", "")
-			sameH[w] = r.Histogram("shared_hist", "", []float64{1, 2, 4})
+			sameH[w] = r.Histogram("shared_hist", "")
 			sameC[w].Inc()
 			sameH[w].Observe(1)
 			// Distinct names: one family per worker.

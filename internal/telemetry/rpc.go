@@ -29,6 +29,29 @@ type RPCDaemonStats interface {
 	OnTenant(fn func(name string))
 }
 
+// rpcServerGauges is the daemon's gauge schema: Setup pre-registers each
+// family and ExportRPCDaemon points it at the live server.
+var rpcServerGauges = []struct {
+	name, help string
+	read       func(RPCDaemonStats) int64
+}{
+	{"rpc_server_decisions", "requests the daemon answered OK", RPCDaemonStats.Decisions},
+	{"rpc_server_panics", "batch executions lost to a panicking policy", RPCDaemonStats.Panics},
+	{"rpc_server_batches", "policy executions (batched or single) run by the daemon", RPCDaemonStats.Batches},
+	{"rpc_server_batched_requests", "requests that entered batch execution", RPCDaemonStats.BatchedRequests},
+	{"rpc_server_shed", "requests shed with BUSY by admission control", RPCDaemonStats.Shed},
+	{"rpc_server_nonfinite", "decisions suppressed by the non-finite output guard", RPCDaemonStats.NonFinite},
+	{"rpc_server_swaps", "successful policy hot-swaps", RPCDaemonStats.Swaps},
+	{"rpc_server_rollbacks", "automatic policy-version rollbacks", RPCDaemonStats.Rollbacks},
+	{"rpc_server_timeouts", "requests that outlived the serving deadline", RPCDaemonStats.Timeouts},
+	{"rpc_server_write_drops", "connections dropped by the response write deadline", RPCDaemonStats.WriteDrops},
+	{"rpc_server_queue_depth", "admitted requests awaiting batch execution",
+		func(s RPCDaemonStats) int64 { return int64(s.QueueDepth()) }},
+	{"rpc_server_active_conns", "currently served connections",
+		func(s RPCDaemonStats) int64 { return int64(s.ActiveConns()) }},
+	{"rpc_server_policy_version", "id of the serving policy version", RPCDaemonStats.PolicyVersion},
+}
+
 // ExportRPCDaemon registers callback gauges mirroring the full serving
 // surface of the inference daemon, including one decisions gauge per tenant
 // label (registered lazily as tenants announce themselves).
@@ -37,32 +60,9 @@ func (h *Hub) ExportRPCDaemon(s RPCDaemonStats) {
 		return
 	}
 	r := h.Registry
-	r.GaugeFunc("rpc_server_decisions", "requests the daemon answered OK",
-		func() float64 { return float64(s.Decisions()) })
-	r.GaugeFunc("rpc_server_panics", "batch executions lost to a panicking policy",
-		func() float64 { return float64(s.Panics()) })
-	r.GaugeFunc("rpc_server_batches", "policy executions (batched or single) run by the daemon",
-		func() float64 { return float64(s.Batches()) })
-	r.GaugeFunc("rpc_server_batched_requests", "requests that entered batch execution",
-		func() float64 { return float64(s.BatchedRequests()) })
-	r.GaugeFunc("rpc_server_shed", "requests shed with BUSY by admission control",
-		func() float64 { return float64(s.Shed()) })
-	r.GaugeFunc("rpc_server_nonfinite", "decisions suppressed by the non-finite output guard",
-		func() float64 { return float64(s.NonFinite()) })
-	r.GaugeFunc("rpc_server_swaps", "successful policy hot-swaps",
-		func() float64 { return float64(s.Swaps()) })
-	r.GaugeFunc("rpc_server_rollbacks", "automatic policy-version rollbacks",
-		func() float64 { return float64(s.Rollbacks()) })
-	r.GaugeFunc("rpc_server_timeouts", "requests that outlived the serving deadline",
-		func() float64 { return float64(s.Timeouts()) })
-	r.GaugeFunc("rpc_server_write_drops", "connections dropped by the response write deadline",
-		func() float64 { return float64(s.WriteDrops()) })
-	r.GaugeFunc("rpc_server_queue_depth", "admitted requests awaiting batch execution",
-		func() float64 { return float64(s.QueueDepth()) })
-	r.GaugeFunc("rpc_server_active_conns", "currently served connections",
-		func() float64 { return float64(s.ActiveConns()) })
-	r.GaugeFunc("rpc_server_policy_version", "id of the serving policy version",
-		func() float64 { return float64(s.PolicyVersion()) })
+	for _, g := range rpcServerGauges {
+		r.GaugeFunc(g.name, g.help, func() float64 { return float64(g.read(s)) })
+	}
 	s.OnTenant(func(name string) {
 		tenant := name
 		r.GaugeFunc("rpc_tenant_decisions_"+tenantMetricName(tenant),
@@ -116,7 +116,7 @@ func (h *Hub) RPCClientHook() func(d time.Duration, remote bool) {
 	if h == nil {
 		return nil
 	}
-	lat := h.Registry.Histogram("rpc_decide_seconds", "client-observed decision round-trip latency", ExpBuckets(1e-5, 2, 16))
+	lat := h.Registry.Histogram("rpc_decide_seconds", "client-observed decision round-trip latency")
 	remoteC := h.Registry.Counter("rpc_remote_decisions_total", "policy decisions answered by the inference service")
 	fallbackC := h.Registry.Counter("rpc_fallback_decisions_total", "policy decisions served by the local fallback")
 	return func(d time.Duration, remote bool) {

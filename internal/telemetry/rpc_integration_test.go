@@ -49,7 +49,7 @@ func TestRPCInstrumentation(t *testing.T) {
 	if got := r.Counter("rpc_fallback_decisions_total", "").Value(); got != 1 {
 		t.Errorf("rpc_fallback_decisions_total = %d, want 1", got)
 	}
-	if got := r.Histogram("rpc_decide_seconds", "", nil).Count(); got != 4 {
+	if got := r.Histogram("rpc_decide_seconds", "").Count(); got != 4 {
 		t.Errorf("rpc_decide_seconds count = %d, want 4", got)
 	}
 

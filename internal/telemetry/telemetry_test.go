@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -36,7 +37,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "a histogram", []float64{1, 10, 100})
+	h := r.Histogram("h_seconds", "a histogram")
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -46,18 +47,23 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Sum() != 556.5 {
 		t.Fatalf("sum = %g, want 556.5", h.Sum())
 	}
-	// Bucket occupancy: bounds are inclusive upper limits, then +Inf.
-	want := []int64{2, 1, 1, 1} // {0.5,1}, {5}, {50}, {500}
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
+	// Bucket occupancy: one sample each, in the eighth-octave bucket whose
+	// upper edge is listed.
+	var edges []float64
+	h.nonEmpty(func(le float64, n int64) {
+		if n != 1 {
+			t.Errorf("bucket le=%v holds %d samples, want 1", le, n)
 		}
+		edges = append(edges, le)
+	})
+	if want := []float64{0.5625, 1.125, 5.5, 52, 512}; fmt.Sprint(edges) != fmt.Sprint(want) {
+		t.Fatalf("non-empty bucket edges %v, want %v", edges, want)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "", ExpBuckets(1, 2, 10))
+	h := r.Histogram("h", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -74,24 +80,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestExpBuckets(t *testing.T) {
-	bs := ExpBuckets(1e-3, 2, 5)
-	if len(bs) != 5 {
-		t.Fatalf("len = %d", len(bs))
-	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i] <= bs[i-1] {
-			t.Fatalf("bounds not strictly increasing: %v", bs)
-		}
-	}
-}
-
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs_total", "runs").Add(3)
 	r.Gauge("vt_seconds", "virtual time").Set(1.5)
 	r.GaugeFunc("live", "callback", func() float64 { return 42 })
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
+	h := r.Histogram("lat_seconds", "latency")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
@@ -106,8 +100,9 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE vt_seconds gauge\nvt_seconds 1.5\n",
 		"live 42\n",
 		"# TYPE lat_seconds histogram\n",
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 2`, // cumulative
+		`lat_seconds_bucket{le="0.05078125"} 1`, // upper edge of 0.05's bucket
+		`lat_seconds_bucket{le="0.5625"} 2`,     // cumulative
+		`lat_seconds_bucket{le="2.25"} 3`,
 		`lat_seconds_bucket{le="+Inf"} 3`,
 		"lat_seconds_sum 2.55\nlat_seconds_count 3\n",
 	} {
@@ -152,7 +147,7 @@ func TestJSONExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs_total", "runs").Inc()
 	r.Gauge("g", "").Set(7)
-	r.Histogram("h", "", []float64{1}).Observe(0.5)
+	r.Histogram("h", "").Observe(0.5)
 
 	var b bytes.Buffer
 	if err := r.WriteJSON(&b); err != nil {
@@ -166,14 +161,15 @@ func TestJSONExposition(t *testing.T) {
 		t.Errorf("runs_total = %s", out["runs_total"])
 	}
 	var hj struct {
-		Count   int64   `json:"count"`
-		Sum     float64 `json:"sum"`
-		Buckets []int64 `json:"buckets"`
+		Count   int64     `json:"count"`
+		Sum     float64   `json:"sum"`
+		Bounds  []float64 `json:"bounds"`
+		Buckets []int64   `json:"buckets"`
 	}
 	if err := json.Unmarshal(out["h"], &hj); err != nil {
 		t.Fatal(err)
 	}
-	if hj.Count != 1 || hj.Sum != 0.5 || len(hj.Buckets) != 2 || hj.Buckets[0] != 1 {
+	if hj.Count != 1 || hj.Sum != 0.5 || len(hj.Buckets) != 1 || hj.Buckets[0] != 1 || hj.Bounds[0] != 0.5625 {
 		t.Errorf("histogram JSON = %+v", hj)
 	}
 }
@@ -241,7 +237,7 @@ func TestNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 0 })
@@ -319,24 +315,6 @@ func TestEnabledEventZeroAlloc(t *testing.T) {
 	}); n > 0 {
 		t.Fatalf("enabled event emission allocates %.1f/op", n)
 	}
-}
-
-func TestRecordCoordinatorCounters(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	h, err := Setup(Options{TraceOut: tracePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	RecordCoordinator(h, 12, 5)
-	RecordCoordinator(h, 3, 1) // counters accumulate across runs
-	if got := h.Registry.Counter("sim_barrier_rounds_total", "").Value(); got != 15 {
-		t.Fatalf("sim_barrier_rounds_total = %d, want 15", got)
-	}
-	if got := h.Registry.Counter("sim_fused_windows_total", "").Value(); got != 6 {
-		t.Fatalf("sim_fused_windows_total = %d, want 6", got)
-	}
-	RecordCoordinator(nil, 1, 1) // disabled hub: must not panic
 }
 
 func TestSetupDisabled(t *testing.T) {

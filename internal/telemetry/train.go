@@ -35,8 +35,8 @@ func (h *Hub) Training() *TrainingObserver {
 		replay:      r.Gauge("train_replay_occupancy", "transitions resident in the replay buffer"),
 		skipped:     r.Gauge("train_skipped_updates", "optimizer steps skipped on non-finite gradients"),
 		epochs:      r.Counter("train_epochs_total", "training epochs completed"),
-		updateDur:   r.Histogram("train_update_phase_seconds", "wall time of each epoch's TD3 update phase", ExpBuckets(1e-3, 2, 16)),
-		checkpointS: r.Histogram("train_checkpoint_seconds", "wall time of atomic checkpoint writes", ExpBuckets(1e-4, 2, 14)),
+		updateDur:   r.Histogram("train_update_phase_seconds", "wall time of each epoch's TD3 update phase"),
+		checkpointS: r.Histogram("train_checkpoint_seconds", "wall time of atomic checkpoint writes"),
 	}
 }
 

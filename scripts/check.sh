@@ -35,11 +35,11 @@ if grep -n 'VFMADD\|VFMSUB\|VFNMADD\|VFNMSUB' internal/nn/*.s; then
 fi
 
 echo "== one run path: attach sites and network builders"
-# Outside bench/ and tests, the checker, telemetry and the streaming observer
-# are attached to a network by the run pipeline alone, and only the topology
+# Outside bench/ and tests, the checker and the streaming observer are
+# attached to a network by the run pipeline alone, and only the topology
 # builders and the Fig. 4/5 probes construct one in internal/exp and cmd.
 sources=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
-for call in 'simcheck\.Attach(' 'telemetry\.AttachSim(' 'Obs\.Attach('; do
+for call in 'simcheck\.Attach(' 'Obs\.Attach('; do
     sites=$(grep -l "$call" $sources || true)
     if [ "$sites" != "./internal/exp/pipeline.go" ]; then
         echo "$call must be called from internal/exp/pipeline.go only, found in:" >&2
@@ -51,6 +51,14 @@ builders=$(grep -l 'netsim\.New(' $(find internal/exp cmd -name '*.go' -not -nam
 want="internal/exp/exp.go internal/exp/fig_signals.go internal/exp/huge.go internal/exp/multibottleneck.go "
 if [ "$builders" != "$want" ]; then
     echo "netsim.New( outside the topology builders and fig_signals.go: $builders" >&2
+    exit 1
+fi
+
+echo "== telemetry imports no package of this module"
+# It attaches nothing to a network: the run pipeline adds each finished run's
+# totals to its counters (DESIGN.md "Observability").
+if go list -f '{{join .Imports "\n"}}' ./internal/telemetry | grep '^repro/'; then
+    echo "internal/telemetry imports the module packages above" >&2
     exit 1
 fi
 
@@ -131,15 +139,16 @@ go test -race -run '^TestCoordinator' -count=1 ./internal/simcore
 go test -race -run '^(TestRunSharded|TestPartition)' -count=1 ./internal/netsim
 go test -race -run '^TestSharded' -count=1 ./internal/simcheck
 
-echo "== telemetry: disabled-path zero-alloc + digest parity"
-go test -run '^(TestDisabledZeroAlloc|TestEnabledEventZeroAlloc|TestNilSafety|TestTelemetryDigestParity)$' -count=1 ./internal/telemetry
+echo "== telemetry: disabled-path zero-alloc + digest parity + one help string per family + sim counters folded at run end"
+go test -run '^(TestDisabledZeroAlloc|TestEnabledEventZeroAlloc|TestNilSafety|TestTelemetryDigestParity|TestPreRegisteredHelpIsStable)$' -count=1 ./internal/telemetry
+go test -run '^TestSimTotalsFoldMatchesTap$' -count=1 ./internal/exp
 
-echo "== telemetry: metric-family get-or-create race + histogram bucket validation"
-go test -race -run '^(TestRegistryConcurrentGetOrCreate|TestHistogramBucketValidation|TestTenantMetricNameCollision)$' -count=1 ./internal/telemetry
+echo "== telemetry: metric-family get-or-create race + concurrent histogram"
+go test -race -run '^(TestRegistryConcurrentGetOrCreate|TestHistogramConcurrent|TestTenantMetricNameCollision)$' -count=1 ./internal/telemetry
 
-echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + digest parity"
+echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + digest parity + pinned mesh quantiles"
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
-go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults)$' -count=1 ./internal/exp
+go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults|TestObsHugeMeshSummaryPinned)$' -count=1 ./internal/exp
 
 echo "== inference daemon: chaos matrix + batching rule + framing + zero-alloc execute under the race detector"
 go test -race -run '^(TestExecuteAllocFree|TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
