@@ -22,11 +22,12 @@ import (
 //	jury train -eval jury-actor.json -rate 350 -rtt 30
 func runTrain(args []string) error {
 	fs := flag.NewFlagSet("jury train", flag.ExitOnError)
+	def := core.DefaultTrainOptions(0) // the budget fields do not depend on the seed
 	var (
-		epochs  = fs.Int("epochs", 40, "training epochs")
-		actors  = fs.Int("actors", 8, "parallel experience collectors")
-		steps   = fs.Int("steps", 512, "environment steps per actor per epoch")
-		updates = fs.Int("updates", 128, "TD3 updates per epoch")
+		epochs  = fs.Int("epochs", def.Epochs, "training epochs")
+		actors  = fs.Int("actors", def.Actors, "parallel experience collectors")
+		steps   = fs.Int("steps", def.StepsPerActor, "environment steps per actor per epoch")
+		updates = fs.Int("updates", def.UpdatesPerEpoch, "TD3 updates per epoch")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		out     = fs.String("out", "jury-actor.json", "output weights path")
 		eval    = fs.String("eval", "", "evaluate a weights file instead of training")

@@ -25,7 +25,7 @@ type TrainOptions struct {
 func DefaultTrainOptions(seed uint64) TrainOptions {
 	return TrainOptions{
 		Env:             DefaultEnvConfig(seed),
-		Epochs:          60,
+		Epochs:          40,
 		Actors:          8,
 		StepsPerActor:   512,
 		UpdatesPerEpoch: 128,

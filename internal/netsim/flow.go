@@ -370,7 +370,7 @@ func (f *Flow) trySend() {
 	for float64(f.inflight) < cwnd {
 		rate := f.alg.PacingRate()
 		if rate > 0 && f.nextSendAt > now {
-			f.armSendTimer(f.nextSendAt)
+			f.sendTimer = f.eng.Rearm(f.sendTimer, f.nextSendAt, flowTrySend, f)
 			return
 		}
 		f.sendPacket(now)
@@ -395,11 +395,6 @@ func (f *Flow) trySend() {
 			f.nextSendAt = base + gap
 		}
 	}
-}
-
-func (f *Flow) armSendTimer(at time.Duration) {
-	f.sendTimer.Cancel()
-	f.sendTimer = f.eng.ScheduleArg(at, flowTrySend, f)
 }
 
 // allocPacket takes a packet from the shard's arena and stamps it for this

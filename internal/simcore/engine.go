@@ -125,11 +125,16 @@ func (h *eventHeap) popMin() *Event {
 	q = q[:n]
 	*h = q
 	top.index = idxFree
-	if n == 0 {
-		return top
+	if n > 0 {
+		// Sift the displaced last element down from the root.
+		q.siftDown(0, ev)
 	}
-	// Sift the displaced last element down from the root.
-	i := 0
+	return top
+}
+
+// siftDown places ev at slot i or, while a child fires before it, below.
+func (q eventHeap) siftDown(i int, ev *Event) {
+	n := len(q)
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -154,7 +159,6 @@ func (h *eventHeap) popMin() *Event {
 	}
 	q[i] = ev
 	ev.index = i
-	return top
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -263,6 +267,37 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 	ev.argFn = fn
 	ev.arg = arg
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// Rearm re-schedules t as fn(arg) at time at and returns the handle to use
+// from then on. It is exactly t.Cancel() followed by ScheduleArg(at, fn, arg):
+// the executed events, their order and every sequence number are the same.
+// But when t is still queued for exactly at, Rearm re-keys that event in
+// place instead of leaving a cancelled twin in the queue to be drained — the
+// common case of a pacing timer re-armed on every ACK that arrives before
+// its send time. The re-keyed event takes the schedule stamp and sequence
+// number the fresh event would have taken, so its key only grows (same at,
+// later tie-break): a heap-resident event sifts down, and a wheel-resident
+// one stays in its slot, since slot membership never orders events. A
+// fired, cancelled or recycled handle takes the Cancel+ScheduleArg path and
+// never touches its storage's new tenant.
+func (e *Engine) Rearm(t Timer, at time.Duration, fn func(any), arg any) Timer {
+	ev := t.ev
+	// An injected event may carry a schedule stamp ahead of this engine's
+	// clock; re-keying it to now would shrink its key.
+	if !t.Active() || ev.at != at || ev.schedAt > e.now {
+		t.Cancel()
+		return e.ScheduleArg(at, fn, arg)
+	}
+	ev.schedAt = e.now
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	ev.argFn = fn
+	ev.arg = arg
+	if ev.index >= 0 {
+		e.queue.heap.siftDown(ev.index, ev)
+	}
+	return t
 }
 
 // ScheduleArgAfter queues fn(arg) after delay d from the current time.

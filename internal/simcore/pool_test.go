@@ -82,7 +82,8 @@ func TestTimerCancelStopsRescheduledStorage(t *testing.T) {
 // free-list is warm, scheduling one event with ScheduleArg, running it and
 // recycling it allocates nothing — and neither does scheduling and
 // cancelling an event behind a deep queue (1024 pending events, about what a
-// busy multi-flow simulation keeps queued).
+// busy multi-flow simulation keeps queued), nor re-arming a pending timer
+// there with Rearm, which also leaves no cancelled twin queued.
 func TestScheduleArgAllocFree(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -110,5 +111,22 @@ func TestScheduleArgAllocFree(t *testing.T) {
 	}
 	if deep.Pending() != 1024 {
 		t.Fatalf("deep queue holds %d events, want the 1024 parked ones", deep.Pending())
+	}
+
+	// Re-arming a queued timer at its own time re-keys it in place: no
+	// allocation, and no cancelled twin left behind in the queue.
+	tm := deep.ScheduleArg(deep.Now()+time.Minute, nop, nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		tm = deep.Rearm(tm, tm.At(), nop, nil)
+	}); avg != 0 {
+		t.Errorf("deep-queue Rearm allocates %v per call, want 0", avg)
+	}
+	if deep.Pending() != 1025 {
+		t.Fatalf("deep queue holds %d events after re-arms, want 1025", deep.Pending())
+	}
+	tm.Cancel()
+	deep.ScheduleArg(tm.At(), nop, nil)
+	if deep.Pending() != 1026 {
+		t.Fatalf("Cancel+ScheduleArg left %d events queued, want 1026 with the cancelled twin", deep.Pending())
 	}
 }

@@ -82,6 +82,17 @@ if grep -n 'UpdateWorkers' $sources ||
     exit 1
 fi
 
+echo "== netsim re-arms timers in place: non-test internal/netsim calls .Cancel() only in Flow.stop"
+# Cancel followed by ScheduleArg leaves a cancelled twin in the event queue
+# for the engine to pop and drain; Engine.Rearm re-keys the queued event in
+# place with the same executed stream (DESIGN.md "Event queue").
+cancels=$(awk '/^func /{fn=$0} /\.Cancel\(\)/{print FILENAME ": " fn}' $(find internal/netsim -name '*.go' -not -name '*_test.go'))
+if [ "$cancels" != "internal/netsim/flow.go: func (f *Flow) stop() {" ]; then
+    echo "internal/netsim calls .Cancel() outside Flow.stop (use Engine.Rearm):" >&2
+    echo "$cancels" >&2
+    exit 1
+fi
+
 echo "== one environment variable: non-test code outside bench/ reads JURY_SIMCHECK and nothing else"
 # Run sizes are options, not environment knobs (internal/exp/exp.go reads the
 # one variable, which forces the simcheck checker onto every run).
@@ -115,9 +126,9 @@ go test -run '^TestPaperClaims$' -count=1 ./internal/exp
 echo "== nn + rl again on the Go kernel bodies alone (-tags purego)"
 go test -tags purego ./internal/nn ./internal/rl
 
-echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling, NN ForwardInto, and a scenario's allocation ceiling"
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg), NN ForwardInto, and a scenario's allocation ceiling"
 GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree)$' -count=1 ./internal/rl
-go test -race -run '^TestScheduleArgAllocFree$' -count=1 ./internal/simcore
+go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|TestRearmStaleHandleSchedulesFresh)$' -count=1 ./internal/simcore
 go test -race -run '^TestScratchPathsAllocFree$' -count=1 ./internal/nn
 go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
