@@ -82,14 +82,18 @@ type obsFlags struct {
 }
 
 // newObsFlags registers the shared flags on fs. obsUsage says what -obs does
-// for the subcommand; only subcommands that run simulations get -flight-dir.
+// for the subcommand; an empty one (serve, which runs no simulation for the
+// observer to watch) registers neither -obs nor -obs-window. Only
+// subcommands that run simulations get -flight-dir.
 func newObsFlags(fs *flag.FlagSet, obsUsage string, flight bool) *obsFlags {
 	o := &obsFlags{fs: fs}
 	fs.BoolVar(&o.telemetry, "telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
 	fs.StringVar(&o.traceOut, "trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /metrics.json, /debug/pprof, /debug/vars on this address")
-	fs.BoolVar(&o.obs, "obs", false, obsUsage)
-	fs.DurationVar(&o.window, "obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
+	if obsUsage != "" {
+		fs.BoolVar(&o.obs, "obs", false, obsUsage)
+		fs.DurationVar(&o.window, "obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
+	}
 	if flight {
 		fs.StringVar(&o.flightDir, "flight-dir", "", "write flight-recorder JSONL dumps here on anomaly triggers (implies -obs)")
 	}

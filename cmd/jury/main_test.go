@@ -119,7 +119,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"exp", "store", "ls"}, 2, "usage: jury exp store <ls|verify|compact> DIR"},
 		{[]string{"exp", "store", "frob", dir}, 2, `unknown store command "frob"`},
 		{[]string{"train", "-eval", filepath.Join(dir, "missing.json")}, 1, "missing.json"},
-		{[]string{"serve", "-actor", "a.json", "-checkpoint", "c.json"}, 2, "mutually exclusive"},
+		{[]string{"serve", "-checkpoint", "c.json"}, 2, "flag provided but not defined: -checkpoint"},
 		{[]string{"serve", "-addr", "127.0.0.1:0", "-actor", "narrow.json"}, 1,
 			fmt.Sprintf("actor narrow.json maps 3 inputs to 1 outputs; a Jury actor maps %d to 2", state)},
 		{[]string{"plot"}, 2, "Usage of jury plot:"},

@@ -70,13 +70,12 @@ func runSim(args []string) error {
 			Scheme: strings.TrimSpace(name),
 			Start:  time.Duration(i) * *stagger,
 		}
-		// Each daemon-driven jury flow gets its own client (one connection,
-		// one tenant label) with the AIMD-safe fallback, so a daemon outage
-		// degrades the flow instead of freezing it.
+		// Each daemon-driven jury flow gets its own client (one connection)
+		// with the AIMD-safe fallback, so a daemon outage degrades the flow
+		// instead of freezing it.
 		if *daemonAddr != "" && spec.Scheme == "jury" {
 			cl, err := agentrpc.DialConfig(*daemonAddr, core.AIMDPolicy{}, agentrpc.ClientConfig{
 				Timeout: 10 * time.Second, // simulated time outruns wall time; don't fall back on scheduler hiccups
-				Tenant:  fmt.Sprintf("jurysim-flow-%d", i),
 			})
 			if err != nil {
 				return fmt.Errorf("daemon dial: %w", err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	jury "repro"
-	"repro/internal/metrics"
 )
 
 // Run a single Jury flow over an emulated 100 Mbps / 30 ms bottleneck and
@@ -64,38 +63,4 @@ func ExampleNewController() {
 	//   30       89.6     36.2       1.00   0.50   0.50    0.00
 	// final: 89.6 Mbps of 100, min RTT 30.12ms, loss 0.000%
 	// queuing delay at steady state: 6.2 ms (base RTT 30 ms)
-}
-
-// One Jury pipeline serves applications with different objectives — a
-// throughput-hungry bulk transfer and a latency-sensitive call — by
-// conditioning the policy on a preference vector (the MOCC-style extension
-// of §3.3), while the occupancy post-processing keeps fairness identical for
-// every preference.
-func ExampleNewControllerWithPreference() {
-	run := func(name string, pref jury.Preference) {
-		net := jury.NewNetwork(jury.NetworkConfig{Seed: 5})
-		link := net.AddLink(jury.LinkConfig{
-			Rate:        40e6,
-			Delay:       15 * time.Millisecond,
-			BufferBytes: 600_000, // 4 BDP: room for latency differences to show
-		})
-		flow := net.AddFlow(jury.FlowConfig{Name: name, Path: []*jury.Link{link},
-			CC: func() jury.CC {
-				cfg := jury.DefaultConfig()
-				cfg.Seed = 5
-				return jury.NewControllerWithPreference(cfg, pref)
-			}})
-		net.Run(60 * time.Second)
-		p := pref.Normalize()
-		fmt.Printf("%-13s (w_thr %.2f, w_delay %.2f, w_loss %.2f): util %.3f, queue %5.1f ms\n",
-			name, p.Throughput, p.Delay, p.Loss, link.Utilization(60*time.Second),
-			metrics.MeanQueuingDelayMS(flow, 30*time.Second, 60*time.Second))
-	}
-	run("bulk-transfer", jury.Preference{Throughput: 0.7, Delay: 0.2, Loss: 0.1})
-	run("balanced", jury.DefaultPreference())
-	run("interactive", jury.Preference{Throughput: 0.15, Delay: 0.75, Loss: 0.1})
-	// Output:
-	// bulk-transfer (w_thr 0.70, w_delay 0.20, w_loss 0.10): util 0.978, queue   9.5 ms
-	// balanced      (w_thr 0.33, w_delay 0.33, w_loss 0.33): util 0.974, queue   6.2 ms
-	// interactive   (w_thr 0.15, w_delay 0.75, w_loss 0.10): util 0.955, queue   3.7 ms
 }

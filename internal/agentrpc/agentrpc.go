@@ -5,7 +5,7 @@
 // netlink; here a datapath-side Client talks to an inference Server over a
 // stream socket with a compact binary protocol).
 //
-// The Server is a multi-tenant inference daemon with work-conserving
+// The Server is an inference daemon with work-conserving
 // batching: one batcher goroutine takes the first waiting request plus
 // whatever else is already queued (up to MaxBatch) and executes it at once,
 // ideally through a BatchDecider policy so one GEMM serves every flow that

@@ -69,9 +69,6 @@ type ClientConfig struct {
 	// from the fallback immediately instead of queueing behind a slow
 	// server, so back-pressure never balloons into unbounded waiters.
 	MaxPending int
-	// Tenant, when non-empty, labels this client's connections for the
-	// daemon's per-tenant accounting.
-	Tenant string
 	// JitterSeed seeds the deterministic dial-backoff jitter stream. Zero
 	// derives a per-client seed from the address and a process-local
 	// counter, so a fleet of zero-config clients still desynchronizes.
@@ -221,15 +218,6 @@ func (c *Client) redial() error {
 	c.conn = conn
 	c.dialBackoff = 0
 	c.nextDialAt = time.Time{}
-	if c.cfg.Tenant != "" {
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
-		c.reqBuf = appendHello(c.reqBuf[:0], c.cfg.Tenant)
-		if _, err := conn.Write(c.reqBuf); err != nil {
-			conn.Close()
-			c.conn = nil
-			return err
-		}
-	}
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +108,7 @@ func newPending() *pending {
 	return &pending{state: make([]float64, 0, 64), done: make(chan struct{}, 1)}
 }
 
-// Server is the multi-tenant inference daemon around a hot-swappable Policy.
+// Server is the inference daemon around a hot-swappable Policy.
 type Server struct {
 	cfg   Config // immutable after withDefaults (ReadTimeout lives under mu)
 	ln    net.Listener
@@ -121,8 +120,6 @@ type Server struct {
 	draining    bool
 	readTimeout time.Duration
 	conns       map[net.Conn]struct{}
-	tenants     map[string]*atomic.Int64
-	tenantHook  func(name string)
 
 	connWG     sync.WaitGroup
 	batchDone  chan struct{}
@@ -163,7 +160,6 @@ func NewServer(ln net.Listener, p Policy, cfg Config) *Server {
 		queue:       make(chan *pending, cfg.MaxQueue),
 		readTimeout: cfg.ReadTimeout,
 		conns:       map[net.Conn]struct{}{},
-		tenants:     map[string]*atomic.Int64{},
 		batchDone:   make(chan struct{}),
 	}
 	s.pv.Store(newPolicyVersion(1, p, nil))
@@ -228,63 +224,6 @@ func (s *Server) ActiveConns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)
-}
-
-// TenantDecisions reports decisions served for one tenant label.
-func (s *Server) TenantDecisions(name string) int64 {
-	s.mu.Lock()
-	t := s.tenants[name]
-	s.mu.Unlock()
-	if t == nil {
-		return 0
-	}
-	return t.Load()
-}
-
-// Tenants lists the tenant labels seen so far, sorted.
-func (s *Server) Tenants() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.tenants))
-	for n := range s.tenants {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// OnTenant registers fn to run once per tenant label — immediately for the
-// labels already seen, then on each first hello of a new one. The telemetry
-// layer uses it to lazily register per-tenant gauges.
-func (s *Server) OnTenant(fn func(name string)) {
-	s.mu.Lock()
-	s.tenantHook = fn
-	names := make([]string, 0, len(s.tenants))
-	for n := range s.tenants {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n)
-	}
-}
-
-// tenant returns (creating if needed) the counter for a tenant label.
-func (s *Server) tenant(name string) *atomic.Int64 {
-	s.mu.Lock()
-	t, ok := s.tenants[name]
-	var hook func(string)
-	if !ok {
-		t = &atomic.Int64{}
-		s.tenants[name] = t
-		hook = s.tenantHook
-	}
-	s.mu.Unlock()
-	if hook != nil {
-		hook(name)
-	}
-	return t
 }
 
 // Swap installs a new policy version after a health probe: the candidate
@@ -475,7 +414,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	if !wait.Stop() {
 		<-wait.C
 	}
-	var tenant *atomic.Int64
 	var resp []byte
 	for {
 		// The deadline is set under the same lock Drain uses to expire every
@@ -499,11 +437,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // io error, idle timeout, drain, or protocol violation
 		}
-		switch f.kind {
-		case frameHello:
-			tenant = s.tenant(f.tenant)
-			continue
-		case framePing:
+		if f.kind == framePing {
 			if !s.writeResponse(conn, &resp, statusOK, 0, 0) {
 				return
 			}
@@ -541,9 +475,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if status == statusOK {
 			s.decisions.Add(1)
-			if tenant != nil {
-				tenant.Add(1)
-			}
 		}
 		if !s.writeResponse(conn, &resp, status, mu, delta) {
 			return

@@ -405,61 +405,6 @@ func TestDrainAnswersInFlight(t *testing.T) {
 	}
 }
 
-// TestTenantAccounting: hello-labelled connections are accounted per tenant
-// and the OnTenant hook fires for existing and future labels exactly once.
-func TestTenantAccounting(t *testing.T) {
-	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	alpha, err := DialConfig(srv.Addr(), constPolicy{}, ClientConfig{Tenant: "alpha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alpha.Close()
-	for i := 0; i < 3; i++ {
-		alpha.Decide([]float64{1})
-	}
-
-	var mu sync.Mutex
-	seen := map[string]int{}
-	srv.OnTenant(func(name string) {
-		mu.Lock()
-		seen[name]++
-		mu.Unlock()
-	})
-
-	beta, err := DialConfig(srv.Addr(), constPolicy{}, ClientConfig{Tenant: "beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beta.Close()
-	for i := 0; i < 2; i++ {
-		beta.Decide([]float64{1})
-	}
-
-	if got := srv.TenantDecisions("alpha"); got != 3 {
-		t.Fatalf("alpha decisions %d, want 3", got)
-	}
-	if got := srv.TenantDecisions("beta"); got != 2 {
-		t.Fatalf("beta decisions %d, want 2", got)
-	}
-	if got := srv.TenantDecisions("nobody"); got != 0 {
-		t.Fatalf("unknown tenant reports %d decisions", got)
-	}
-	names := srv.Tenants()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("tenants %v", names)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if seen["alpha"] != 1 || seen["beta"] != 1 {
-		t.Fatalf("tenant hook fired %v, want once per label", seen)
-	}
-}
-
 // TestExecuteAllocFree pins the daemon's execution core — one batched
 // policy execution plus the hand-back of every decision — to zero
 // allocations in steady state, for a lone request and for a full default

@@ -231,8 +231,7 @@ func TestServerDropsHungConnection(t *testing.T) {
 // TestFramingPipelinedAndDribbled: the server reads its request stream
 // through a buffered reader, so frame boundaries must not depend on how the
 // bytes arrive. Three frames in one Write are answered in order, and one
-// frame dribbled a byte at a time is answered once it is whole — both
-// credited to the connection's tenant.
+// frame dribbled a byte at a time is answered once it is whole.
 func TestFramingPipelinedAndDribbled(t *testing.T) {
 	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
@@ -258,8 +257,7 @@ func TestFramingPipelinedAndDribbled(t *testing.T) {
 		}
 	}
 
-	burst := appendHello(nil, "framing")
-	burst = appendRequest(burst, []float64{0.25, 0.5, -0.25})
+	burst := appendRequest(nil, []float64{0.25, 0.5, -0.25})
 	burst = appendRequest(burst, nil) // ping
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
@@ -274,9 +272,6 @@ func TestFramingPipelinedAndDribbled(t *testing.T) {
 	}
 	expect("dribbled decide", 3, 2)
 
-	if got := srv.TenantDecisions("framing"); got != 2 {
-		t.Fatalf("tenant credited with %d decisions, want 2", got)
-	}
 	if srv.Decisions() != 2 {
 		t.Fatalf("server counted %d decisions, want 2", srv.Decisions())
 	}

@@ -17,7 +17,6 @@ import (
 //
 //	decide: u32 count (1..maxStateDim) | count × f64 state
 //	ping:   u32 0
-//	hello:  u32 0xffffffff | u8 len | len × byte tenant name
 //
 // Response (always respSize bytes):
 //
@@ -28,8 +27,7 @@ import (
 // (panic, non-finite output, server-side deadline). BUSY and ERR are *typed*
 // responses: the stream stays in sync and the connection stays usable, the
 // client just serves that one decision from its local fallback. A ping is
-// answered with statusOK and zeros. A hello carries the connection's tenant
-// label for per-tenant accounting and has no response.
+// answered with statusOK and zeros.
 
 // errOversizedFrame reports a request whose count exceeds maxStateDim; the
 // server drops the connection on it rather than allocating attacker-chosen
@@ -46,28 +44,19 @@ const (
 // respSize is the fixed response frame length: status byte + two f64.
 const respSize = 1 + 8 + 8
 
-// helloMagic marks a tenant-hello frame. It deliberately decodes as an
-// impossible state count so old decoders reject rather than misparse it.
-const helloMagic = 0xffffffff
-
-// maxTenantLen bounds hello names (they become metric labels).
-const maxTenantLen = 255
-
 // frameKind discriminates decoded request frames.
 type frameKind uint8
 
 const (
 	frameDecide frameKind = iota
 	framePing
-	frameHello
 )
 
 // frame is one decoded request-stream message. state aliases the reader's
 // scratch buffer and is valid until the following next call.
 type frame struct {
-	kind   frameKind
-	state  []float64
-	tenant string
+	kind  frameKind
+	state []float64
 }
 
 // appendRequest appends the wire encoding of one decide frame to dst and
@@ -78,17 +67,6 @@ func appendRequest(dst []byte, state []float64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
-}
-
-// appendHello appends the wire encoding of a tenant-hello frame to dst.
-// Names longer than maxTenantLen are truncated.
-func appendHello(dst []byte, tenant string) []byte {
-	if len(tenant) > maxTenantLen {
-		tenant = tenant[:maxTenantLen]
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, helloMagic)
-	dst = append(dst, byte(len(tenant)))
-	return append(dst, tenant...)
 }
 
 // appendResponse appends the fixed-size response frame to dst.
@@ -113,19 +91,18 @@ func readResponse(r io.Reader, buf *[respSize]byte) (status byte, mu, delta floa
 // stream is buffered, so a frame's header and body — and any frames the peer
 // pipelined behind it — cost one read of the underlying connection.
 type requestReader struct {
-	r    *bufio.Reader
-	hdr  [4]byte
-	raw  []byte
-	buf  []float64
-	name []byte
+	r   *bufio.Reader
+	hdr [4]byte
+	raw []byte
+	buf []float64
 }
 
 func newRequestReader(r io.Reader) *requestReader {
 	return &requestReader{r: bufio.NewReader(r), raw: make([]byte, 0, 64*8), buf: make([]float64, 0, 64)}
 }
 
-// next reads one frame. The returned frame's state (and tenant backing
-// bytes) are valid until the following call. Errors are io errors from the
+// next reads one frame. The returned frame's state is valid until the
+// following call. Errors are io errors from the
 // underlying reader or errOversizedFrame for a count above maxStateDim.
 func (d *requestReader) next() (frame, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
@@ -135,19 +112,6 @@ func (d *requestReader) next() (frame, error) {
 	switch {
 	case count == 0:
 		return frame{kind: framePing}, nil
-	case count == helloMagic:
-		var ln [1]byte
-		if _, err := io.ReadFull(d.r, ln[:]); err != nil {
-			return frame{}, err
-		}
-		if cap(d.name) < int(ln[0]) {
-			d.name = make([]byte, ln[0])
-		}
-		d.name = d.name[:ln[0]]
-		if _, err := io.ReadFull(d.r, d.name); err != nil {
-			return frame{}, err
-		}
-		return frame{kind: frameHello, tenant: string(d.name)}, nil
 	case count > maxStateDim:
 		return frame{}, fmt.Errorf("%w: count %d", errOversizedFrame, count)
 	}

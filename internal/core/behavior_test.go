@@ -230,29 +230,3 @@ func TestJuryRobustToPathJitter(t *testing.T) {
 		t.Fatalf("utilization %v under path jitter", u)
 	}
 }
-
-func TestPreferenceTradeoffOnEmulator(t *testing.T) {
-	// The MOCC-style extension (§3.3): a delay-weighted preference must
-	// hold a shallower queue than a throughput-weighted one, at a modest
-	// utilization cost.
-	run := func(pref core.Preference) (float64, float64) {
-		n := netsim.New(netsim.Config{Seed: 5})
-		l := n.AddLink(netsim.LinkConfig{Rate: 40e6, Delay: 15 * time.Millisecond, BufferBytes: 600_000})
-		f := n.AddFlow(netsim.FlowConfig{Name: "p", Path: []*netsim.Link{l},
-			CC: func() cc.Algorithm {
-				cfg := core.DefaultConfig()
-				cfg.Seed = 5
-				return core.NewWithPreference(cfg, pref)
-			}})
-		n.Run(40 * time.Second)
-		return l.Utilization(40 * time.Second), metrics.MeanQueuingDelayMS(f, 20*time.Second, 40*time.Second)
-	}
-	utilT, queueT := run(core.Preference{Throughput: 0.7, Delay: 0.2, Loss: 0.1})
-	utilD, queueD := run(core.Preference{Throughput: 0.15, Delay: 0.75, Loss: 0.1})
-	if queueD >= queueT {
-		t.Fatalf("delay preference queue %.1f ms not below throughput preference %.1f ms", queueD, queueT)
-	}
-	if utilD < 0.75 || utilT < 0.85 {
-		t.Fatalf("preference utilizations too low: thr-pref %.3f, delay-pref %.3f", utilT, utilD)
-	}
-}

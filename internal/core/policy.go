@@ -20,24 +20,18 @@ type Policy interface {
 type NNPolicy struct {
 	Net *nn.MLP
 
-	// scratch makes per-decision inference allocation-free. Lazily built so
-	// zero-value construction (NNPolicy{Net: ...}) keeps working.
-	scratch *nn.Scratch
-
-	// bscratch backs DecideBatch (see serving.go), grown on demand to the
-	// largest batch seen.
+	// bscratch backs DecideBatch (see serving.go), lazily built so
+	// zero-value construction (NNPolicy{Net: ...}) keeps working and grown
+	// on demand to the largest batch seen.
 	bscratch *nn.BatchScratch
 }
 
-// Decide implements Policy.
+// Decide implements Policy as a one-row DecideBatch, so a decision has the
+// same bits whether it is served alone or inside a daemon batch.
 func (p *NNPolicy) Decide(state []float64) (float64, float64) {
-	if p.scratch == nil {
-		p.scratch = nn.NewScratch(p.Net)
-	}
-	out := p.Net.ForwardInto(state, p.scratch)
-	mu := cc.Clamp(out[0], -1, 1)
-	delta := cc.Clamp((out[1]+1)/2, 0, 1)
-	return mu, delta
+	var mu, delta [1]float64
+	p.DecideBatch(state, 1, mu[:], delta[:])
+	return mu[0], delta[0]
 }
 
 // ActionToRange converts a raw 2-D agent action in [−1,1]² to (μ, δ) the

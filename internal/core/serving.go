@@ -7,14 +7,12 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/nn"
-	"repro/internal/rl"
 )
 
 // This file is the serving-side glue between trained policies and the
 // agentrpc inference daemon: batched NNPolicy inference (the daemon's
 // minibatch fast path), an AIMD-safe fallback policy for degraded clients,
-// and loaders that turn on-disk artifacts (training checkpoints, exported
-// actor files) into servable policies.
+// and the loader that turns the exported actor file into a servable policy.
 
 // InputDim reports the actor's state dimension; the daemon only batches
 // requests whose states match it.
@@ -26,8 +24,8 @@ func (p *NNPolicy) InputDim() int { return p.Net.InputDim() }
 // serves every flow whose request queued while the daemon's previous
 // execution ran.
 //
-// Like Decide, it is not safe for concurrent use — the daemon's single
-// batcher goroutine is the intended caller.
+// Like Decide, which runs it on one row, it is not safe for concurrent
+// use — the daemon's single batcher goroutine is the intended caller.
 func (p *NNPolicy) DecideBatch(states []float64, rows int, mu, delta []float64) {
 	if p.bscratch == nil || p.bscratch.Rows() < rows {
 		p.bscratch = nn.NewBatchScratch(p.Net, rows)
@@ -65,31 +63,11 @@ func (AIMDPolicy) Decide(state []float64) (float64, float64) {
 	return 1, 0
 }
 
-// PolicyFromCheckpoint loads a training checkpoint (rl.SaveCheckpoint) and
-// wraps its actor as a servable policy. The weights are validated finite and
-// the widths StateDim→2 — a checkpoint that would trip the daemon's health
-// gate, or panic in Decide, is rejected here, at load time, with a useful
-// path in the error.
-func PolicyFromCheckpoint(path string) (*NNPolicy, error) {
-	ck, err := rl.LoadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	if ck.Actor == nil {
-		return nil, fmt.Errorf("checkpoint %s has no actor network", path)
-	}
-	if !ck.Actor.AllFinite() {
-		return nil, fmt.Errorf("checkpoint %s actor has non-finite weights", path)
-	}
-	if err := checkActorWidths(path, ck.Actor); err != nil {
-		return nil, err
-	}
-	return &NNPolicy{Net: ck.Actor}, nil
-}
-
 // PolicyFromActorFile loads a bare actor network exported as JSON (the
-// `jury train -out` artifact) and wraps it as a servable policy, validated
-// as PolicyFromCheckpoint validates its actor.
+// `jury train -out` artifact) and wraps it as a servable policy. The weights
+// are validated finite and the widths StateDim→2 — an actor that would trip
+// the daemon's health gate, or panic in Decide, is rejected here, at load
+// time, with a useful path in the error.
 func PolicyFromActorFile(path string) (*NNPolicy, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

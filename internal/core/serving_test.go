@@ -10,13 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/rl"
 	"repro/internal/simcore"
 )
 
 // TestDecideBatchMatchesScalar: the batched serving path must agree with
-// per-request inference within float tolerance at every batch size,
-// including sizes above the lazily grown scratch.
+// per-request inference bit for bit at every batch size, including sizes
+// above the lazily grown scratch, and a scalar decision allocates nothing.
 func TestDecideBatchMatchesScalar(t *testing.T) {
 	const dim = 12
 	net := nn.NewMLP(simcore.NewRNG(3), []int{dim, 24, 24, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh})
@@ -32,7 +31,7 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 		batched.DecideBatch(x, rows, mus, deltas)
 		for r := 0; r < rows; r++ {
 			mu, delta := scalar.Decide(x[r*dim : (r+1)*dim])
-			if math.Abs(mus[r]-mu) > 1e-9 || math.Abs(deltas[r]-delta) > 1e-9 {
+			if math.Float64bits(mus[r]) != math.Float64bits(mu) || math.Float64bits(deltas[r]) != math.Float64bits(delta) {
 				t.Fatalf("rows=%d row=%d: batch (%v, %v) != scalar (%v, %v)", rows, r, mus[r], deltas[r], mu, delta)
 			}
 			if delta < 0 || delta > 1 || mu < -1 || mu > 1 {
@@ -43,6 +42,10 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 	if got := batched.InputDim(); got != dim {
 		t.Fatalf("InputDim = %d, want %d", got, dim)
 	}
+	state := make([]float64, dim)
+	if allocs := testing.AllocsPerRun(100, func() { scalar.Decide(state) }); allocs != 0 {
+		t.Fatalf("Decide allocates %v times per call, want 0", allocs)
+	}
 
 	// A poisoned state: (+Inf, −Inf) through all-positive first-layer weights
 	// is Inf−Inf, x86's default NaN, whose sign bit is set. Decide returns
@@ -52,7 +55,7 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 	for i := range poison.Layers[0].W {
 		poison.Layers[0].W[i] = 1
 	}
-	state := []float64{math.Inf(1), math.Inf(-1)}
+	state = []float64{math.Inf(1), math.Inf(-1)}
 	mu, delta := (&NNPolicy{Net: poison}).Decide(state)
 	mus, deltas := make([]float64, 1), make([]float64, 1)
 	(&NNPolicy{Net: poison}).DecideBatch(state, 1, mus, deltas)
@@ -82,50 +85,6 @@ func TestAIMDPolicy(t *testing.T) {
 	}
 }
 
-func TestPolicyFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	dim := DefaultConfig().StateDim()
-	actor := nn.NewMLP(simcore.NewRNG(5), []int{dim, 16, 2}, []nn.Activation{nn.ReLU, nn.Tanh})
-	path := filepath.Join(dir, "ck.json")
-	if err := rl.SaveCheckpoint(path, &rl.Checkpoint{Actor: actor}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := PolicyFromCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.InputDim() != dim {
-		t.Fatalf("loaded actor dim %d", p.InputDim())
-	}
-	mu, delta := p.Decide(make([]float64, dim))
-	if math.IsNaN(mu) || delta < 0 || delta > 1 {
-		t.Fatalf("loaded policy answered (%v, %v)", mu, delta)
-	}
-
-	// A checkpoint without an actor (e.g. a critics-only artifact from a
-	// future format change) must be rejected with a clear error, and weights
-	// that fail to parse must not load. (Non-finite weights cannot even be
-	// encoded — json rejects NaN — so AllFinite is a second line of defense;
-	// the runtime guard is covered by the daemon tests.)
-	bad := filepath.Join(dir, "bad.json")
-	if err := rl.SaveCheckpoint(bad, &rl.Checkpoint{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PolicyFromCheckpoint(bad); err == nil {
-		t.Fatal("actor-less checkpoint accepted")
-	}
-	if _, err := PolicyFromCheckpoint(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing checkpoint accepted")
-	}
-	critic := nn.NewMLP(simcore.NewRNG(5), []int{dim + 2, 16, 1}, []nn.Activation{nn.ReLU, nn.Linear})
-	if err := rl.SaveCheckpoint(bad, &rl.Checkpoint{Actor: critic}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PolicyFromCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "a Jury actor maps") {
-		t.Fatalf("checkpoint with a %d→1 actor: err %v, want a width error", dim+2, err)
-	}
-}
-
 func TestPolicyFromActorFile(t *testing.T) {
 	dir := t.TempDir()
 	dim := DefaultConfig().StateDim()
@@ -144,6 +103,9 @@ func TestPolicyFromActorFile(t *testing.T) {
 	}
 	if p.InputDim() != dim {
 		t.Fatalf("loaded actor dim %d", p.InputDim())
+	}
+	if mu, delta := p.Decide(make([]float64, dim)); math.IsNaN(mu) || delta < 0 || delta > 1 {
+		t.Fatalf("loaded policy answered (%v, %v)", mu, delta)
 	}
 	if _, err := PolicyFromActorFile(filepath.Join(dir, "nope.json")); err == nil {
 		t.Fatal("missing actor accepted")

@@ -264,6 +264,7 @@ func TestJSONRejectsCorruptShapes(t *testing.T) {
 		`{"layers":[{"in":2,"out":1,"act":0,"w":[1,2],"b":[0]},{"in":3,"out":1,"act":0,"w":[1,2,3],"b":[0]}]}`, // chain mismatch
 		`{"layers":[{"in":2,"out":1,"act":7,"w":[1,2],"b":[0]}]}`,                                              // unknown activation
 		`{"layers":[{"in":2,"out":1,"act":-1,"w":[1,2],"b":[0]}]}`,                                             // unknown activation
+		`{"layers":[{"in":4611686018427387904,"out":4,"act":0,"w":[],"b":[0,0,0,0]}]}`,                         // in*out wraps to 0 = |w|
 	}
 	for i, s := range bad {
 		var m MLP

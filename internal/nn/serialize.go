@@ -39,7 +39,9 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	}
 	var layers []*Dense
 	for i, l := range in.Layers {
-		if l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+		// |w| = in·out is checked by division: the product can overflow int
+		// and wrap to a length an attacker can match.
+		if l.In <= 0 || l.Out <= 0 || len(l.W)%l.Out != 0 || len(l.W)/l.Out != l.In || len(l.B) != l.Out {
 			return fmt.Errorf("nn: layer %d has inconsistent shape (in=%d out=%d |w|=%d |b|=%d)",
 				i, l.In, l.Out, len(l.W), len(l.B))
 		}

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -18,8 +17,6 @@ type TrainObserver interface {
 	// EpochEnd fires after each collection/update round with the epoch's
 	// statistics and the wall time of its two phases.
 	EpochEnd(epoch int, meanReward, tdErr float64, replayLen int, skippedUpdates int64, collectDur, updateDur time.Duration)
-	// CheckpointSaved fires after each atomic checkpoint write.
-	CheckpointSaved(epoch int, dur time.Duration)
 }
 
 // TrainConfig drives the distributed training loop of §4: several parallel
@@ -46,18 +43,8 @@ type TrainConfig struct {
 	Progress func(epoch int, meanReward, tdErr float64)
 
 	// Observer, if non-nil, receives structured training telemetry
-	// (per-epoch statistics, phase timings, checkpoint latency).
+	// (per-epoch statistics and phase timings).
 	Observer TrainObserver
-
-	// CheckpointPath, if non-empty, makes Train write an atomic checkpoint
-	// (temp file + rename) every CheckpointEvery epochs, so a killed run
-	// loses at most CheckpointEvery epochs of work.
-	CheckpointPath  string
-	CheckpointEvery int // default 1
-	// Resume loads CheckpointPath (if it exists) before training and
-	// continues from the recorded epoch. The replay buffer and optimizer
-	// moments are rebuilt, not restored; see Checkpoint.
-	Resume bool
 }
 
 // TrainResult summarizes a training run.
@@ -89,32 +76,12 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if cfg.NoiseDecay == 0 {
 		cfg.NoiseDecay = 0.995
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
 	// The agent's update helpers are parked goroutines; they must not outlive
 	// the run (the agent stays usable and respawns them on demand).
 	defer cfg.Agent.Close()
 
-	startEpoch := 0
 	noise := cfg.NoiseStd
 	res := &TrainResult{}
-	if cfg.Resume && cfg.CheckpointPath != "" {
-		ck, err := LoadCheckpoint(cfg.CheckpointPath)
-		switch {
-		case err == nil:
-			if err := cfg.Agent.Restore(ck); err != nil {
-				return nil, err
-			}
-			startEpoch = ck.Epoch
-			noise = ck.Noise
-			res.EpochRewards = append(res.EpochRewards, ck.EpochRewards...)
-		case os.IsNotExist(err):
-			// First run: nothing to resume from.
-		default:
-			return nil, fmt.Errorf("rl: resume: %w", err)
-		}
-	}
 
 	buf := NewReplayBuffer(cfg.BufferSize)
 	envs := make([]Env, cfg.Actors)
@@ -125,7 +92,7 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	}
 	actionDim := cfg.Agent.cfg.ActionDim
 
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Snapshot the policy so collectors can run concurrently with no
 		// locking; each collector gets its own RNG stream.
 		policy := cfg.Agent.Actor.Clone()
@@ -193,20 +160,6 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 			cfg.Progress(epoch, meanReward, tdErr)
 		}
 		noise *= cfg.NoiseDecay
-
-		if cfg.CheckpointPath != "" && ((epoch+1)%cfg.CheckpointEvery == 0 || epoch+1 == cfg.Epochs) {
-			ck := cfg.Agent.snapshot()
-			ck.Epoch = epoch + 1
-			ck.Noise = noise
-			ck.EpochRewards = res.EpochRewards
-			ckStart := time.Now()
-			if err := SaveCheckpoint(cfg.CheckpointPath, ck); err != nil {
-				return nil, err
-			}
-			if cfg.Observer != nil {
-				cfg.Observer.CheckpointSaved(epoch+1, time.Since(ckStart))
-			}
-		}
 	}
 	return res, nil
 }

@@ -1,16 +1,13 @@
 package telemetry
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // RPCDaemonStats is the structural slice of the inference daemon
 // (agentrpc.Server) the hub exports: served decisions and policy panics,
 // batching efficiency, admission-control shedding, hot-swap/rollback
-// history, deadline enforcement, and per-tenant decision accounting. The
-// counters are atomics and the connection/tenant views take the server's
-// mutex, so all of it is safe to call from the debug HTTP goroutine.
+// history, and deadline enforcement. The counters are atomics and the
+// connection view takes the server's mutex, so all of it is safe to call
+// from the debug HTTP goroutine.
 type RPCDaemonStats interface {
 	Decisions() int64
 	Panics() int64
@@ -25,8 +22,6 @@ type RPCDaemonStats interface {
 	QueueDepth() int
 	ActiveConns() int
 	PolicyVersion() int64
-	TenantDecisions(name string) int64
-	OnTenant(fn func(name string))
 }
 
 // rpcServerGauges is the daemon's gauge schema: Setup pre-registers each
@@ -53,8 +48,7 @@ var rpcServerGauges = []struct {
 }
 
 // ExportRPCDaemon registers callback gauges mirroring the full serving
-// surface of the inference daemon, including one decisions gauge per tenant
-// label (registered lazily as tenants announce themselves).
+// surface of the inference daemon.
 func (h *Hub) ExportRPCDaemon(s RPCDaemonStats) {
 	if h == nil || s == nil {
 		return
@@ -63,49 +57,6 @@ func (h *Hub) ExportRPCDaemon(s RPCDaemonStats) {
 	for _, g := range rpcServerGauges {
 		r.GaugeFunc(g.name, g.help, func() float64 { return float64(g.read(s)) })
 	}
-	s.OnTenant(func(name string) {
-		tenant := name
-		r.GaugeFunc("rpc_tenant_decisions_"+tenantMetricName(tenant),
-			"decisions served for tenant "+tenant,
-			func() float64 { return float64(s.TenantDecisions(tenant)) })
-	})
-}
-
-// tenantMetricName maps a tenant label onto the metric-name alphabet.
-// Sanitization is lossy ("team-a" and "team.a" both become "team_a"), and a
-// collision would silently fold two tenants' gauges into one — the later
-// registration re-points the GaugeFunc. Any label that sanitization altered
-// therefore carries a short FNV-1a hash of the *original* label, which keeps
-// distinct tenants distinct while leaving already-clean names untouched.
-func tenantMetricName(tenant string) string {
-	clean := sanitizeMetricName(tenant)
-	if clean == tenant {
-		return clean
-	}
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(tenant); i++ {
-		h = (h ^ uint64(tenant[i])) * prime
-	}
-	return fmt.Sprintf("%s_%06x", clean, h&0xffffff)
-}
-
-// sanitizeMetricName maps an arbitrary tenant label onto the Prometheus
-// metric-name alphabet ([a-zA-Z0-9_]); everything else becomes '_'.
-func sanitizeMetricName(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				b[i] = '_'
-			}
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
 }
 
 // RPCClientHook returns a latency hook for agentrpc.Client.SetLatencyHook:

@@ -62,8 +62,8 @@ func TestRPCInstrumentation(t *testing.T) {
 	}
 }
 
-// TestRPCDaemonInstrumentation exports the full daemon surface: batching,
-// hot-swap, and lazily registered per-tenant decision gauges.
+// TestRPCDaemonInstrumentation exports the full daemon surface: batching
+// and hot-swap.
 func TestRPCDaemonInstrumentation(t *testing.T) {
 	srv, err := agentrpc.ServeConfig("127.0.0.1:0", fixedPolicy{0.5, 0.25}, agentrpc.Config{})
 	if err != nil {
@@ -74,8 +74,8 @@ func TestRPCDaemonInstrumentation(t *testing.T) {
 	hub := &telemetry.Hub{Registry: telemetry.NewRegistry()}
 	hub.ExportRPCDaemon(srv)
 
-	// One labelled tenant (hook fires lazily on its hello) and one swap.
-	cl, err := agentrpc.DialConfig(srv.Addr(), fixedPolicy{-1, 0}, agentrpc.ClientConfig{Tenant: "flow a"})
+	// Two decisions and one swap.
+	cl, err := agentrpc.Dial(srv.Addr(), fixedPolicy{-1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,7 @@ func TestRPCDaemonInstrumentation(t *testing.T) {
 		"rpc_server_batched_requests 2",
 		"rpc_server_swaps 1",
 		"rpc_server_policy_version 2",
-		// Label sanitized for the exposition; sanitization altered it, so it
-		// carries the disambiguating hash of the original "flow a".
-		"rpc_tenant_decisions_flow_a_fc43aa 2",
+		"rpc_server_decisions 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

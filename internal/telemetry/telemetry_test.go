@@ -262,7 +262,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil hub must return a nil training observer")
 	}
 	hub.Training().EpochEnd(0, 0, 0, 0, 0, 0, 0)
-	hub.Training().CheckpointSaved(0, 0)
 	hub.ExportRPCDaemon(nil)
 	if hub.RPCClientHook() != nil {
 		t.Fatal("nil hub must return a nil RPC hook")

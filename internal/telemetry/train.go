@@ -9,14 +9,13 @@ import "time"
 type TrainingObserver struct {
 	tracer *Tracer
 
-	epoch       *Gauge
-	reward      *Gauge
-	tdErr       *Gauge
-	replay      *Gauge
-	skipped     *Gauge
-	epochs      *Counter
-	updateDur   *Histogram
-	checkpointS *Histogram
+	epoch     *Gauge
+	reward    *Gauge
+	tdErr     *Gauge
+	replay    *Gauge
+	skipped   *Gauge
+	epochs    *Counter
+	updateDur *Histogram
 }
 
 // Training returns the hub's training-domain observer (nil when the hub is
@@ -28,15 +27,14 @@ func (h *Hub) Training() *TrainingObserver {
 	}
 	r := h.Registry
 	return &TrainingObserver{
-		tracer:      h.Tracer,
-		epoch:       r.Gauge("train_epoch", "last completed training epoch"),
-		reward:      r.Gauge("train_mean_reward", "mean per-step reward of the last epoch"),
-		tdErr:       r.Gauge("train_td_error", "mean TD error of the last epoch's final update"),
-		replay:      r.Gauge("train_replay_occupancy", "transitions resident in the replay buffer"),
-		skipped:     r.Gauge("train_skipped_updates", "optimizer steps skipped on non-finite gradients"),
-		epochs:      r.Counter("train_epochs_total", "training epochs completed"),
-		updateDur:   r.Histogram("train_update_phase_seconds", "wall time of each epoch's TD3 update phase"),
-		checkpointS: r.Histogram("train_checkpoint_seconds", "wall time of atomic checkpoint writes"),
+		tracer:    h.Tracer,
+		epoch:     r.Gauge("train_epoch", "last completed training epoch"),
+		reward:    r.Gauge("train_mean_reward", "mean per-step reward of the last epoch"),
+		tdErr:     r.Gauge("train_td_error", "mean TD error of the last epoch's final update"),
+		replay:    r.Gauge("train_replay_occupancy", "transitions resident in the replay buffer"),
+		skipped:   r.Gauge("train_skipped_updates", "optimizer steps skipped on non-finite gradients"),
+		epochs:    r.Counter("train_epochs_total", "training epochs completed"),
+		updateDur: r.Histogram("train_update_phase_seconds", "wall time of each epoch's TD3 update phase"),
 	}
 }
 
@@ -62,17 +60,5 @@ func (o *TrainingObserver) EpochEnd(epoch int, meanReward, tdErr float64, replay
 			Dur("collect_ns", collectDur),
 			Dur("update_ns", updateDur),
 		)
-	}
-}
-
-// CheckpointSaved records one atomic checkpoint write.
-func (o *TrainingObserver) CheckpointSaved(epoch int, dur time.Duration) {
-	if o == nil {
-		return
-	}
-	o.checkpointS.Observe(dur.Seconds())
-	if o.tracer != nil {
-		o.tracer.Event("train", "checkpoint", 0,
-			I64("epoch", int64(epoch)), Dur("write_ns", dur))
 	}
 }

@@ -136,22 +136,3 @@ func TrainPolicy(opts TrainOptions) (*rl.TD3, *rl.TrainResult, error) {
 
 // DefaultTrainOptions returns a laptop-scale training budget.
 func DefaultTrainOptions(seed uint64) TrainOptions { return core.DefaultTrainOptions(seed) }
-
-// Multi-objective extension (§3.3 via MOCC; see internal/core).
-
-// Preference weights the throughput/delay/loss objectives.
-type Preference = core.Preference
-
-// DefaultPreference is the uniform preference (MOReward == Reward).
-func DefaultPreference() Preference { return core.DefaultPreference() }
-
-// MOReward is the preference-weighted generalization of Eq. 9.
-func MOReward(cfg Config, pref Preference, ratioBW float64, rtt, rttMin time.Duration, loss, lossMin float64) float64 {
-	return core.MOReward(cfg, pref, ratioBW, rtt, rttMin, loss, lossMin)
-}
-
-// NewControllerWithPreference builds a Jury controller realizing the given
-// objective preference; fairness is preference-independent.
-func NewControllerWithPreference(cfg Config, pref Preference) *Controller {
-	return core.NewWithPreference(cfg, pref)
-}

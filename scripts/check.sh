@@ -2,7 +2,7 @@
 # check.sh — the repository's fast verification gate.
 #
 # Runs formatting, vet, build, the short test suite, the race detector over
-# every package, and short fuzz smokes on the wire/trace parsers. The full
+# every package, and short fuzz smokes on the wire/trace/actor parsers. The full
 # suite (go test ./...) adds the full-scale emulation tests gated behind
 # -short; JURY_SIMCHECK=1 additionally audits every experiment scenario with
 # the simcheck invariant checker (exp's own tests always do).
@@ -23,6 +23,29 @@ go vet -tags purego ./internal/nn ./internal/rl
 
 echo "== go build ./..."
 go build ./...
+
+echo "== every test this script names exists"
+# go test -run passes when its pattern matches nothing, so a deleted or
+# renamed test would silently drop out of a step below. An exact pattern
+# (^(A|B)$) needs func A and func B in a _test.go file; a prefix pattern
+# (^A) needs a func whose name starts with A.
+testfuncs=$(grep -h -o '^func \(Test\|Fuzz\)[A-Za-z0-9_]*' $(find . -name '*_test.go') | sed 's/^func //' | sort -u)
+missing=
+for pat in $(grep -o "\-\(run\|fuzz\)[= ]'^[^']*'" scripts/check.sh | sed "s/^-[a-z]*[= ]'^//; s/'\$//"); do
+    exact=
+    case $pat in *'$') exact=1 pat=${pat%'$'} ;; esac
+    for name in $(echo "$pat" | tr -d '()' | tr '|' ' '); do
+        if [ -n "$exact" ]; then
+            echo "$testfuncs" | grep -qx "$name" || missing="$missing $name"
+        else
+            echo "$testfuncs" | grep -q "^$name" || missing="$missing $name"
+        fi
+    done
+done
+if [ -n "$missing" ]; then
+    echo "scripts/check.sh names tests that do not exist:$missing" >&2
+    exit 1
+fi
 
 echo "== no fused multiply-add in the nn assembly"
 # The vector kernels are bit-identical to their Go bodies because each lane
@@ -155,7 +178,7 @@ go test -run '^(TestDisabledZeroAlloc|TestEnabledEventZeroAlloc|TestNilSafety|Te
 go test -run '^TestSimTotalsFoldMatchesTap$' -count=1 ./internal/exp
 
 echo "== telemetry: metric-family get-or-create race + concurrent histogram"
-go test -race -run '^(TestRegistryConcurrentGetOrCreate|TestHistogramConcurrent|TestTenantMetricNameCollision)$' -count=1 ./internal/telemetry
+go test -race -run '^(TestRegistryConcurrentGetOrCreate|TestHistogramConcurrent)$' -count=1 ./internal/telemetry
 
 echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + digest parity + pinned mesh quantiles"
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
@@ -174,5 +197,6 @@ echo "== fuzz smoke (10s each)"
 go test -run='^$' -fuzz='^FuzzMahimahiParse$' -fuzztime=10s ./internal/traces
 go test -run='^$' -fuzz='^FuzzAgentRPCDecode$' -fuzztime=10s ./internal/agentrpc
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime=10s ./internal/runstore
+go test -run='^$' -fuzz='^FuzzActorJSON$' -fuzztime=10s ./internal/nn
 
 echo "OK"
