@@ -82,8 +82,9 @@ func TestTimerCancelStopsRescheduledStorage(t *testing.T) {
 // free-list is warm, scheduling one event with ScheduleArg, running it and
 // recycling it allocates nothing — and neither does scheduling and
 // cancelling an event behind a deep queue (1024 pending events, about what a
-// busy multi-flow simulation keeps queued), nor re-arming a pending timer
-// there with Rearm, which also leaves no cancelled twin queued.
+// busy multi-flow simulation keeps queued), in the overflow heap or on the
+// wheel's top level, nor re-arming a pending timer there with Rearm, which
+// also leaves no cancelled twin queued.
 func TestScheduleArgAllocFree(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -101,13 +102,32 @@ func TestScheduleArgAllocFree(t *testing.T) {
 	deep := NewEngine()
 	nop := func(any) {}
 	for i := 0; i < 1024; i++ {
-		deep.ScheduleArg(24*time.Hour+time.Duration(i), nop, nil)
+		deep.ScheduleArg(1000*time.Hour+time.Duration(i), nop, nil)
 	}
+	// An hour out is past level 2's span: the event goes to the overflow heap.
 	if avg := testing.AllocsPerRun(100, func() {
-		deep.ScheduleArg(deep.Now()+time.Minute, nop, nil).Cancel()
-		deep.Run(deep.Now() + time.Minute)
+		deep.ScheduleArg(deep.Now()+time.Hour, nop, nil).Cancel()
+		deep.Run(deep.Now() + time.Hour)
 	}); avg != 0 {
-		t.Errorf("deep-queue schedule+cancel allocates %v per event, want 0", avg)
+		t.Errorf("deep-queue overflow schedule+cancel allocates %v per event, want 0", avg)
+	}
+	// A level-2 event cascades through one slot of each level on its way to
+	// the heap, and a slot's slice grows on its first use. Stepping by a
+	// sixteenth of level 2's span visits sixteen level-2 slots and one slot
+	// each on levels 1 and 0, so one rotation (sixteen steps) warms them all.
+	level2 := func() {
+		tm := deep.ScheduleArg(deep.Now()+span2/16, nop, nil)
+		if deep.queue.count[2] != 1 {
+			t.Fatalf("a %v timer is not parked on level 2: count=%v", span2/16, deep.queue.count)
+		}
+		tm.Cancel()
+		deep.Run(deep.Now() + span2/16)
+	}
+	for i := 0; i < 16; i++ {
+		level2()
+	}
+	if avg := testing.AllocsPerRun(100, level2); avg != 0 {
+		t.Errorf("deep-queue level-2 schedule+cancel allocates %v per event, want 0", avg)
 	}
 	if deep.Pending() != 1024 {
 		t.Fatalf("deep queue holds %d events, want the 1024 parked ones", deep.Pending())

@@ -13,18 +13,20 @@ type firing struct {
 }
 
 // residence names where t's event is queued: "heap" (within the heap
-// horizon), "overflow" (heap-resident past level 1's span), "level0",
-// "level1", or "none" when it is not queued.
+// horizon), "overflow" (heap-resident at or past level 2's span), "level0",
+// "level1", "level2", or "none" when it is not queued.
 func residence(e *Engine, t Timer) string {
 	ev := t.ev
 	switch {
 	case !t.Active():
 		return "none"
-	case ev.index >= 0 && ev.at-e.queue.cur >= span1:
+	case ev.index >= 0 && ev.at-e.queue.cur >= span2:
 		return "overflow"
 	case ev.index >= 0:
 		return "heap"
-	case slices.Contains(e.queue.slot1[int(ev.at>>slot1Shift)&(slot1Count-1)], ev):
+	case slices.Contains(e.queue.slots[2][slotOf(ev.at, 2)], ev):
+		return "level2"
+	case slices.Contains(e.queue.slots[1][slotOf(ev.at, 1)], ev):
 		return "level1"
 	default:
 		return "level0"
@@ -34,8 +36,8 @@ func residence(e *Engine, t Timer) string {
 // TestRearmMatchesCancelSchedule is Rearm's correctness property: over
 // randomised self-rescheduling workloads that re-arm a pool of timers from
 // inside callbacks — at their queued time and at a moved one, while they sit
-// in the heap, a level-0 or level-1 wheel slot or the overflow heap, and
-// after they fired — the executed (at, seq) stream equals the one
+// in the heap, a level-0, level-1 or level-2 wheel slot or the overflow
+// heap, and after they fired — the executed (at, seq) stream equals the one
 // Cancel+ScheduleArg produces, with the wheel and without it.
 func TestRearmMatchesCancelSchedule(t *testing.T) {
 	type stats struct {
@@ -56,15 +58,17 @@ func TestRearmMatchesCancelSchedule(t *testing.T) {
 		// a firing time and a re-keyed event must sift past its ties.
 		randomDelay := func() time.Duration {
 			var d time.Duration
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				d = time.Duration(rng.Intn(int(slot0Gran)))
 			case 1:
 				d = time.Duration(rng.Intn(int(span0)))
 			case 2:
 				d = time.Duration(rng.Intn(int(span1)))
+			case 3:
+				d = span1 + time.Duration(rng.Intn(int(span2-span1)))
 			default:
-				d = span1 + time.Duration(rng.Intn(int(span1)))
+				d = span2 + time.Duration(rng.Intn(int(span2)))
 			}
 			return d &^ (slot0Gran/8 - 1)
 		}
@@ -121,7 +125,7 @@ func TestRearmMatchesCancelSchedule(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			e.ScheduleArg(e.Now()+randomDelay(), spawn, nil)
 		}
-		e.Run(20 * span1)
+		e.Run(20 * span2)
 		return stream, st
 	}
 	for _, noWheel := range []bool{false, true} {
@@ -142,7 +146,7 @@ func TestRearmMatchesCancelSchedule(t *testing.T) {
 			if st.moved == 0 || st.fresh == 0 {
 				t.Fatalf("noWheel=%v seed %d: moved %d / fresh %d re-arms, want both", noWheel, seed, st.moved, st.fresh)
 			}
-			want := []string{"heap", "overflow", "level0", "level1"}
+			want := []string{"heap", "overflow", "level0", "level1", "level2"}
 			if noWheel {
 				want = []string{"heap", "overflow"}
 			}

@@ -2,41 +2,55 @@ package simcore
 
 import "time"
 
-// timerWheel is a two-level hierarchical timer wheel (calendar queue) that
-// fronts the 4-ary eventHeap. The dominant event population in large meshes
-// is self-rescheduling timers — pacing ticks, send timers, interval and
-// record ticks — whose firing times are spread over milliseconds to seconds.
-// Keeping all of them in one heap makes every schedule/cancel O(log n) with
-// n in the hundreds of thousands; the wheel parks far-out events in O(1)
-// slots and only migrates them into the heap when their slot comes due, so
-// the heap stays small (only events within the current ~half-millisecond
-// granule) and its log factor nearly vanishes.
+// timerWheel is a three-level hierarchical timer wheel (Varghese & Lauck's
+// hashed hierarchical timing wheel) that fronts the 4-ary eventHeap. The
+// dominant event population is self-rescheduling timers — pacing ticks, send
+// timers, interval and record ticks — plus one-shot flow starts armed when a
+// network is built, whose firing times are spread over microseconds to
+// minutes. Keeping all of them in one heap makes every schedule and pop
+// O(log n) against events that are nowhere near due; the wheel parks
+// far-out events in O(1) slots and only migrates them into the heap when
+// their slot comes due, so the heap holds just the events of the current
+// granule and its log factor nearly vanishes.
+//
+// Geometry. Every level has slotCount (256) slots; level l's granule is
+// 2^(16+8l) ns:
+//
+//	level 0: 65.5 us slots, span0 ~ 16.8 ms
+//	level 1: 16.8 ms slots, span1 ~ 4.3 s
+//	level 2: 4.3 s slots,   span2 ~ 18.3 min
+//
+// The level-0 granule is 65.5 us because that is one to two packet times on
+// the 100-350 Mbps links of the paper figures: the heap then holds the few
+// events due now rather than a window of upcoming ones (3.3 on average at a
+// pop over the paper-figure runs, against 41.7 with a 2^19 ns granule and a
+// 34 s horizon). Three levels put the paper's 100 s experiment horizons
+// (Table 3's Poisson flow starts) inside the wheel; events at or past span2
+// overflow into the heap, which handles any time.
 //
 // Ordering contract. The engine's observable pop order must remain the exact
 // (at, schedAt, seq) total order of a pure heap — golden simcheck digests
 // and sharded-parity tests compare it bit-for-bit. The wheel preserves it
 // via one invariant:
 //
-//	(A) every queued event with at < cur+g0 lives in the heap; an event is
-//	    parked in a wheel slot only while at >= cur+g0.
+//	(A) every queued event with at < cur+slot0Gran lives in the heap; an
+//	    event is parked in a wheel slot only while at >= cur+slot0Gran.
 //
 // min() restores (A) before every peek: while the heap is empty or its top
-// fires at or beyond cur+g0, it advances cur one slot at a time, flushing
-// each level-0 slot into the heap (and cascading level-1 slots into level 0
-// at their boundaries). Once the heap top fires inside [0, cur+g0), (A)
-// says no wheel-resident event can fire earlier, so the heap top is the
+// fires at or beyond cur+slot0Gran, it advances cur, flushing each level-0
+// slot into the heap and cascading a higher-level slot down whenever cur
+// reaches its boundary. Once the heap top fires inside [0, cur+slot0Gran),
+// (A) says no wheel-resident event can fire earlier, so the heap top is the
 // global minimum — and because migration happens strictly before the peek
 // that observes it, ties re-resolve inside the heap by the full
 // (at, schedAt, seq) key exactly as they would have in a heap-only engine.
 // Slot membership never orders events; only the heap does.
 //
-// Level 0 spans slot0Count slots of slot0Gran (~524 us) each, ~134 ms total;
-// level 1 spans slot1Count slots of slot1Gran (~134 ms) each, ~34 s total.
-// Events beyond level 1's horizon overflow into the heap directly — they are
-// rare (long idle timers), and the heap handles any time, so the wheel needs
-// no wraparound bookkeeping beyond the modulo slot index: an event whose
-// absolute slot number aliases an already-passed slot index just waits for
-// cur to come around again, which happens before it is due.
+// An event's slot is (at >> shift) mod 256, so the wheel needs no wraparound
+// bookkeeping: an event whose absolute slot number aliases an already-passed
+// slot index just waits for cur to come around again, which happens before it
+// is due, because an event one span or more away goes one level up (or to the
+// heap) instead.
 type timerWheel struct {
 	heap eventHeap
 
@@ -46,11 +60,8 @@ type timerWheel struct {
 	// clock.
 	cur time.Duration
 
-	count0 int // events parked in slot0
-	count1 int // events parked in slot1
-
-	slot0 [slot0Count][]*Event
-	slot1 [slot1Count][]*Event
+	count [levels]int // events parked per level
+	slots [levels][slotCount][]*Event
 
 	// noWheel forces every push into the heap, turning the engine into the
 	// pre-wheel heap-only implementation. Tests use it to prove the wheel-fed
@@ -59,16 +70,17 @@ type timerWheel struct {
 }
 
 const (
-	slot0Shift = 19                    // slot0Gran = 2^19 ns ~ 524 us
-	slotBits   = 8                     // 256 slots per level
-	slot1Shift = slot0Shift + slotBits // slot1Gran = slot0 span ~ 134 ms
-	slot0Count = 1 << slotBits
-	slot1Count = 1 << slotBits
+	levels     = 3
+	slotBits   = 8 // 256 slots per level
+	slotCount  = 1 << slotBits
+	slot0Shift = 16 // slot0Gran = 2^16 ns ~ 65.5 us
 
 	slot0Gran = time.Duration(1) << slot0Shift
-	slot1Gran = time.Duration(1) << slot1Shift
-	span0     = slot0Gran << slotBits // level-0 horizon ~ 134 ms
-	span1     = slot1Gran << slotBits // level-1 horizon ~ 34 s
+	slot1Gran = slot0Gran << slotBits // = span0 ~ 16.8 ms
+	slot2Gran = slot1Gran << slotBits // = span1 ~ 4.3 s
+	span0     = slot1Gran
+	span1     = slot2Gran
+	span2     = slot2Gran << slotBits // ~ 18.3 min
 )
 
 // Event index sentinels. Heap-resident events carry their heap slot (>= 0);
@@ -78,54 +90,72 @@ const (
 	idxWheel = -2 // parked in a timer-wheel slot, not yet migrated to the heap
 )
 
+// slotOf is the index of at's slot on level l.
+func slotOf(at time.Duration, l int) int {
+	return int(at>>(slot0Shift+slotBits*l)) & (slotCount - 1)
+}
+
+// parked reports how many events wait in wheel slots.
+func (w *timerWheel) parked() int {
+	return w.count[0] + w.count[1] + w.count[2]
+}
+
 // size reports the total queued event count across heap and wheel,
 // including cancelled-but-undrained events.
 func (w *timerWheel) size() int {
-	return len(w.heap) + w.count0 + w.count1
+	return len(w.heap) + w.parked()
 }
 
 // push enqueues ev, choosing heap or wheel slot by distance from cur.
 // now is the engine clock, used only to re-anchor a fully drained wheel so
 // cur does not lag arbitrarily far behind virtual time (which would push
-// every future event into the overflow heap).
+// every future event into the overflow heap). The wheel must be empty on
+// every level: a parked event's slot was chosen against the old cursor, and
+// a jump could carry cur past that slot's boundary without cascading it.
 func (w *timerWheel) push(ev *Event, now time.Duration) {
 	if w.noWheel {
 		w.heap.push(ev)
 		return
 	}
-	if w.count0 == 0 && w.count1 == 0 {
+	if w.parked() == 0 {
 		if anchor := now &^ (slot0Gran - 1); w.cur < anchor {
 			w.cur = anchor
 		}
 	}
+	w.place(ev)
+}
+
+// place puts ev in the heap or in the lowest wheel level whose span covers
+// its distance from cur.
+func (w *timerWheel) place(ev *Event) {
 	d := ev.at - w.cur
 	switch {
-	case d < slot0Gran:
+	case d < slot0Gran || d >= span2:
 		// Inside the current granule (or behind a cursor that ran ahead of
-		// the clock): invariant (A) requires the heap.
+		// the clock) invariant (A) requires the heap; past level 2's
+		// horizon the heap is the overflow.
 		w.heap.push(ev)
 	case d < span0:
-		i := int(ev.at>>slot0Shift) & (slot0Count - 1)
-		ev.index = idxWheel
-		w.slot0[i] = append(w.slot0[i], ev)
-		w.count0++
+		w.park(ev, 0)
 	case d < span1:
-		i := int(ev.at>>slot1Shift) & (slot1Count - 1)
-		ev.index = idxWheel
-		w.slot1[i] = append(w.slot1[i], ev)
-		w.count1++
+		w.park(ev, 1)
 	default:
-		// Beyond the level-1 horizon: overflow into the heap.
-		w.heap.push(ev)
+		w.park(ev, 2)
 	}
+}
+
+func (w *timerWheel) park(ev *Event, l int) {
+	i := slotOf(ev.at, l)
+	ev.index = idxWheel
+	w.slots[l][i] = append(w.slots[l][i], ev)
+	w.count[l]++
 }
 
 // min returns the globally earliest queued event (nil when empty), migrating
 // wheel slots into the heap as needed to establish invariant (A)'s guarantee
 // that the heap top is the global minimum.
 func (w *timerWheel) min() *Event {
-	for (w.count0 > 0 || w.count1 > 0) &&
-		(len(w.heap) == 0 || w.heap[0].at-w.cur >= slot0Gran) {
+	for (len(w.heap) == 0 || w.heap[0].at-w.cur >= slot0Gran) && w.parked() > 0 {
 		w.advance()
 	}
 	if len(w.heap) == 0 {
@@ -141,57 +171,46 @@ func (w *timerWheel) popMin() *Event {
 }
 
 // advance moves cur forward one step, migrating due slots toward the heap.
+// With level 0 empty nothing can be due before the next boundary of the
+// lowest non-empty level, so cur jumps straight there. Every boundary cur
+// lands on is cascaded, higher level first (a lower level's step or jump may
+// land on a higher level's boundary too). Cascading re-places events by
+// their distance from cur, so none lands in a slot that starts at cur: the
+// order at a shared boundary moves no event.
 func (w *timerWheel) advance() {
-	if w.count0 == 0 {
-		// Level 0 is empty, so nothing can be due before the next level-1
-		// boundary: jump straight there and cascade its slot down.
+	switch {
+	case w.count[0] > 0:
+		w.cur += slot0Gran
+	case w.count[1] > 0:
 		w.cur = (w.cur &^ (slot1Gran - 1)) + slot1Gran
-		w.cascade()
-		return
+	default:
+		w.cur = (w.cur &^ (slot2Gran - 1)) + slot2Gran
 	}
-	w.cur += slot0Gran
-	if w.cur&(slot1Gran-1) == 0 && w.count1 > 0 {
-		w.cascade()
+	if w.cur&(slot2Gran-1) == 0 {
+		w.cascade(2)
 	}
-	w.flush()
+	if w.cur&(slot1Gran-1) == 0 {
+		w.cascade(1)
+	}
+	w.cascade(0)
 }
 
-// flush migrates the level-0 slot covering [cur, cur+slot0Gran) into the
-// heap, restoring invariant (A) for the newly entered granule.
-func (w *timerWheel) flush() {
-	i := int(w.cur>>slot0Shift) & (slot0Count - 1)
-	s := w.slot0[i]
+// cascade re-places the level-l slot whose range starts at cur. Each event
+// lands on a lower level or, if due within the entered granule, the heap;
+// level 0 therefore flushes wholly into the heap. Nothing maps back into
+// level l: the slot's range is one level-l granule, which is closer than
+// level l's placement threshold, so re-placing never appends to the slice
+// being drained.
+func (w *timerWheel) cascade(l int) {
+	i := slotOf(w.cur, l)
+	s := w.slots[l][i]
 	if len(s) == 0 {
 		return
 	}
+	w.count[l] -= len(s)
+	w.slots[l][i] = s[:0]
 	for j, ev := range s {
 		s[j] = nil
-		w.heap.push(ev)
-	}
-	w.count0 -= len(s)
-	w.slot0[i] = s[:0]
-}
-
-// cascade re-places the level-1 slot whose boundary cur just reached. Each
-// event lands in a level-0 slot or, if due within the entered granule, the
-// heap; nothing can map back into level 1, because the slot's whole range
-// fits inside level 0's span.
-func (w *timerWheel) cascade() {
-	i := int(w.cur>>slot1Shift) & (slot1Count - 1)
-	s := w.slot1[i]
-	if len(s) == 0 {
-		return
-	}
-	w.count1 -= len(s)
-	w.slot1[i] = s[:0]
-	for j, ev := range s {
-		s[j] = nil
-		if d := ev.at - w.cur; d < slot0Gran {
-			w.heap.push(ev)
-		} else {
-			k := int(ev.at>>slot0Shift) & (slot0Count - 1)
-			w.slot0[k] = append(w.slot0[k], ev)
-			w.count0++
-		}
+		w.place(ev)
 	}
 }
