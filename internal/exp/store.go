@@ -29,8 +29,11 @@ import (
 // Old records stay readable (the record format is versioned separately) but
 // stop matching, so they are re-run and re-stored — exactly the safe
 // behavior when the meaning of a key changes.
-// Version history: 2 added HugeOptions.BufferBytes to the huge key.
-const KeySchemaVersion = 2
+// Version history: 2 added HugeOptions.BufferBytes to the huge key; 3
+// marks the simulator's shorter event stream (a packet's ACK is scheduled
+// by its last link, with no delivery event), which moves the simcheck
+// digests checked rows store and the event counts huge records store.
+const KeySchemaVersion = 3
 
 // Store, when non-nil, records every completed cacheable run. StoreResume
 // additionally serves runs whose key is already stored without simulating.

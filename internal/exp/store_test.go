@@ -358,13 +358,12 @@ func keyStabilityScenarios() []Scenario {
 // JURY_PRINT_KEYS=1 go test -run TestScenarioKeyStability -v ./internal/exp.
 func TestScenarioKeyStability(t *testing.T) {
 	want := map[string]string{
-		"canon-basic": "1d59e6e02e67229dd6709bed1670c4081e42bf5ab4c981f7d2066184bce45445",
-		// Repinned when Scenario.Shards was deleted: this scenario used to set
-		// Shards = 2, an input that no longer exists. The value is the key the
-		// previous schema gave the same scenario at Shards = 1.
-		"canon-faults":      "21eb77f81765628b66e7335a67425b2755ff3d78f035a7b687da78f131f390b9",
-		"canon-const-trace": "02bb19bbc0c3fc04a5a193b6880d5fc22003851d74b3af2129c4d3dd7e8c6638",
-		"canon-step-trace":  "e21ef44acf5cf3fa976bd8511b9a6b8514a23760f247c1a6ffc1e596612da5a7",
+		"canon-basic": "ae163095ac347b2e1898a556cd8da250b5f121fcdc12a7d823943dded662f7c8",
+		// This scenario used to set Shards = 2, an input that no longer
+		// exists; it is keyed as every scenario is, at Shards = 1.
+		"canon-faults":      "43899d9811cd8ce76f47c013143d1a4b2dae7d16ae94eb588201d4aa249b8fbe",
+		"canon-const-trace": "b40178920286bae94b6945642d780b9027e30511d43edd7a6c5ce0594cdc70ff",
+		"canon-step-trace":  "7fb61f67dd479f7dfa0f6f107db2e1bab0390fdb0c997ca30d0d9752cf35ac1c",
 	}
 	for _, s := range keyStabilityScenarios() {
 		key, ok := ScenarioKey(s)
@@ -386,7 +385,7 @@ func TestScenarioKeyStability(t *testing.T) {
 	if !ok {
 		t.Fatal("canonical huge options not cacheable")
 	}
-	const wantHuge = "891f016829bbcea1059c1792e1c0778321e9e76fbf6a31a8fe0a4ceec71932ef"
+	const wantHuge = "353b8b5673ff420bdb82b116ec4fb6074055b0da702ad984896bf1de329a23cc"
 	if os.Getenv("JURY_PRINT_KEYS") != "" {
 		t.Logf("huge: %q,", hkey.String())
 	} else if hkey.String() != wantHuge {

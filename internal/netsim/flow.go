@@ -450,24 +450,13 @@ func (f *Flow) sendPacket(now time.Duration) {
 	}
 }
 
-// advance moves a packet to its next hop, or delivers it and schedules the
-// ACK's return once it has cleared the last link. It always runs on the
-// shard owning the link the packet just arrived at (cross-shard hops are
-// routed by Link.finishTx), so the arrive call below never crosses shards.
+// advance moves a packet onto its next hop. It always runs on the shard
+// owning that link (cross-shard hops are routed by Link.finishTx), so the
+// arrive call below never crosses shards. Packets past their last link never
+// come back here: the last link schedules the ACK itself (Link.deliver).
 func (f *Flow) advance(p *packet) {
 	p.hop++
-	if p.hop < len(f.cfg.Path) {
-		f.cfg.Path[p.hop].arrive(p)
-		return
-	}
-	// Delivered. The ACK travels the return leg back to the sender; in a
-	// sharded run the sender may live on another shard (the return leg spans
-	// the whole path, so it is always ≥ the inter-shard lookahead).
-	if last := f.cfg.Path[len(f.cfg.Path)-1]; last.shard != f.shard {
-		last.xs.Send(f.shard, last.eng.Now()+f.returnLeg, flowAck, p)
-		return
-	}
-	f.eng.ScheduleArgAfter(f.returnLeg, flowAck, p)
+	f.cfg.Path[p.hop].arrive(p)
 }
 
 func (f *Flow) onAck(p *packet) {

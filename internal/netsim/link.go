@@ -203,7 +203,8 @@ func (l *Link) dropped(p *packet) {
 func (l *Link) dropToSender(p *packet) {
 	f := p.flow
 	if f.shard != l.shard {
-		l.xs.Send(f.shard, l.eng.Now()+p.lossDelay, flowLossDetected, p)
+		now := l.eng.Now()
+		l.xs.Send(f.shard, now+p.lossDelay, now, flowLossDetected, p)
 		return
 	}
 	f.onDrop(p)
@@ -243,8 +244,25 @@ func (l *Link) startTx() {
 	l.eng.ScheduleArgAfter(txDur, linkFinishTx, p)
 }
 
+// deliver schedules the ACK of a packet that has cleared its last link and
+// reaches the receiver at arrive. The ACK fires one return leg later,
+// stamped as scheduled at arrive, so equal-time ties order as if the
+// receiver had scheduled it on arrival; no receiver-side event runs. A
+// sender on another shard gets it across the barrier: the return leg spans
+// the whole path, cut included, so it lands at least one lookahead out.
+func (l *Link) deliver(p *packet, arrive time.Duration) {
+	f := p.flow
+	at := arrive + f.returnLeg
+	if f.shard != l.shard {
+		l.xs.Send(f.shard, at, arrive, flowAck, p)
+		return
+	}
+	l.eng.InjectArg(at, arrive, flowAck, p)
+}
+
 // finishTx completes serialization: the packet leaves the queue and enters
-// propagation toward the next hop.
+// propagation toward the next hop, or, past the last link, its ACK is
+// scheduled (see deliver).
 func (l *Link) finishTx(p *packet) {
 	l.queue[l.qHead] = nil
 	l.qHead++
@@ -276,16 +294,15 @@ func (l *Link) finishTx(p *packet) {
 		if l.faults != nil {
 			prop += l.faults.delaySpike(p)
 		}
-		// The packet's next arrival belongs to the next hop's shard; this
-		// link's propagation delay is exactly the lookahead the partitioner
-		// guaranteed for that cut, so the cross-send never violates the
-		// coordinator's window.
-		dst := l.shard
-		if nh := p.hop + 1; nh < len(p.flow.cfg.Path) {
-			dst = p.flow.cfg.Path[nh].shard
-		}
-		if dst != l.shard {
-			l.xs.Send(dst, l.eng.Now()+prop, flowAdvance, p)
+		now := l.eng.Now()
+		if nh := p.hop + 1; nh == len(p.flow.cfg.Path) {
+			l.deliver(p, now+prop)
+		} else if dst := p.flow.cfg.Path[nh].shard; dst != l.shard {
+			// The packet's next arrival belongs to the next hop's shard;
+			// this link's propagation delay is exactly the lookahead the
+			// partitioner guaranteed for that cut, so the cross-send never
+			// violates the coordinator's window.
+			l.xs.Send(dst, now+prop, now, flowAdvance, p)
 		} else {
 			l.eng.ScheduleArgAfter(prop, flowAdvance, p)
 		}

@@ -416,3 +416,75 @@ func TestRandomScenarioInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fixedWindow is an unpaced sender that keeps w packets in flight.
+type fixedWindow struct{ w float64 }
+
+func (fixedWindow) Name() string        { return "fixed-window" }
+func (fixedWindow) Init(time.Duration)  {}
+func (fixedWindow) OnAck(cc.Ack)        {}
+func (fixedWindow) OnLoss(cc.Loss)      {}
+func (a fixedWindow) CWND() float64     { return a.w }
+func (fixedWindow) PacingRate() float64 { return 0 }
+
+// fifoRTTModel predicts each packet's RTT over one loss-free FIFO link from
+// its send time alone: it waits for the link (queueing), serializes, and
+// propagates there and back. PacketAcked checks every sample in send order.
+type fifoRTTModel struct {
+	NopTap
+	t         *testing.T
+	tx, prop  time.Duration
+	busyUntil time.Duration
+	want      []time.Duration
+	acked     int64
+	queued    int64 // samples that waited behind another packet
+}
+
+func (m *fifoRTTModel) PacketSent(f *Flow, _ int) {
+	sent := f.Now()
+	start := max(sent, m.busyUntil)
+	m.busyUntil = start + m.tx
+	if start > sent {
+		m.queued++
+	}
+	m.want = append(m.want, start-sent+m.tx+2*m.prop)
+}
+
+func (m *fifoRTTModel) PacketAcked(_ *Flow, _ int, rtt time.Duration) {
+	if want := m.want[m.acked]; rtt != want {
+		m.t.Errorf("packet %d RTT %v, want queueing+serialization+2·prop = %v", m.acked, rtt, want)
+	}
+	m.acked++
+}
+
+// A packet clearing its last link schedules its own ACK: the per-packet
+// work is its serialization-done event and its ACK, nothing else, and the
+// ACK lands exactly one return leg after the packet reaches the receiver.
+func TestLastHopSchedulesAck(t *testing.T) {
+	const (
+		rate     = 12e6
+		prop     = 5 * time.Millisecond
+		duration = time.Second
+	)
+	n, _, f := buildSingle(t,
+		LinkConfig{Rate: rate, Delay: prop, BufferBytes: 100_000},
+		FlowConfig{Alg: fixedWindow{w: 20}, Duration: duration}) // window > BDP: a standing queue
+	m := &fifoRTTModel{t: t, tx: time.Duration(float64(DefaultPacketSize) * 8 / rate * float64(time.Second)), prop: prop}
+	n.SetTap(m)
+	executed := n.Run(3 * time.Second) // every packet is acked long before the horizon
+
+	sent := f.Stats().SentPackets
+	if sent == 0 || m.acked != sent {
+		t.Fatalf("acked %d of %d packets", m.acked, sent)
+	}
+	if m.queued == 0 {
+		t.Fatal("no packet queued: the RTT check never saw queueing delay")
+	}
+	// Start and stop, plus one record tick per interval up to the stop (the
+	// last one finds the flow stopped and does not re-arm).
+	ticks := int64(duration / n.RecordInterval())
+	if want := 2*sent + 2 + ticks; int64(executed) != want {
+		t.Fatalf("ran %d events for %d packets, want %d: finishTx and ACK per packet plus start, stop and %d record ticks",
+			executed, sent, want, ticks)
+	}
+}

@@ -203,8 +203,9 @@ func (n *Network) PartitionAssign(linkShard []int) (*Partition, error) {
 			}
 			p.lookaheadInto(su, sd, up.cfg.Delay)
 		}
-		// ACK return leg: delivery on the last link's shard, reception on the
-		// flow's shard, one full return leg apart.
+		// ACK return leg: the last link's shard sends the ACK when the packet
+		// leaves that link, and the flow's shard receives it the last link's
+		// propagation plus one full return leg later.
 		sl := linkShard[idx[f.cfg.Path[len(f.cfg.Path)-1]]]
 		p.lookaheadInto(sl, fs, f.returnLeg)
 		// Drop loss-detection: any link on the path may discard a packet and

@@ -148,6 +148,15 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	if sr.Partition.Shards != 3 {
 		t.Fatalf("ran on %d shards, want 3", sr.Partition.Shards)
 	}
+	// The long flow's last link delivers to a sender on another shard, so
+	// its ACKs take the cross-shard send that carries the arrival stamp.
+	long := shd.Flows()[0]
+	if path := long.Config().Path; path[len(path)-1].Shard() == long.Shard() {
+		t.Fatalf("long flow's last link shares shard %d with its sender; the cross-shard ACK path is not exercised", long.Shard())
+	}
+	if long.Stats().AckedPackets == 0 {
+		t.Fatal("long flow received no ACKs")
+	}
 	var total int64
 	for i, e := range sr.Executed {
 		if e == 0 {

@@ -18,11 +18,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt with the current digests")
 
-// goldenScenarios are the canonical runs whose full event-stream digests are
-// pinned in testdata/golden.txt. A digest change means the simulation now
-// executes differently: either an intentional behaviour change (rerun with
-// -update and explain the change in the commit) or accidental cross-PR
-// nondeterminism — which is exactly what this test exists to catch.
+// goldenScenarios are the canonical runs whose digests are pinned in
+// testdata/golden.txt, two per scenario: Checker.Digest (event stream plus
+// outputs) and the outputs-only fold. A Digest change alone means the
+// simulation now schedules differently; an output change means it computes
+// something different. Either is an intentional change (rerun with -update
+// and explain it in the commit) or accidental cross-PR nondeterminism —
+// which is exactly what this test exists to catch. A change meant to touch
+// only the event stream repins the first column and leaves the second.
 var goldenScenarios = []struct {
 	name string
 	run  func(t *testing.T) *Checker
@@ -49,14 +52,17 @@ var goldenScenarios = []struct {
 
 const goldenPath = "testdata/golden.txt"
 
-func readGolden(t *testing.T) map[string]uint64 {
+// goldenDigests is one golden line: Checker.Digest and the outputs-only fold.
+type goldenDigests struct{ digest, outputs uint64 }
+
+func readGolden(t *testing.T) map[string]goldenDigests {
 	t.Helper()
 	f, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	defer f.Close()
-	out := map[string]uint64{}
+	out := map[string]goldenDigests{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -64,32 +70,38 @@ func readGolden(t *testing.T) map[string]uint64 {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 2 {
+		if len(fields) != 3 {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		v, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-		if err != nil {
-			t.Fatalf("malformed golden digest %q: %v", fields[1], err)
+		var v [2]uint64
+		for i, field := range fields[1:] {
+			var err error
+			if v[i], err = strconv.ParseUint(strings.TrimPrefix(field, "0x"), 16, 64); err != nil {
+				t.Fatalf("malformed golden digest %q: %v", field, err)
+			}
 		}
-		out[fields[0]] = v
+		out[fields[0]] = goldenDigests{v[0], v[1]}
 	}
 	return out
 }
 
-// TestGoldenEventStreamDigests pins the digest of the canonical scenarios
+// TestGoldenEventStreamDigests pins the digests of the canonical scenarios
 // across PRs.
 func TestGoldenEventStreamDigests(t *testing.T) {
-	digests := make(map[string]uint64, len(goldenScenarios))
+	digests := make(map[string]goldenDigests, len(goldenScenarios))
 	for _, gs := range goldenScenarios {
 		ck := gs.run(t)
-		digests[gs.name] = ck.Digest()
+		digests[gs.name] = goldenDigests{ck.Digest(), ck.outputDigest()}
+		t.Logf("%s: stream hash %#016x over %d events", gs.name, ck.StreamHash(), ck.Events())
 	}
 	if *updateGolden {
 		var b strings.Builder
-		b.WriteString("# Golden event-stream digests (simcheck.Checker.Digest).\n")
+		b.WriteString("# Golden digests: scenario, simcheck.Checker.Digest (event stream and\n")
+		b.WriteString("# outputs), and the outputs-only fold (flow and link counters and series).\n")
 		b.WriteString("# Regenerate with: go test ./internal/simcheck -run TestGolden -update\n")
 		for _, gs := range goldenScenarios {
-			fmt.Fprintf(&b, "%s 0x%016x\n", gs.name, digests[gs.name])
+			d := digests[gs.name]
+			fmt.Fprintf(&b, "%s 0x%016x 0x%016x\n", gs.name, d.digest, d.outputs)
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -107,10 +119,16 @@ func TestGoldenEventStreamDigests(t *testing.T) {
 			t.Errorf("scenario %s missing from %s (run -update)", gs.name, goldenPath)
 			continue
 		}
-		if got := digests[gs.name]; got != w {
+		got := digests[gs.name]
+		if got.outputs != w.outputs {
+			t.Errorf("scenario %s output digest %#016x != golden %#016x — the simulation computes "+
+				"different flow or link outputs than when the golden file was recorded (intentional "+
+				"change? rerun with -update; otherwise hunt the nondeterminism)", gs.name, got.outputs, w.outputs)
+		}
+		if got.digest != w.digest {
 			t.Errorf("scenario %s digest %#016x != golden %#016x — the simulation executes "+
 				"differently than when the golden file was recorded (intentional change? rerun "+
-				"with -update; otherwise hunt the nondeterminism)", gs.name, got, w)
+				"with -update; otherwise hunt the nondeterminism)", gs.name, got.digest, w.digest)
 		}
 	}
 }

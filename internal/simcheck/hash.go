@@ -35,7 +35,19 @@ func (c *Checker) StreamHash() uint64 { return c.stream }
 // across PRs.
 func (c *Checker) Digest() uint64 {
 	h := fnvFold(fnvOffset, c.stream)
-	h = fnvFold(h, c.events)
+	return c.foldOutputs(fnvFold(h, c.events))
+}
+
+// outputDigest fingerprints what the simulation produced and nothing of how
+// it was scheduled: every flow's counters and series and every link's
+// counters, folded from the FNV offset. A change that only reshapes the
+// event stream (fewer, merged or re-keyed events) moves StreamHash and
+// Digest but must leave this fold alone; the golden file pins both.
+func (c *Checker) outputDigest() uint64 { return c.foldOutputs(fnvOffset) }
+
+// foldOutputs mixes every flow's lifetime counters and recorded series, then
+// every link's counters, into h.
+func (c *Checker) foldOutputs(h uint64) uint64 {
 	for _, f := range c.net.Flows() {
 		st := f.Stats()
 		h = fnvFold(h, uint64(st.SentPackets))

@@ -109,14 +109,17 @@ func (s *Shard) ID() int { return s.id }
 // Engine returns the shard's private engine.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Send queues fn(arg) to fire at absolute virtual time at on shard dst. The
-// event is injected into dst's engine at the next window barrier; at must be
-// no earlier than the end of the current window (emission time plus the
-// inter-shard lookahead guarantees this), which the coordinator verifies at
-// the barrier. Call only from the emitting shard's own events.
-func (s *Shard) Send(dst int, at time.Duration, fn func(any), arg any) {
+// Send queues fn(arg) to fire at absolute virtual time at on shard dst,
+// stamped as scheduled at virtual time schedAt. The event is injected into
+// dst's engine at the next window barrier; at must be no earlier than the
+// end of the current window (emission time plus the inter-shard lookahead
+// guarantees this), which the coordinator verifies at the barrier. schedAt
+// is normally the emitting engine's Now; it may be later (netsim stamps an
+// ACK with the time its packet reaches the receiver) but never after at.
+// Call only from the emitting shard's own events.
+func (s *Shard) Send(dst int, at, schedAt time.Duration, fn func(any), arg any) {
 	s.out[dst] = append(s.out[dst], xev{
-		at: at, schedAt: s.eng.Now(),
+		at: at, schedAt: schedAt,
 		src: int32(s.id), ord: s.ord,
 		fn: fn, arg: arg,
 	})

@@ -17,11 +17,11 @@ func TestCoordinatorPingPong(t *testing.T) {
 	var bounce0, bounce1 func(any)
 	bounce0 = func(any) { // runs on shard 0
 		trace = append(trace, "s0@"+engs[0].Now().String())
-		s0.Send(1, engs[0].Now()+10*time.Millisecond, bounce1, nil)
+		s0.Send(1, engs[0].Now()+10*time.Millisecond, engs[0].Now(), bounce1, nil)
 	}
 	bounce1 = func(any) { // runs on shard 1
 		trace = append(trace, "s1@"+engs[1].Now().String())
-		s1.Send(0, engs[1].Now()+10*time.Millisecond, bounce0, nil)
+		s1.Send(0, engs[1].Now()+10*time.Millisecond, engs[1].Now(), bounce0, nil)
 	}
 	schedule(engs[0], 0, func() { bounce0(nil) })
 
@@ -106,7 +106,7 @@ func TestCoordinatorLookaheadViolationPanics(t *testing.T) {
 	c := NewCoordinator(engs, 10*time.Millisecond)
 	s0 := c.Shard(0)
 	schedule(engs[0], 0, func() {
-		s0.Send(1, 2*time.Millisecond, func(any) {}, nil) // < window end
+		s0.Send(1, 2*time.Millisecond, 0, func(any) {}, nil) // < window end
 	})
 	defer func() {
 		if recover() == nil {
@@ -146,8 +146,8 @@ func TestCoordinatorCrossEventTieBreak(t *testing.T) {
 			s := c.Shard(src)
 			schedule(engs[src], 0, func() {
 				// Two sends per source, all landing at the same instant on shard 0.
-				s.Send(0, 15*time.Millisecond, rec, src*10)
-				s.Send(0, 15*time.Millisecond, rec, src*10+1)
+				s.Send(0, 15*time.Millisecond, 0, rec, src*10)
+				s.Send(0, 15*time.Millisecond, 0, rec, src*10+1)
 			})
 		}
 		c.Run(20 * time.Millisecond)

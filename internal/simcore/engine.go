@@ -11,12 +11,15 @@ import (
 
 // Event is a scheduled callback. Events with equal timestamps fire in
 // causal order: first by the virtual time they were *scheduled* at, then by
-// insertion sequence (FIFO). In a single-engine run insertion order is
-// already nondecreasing in schedule time — the clock never moves backwards —
-// so the schedAt key changes nothing there; its purpose is sharded runs,
-// where the coordinator injects cross-shard events at window barriers
-// (insertion-late) but stamps them with their original schedule time, which
-// restores the exact tie order a sequential replay would have produced.
+// insertion sequence (FIFO). For events queued with ScheduleArg insertion
+// order is already nondecreasing in schedule time — the clock never moves
+// backwards — so the schedAt key only matters for events queued with an
+// explicit stamp (InjectArg). The coordinator injects cross-shard events at
+// window barriers (insertion-late) but stamps them with their original
+// schedule time, which restores the exact tie order a sequential replay
+// would have produced. netsim queues a packet's ACK when the packet leaves
+// its last link and stamps it with the later time the packet reaches its
+// receiver.
 //
 // Events are pooled: once an event has fired (or a cancelled event has been
 // drained), the engine recycles its storage for a future ScheduleArg call.
@@ -284,7 +287,8 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 func (e *Engine) Rearm(t Timer, at time.Duration, fn func(any), arg any) Timer {
 	ev := t.ev
 	// An injected event may carry a schedule stamp ahead of this engine's
-	// clock; re-keying it to now would shrink its key.
+	// clock — a cross-shard event, or a local ACK netsim stamps with its
+	// packet's arrival time — and re-keying it to now would shrink its key.
 	if !t.Active() || ev.at != at || ev.schedAt > e.now {
 		t.Cancel()
 		return e.ScheduleArg(at, fn, arg)
@@ -314,8 +318,11 @@ func (e *Engine) ScheduleArgAfter(d time.Duration, fn func(any), arg any) Timer 
 // shard at schedAt (< at, by the lookahead), and carrying that stamp into the
 // destination heap makes equal-time ties resolve exactly as a sequential
 // replay would — by who scheduled first, not by who happened to be inserted
-// first. schedAt after at panics: such an event would claim to be scheduled
-// after it fires.
+// first. The stamp may also lie ahead of the clock: netsim schedules a
+// packet's ACK when the packet leaves its last link, stamped with the time
+// the packet reaches the receiver, so the ACK ties as it did when a delivery
+// event at that time scheduled it. schedAt after at panics: such an event
+// would claim to be scheduled after it fires.
 func (e *Engine) InjectArg(at, schedAt time.Duration, fn func(any), arg any) Timer {
 	if schedAt > at {
 		panic(fmt.Sprintf("simcore: inject at %v scheduled later, at %v", at, schedAt))

@@ -63,6 +63,10 @@ type timerWheel struct {
 	count [levels]int // events parked per level
 	slots [levels][slotCount][]*Event
 
+	// slotBlock is the shared backing an empty slot carves its first
+	// slotFirstCap entries of capacity from (see park).
+	slotBlock []*Event
+
 	// noWheel forces every push into the heap, turning the engine into the
 	// pre-wheel heap-only implementation. Tests use it to prove the wheel-fed
 	// pop order is identical to the reference order.
@@ -81,6 +85,11 @@ const (
 	span0     = slot1Gran
 	span1     = slot2Gran
 	span2     = slot2Gran << slotBits // ~ 18.3 min
+
+	// slotFirstCap is the capacity a slot gets on its first park, carved
+	// from slotBlock, which is allocated slotFirstCap*64 entries at a time.
+	slotFirstCap = 16
+	slotBlockLen = slotFirstCap * 64
 )
 
 // Event index sentinels. Heap-resident events carry their heap slot (>= 0);
@@ -144,10 +153,24 @@ func (w *timerWheel) place(ev *Event) {
 	}
 }
 
+// park appends ev to its level-l slot. A slot that has never held an event
+// takes its first capacity from the shared slotBlock, so a fresh engine pays
+// one allocation per 64 slots it touches instead of append's growth steps in
+// every one; a slot that outgrows the carve reallocates privately (the
+// three-index carve caps its capacity, so it never writes into a neighbour's
+// share). Drained slots keep their capacity for reuse.
 func (w *timerWheel) park(ev *Event, l int) {
 	i := slotOf(ev.at, l)
 	ev.index = idxWheel
-	w.slots[l][i] = append(w.slots[l][i], ev)
+	s := w.slots[l][i]
+	if cap(s) == 0 {
+		if len(w.slotBlock) < slotFirstCap {
+			w.slotBlock = make([]*Event, slotBlockLen)
+		}
+		s = w.slotBlock[:0:slotFirstCap]
+		w.slotBlock = w.slotBlock[slotFirstCap:]
+	}
+	w.slots[l][i] = append(s, ev)
 	w.count[l]++
 }
 

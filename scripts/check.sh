@@ -155,6 +155,9 @@ go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|Te
 go test -race -run '^TestScratchPathsAllocFree$' -count=1 ./internal/nn
 go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
+echo "== delivery is not an event, under the race detector: a packet's last link schedules its ACK (two events per acked packet, every RTT exact)"
+go test -race -run '^TestLastHopSchedulesAck$' -count=1 ./internal/netsim
+
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
