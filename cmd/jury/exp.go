@@ -87,7 +87,6 @@ func runExp(args []string) error {
 		storeDir   = fs.String("store", "", "record completed runs in a WAL-backed store at this directory")
 		resume     = fs.Bool("resume", false, "serve runs already present in -store without re-simulating")
 		storeFsync = fs.String("store-fsync", "interval", `store durability: "always", "interval", or "never"`)
-		compact    = fs.Bool("store-compact", false, "store records without per-flow series (tables fall back on precomputed late means and the stream summary)")
 	)
 	of := newObsFlags(fs, obsAttach, true)
 	hub, err := of.parse(args)
@@ -95,7 +94,6 @@ func runExp(args []string) error {
 		return err
 	}
 	defer hub.Close()
-	exp.StoreCompact = *compact
 	if *resume && *storeDir == "" {
 		return usageError("-resume requires -store DIR")
 	}

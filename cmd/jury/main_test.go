@@ -178,6 +178,40 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
+// TestSimCSVAndSeries: -csv writes every flow's series with the documented
+// header and -series prints a per-second throughput block for each flow.
+func TestSimCSVAndSeries(t *testing.T) {
+	dir := t.TempDir()
+	r := jury(t, dir, "sim", "-scheme", "cubic,jury", "-rate", "20", "-duration", "3s", "-csv", "out.csv", "-series")
+	if r.code != 0 {
+		t.Fatalf("exit %d, stderr %q", r.code, r.stderr)
+	}
+	for _, want := range []string{
+		"series written to out.csv\n",
+		"\ncubic-0 throughput (Mbps) per second:\n  t=  1s ",
+		"\njury-1 throughput (Mbps) per second:\n  t=  1s ",
+	} {
+		if !strings.Contains(r.stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, r.stdout)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "out.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if want := "flow,t_seconds,throughput_bps,send_rate_bps,avg_rtt_ms,loss_rate,cwnd,pacing_bps"; lines[0] != want {
+		t.Fatalf("csv header %q, want %q", lines[0], want)
+	}
+	rows := map[string]int{}
+	for _, l := range lines[1:] {
+		rows[strings.SplitN(l, ",", 2)[0]]++
+	}
+	if len(rows) != 2 || rows["cubic-0"] == 0 || rows["jury-1"] == 0 {
+		t.Fatalf("csv rows per flow = %v, want both cubic-0 and jury-1", rows)
+	}
+}
+
 // TestServeDrainsOnSIGTERM starts the daemon on an ephemeral port and stops
 // it the way an operator does.
 func TestServeDrainsOnSIGTERM(t *testing.T) {

@@ -99,8 +99,8 @@ func runSim(args []string) error {
 	fmt.Printf("link: %.1f Mbps, %.0f ms RTT, %.2f%% loss, %d B buffer — utilization %.3f\n",
 		*rateMbps, *rttMS, *lossRate*100, s.BufferBytes, res.Utilization)
 	var shares []float64
-	rows := make([][]string, 0, len(res.Flows))
-	for _, f := range res.Flows {
+	rows := make([][]string, 0, len(res.FlowSummaries))
+	for _, f := range res.FlowSummaries {
 		st := f.Stats()
 		shares = append(shares, st.AvgThroughputBps)
 		rows = append(rows, []string{
@@ -112,7 +112,7 @@ func runSim(args []string) error {
 		})
 	}
 	fmt.Print(exp.FormatTable([]string{"flow", "Mbps", "avgRTT(ms)", "minRTT(ms)", "loss"}, rows))
-	if len(res.Flows) > 1 {
+	if len(res.FlowSummaries) > 1 {
 		fmt.Printf("Jain index (lifetime means): %.3f\n", metrics.JainIndex(shares))
 	}
 
@@ -121,7 +121,7 @@ func runSim(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := report.WriteFlowSeriesCSV(f, res.Flows); err != nil {
+		if err := report.WriteFlowSeriesCSV(f, res.FlowSummaries); err != nil {
 			f.Close()
 			return err
 		}
@@ -186,7 +186,7 @@ func runFaults(args []string) error {
 // printThroughputSeries prints each flow's throughput averaged over every
 // second of the run.
 func printThroughputSeries(res *exp.RunResult) {
-	for _, f := range res.Flows {
+	for _, f := range res.FlowSummaries {
 		fmt.Printf("\n%s throughput (Mbps) per second:\n", f.Name())
 		var acc float64
 		var n int

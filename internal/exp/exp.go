@@ -24,7 +24,6 @@ import (
 	"repro/internal/cc/vivace"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -159,11 +158,6 @@ func (f *FlowSummary) JuryCounters() (degraded, nonFinite int64) {
 	return f.rec.Degraded, f.rec.NonFinite
 }
 
-// LateMeanBps returns the flow's mean throughput over the late window
-// [Horizon/3, Horizon], precomputed by summarize so fairness shares survive
-// a compact record whose Series was dropped (see StoreCompact).
-func (f *FlowSummary) LateMeanBps() float64 { return f.rec.LateMeanBps }
-
 // LinkSummary carries the bottleneck-link counters a stored run preserves.
 type LinkSummary struct {
 	FaultDrops int64
@@ -172,12 +166,10 @@ type LinkSummary struct {
 }
 
 // RunResult holds everything the figure runners need from one simulation.
-// FlowSummaries and LinkSummary are always populated; Flows are the live
-// simulator objects and are nil when the result was served from the run
-// store (Cached) rather than simulated.
+// It holds no live simulator object, so a result served from the run store
+// (Cached) carries exactly what a simulated one does.
 type RunResult struct {
 	Scenario    Scenario
-	Flows       []*netsim.Flow
 	Utilization float64
 	// FlowSummaries is the detached per-flow view (stats, series, Jury
 	// counters) that every figure/table consumer reads.
@@ -197,13 +189,12 @@ type RunResult struct {
 	Stream *obs.StreamSummary
 }
 
-// summarize detaches the result's flow and link state into FlowSummaries /
-// LinkSummary once the simulation is over.
-func (r *RunResult) summarize(link *netsim.Link) {
-	r.FlowSummaries = make([]*FlowSummary, 0, len(r.Flows))
-	for _, f := range r.Flows {
+// summarize detaches the finished run's flow and link state into
+// FlowSummaries / LinkSummary.
+func (r *RunResult) summarize(flows []*netsim.Flow, link *netsim.Link) {
+	r.FlowSummaries = make([]*FlowSummary, 0, len(flows))
+	for _, f := range flows {
 		fs := &FlowSummary{rec: runstore.FlowRecord{BaseRTT: f.BaseRTT(), Stats: f.Stats(), Series: f.Series()}}
-		fs.rec.LateMeanBps = metrics.MeanThroughput(fs, r.Scenario.Horizon/3, r.Scenario.Horizon)
 		if j, ok := f.CC().(*core.Jury); ok {
 			fs.rec.Degraded = j.DegradedDecisions()
 			fs.rec.NonFinite = j.NonFiniteActions()
@@ -221,12 +212,26 @@ func (r *RunResult) summarize(link *netsim.Link) {
 // Run executes a scenario through the run pipeline (see execute). When a run
 // store is attached (see AttachStore), the completed result is appended to
 // it; in resume mode a scenario whose content key is already stored is
-// served from the store without touching the simulator.
+// served from the store without touching the simulator. A failed append is
+// the run's error.
 func Run(s Scenario) (*RunResult, error) {
 	if s.Horizon <= 0 {
 		return nil, fmt.Errorf("exp: scenario %q without horizon", s.Name)
 	}
-	return execute(job[*RunResult]{
+	st := Store
+	var key runstore.Key
+	storable := false
+	if st != nil {
+		key, storable = ScenarioKey(s)
+	}
+	if storable && StoreResume {
+		if rec, ok := st.Get(key); ok {
+			storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
+			return resultFromRecord(s, rec), nil
+		}
+		storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
+	}
+	res, err := execute(job[*RunResult]{
 		name:    s.Name,
 		seed:    s.Seed,
 		horizon: s.Horizon,
@@ -237,19 +242,23 @@ func Run(s Scenario) (*RunResult, error) {
 			link := n.Links()[0]
 			res := &RunResult{
 				Scenario:    s,
-				Flows:       n.Flows(),
 				Utilization: link.Utilization(s.Horizon),
 				Digest:      out.digest,
 				Checked:     out.checked,
 				Stream:      out.stream,
 			}
-			res.summarize(link)
+			res.summarize(n.Flows(), link)
 			return res
 		},
-		key:     func() (runstore.Key, bool) { return ScenarioKey(s) },
-		record:  func(key runstore.Key, r *RunResult) *runstore.Record { return recordFromResult(key, s, r) },
-		restore: func(rec *runstore.Record) *RunResult { return resultFromRecord(s, rec) },
 	})
+	if err != nil || !storable {
+		return res, err
+	}
+	if err := st.Put(recordFromResult(key, s, res)); err != nil {
+		return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
+	}
+	storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
+	return res, nil
 }
 
 // buildDumbbell is the topology builder behind every Scenario: one

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc/cubic"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/runstore"
 )
 
 // This file builds the huge-scale stress scenario: a parking-lot mesh — a
@@ -145,10 +144,8 @@ func BuildHuge(o HugeOptions) (*netsim.Network, HugeOptions) {
 // RunHuge builds the huge parking-lot mesh and runs it through the run
 // pipeline (see execute), reporting event counts (and, with Check, the
 // simcheck digest). Same options, same shard count → bit-identical results.
-// With a resumable store attached, a previously completed run with the same
-// resolved options is served from the store.
+// The run store does not hold huge runs: every call simulates.
 func RunHuge(o HugeOptions) (*HugeResult, error) {
-	customCC := o.CC != nil
 	o.defaults()
 	shards := o.Shards
 	if shards > o.Segments {
@@ -178,8 +175,5 @@ func RunHuge(o HugeOptions) (*HugeResult, error) {
 			}
 			return res
 		},
-		key:     func() (runstore.Key, bool) { return HugeKey(o, customCC) },
-		record:  func(key runstore.Key, r *HugeResult) *runstore.Record { return hugeRecord(key, o, r) },
-		restore: func(rec *runstore.Record) *HugeResult { return hugeFromRecord(o, rec) },
 	})
 }

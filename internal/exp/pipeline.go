@@ -7,15 +7,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/runstore"
 	"repro/internal/simcheck"
 	"repro/internal/telemetry"
 )
 
 // job describes one simulation to the run pipeline: the topology builder
-// that makes its network, the shaper that turns the finished network into
-// the caller's result type R, and — for runs the store can hold — the
-// content key and the record conversions. See DESIGN.md "Run pipeline".
+// that makes its network and the shaper that turns the finished network into
+// the caller's result type R. See DESIGN.md "Run pipeline".
 type job[R any] struct {
 	name    string // labels errors, spans and trace events
 	seed    uint64
@@ -28,12 +26,6 @@ type job[R any] struct {
 
 	build func() (*netsim.Network, error)
 	shape func(*netsim.Network, outcome) R
-
-	// key, record and restore are nil for runs the store does not hold; key
-	// reports ok = false for an input it cannot fingerprint.
-	key     func() (key runstore.Key, ok bool)
-	record  func(runstore.Key, R) *runstore.Record
-	restore func(*runstore.Record) R
 }
 
 // outcome is what the pipeline measured on a finished run, for the shaper.
@@ -44,9 +36,8 @@ type outcome struct {
 	stream  *obs.StreamSummary // nil unless Obs is set
 }
 
-// execute is the one place a built network becomes a finished run. Around the
-// simulation it consults the run store (resume lookup before, put after); on
-// the network it attaches the invariant checker, then the streaming observer
+// execute is the one place a built network becomes a finished run. On the
+// network it attaches the invariant checker, then the streaming observer
 // — the checker takes the tap slot, the observer chains behind it and claims
 // the window hook — runs it through RunSharded (sequential at one shard),
 // adds the finished run's totals to the telemetry hub (see foldSimTotals),
@@ -54,19 +45,6 @@ type outcome struct {
 // error. The exp and sim metric families are looked up with an empty help
 // string: telemetry.Setup pre-registers them and owns their help text.
 func execute[R any](j job[R]) (res R, err error) {
-	st := Store
-	var key runstore.Key
-	storable := false
-	if st != nil && j.key != nil {
-		key, storable = j.key()
-		if storable && StoreResume {
-			if rec, ok := st.Get(key); ok {
-				storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-				return j.restore(rec), nil
-			}
-			storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
-		}
-	}
 	liveRuns.Add(1)
 	n, err := j.build()
 	if err != nil {
@@ -128,12 +106,6 @@ func execute[R any](j job[R]) (res R, err error) {
 		out.digest, out.checked = ck.Digest(), true
 	}
 	res = j.shape(n, out)
-	if storable {
-		if err := st.Put(j.record(key, res)); err != nil {
-			return fail(err, "store_error")
-		}
-		storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
-	}
 	if hub.Enabled() {
 		hub.Registry.Histogram("exp_run_seconds", "").Observe(time.Since(started).Seconds())
 		hub.Registry.Counter("exp_runs_finished_total", "").Inc()

@@ -167,13 +167,7 @@ func robustnessRow(scheme string, c RobustnessCase, r *RunResult, o RobustnessOp
 	shares := make([]float64, 0, len(r.FlowSummaries))
 	var lossSum float64
 	for _, f := range r.FlowSummaries {
-		share := metrics.MeanThroughput(f, from, o.Lifetime)
-		if len(f.Series()) == 0 {
-			// Compact record (StoreCompact dropped the series): fall back on
-			// the late-window mean precomputed at record time.
-			share = f.LateMeanBps()
-		}
-		shares = append(shares, share)
+		shares = append(shares, metrics.MeanThroughput(f, from, o.Lifetime))
 		lossSum += f.Stats().LossRate
 		deg, nf := f.JuryCounters()
 		row.Degraded += deg

@@ -18,7 +18,7 @@ import (
 func fingerprint(r *RunResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "util=%v\n", r.Utilization)
-	for _, f := range r.Flows {
+	for _, f := range r.FlowSummaries {
 		fmt.Fprintf(&b, "%s stats=%+v\n", f.Name(), f.Stats())
 		for _, p := range f.Series() {
 			fmt.Fprintf(&b, "%+v\n", p)
@@ -216,7 +216,7 @@ func TestRunManyRetriesTransientPanic(t *testing.T) {
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("controller factory called %d times, want 2 (initial + retry)", n)
 	}
-	if results[0] == nil || len(results[0].Flows) != 1 {
+	if results[0] == nil || len(results[0].FlowSummaries) != 1 {
 		t.Fatal("retry produced no usable result")
 	}
 }
@@ -236,7 +236,7 @@ func TestFlowSpecCCOverride(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("factory called %d times, want 1", n)
 	}
-	if r.Flows[0].Stats().AckedBytes == 0 {
+	if r.FlowSummaries[0].Stats().AckedBytes == 0 {
 		t.Fatal("overridden flow moved no traffic")
 	}
 }

@@ -1,11 +1,10 @@
-// Run-store wiring: content keys for scenarios and huge-mesh runs, and the
-// conversions between live RunResults and stored runstore.Records. See
+// Run-store wiring: the content key of a scenario, and the conversions
+// between live RunResults and stored runstore.Records. See
 // DESIGN.md "Run store" and EXPERIMENTS.md "Resumable sweeps".
 package exp
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -29,10 +28,10 @@ import (
 // Old records stay readable (the record format is versioned separately) but
 // stop matching, so they are re-run and re-stored — exactly the safe
 // behavior when the meaning of a key changes.
-// Version history: 2 added HugeOptions.BufferBytes to the huge key; 3
+// Version history: 2 changed only the since-deleted huge-mesh key; 3
 // marks the simulator's shorter event stream (a packet's ACK is scheduled
 // by its last link, with no delivery event), which moves the simcheck
-// digests checked rows store and the event counts huge records store.
+// digests checked rows store.
 const KeySchemaVersion = 3
 
 // Store, when non-nil, records every completed cacheable run. StoreResume
@@ -42,14 +41,6 @@ var (
 	Store       *runstore.Store
 	StoreResume bool
 )
-
-// StoreCompact, when true, drops the per-flow time series from stored
-// records, keeping only lifetime stats, the precomputed late-window mean,
-// and (when the obs layer is attached) the streaming summary. At a million
-// flows the series dominate record size by orders of magnitude; the
-// fairness tables are written to fall back on FlowSummary.LateMeanBps and
-// RunResult.Stream, so compact records stay fully usable.
-var StoreCompact bool
 
 // liveRuns counts actual simulator executions (cache hits excluded); the
 // warm-store tests pin it to zero.
@@ -203,27 +194,6 @@ func keyFaults(b []byte, s Scenario) []byte {
 	return keyI64(b, int64(c.Flap.MeanDown))
 }
 
-// HugeKey derives the content address of a RunHuge execution from its
-// resolved options; ok is false when a custom CC factory makes the run
-// uncacheable. Callers must pass options with defaults applied.
-func HugeKey(o HugeOptions, customCC bool) (key runstore.Key, ok bool) {
-	if customCC {
-		return key, false
-	}
-	b := make([]byte, 0, 96)
-	b = append(b, "jury-huge"...)
-	b = keyU32(b, KeySchemaVersion)
-	b = keyU32(b, uint32(o.Segments))
-	b = keyU32(b, uint32(o.TotalFlows))
-	b = keyF64(b, o.Rate)
-	b = keyI64(b, int64(o.BufferBytes))
-	b = keyI64(b, int64(o.Horizon))
-	b = keyU32(b, uint32(o.Shards))
-	b = keyU64(b, o.Seed)
-	b = keyBool(b, o.Check || ForceCheck)
-	return runstore.KeyOf(b), true
-}
-
 // recordFromResult converts a completed live run into its stored form.
 func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Record {
 	rec := &runstore.Record{
@@ -241,11 +211,7 @@ func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Reco
 	}
 	rec.Flows = make([]runstore.FlowRecord, 0, len(r.FlowSummaries))
 	for _, f := range r.FlowSummaries {
-		fr := f.rec
-		if StoreCompact {
-			fr.Series = nil
-		}
-		rec.Flows = append(rec.Flows, fr)
+		rec.Flows = append(rec.Flows, f.rec)
 	}
 	rec.Stream = streamToRecord(r.Stream)
 	return rec
@@ -303,35 +269,4 @@ func resultFromRecord(s Scenario, rec *runstore.Record) *RunResult {
 	}
 	r.Stream = streamFromRecord(rec.Stream)
 	return r
-}
-
-// hugeRecord converts a completed RunHuge into its stored form.
-func hugeRecord(key runstore.Key, o HugeOptions, res *HugeResult) *runstore.Record {
-	return &runstore.Record{
-		Key:           key,
-		Scenario:      fmt.Sprintf("huge-%dseg-%dflows", o.Segments, o.TotalFlows),
-		Schemes:       []string{"cubic"},
-		Seed:          o.Seed,
-		Horizon:       o.Horizon,
-		Digest:        res.Digest,
-		Checked:       res.Digest != 0,
-		Events:        res.Events,
-		ShardExecuted: append([]int64(nil), res.ExecutedPerShard...),
-		Stream:        streamToRecord(res.Stream),
-	}
-}
-
-// hugeFromRecord reconstructs a HugeResult from a stored record; the
-// topology echo fields come from the resolved options (they are key
-// inputs, so they necessarily match the stored run's).
-func hugeFromRecord(o HugeOptions, rec *runstore.Record) *HugeResult {
-	return &HugeResult{
-		FlowCount:        o.TotalFlows,
-		Segments:         o.Segments,
-		ShardCount:       len(rec.ShardExecuted),
-		Events:           rec.Events,
-		ExecutedPerShard: append([]int64(nil), rec.ShardExecuted...),
-		Digest:           rec.Digest,
-		Stream:           streamFromRecord(rec.Stream),
-	}
 }

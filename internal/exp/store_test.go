@@ -2,10 +2,12 @@ package exp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,38 +285,40 @@ func TestRetryPathLeavesStoreIntact(t *testing.T) {
 	}
 }
 
-// TestRunHugeStoreHit: a repeated huge-mesh run is served from the store
-// without building or executing the mesh, with an identical result.
-func TestRunHugeStoreHit(t *testing.T) {
-	attachTestStore(t, t.TempDir(), true)
-	o := HugeOptions{Segments: 2, TotalFlows: 64, Rate: 50e6, Horizon: 200 * time.Millisecond, Shards: 2, Seed: 5}
-	liveRuns.Store(0)
-	cold, err := RunHuge(o)
-	if err != nil {
-		t.Fatalf("cold RunHuge: %v", err)
-	}
-	if liveRuns.Load() != 1 || Store.Len() != 1 {
-		t.Fatalf("cold huge run: liveRuns=%d, stored=%d", liveRuns.Load(), Store.Len())
-	}
-	liveRuns.Store(0)
-	warm, err := RunHuge(o)
-	if err != nil {
-		t.Fatalf("warm RunHuge: %v", err)
-	}
-	if liveRuns.Load() != 0 {
-		t.Fatal("warm huge run executed the simulator")
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached huge result differs:\n got %+v\nwant %+v", warm, cold)
-	}
-	// A custom controller factory is uncacheable.
-	o.CC = func(uint64) cc.Algorithm { return cubic.New() }
-	liveRuns.Store(0)
-	if _, err := RunHuge(o); err != nil {
-		t.Fatal(err)
-	}
-	if liveRuns.Load() != 1 || Store.Len() != 1 {
-		t.Fatalf("custom-CC huge run: liveRuns=%d, stored=%d (must run live, must not store)", liveRuns.Load(), Store.Len())
+// TestRunStoreRefusesPut: a store that refuses the append fails the run with
+// an error that wraps the store's sentinel and names the scenario.
+func TestRunStoreRefusesPut(t *testing.T) {
+	s := storeJobs()[2]
+	for _, tc := range []struct {
+		name string
+		open func(dir string) (*runstore.Store, error)
+		want error
+	}{
+		{"read-only", func(dir string) (*runstore.Store, error) {
+			return runstore.Open(runstore.Options{Dir: dir, ReadOnly: true})
+		}, runstore.ErrReadOnly},
+		{"closed", func(dir string) (*runstore.Store, error) {
+			st, err := runstore.Open(runstore.Options{Dir: dir, Fsync: runstore.FsyncNever})
+			if err == nil {
+				err = st.Close()
+			}
+			return st, err
+		}, runstore.ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prevStore, prevResume := Store, StoreResume
+			Store, StoreResume = st, true
+			defer func() { Store, StoreResume = prevStore, prevResume }()
+			res, err := Run(s)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("scenario %q", s.Name)) {
+				t.Fatalf("Run against a %s store: result %v, err %v; want an error wrapping %v naming %q",
+					tc.name, res, err, tc.want, s.Name)
+			}
+		})
 	}
 }
 
@@ -378,18 +382,6 @@ func TestScenarioKeyStability(t *testing.T) {
 			t.Errorf("scenario %q key = %s, want %s\n(key schema changed: bump KeySchemaVersion and repin — see its doc comment)",
 				s.Name, key.String(), want[s.Name])
 		}
-	}
-
-	o := HugeOptions{Segments: 4, TotalFlows: 1000, Rate: 1e9, Horizon: time.Second, Shards: 4, Seed: 3}
-	hkey, ok := HugeKey(o, false)
-	if !ok {
-		t.Fatal("canonical huge options not cacheable")
-	}
-	const wantHuge = "353b8b5673ff420bdb82b116ec4fb6074055b0da702ad984896bf1de329a23cc"
-	if os.Getenv("JURY_PRINT_KEYS") != "" {
-		t.Logf("huge: %q,", hkey.String())
-	} else if hkey.String() != wantHuge {
-		t.Errorf("huge key = %s, want %s (bump KeySchemaVersion and repin)", hkey.String(), wantHuge)
 	}
 
 	// Inputs that must (and must not) move the key.

@@ -9,12 +9,12 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/metrics"
 )
 
 // WriteFlowSeriesCSV writes all flows' recorded series as tidy CSV:
 // flow,t_seconds,throughput_bps,send_rate_bps,avg_rtt_ms,loss_rate,cwnd,pacing_bps.
-func WriteFlowSeriesCSV(w io.Writer, flows []*netsim.Flow) error {
+func WriteFlowSeriesCSV[F metrics.FlowSeries](w io.Writer, flows []F) error {
 	cw := csv.NewWriter(w)
 	header := []string{"flow", "t_seconds", "throughput_bps", "send_rate_bps", "avg_rtt_ms", "loss_rate", "cwnd", "pacing_bps"}
 	if err := cw.Write(header); err != nil {

@@ -20,23 +20,24 @@ import (
 
 const (
 	// recVersion 2 added FlowRecord.LateMeanBps and the optional Record
-	// .Stream summary. The decoder is strict-single-version: v1 records fail
-	// decode (the store treats them as missing and re-runs the experiment),
-	// which keeps the encode/decode bijection exact.
-	recVersion = 2
+	// .Stream summary; 3 dropped LateMeanBps and the huge-mesh payload
+	// (Events, ShardExecuted). The decoder is strict-single-version: an
+	// older record fails decode, so a writable open truncates the log at the
+	// first one and those runs are simulated again. That keeps the
+	// encode/decode bijection exact.
+	recVersion = 3
 
 	// Frame layout: u32 payload length, u32 CRC32C of the payload, payload.
 	frameHdrLen = 8
-	// maxFrame bounds a single record. Series-heavy records of huge sweeps
+	// maxFrame bounds a single record. A long many-flow scenario's series
 	// run to megabytes; anything beyond this is torn or corrupt framing.
 	maxFrame = 64 << 20
 
 	// Per-element minimum encoded sizes, used to bound count fields against
 	// the remaining input before allocating.
 	minStrBytes   = 4
-	minFlowBytes  = 4 + 8 + 9*8 + 2*8 + 2*8 + 8 + 4
+	minFlowBytes  = 4 + 8 + 9*8 + 2*8 + 2*8 + 4
 	minPointBytes = 7 * 8
-	minShardBytes = 8
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -94,7 +95,6 @@ func appendRecord(dst []byte, rec *Record) []byte {
 		dst = appendF64(dst, f.Stats.LossRate)
 		dst = appendI64(dst, f.Degraded)
 		dst = appendI64(dst, f.NonFinite)
-		dst = appendF64(dst, f.LateMeanBps)
 		dst = appendU32(dst, uint32(len(f.Series)))
 		for _, p := range f.Series {
 			dst = appendI64(dst, int64(p.T))
@@ -105,11 +105,6 @@ func appendRecord(dst []byte, rec *Record) []byte {
 			dst = appendF64(dst, p.Cwnd)
 			dst = appendF64(dst, p.PacingBps)
 		}
-	}
-	dst = appendI64(dst, rec.Events)
-	dst = appendU32(dst, uint32(len(rec.ShardExecuted)))
-	for _, e := range rec.ShardExecuted {
-		dst = appendI64(dst, e)
 	}
 	dst = appendBool(dst, rec.Stream != nil)
 	if s := rec.Stream; s != nil {
@@ -269,7 +264,6 @@ func decodeRecord(b []byte) (*Record, error) {
 			f.Stats.LossRate = r.f64()
 			f.Degraded = r.i64()
 			f.NonFinite = r.i64()
-			f.LateMeanBps = r.f64()
 			if m := r.count("series point", minPointBytes); m > 0 {
 				f.Series = make([]netsim.SeriesPoint, 0, m)
 				for j := 0; j < m && r.err == nil; j++ {
@@ -285,13 +279,6 @@ func decodeRecord(b []byte) (*Record, error) {
 				}
 			}
 			rec.Flows = append(rec.Flows, f)
-		}
-	}
-	rec.Events = r.i64()
-	if n := r.count("shard", minShardBytes); n > 0 {
-		rec.ShardExecuted = make([]int64, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			rec.ShardExecuted = append(rec.ShardExecuted, r.i64())
 		}
 	}
 	if r.boolean() {

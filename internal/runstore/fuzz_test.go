@@ -78,39 +78,39 @@ func corpusSeeds() [][]byte {
 }
 
 // TestRegenFuzzCorpus rewrites testdata/fuzz/FuzzWALDecode from corpusSeeds
-// when JURY_REGEN_CORPUS=1; otherwise it verifies the checked-in corpus is
-// present and well-formed so the fuzz smoke in check.sh starts from real
-// records rather than only go-fuzz minimized inputs.
+// when JURY_REGEN_CORPUS=1; otherwise it checks that every seed-NN file holds
+// exactly corpusSeeds()[NN], so the fuzz smoke in check.sh starts from
+// records the current codec decodes. A record-format change fails here until
+// the corpus is regenerated.
 func TestRegenFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzWALDecode")
+	seeds := corpusSeeds()
 	if os.Getenv("JURY_REGEN_CORPUS") != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range corpusSeeds() {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+		for i, seed := range seeds {
+			if err := os.WriteFile(filepath.Join(dir, seedFile(i)), corpusEntry(seed), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		t.Logf("wrote %d corpus entries to %s", len(corpusSeeds()), dir)
+		t.Logf("wrote %d corpus entries to %s", len(seeds), dir)
 		return
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("fuzz corpus missing (regenerate with JURY_REGEN_CORPUS=1): %v", err)
-	}
-	if len(entries) < len(corpusSeeds()) {
-		t.Fatalf("fuzz corpus has %d entries, want at least %d", len(entries), len(corpusSeeds()))
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for i, seed := range seeds {
+		data, err := os.ReadFile(filepath.Join(dir, seedFile(i)))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("fuzz corpus entry missing (regenerate with JURY_REGEN_CORPUS=1): %v", err)
 		}
-		if !bytes.HasPrefix(data, []byte("go test fuzz v1\n")) {
-			t.Fatalf("corpus entry %s is not in go corpus format", e.Name())
+		if !bytes.Equal(data, corpusEntry(seed)) {
+			t.Errorf("corpus entry %s differs from corpusSeeds()[%d] (regenerate with JURY_REGEN_CORPUS=1)", seedFile(i), i)
 		}
 	}
+}
+
+func seedFile(i int) string { return fmt.Sprintf("seed-%02d", i) }
+
+// corpusEntry is the go fuzz corpus file encoding of one []byte input.
+func corpusEntry(seed []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed))))
 }

@@ -1,7 +1,7 @@
 // Package runstore is a WAL-backed, content-addressed store of experiment
-// run records. Sweeps (exp.RunMany, exp.RobustnessTable, exp.RunHuge) append
-// one record per completed simulation, keyed by a content hash over the
-// run's inputs (scenario fingerprint, scheme, seed, faults, shards — see
+// run records. Sweeps (exp.RunMany, exp.RobustnessTable — every caller of
+// exp.Run) append one record per completed scenario run, keyed by a content
+// hash over the run's inputs (link, trace, faults, flows, seed — see
 // exp.ScenarioKey); on restart the store replays its log and the sweep skips
 // every run whose key is already present, making multi-hour fairness
 // matrices resumable after a crash.
@@ -49,18 +49,13 @@ type FlowRecord struct {
 	Stats     netsim.FlowStats
 	Degraded  int64 // core.Jury degraded (AIMD-fallback) decisions; 0 for other schemes
 	NonFinite int64 // core.Jury non-finite actions that reached Eq. 7 (must be 0)
-	// LateMeanBps is the flow's mean throughput over the late window
-	// [Horizon/3, Horizon], precomputed at record time so fairness tables
-	// still work for compact records whose Series was dropped.
-	LateMeanBps float64
-	Series      []netsim.SeriesPoint
+	Series    []netsim.SeriesPoint
 }
 
 // StreamSummary is the compact streaming-observability digest of a run
 // (obs.StreamSummary, mirrored here so the store stays free of upper-layer
 // imports): the final and worst windowed Jain, sketch percentiles of rate
-// and RTT, and the fault/degradation counters. It is what a million-flow
-// record keeps instead of per-flow series.
+// and RTT, and the fault/degradation counters.
 type StreamSummary struct {
 	FinalJain     float64
 	MinWindowJain float64
@@ -84,24 +79,19 @@ type Record struct {
 	Schemes  []string // distinct CC schemes of the run, in flow order
 	Seed     uint64
 	// AppendedAt is the wall-clock unix-nanosecond timestamp of the append;
-	// Put stamps it when zero. It drives the time-range query only — it is
-	// deliberately excluded from the key and from any result data.
+	// Put stamps it when zero. It feeds the "appended" column of `jury exp
+	// store ls` only — it is deliberately excluded from the key and from any
+	// result data.
 	AppendedAt int64
 	Horizon    time.Duration
 	Digest     uint64 // simcheck digest (zero unless Checked)
 	Checked    bool
 
-	// Scenario-run payload.
 	Utilization float64
 	FaultDrops  int64
 	Reordered   int64
 	Duplicated  int64
 	Flows       []FlowRecord
-
-	// Huge-run payload (exp.RunHuge): total executed events and the
-	// per-shard breakdown. Zero/empty for dumbbell scenario records.
-	Events        int64
-	ShardExecuted []int64
 
 	// Stream is the streaming-observability summary of the run; nil when the
 	// run executed without the obs layer attached.
@@ -112,8 +102,8 @@ type Record struct {
 type Policy int
 
 const (
-	// FsyncInterval (the default) syncs at most once per FsyncInterval of
-	// wall time, amortizing the flush over many appends.
+	// FsyncInterval (the default) syncs at most once per second of wall
+	// time, amortizing the flush over many appends.
 	FsyncInterval Policy = iota
 	// FsyncAlways syncs after every append: a crash loses at most the
 	// record being written.

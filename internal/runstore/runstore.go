@@ -37,15 +37,16 @@ func defaultOpen(path string) (file, error) {
 	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 }
 
+// syncPeriod is the minimum wall-clock spacing of WAL syncs under
+// FsyncInterval.
+const syncPeriod = time.Second
+
 // Options configures Open.
 type Options struct {
 	// Dir is the store directory; it holds wal.log and snapshot.dat.
 	Dir string
 	// Fsync is the WAL flush policy (default FsyncInterval).
 	Fsync Policy
-	// FsyncInterval is the minimum wall-clock spacing of syncs under
-	// FsyncInterval (default 1s).
-	FsyncInterval time.Duration
 	// CompactEvery, when positive, folds the WAL into the snapshot after
 	// that many appends. Zero means compaction only on explicit Compact.
 	CompactEvery int
@@ -105,9 +106,6 @@ func (o *Options) tmpPath() string  { return filepath.Join(o.Dir, "snapshot.tmp"
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("runstore: no directory")
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = time.Second
 	}
 	if opts.open == nil {
 		opts.open = defaultOpen
@@ -250,7 +248,7 @@ func (s *Store) maybeSync() error {
 	switch s.opts.Fsync {
 	case FsyncAlways:
 	case FsyncInterval:
-		if time.Since(s.lastSync) < s.opts.FsyncInterval {
+		if time.Since(s.lastSync) < syncPeriod {
 			return nil
 		}
 	case FsyncNever:

@@ -27,7 +27,6 @@ func randRecord(rng *rand.Rand) *Record {
 		FaultDrops:  rng.Int63n(1000),
 		Reordered:   rng.Int63n(1000),
 		Duplicated:  rng.Int63n(1000),
-		Events:      rng.Int63n(1e9),
 	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		rec.Schemes = append(rec.Schemes, randName(rng, "cc"))
@@ -56,9 +55,6 @@ func randRecord(rng *rand.Rand) *Record {
 			})
 		}
 		rec.Flows = append(rec.Flows, f)
-	}
-	for i, n := 0, rng.Intn(4); i < n; i++ {
-		rec.ShardExecuted = append(rec.ShardExecuted, rng.Int63n(1e7))
 	}
 	rec.Key = KeyOf(appendRecord(nil, rec)) // any distinct deterministic key
 	return rec
