@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/runstore"
 	"repro/internal/simcore"
@@ -209,6 +210,31 @@ func TestSimCSVAndSeries(t *testing.T) {
 	}
 	if len(rows) != 2 || rows["cubic-0"] == 0 || rows["jury-1"] == 0 {
 		t.Fatalf("csv rows per flow = %v, want both cubic-0 and jury-1", rows)
+	}
+}
+
+// TestSimPrintsTimewiseJain: on a staggered run `jury sim` prints Jain's
+// index averaged over the instants with at least two active flows — the
+// run's metrics.TimewiseJain — not the index of the flows' lifetime means,
+// which counts the late starter's idle prefix as unfairness.
+func TestSimPrintsTimewiseJain(t *testing.T) {
+	r := jury(t, t.TempDir(), "sim", "-scheme", "cubic", "-flows", "2", "-stagger", "4s", "-rate", "20", "-duration", "10s")
+	if r.code != 0 {
+		t.Fatalf("exit %d, stderr %q", r.code, r.stderr)
+	}
+	s := exp.Scenario{Name: "jurysim", Rate: 20e6, OneWayDelay: oneWay(30), Horizon: 10 * time.Second, Seed: 1}
+	s.BufferBytes = s.BufferBDP(1.5)
+	s.Flows = []exp.FlowSpec{{Scheme: "cubic"}, {Scheme: "cubic", Start: 4 * time.Second}}
+	res, err := exp.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.FlowSummaries))
+	if !strings.Contains(r.stdout, want) {
+		t.Errorf("stdout lacks %q:\n%s", want, r.stdout)
+	}
+	if strings.Contains(r.stdout, "lifetime means") {
+		t.Errorf("stdout still prints the lifetime-mean index:\n%s", r.stdout)
 	}
 }
 

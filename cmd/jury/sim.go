@@ -98,11 +98,9 @@ func runSim(args []string) error {
 
 	fmt.Printf("link: %.1f Mbps, %.0f ms RTT, %.2f%% loss, %d B buffer — utilization %.3f\n",
 		*rateMbps, *rttMS, *lossRate*100, s.BufferBytes, res.Utilization)
-	var shares []float64
 	rows := make([][]string, 0, len(res.FlowSummaries))
 	for _, f := range res.FlowSummaries {
 		st := f.Stats()
-		shares = append(shares, st.AvgThroughputBps)
 		rows = append(rows, []string{
 			f.Name(),
 			exp.FmtMbps(st.AvgThroughputBps),
@@ -113,7 +111,9 @@ func runSim(args []string) error {
 	}
 	fmt.Print(exp.FormatTable([]string{"flow", "Mbps", "avgRTT(ms)", "minRTT(ms)", "loss"}, rows))
 	if len(res.FlowSummaries) > 1 {
-		fmt.Printf("Jain index (lifetime means): %.3f\n", metrics.JainIndex(shares))
+		// Jain at each recording instant, averaged: a lifetime-mean share
+		// would count a late starter's idle prefix as unfairness.
+		fmt.Printf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.FlowSummaries))
 	}
 
 	if *csvPath != "" {

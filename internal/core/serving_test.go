@@ -16,35 +16,46 @@ import (
 // TestDecideBatchMatchesScalar: the batched serving path must agree with
 // per-request inference bit for bit at every batch size, including sizes
 // above the lazily grown scratch, and a scalar decision allocates nothing.
+// Besides a small net it runs the Table 2 actor (16-128-128-2) at batch
+// sizes that leave 1, 2 and 3 rows after the 4-row panels, so every count
+// of rows the one-row kernel takes is compared against a one-row Decide.
 func TestDecideBatchMatchesScalar(t *testing.T) {
-	const dim = 12
-	net := nn.NewMLP(simcore.NewRNG(3), []int{dim, 24, 24, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh})
-	batched := &NNPolicy{Net: net}
-	scalar := &NNPolicy{Net: net}
-	for _, rows := range []int{1, 7, 64, 200} {
-		x := make([]float64, rows*dim)
-		for i := range x {
-			x[i] = math.Sin(float64(i)) * 0.3
-		}
-		mus := make([]float64, rows)
-		deltas := make([]float64, rows)
-		batched.DecideBatch(x, rows, mus, deltas)
-		for r := 0; r < rows; r++ {
-			mu, delta := scalar.Decide(x[r*dim : (r+1)*dim])
-			if math.Float64bits(mus[r]) != math.Float64bits(mu) || math.Float64bits(deltas[r]) != math.Float64bits(delta) {
-				t.Fatalf("rows=%d row=%d: batch (%v, %v) != scalar (%v, %v)", rows, r, mus[r], deltas[r], mu, delta)
-			}
-			if delta < 0 || delta > 1 || mu < -1 || mu > 1 {
-				t.Fatalf("decision out of range: (%v, %v)", mu, delta)
-			}
-		}
+	nets := []struct {
+		net  *nn.MLP
+		rows []int
+	}{
+		{nn.NewMLP(simcore.NewRNG(3), []int{12, 24, 24, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh}), []int{1, 7, 64, 200}},
+		{nn.NewMLP(simcore.NewRNG(5), []int{16, 128, 128, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh}), []int{1, 2, 3, 5, 6, 7, 64, 200}},
 	}
-	if got := batched.InputDim(); got != dim {
-		t.Fatalf("InputDim = %d, want %d", got, dim)
-	}
-	state := make([]float64, dim)
-	if allocs := testing.AllocsPerRun(100, func() { scalar.Decide(state) }); allocs != 0 {
-		t.Fatalf("Decide allocates %v times per call, want 0", allocs)
+	for _, c := range nets {
+		dim := c.net.InputDim()
+		batched := &NNPolicy{Net: c.net}
+		scalar := &NNPolicy{Net: c.net}
+		for _, rows := range c.rows {
+			x := make([]float64, rows*dim)
+			for i := range x {
+				x[i] = math.Sin(float64(i)) * 0.3
+			}
+			mus := make([]float64, rows)
+			deltas := make([]float64, rows)
+			batched.DecideBatch(x, rows, mus, deltas)
+			for r := 0; r < rows; r++ {
+				mu, delta := scalar.Decide(x[r*dim : (r+1)*dim])
+				if math.Float64bits(mus[r]) != math.Float64bits(mu) || math.Float64bits(deltas[r]) != math.Float64bits(delta) {
+					t.Fatalf("%d-wide net rows=%d row=%d: batch (%v, %v) != scalar (%v, %v)", dim, rows, r, mus[r], deltas[r], mu, delta)
+				}
+				if delta < 0 || delta > 1 || mu < -1 || mu > 1 {
+					t.Fatalf("decision out of range: (%v, %v)", mu, delta)
+				}
+			}
+		}
+		if got := batched.InputDim(); got != dim {
+			t.Fatalf("InputDim = %d, want %d", got, dim)
+		}
+		state := make([]float64, dim)
+		if allocs := testing.AllocsPerRun(100, func() { scalar.Decide(state) }); allocs != 0 {
+			t.Fatalf("%d-wide net: Decide allocates %v times per call, want 0", dim, allocs)
+		}
 	}
 
 	// A poisoned state: (+Inf, −Inf) through all-positive first-layer weights
@@ -55,7 +66,7 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 	for i := range poison.Layers[0].W {
 		poison.Layers[0].W[i] = 1
 	}
-	state = []float64{math.Inf(1), math.Inf(-1)}
+	state := []float64{math.Inf(1), math.Inf(-1)}
 	mu, delta := (&NNPolicy{Net: poison}).Decide(state)
 	mus, deltas := make([]float64, 1), make([]float64, 1)
 	(&NNPolicy{Net: poison}).DecideBatch(state, 1, mus, deltas)

@@ -157,11 +157,13 @@ func TestMatMulTKernelMatchesGoBody(t *testing.T) {
 // TestForwardBatchRowIndependence pins the property the sharded TD3 update
 // stands on: a row's output does not depend on which other rows share the
 // ForwardBatchInto call. MatMulT gives every output element its own serial
-// accumulator in its 4-row panels, paired-row and single-row paths alike, so
-// forwarding rows [r0, r1) alone must reproduce those rows of the full-batch
-// call bit for bit — for every split of batches of 1–17 rows, for a 64-row
-// batch cut at every multiple of 4 and into the update's 16-row shards, and
-// for a 50-row batch in 16-row shards (short last shard).
+// accumulator in its 4-row panels and on the one-row kernel that takes the
+// rows left (and in the Go body's paired-row and single-row loops where
+// there is no kernel), so forwarding rows [r0, r1) alone must reproduce
+// those rows of the full-batch call bit for bit — for every split of
+// batches of 1–17 rows, for a 64-row batch cut at every multiple of 4 and
+// into the update's 16-row shards, and for a 50-row batch in 16-row shards
+// (short last shard).
 func TestForwardBatchRowIndependence(t *testing.T) {
 	rng := simcore.NewRNG(21)
 	// Widths off the 4-column blocking on purpose: 18 in, 3 out.
@@ -206,11 +208,12 @@ func TestForwardBatchRowIndependence(t *testing.T) {
 // machine ("vec": the AVX body on amd64) against its Go body, at the two row
 // widths the Table 2 networks stream (16-wide input rows, 128-wide hidden
 // rows), and MatMulT at the forward products of one 16-row update shard
-// (input, hidden and the actor's 2-wide output layer, which stays on dot).
-// Under -tags purego both columns are the Go body.
+// (input, hidden and the actor's 2-wide output layer, which stays on dot)
+// and of one served decision's row (input and hidden, on the one-row
+// kernel). Under -tags purego both columns are the Go body.
 func BenchmarkAxpyKernels(b *testing.B) {
 	rng := simcore.NewRNG(22)
-	for _, sh := range [][3]int{{16, 16, 128}, {16, 128, 128}, {16, 128, 2}} {
+	for _, sh := range [][3]int{{16, 16, 128}, {16, 128, 128}, {16, 128, 2}, {1, 16, 128}, {1, 128, 128}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		x, w, dst := randMat(rng, m*k), randMat(rng, n*k), make([]float64, m*n)
 		b.Run(fmt.Sprintf("MatMulT/%dx%d->%d/vec", m, k, n), func(b *testing.B) {

@@ -72,8 +72,9 @@ func MatMul(dst, a, b []float64, m, k, n int) {
 //
 // Every output element is one serial chain, +0 then += a[i][p]·b[j][p] in p
 // order (dot for the n mod 4 tail columns), whichever body runs it: the
-// platform prefix takes whole 4-row panels (AVX on amd64, a lane per row;
-// gemm_amd64.go) and the Go body the rows left.
+// platform prefix takes every row (AVX on amd64: whole 4-row panels a lane
+// per row, the rows left on the one-row kernel a lane per column;
+// gemm_amd64.go), and where it has none the Go body runs them all.
 func MatMulT(dst, a, b []float64, m, k, n int) {
 	matMulTFrom(matMulTVec(dst, a, b, m, k, n), dst, a, b, m, k, n)
 }
@@ -119,29 +120,59 @@ func matMulTFrom(i int, dst, a, b []float64, m, k, n int) {
 		}
 	}
 	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k]
-			var s0, s1, s2, s3 float64
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			drow[j] = s0
-			drow[j+1] = s1
-			drow[j+2] = s2
-			drow[j+3] = s3
+		drow, arow := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		clearSlice(drow[:n&^3])
+		rowMulTAddFrom(0, drow[:n&^3], arow, b, k)
+		dotCols(n&^3, drow, arow, b)
+	}
+}
+
+// dotCols sets drow[j:] to the dot of arow with rows [j, len(drow)) of b:
+// MatMulT's n mod 4 tail columns.
+func dotCols(j int, drow, arow, b []float64) {
+	k := len(arow)
+	for ; j < len(drow); j++ {
+		drow[j] = dot(arow, b[j*k:(j+1)*k])
+	}
+}
+
+// rowMulTAdd is the one-row product dst[j] += Σ_p x[p]·w[j][p] for every
+// j < len(dst), w in the Dense layout (row j holds k weights). Every output
+// is one serial chain from its dst value, += in p order, whichever body runs
+// it: the platform prefix takes whole 4-output groups (AVX on amd64;
+// gemm_amd64.go) and the Go body the rest. ForwardInto runs it from the
+// bias, MatMulT's single rows from +0.
+func rowMulTAdd(dst, x, w []float64, k int) {
+	rowMulTAddFrom(rowMulTAddVec(dst, x, w, k), dst, x, w, k)
+}
+
+// rowMulTAddFrom is rowMulTAdd's Go body over outputs [j, len(dst)). Four
+// outputs per pass are four independent chains, so the adds overlap instead
+// of waiting on one another; the last n mod 4 run one chain each.
+func rowMulTAddFrom(j int, dst, x, w []float64, k int) {
+	n := len(dst)
+	x = x[:k:k]
+	for ; j+4 <= n; j += 4 {
+		w0 := w[j*k : (j+1)*k : (j+1)*k]
+		w1 := w[(j+1)*k : (j+2)*k : (j+2)*k]
+		w2 := w[(j+2)*k : (j+3)*k : (j+3)*k]
+		w3 := w[(j+3)*k : (j+4)*k : (j+4)*k]
+		s0, s1, s2, s3 := dst[j], dst[j+1], dst[j+2], dst[j+3]
+		for p, xp := range x {
+			s0 += w0[p] * xp
+			s1 += w1[p] * xp
+			s2 += w2[p] * xp
+			s3 += w3[p] * xp
 		}
-		for ; j < n; j++ {
-			drow[j] = dot(arow, b[j*k:(j+1)*k])
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		wj := w[j*k : (j+1)*k : (j+1)*k]
+		s := dst[j]
+		for p, xp := range x {
+			s += wj[p] * xp
 		}
+		dst[j] = s
 	}
 }
 

@@ -38,6 +38,16 @@ func axpySetAVX(s float64, x, dst *float64, n int)
 //go:noescape
 func matMulT4AVX(dst *float64, ldd int, ap, b *float64, ldb, kc, n4 int, cont bool)
 
+// rowMulTAVX runs the one-row product over n4 columns (a positive multiple
+// of 4) and k > 0 reductions, continuing from dst. Its lane is one of four
+// output columns: w is read in place, in the Dense Out×In layout, a 4×2
+// block at a time transposed on the way in (w[j][p] for four j), times the
+// broadcast x[p], and each lane does VMULPD then VADDPD in p order — the Go
+// body's serial chain.
+//
+//go:noescape
+func rowMulTAVX(dst, x, w *float64, k, n4 int)
+
 // The xVec prefixes check the operand lengths the Go bodies would have
 // checked element by element, then hand raw pointers to the assembly.
 
@@ -81,17 +91,47 @@ func axpySetVec(s float64, x, dst []float64) int {
 	return n
 }
 
-// matMulTVec runs MatMulT's rows in whole 4-row panels, [0, m&^3), and
-// returns how many it ran. Each panel is packed k-major into a stack buffer
-// one gemmBlockK block at a time; a later block continues the accumulators
-// the kernel stored. The n mod 4 tail columns keep dot, as in the Go body.
-// With fewer than four rows or four columns it runs nothing.
-func matMulTVec(dst, a, b []float64, m, k, n int) int {
-	m4, n4 := m&^3, n&^3
-	if !useAVX || m4 == 0 || n4 == 0 || k == 0 {
+// rowMulTAddVec runs the one-row product's whole 4-output groups,
+// [0, len(dst)&^3), and returns how many outputs it ran.
+func rowMulTAddVec(dst, x, w []float64, k int) int {
+	n4 := len(dst) &^ 3
+	if !useAVX || n4 == 0 || k == 0 {
 		return 0
 	}
-	_, _ = dst[m4*n-1], b[n*k-1]
+	_, _ = x[k-1], w[n4*k-1]
+	rowMulTAVX(&dst[0], &x[0], &w[0], k, n4)
+	return n4
+}
+
+// matMulTVec runs all of MatMulT's rows and returns m: whole 4-row panels,
+// [0, m&^3), then each row left on the one-row kernel. The n mod 4 tail
+// columns keep dot, as in the Go body. With fewer than four columns it runs
+// nothing.
+func matMulTVec(dst, a, b []float64, m, k, n int) int {
+	m4, n4 := m&^3, n&^3
+	if !useAVX || m == 0 || n4 == 0 || k == 0 {
+		return 0
+	}
+	_, _, _ = dst[m*n-1], a[m*k-1], b[n*k-1]
+	if m4 > 0 {
+		matMulTPanels(dst, a, b, m4, k, n)
+	}
+	for i := m4; i < m; i++ {
+		drow, arow := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		clearSlice(drow[:n4])
+		rowMulTAVX(&drow[0], &arow[0], &b[0], k, n4)
+		dotCols(n4, drow, arow, b)
+	}
+	return m
+}
+
+// matMulTPanels runs MatMulT's first m4 rows (a multiple of 4) in 4-row
+// panels. Each panel is packed k-major into a stack buffer one gemmBlockK
+// block at a time; a later block continues the accumulators the kernel
+// stored. The buffer lives here, not in matMulTVec, so a call of one to three
+// rows does not zero its 8 KiB.
+func matMulTPanels(dst, a, b []float64, m4, k, n int) {
+	n4 := n &^ 3
 	var ap [4 * gemmBlockK]float64
 	for i := 0; i < m4; i += 4 {
 		a0 := a[i*k : (i+1)*k : (i+1)*k]
@@ -115,5 +155,4 @@ func matMulTVec(dst, a, b []float64, m, k, n int) int {
 			dst[(i+3)*n+j] = dot(a3, bcol)
 		}
 	}
-	return m4
 }

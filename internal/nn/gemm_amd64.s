@@ -276,3 +276,168 @@ loop4:
 done:
 	VZEROUPPER
 	RET
+
+// ROWT2 adds two reduction columns of four W rows into acc. The rows start
+// at base, base+kb, base+2·kb, base+3·kb (R12 = kb, R13 = 3·kb) and the
+// columns at byte offset off in each: a 16-byte load of each row, the third
+// and fourth inserted above the first and second, and an unpack turn them
+// into (w[0][p], w[1][p], w[2][p], w[3][p]) and the same at p+1 — a 4×2
+// transpose through the loads. Each column is multiplied by the broadcast
+// x[p] (Y12) or x[p+1] (Y13), then added, p before p+1: VMULPD then VADDPD,
+// column first in the product and accumulator first in the sum.
+#define ROWT2(off, base, acc) \
+	VMOVUPD     off(base), X8; \
+	VINSERTF128 $1, off(base)(R12*2), Y8, Y8; \
+	VMOVUPD     off(base)(R12*1), X9; \
+	VINSERTF128 $1, off(base)(R13*1), Y9, Y9; \
+	VUNPCKLPD   Y9, Y8, Y10; \
+	VUNPCKHPD   Y9, Y8, Y11; \
+	VMULPD      Y12, Y10, Y10; \
+	VMULPD      Y13, Y11, Y11; \
+	VADDPD      Y10, acc, acc; \
+	VADDPD      Y11, acc, acc
+
+// ROWT1 is ROWT2 for one column, at offset 0: the four elements are
+// gathered with scalar loads, and x[p] is in Y12.
+#define ROWT1(base, acc) \
+	VMOVSD      (base), X8; \
+	VMOVHPD     (base)(R12*1), X8, X8; \
+	VMOVSD      (base)(R12*2), X9; \
+	VMOVHPD     (base)(R13*1), X9, X9; \
+	VINSERTF128 $1, X9, Y8, Y8; \
+	VMULPD      Y12, Y8, Y8; \
+	VADDPD      Y8, acc, acc
+
+// ROWT16(off) adds two columns, at byte offset off, into all four column
+// groups of a sixteen-output tile; ROWT4(off) into the one group of a
+// four-output tile.
+#define ROWT16(off) \
+	VBROADCASTSD off(AX), Y12; \
+	VBROADCASTSD off+8(AX), Y13; \
+	ROWT2(off, R8, Y0); \
+	ROWT2(off, R9, Y1); \
+	ROWT2(off, R11, Y2); \
+	ROWT2(off, SI, Y3)
+
+#define ROWT4(off) \
+	VBROADCASTSD off(AX), Y12; \
+	VBROADCASTSD off+8(AX), Y13; \
+	ROWT2(off, R8, Y0)
+
+// func rowMulTAVX(dst, x, w *float64, k, n4 int)
+// The one-row product over output columns j < n4 (n4 a positive multiple
+// of 4, k > 0), continuing from dst:
+//
+//	dst[j] = dst[j] + Σ_{p<k} w[j*k+p] * x[p]   (p in order)
+//
+// w is in the Dense layout (row j holds output j's k weights) and is read
+// in place. A lane is one of four adjacent outputs; outputs go sixteen at a
+// time (four independent chains hide the add latency), then four, and the
+// reductions four at a time, then two, then one.
+TEXT ·rowMulTAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ w+16(FP), R10      // first W row of the current tile
+	MOVQ k+24(FP), DX
+	MOVQ DX, R12
+	SHLQ $3, R12            // W row stride in bytes
+	LEAQ (R12)(R12*2), R13  // three rows
+	MOVQ n4+32(FP), BX      // columns left
+
+cols16:
+	CMPQ    BX, $16
+	JLT     cols4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    R10, R8
+	LEAQ    (R10)(R12*4), R9
+	LEAQ    (R9)(R12*4), R11
+	LEAQ    (R11)(R12*4), SI
+	MOVQ    x+8(FP), AX
+	MOVQ    DX, CX
+	SHRQ    $2, CX
+	JZ      pair16
+
+loop16:
+	ROWT16(0)
+	ROWT16(16)
+	ADDQ $32, AX
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R11
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  loop16
+
+pair16:
+	TESTQ $2, DX
+	JZ    odd16
+	ROWT16(0)
+	ADDQ  $16, AX
+	ADDQ  $16, R8
+	ADDQ  $16, R9
+	ADDQ  $16, R11
+	ADDQ  $16, SI
+
+odd16:
+	TESTQ        $1, DX
+	JZ           store16
+	VBROADCASTSD (AX), Y12
+	ROWT1(R8, Y0)
+	ROWT1(R9, Y1)
+	ROWT1(R11, Y2)
+	ROWT1(SI, Y3)
+
+store16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (R10)(R12*8), R10
+	LEAQ    (R10)(R12*8), R10 // sixteen rows on
+	SUBQ    $16, BX
+	JMP     cols16
+
+cols4:
+	CMPQ    BX, $4
+	JLT     done
+	VMOVUPD (DI), Y0
+	MOVQ    R10, R8
+	MOVQ    x+8(FP), AX
+	MOVQ    DX, CX
+	SHRQ    $2, CX
+	JZ      pair4
+
+loop4:
+	ROWT4(0)
+	ROWT4(16)
+	ADDQ $32, AX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  loop4
+
+pair4:
+	TESTQ $2, DX
+	JZ    odd4
+	ROWT4(0)
+	ADDQ  $16, AX
+	ADDQ  $16, R8
+
+odd4:
+	TESTQ        $1, DX
+	JZ           store4
+	VBROADCASTSD (AX), Y12
+	ROWT1(R8, Y0)
+
+store4:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R10)(R12*4), R10
+	SUBQ    $4, BX
+	JMP     cols4
+
+done:
+	VZEROUPPER
+	RET

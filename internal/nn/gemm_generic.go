@@ -14,3 +14,5 @@ func axpy21Vec(s0 float64, x0 []float64, s1 float64, x1, dst []float64) int { re
 func axpySetVec(s float64, x, dst []float64) int { return 0 }
 
 func matMulTVec(dst, a, b []float64, m, k, n int) int { return 0 }
+
+func rowMulTAddVec(dst, x, w []float64, k int) int { return 0 }

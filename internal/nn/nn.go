@@ -5,7 +5,11 @@
 // serialization. Everything is deterministic given a seeded RNG.
 //
 // Inference runs through ForwardInto (one sample) and ForwardBatchInto;
-// training runs through the batched trace/backward kernels in gemm.go.
+// training runs through the batched trace/backward kernels in gemm.go. On
+// amd64 the forward products run on AVX kernels (gemm_amd64.s): 4-row
+// panels of a batch, and a one-row kernel for ForwardInto and for the rows
+// a batch has left, so a served decision never runs scalar Go. Every kernel
+// is bit-identical to its Go body, which -tags purego builds alone.
 // ForwardTrace and Backward are the scalar reference those kernels are
 // tested against; no production path runs them.
 package nn
@@ -13,6 +17,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/simcore"
 )
@@ -47,10 +52,14 @@ func (a Activation) String() string {
 func (a Activation) apply(v []float64) {
 	switch a {
 	case ReLU:
+		// x < 0 without a branch (random signs mispredict half of them):
+		// clear x to +0 exactly when its sign bit is set and its magnitude
+		// bits are in [1, +Inf's], so −0 and NaNs of either sign stay.
+		const inf = 0x7ff0000000000000
 		for i, x := range v {
-			if x < 0 {
-				v[i] = 0
-			}
+			b := math.Float64bits(x)
+			_, inRange := bits.Sub64((b&^(1<<63))-1, inf, 0)
+			v[i] = math.Float64frombits(b &^ -(b >> 63 & inRange))
 		}
 	case Tanh:
 		for i, x := range v {
@@ -147,8 +156,10 @@ func NewScratch(m *MLP) *Scratch {
 
 // ForwardInto runs inference using s's buffers instead of allocating. The
 // returned slice aliases the scratch and is valid only until the next
-// ForwardInto call with the same Scratch. Its outputs equal ForwardTrace's
-// bit for bit.
+// ForwardInto call with the same Scratch. Each layer copies its bias and
+// runs the one-row product from it (rowMulTAdd: the AVX kernel on amd64),
+// so every output is ForwardTrace's chain, B[o] then += W[o][i]·x[i] in i
+// order, and the outputs equal ForwardTrace's bit for bit.
 func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 	cur := x
 	useA := true
@@ -158,33 +169,8 @@ func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 			next = s.a[:l.Out]
 		}
 		useA = !useA
-		// Four outputs per pass are four independent chains, so the adds
-		// overlap instead of waiting on one another; each chain is still
-		// B[o] then += W[o][i]·x[i] in i order, ForwardTrace's sum.
-		in := l.In
-		o := 0
-		for ; o+4 <= l.Out; o += 4 {
-			r0 := l.W[o*in : (o+1)*in : (o+1)*in]
-			r1 := l.W[(o+1)*in : (o+2)*in : (o+2)*in]
-			r2 := l.W[(o+2)*in : (o+3)*in : (o+3)*in]
-			r3 := l.W[(o+3)*in : (o+4)*in : (o+4)*in]
-			s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
-			for i, xi := range cur {
-				s0 += r0[i] * xi
-				s1 += r1[i] * xi
-				s2 += r2[i] * xi
-				s3 += r3[i] * xi
-			}
-			next[o], next[o+1], next[o+2], next[o+3] = s0, s1, s2, s3
-		}
-		for ; o < l.Out; o++ {
-			sum := l.B[o]
-			row := l.W[o*in : (o+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			next[o] = sum
-		}
+		copy(next, l.B)
+		rowMulTAdd(next, cur, l.W, l.In)
 		l.Act.apply(next)
 		cur = next
 	}

@@ -149,10 +149,15 @@ go test -run '^TestPaperClaims$' -count=1 ./internal/exp
 echo "== nn + rl again on the Go kernel bodies alone (-tags purego)"
 go test -tags purego ./internal/nn ./internal/rl
 
-echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, and far timers kept out of the heap), NN ForwardInto, and a scenario's allocation ceiling"
+echo "== every nn + rl benchmark runs once, on the kernels and on the Go bodies alone"
+# A benchmark that panics or stops building is otherwise only found by hand.
+go test -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
+go test -tags purego -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
+
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, and far timers kept out of the heap), NN ForwardInto (+ its one-row kernel against the Go body), and a scenario's allocation ceiling"
 GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree)$' -count=1 ./internal/rl
 go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|TestRearmStaleHandleSchedulesFresh|TestWheelPopOrderMatchesHeap|TestWheelDrainReanchors|TestFarTimersStayOutOfHeap)$' -count=1 ./internal/simcore
-go test -race -run '^TestScratchPathsAllocFree$' -count=1 ./internal/nn
+go test -race -run '^(TestScratchPathsAllocFree|TestForwardIntoKernelMatchesGoBody)$' -count=1 ./internal/nn
 go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
 echo "== delivery is not an event, under the race detector: a packet's last link schedules its ACK (two events per acked packet, every RTT exact)"
