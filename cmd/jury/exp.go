@@ -72,7 +72,7 @@ func (s figScale) at(full bool) (stagger, lifetime time.Duration) {
 //	jury exp -exp fig7a                # Jury convergence, 50 Mbps panel
 //	jury exp -exp tab3
 //
-// `jury exp store <ls|verify|compact> DIR` inspects a run store (runStore).
+// `jury exp store <ls|verify> DIR` inspects a run store (runStore).
 func runExp(args []string) error {
 	if len(args) > 0 && args[0] == "store" {
 		return runStore(args[1:])
@@ -102,13 +102,13 @@ func runExp(args []string) error {
 		if err != nil {
 			return usageError(err.Error())
 		}
-		st, err := runstore.Open(runstore.Options{Dir: *storeDir, Fsync: pol, CompactEvery: 256})
+		st, err := runstore.Open(runstore.Options{Dir: *storeDir, Fsync: pol})
 		if err != nil {
 			return err
 		}
 		if rep := st.Repair(); rep.Dirty() {
-			fmt.Fprintf(os.Stderr, "store: repaired on open (wal: %q, snapshot: %q, %d bytes dropped)\n",
-				rep.WALNote, rep.SnapshotNote, rep.DroppedTornBytes)
+			fmt.Fprintf(os.Stderr, "store: repaired on open (wal: %q, %d bytes dropped)\n",
+				rep.WALNote, rep.WALTorn)
 		}
 		fmt.Fprintf(os.Stderr, "store: %d records at %s (resume=%v)\n", st.Len(), *storeDir, *resume)
 		exp.AttachStore(st, *resume)
@@ -141,68 +141,46 @@ func runExp(args []string) error {
 	return usageError(fmt.Sprintf("unknown experiment %q (use -list)", *id))
 }
 
-// runStore is `jury exp store <ls|verify|compact> DIR`: offline inspection
-// and maintenance of a run store.
+// runStore is `jury exp store <ls|verify> DIR`: offline inspection of a
+// run store. Both open it read-only; verify prints what startup repair
+// would do and exits 1 on damage.
 func runStore(args []string) error {
 	if len(args) != 2 {
-		return usageError("usage: jury exp store <ls|verify|compact> DIR")
+		return usageError("usage: jury exp store <ls|verify> DIR")
 	}
 	cmd, dir := args[0], args[1]
-	switch cmd {
-	case "ls":
-		st, err := runstore.Open(runstore.Options{Dir: dir, ReadOnly: true})
-		if err != nil {
-			return err
+	if cmd != "ls" && cmd != "verify" {
+		return usageError(fmt.Sprintf("unknown store command %q (want ls or verify)", cmd))
+	}
+	st, err := runstore.Open(runstore.Options{Dir: dir, ReadOnly: true})
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	if cmd == "verify" {
+		rep := st.Repair()
+		fmt.Printf("wal  %d records, torn=%d, header ok=%v", rep.WALRecords, rep.WALTorn, !rep.HeaderRewritten)
+		if rep.WALNote != "" {
+			fmt.Printf("  (%s)", rep.WALNote)
 		}
-		defer st.Close()
-		var table [][]string
-		for _, r := range st.Records() {
-			table = append(table, []string{
-				r.Key.Short(), r.Scenario, strings.Join(r.Schemes, ","),
-				fmt.Sprint(r.Seed), fmt.Sprintf("%016x", r.Digest), fmt.Sprint(r.Checked),
-				time.Unix(0, r.AppendedAt).UTC().Format("2006-01-02T15:04:05Z"),
-			})
-		}
-		fmt.Print(exp.FormatTable([]string{"key", "scenario", "schemes", "seed", "digest", "checked", "appended"}, table))
-		fmt.Printf("%d records\n", st.Len())
-		return nil
-	case "verify":
-		rep, err := runstore.Verify(dir)
-		if err != nil {
-			return err
-		}
-		describe := func(name string, f runstore.FileReport) {
-			if !f.Present {
-				fmt.Printf("%-9s absent\n", name)
-				return
-			}
-			fmt.Printf("%-9s %d records, %d bytes, header ok=%v, torn=%d", name, f.Records, f.Bytes, f.HeaderOK, f.Torn)
-			if f.Note != "" {
-				fmt.Printf("  (%s)", f.Note)
-			}
-			fmt.Println()
-		}
-		describe("snapshot", rep.Snapshot)
-		describe("wal", rep.WAL)
-		if !rep.Clean() {
+		fmt.Println()
+		if rep.Dirty() {
 			return fmt.Errorf("store at %s is damaged (repairable: reopen it writable)", dir)
 		}
 		fmt.Println("clean")
 		return nil
-	case "compact":
-		st, err := runstore.Open(runstore.Options{Dir: dir})
-		if err != nil {
-			return err
-		}
-		if err := st.Compact(); err != nil {
-			st.Close()
-			return err
-		}
-		fmt.Printf("compacted %d records into snapshot\n", st.Len())
-		return st.Close()
-	default:
-		return usageError(fmt.Sprintf("unknown store command %q (want ls, verify, or compact)", cmd))
 	}
+	var table [][]string
+	for _, r := range st.Records() {
+		table = append(table, []string{
+			r.Key.Short(), r.Scenario, strings.Join(r.Schemes, ","),
+			fmt.Sprint(r.Seed), fmt.Sprintf("%016x", r.Digest), fmt.Sprint(r.Checked),
+			time.Unix(0, r.AppendedAt).UTC().Format("2006-01-02T15:04:05Z"),
+		})
+	}
+	fmt.Print(exp.FormatTable([]string{"key", "scenario", "schemes", "seed", "digest", "checked", "appended"}, table))
+	fmt.Printf("%d records\n", st.Len())
+	return nil
 }
 
 // printRows is the runner of a table the paper states rather than measures.

@@ -117,7 +117,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"exp", "-exp", "nope"}, 2, `unknown experiment "nope" (use -list)`},
 		{[]string{"exp", "-resume"}, 2, "-resume requires -store DIR"},
 		{[]string{"exp", "-store", dir, "-store-fsync", "sometimes"}, 2, "sometimes"},
-		{[]string{"exp", "store", "ls"}, 2, "usage: jury exp store <ls|verify|compact> DIR"},
+		{[]string{"exp", "store", "ls"}, 2, "usage: jury exp store <ls|verify> DIR"},
 		{[]string{"exp", "store", "frob", dir}, 2, `unknown store command "frob"`},
 		{[]string{"train", "-eval", filepath.Join(dir, "missing.json")}, 1, "missing.json"},
 		{[]string{"serve", "-checkpoint", "c.json"}, 2, "flag provided but not defined: -checkpoint"},

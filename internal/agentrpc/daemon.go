@@ -13,7 +13,7 @@ import (
 // defaultReadTimeout bounds how long a connection may sit idle between
 // requests before the server reclaims it. Healthy datapaths decide every
 // control interval (~30 ms); a connection silent for minutes is a hung or
-// half-closed peer holding a goroutine hostage.
+// half-closed peer holding a goroutine hostage. SetReadTimeout overrides it.
 const defaultReadTimeout = 2 * time.Minute
 
 // Serving defaults; see Config.
@@ -35,9 +35,6 @@ type Config struct {
 	// at all (every request not immediately claimed by the batcher is shed
 	// — a test knob for BUSY storms).
 	MaxQueue int
-	// ReadTimeout is the per-connection idle limit between requests
-	// (defaultReadTimeout when zero; SetReadTimeout(0) disables it).
-	ReadTimeout time.Duration
 	// WriteTimeout bounds each response write, so a client that stops
 	// draining its socket costs one connection, not a goroutine forever.
 	WriteTimeout time.Duration
@@ -56,9 +53,6 @@ func (c Config) withDefaults() Config {
 		c.MaxQueue = 4 * c.MaxBatch
 	case c.MaxQueue < 0:
 		c.MaxQueue = 0 // unbuffered: shed unless the batcher is receiving
-	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = defaultReadTimeout
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
@@ -110,7 +104,7 @@ func newPending() *pending {
 
 // Server is the inference daemon around a hot-swappable Policy.
 type Server struct {
-	cfg   Config // immutable after withDefaults (ReadTimeout lives under mu)
+	cfg   Config // immutable after withDefaults
 	ln    net.Listener
 	pv    atomic.Pointer[policyVersion]
 	queue chan *pending
@@ -158,7 +152,7 @@ func NewServer(ln net.Listener, p Policy, cfg Config) *Server {
 		cfg:         cfg,
 		ln:          ln,
 		queue:       make(chan *pending, cfg.MaxQueue),
-		readTimeout: cfg.ReadTimeout,
+		readTimeout: defaultReadTimeout,
 		conns:       map[net.Conn]struct{}{},
 		batchDone:   make(chan struct{}),
 	}

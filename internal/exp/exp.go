@@ -257,7 +257,7 @@ func Run(s Scenario) (*RunResult, error) {
 	if err := st.Put(recordFromResult(key, s, res)); err != nil {
 		return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
 	}
-	storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
+	storeCounter("runstore_appends_total", "run records put to the run store (an identical re-put writes nothing)").Inc()
 	return res, nil
 }
 

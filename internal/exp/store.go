@@ -56,7 +56,7 @@ func AttachStore(st *runstore.Store, resume bool) {
 	}
 	rep := st.Repair()
 	hub.Registry.Counter("runstore_repair_torn_bytes_total",
-		"bytes dropped by run-store startup repair").Add(rep.DroppedTornBytes)
+		"bytes dropped by run-store startup repair").Add(rep.WALTorn)
 	if rep.Dirty() {
 		hub.Registry.Counter("runstore_repairs_total",
 			"run-store opens that needed startup repair").Inc()

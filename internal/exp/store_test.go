@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,10 +79,11 @@ func summaryFingerprint(r *RunResult) string {
 // TestRunManyWarmStoreSkipsSimulation: a warm resumable store serves a
 // repeat sweep with ZERO simulator invocations and digest-identical results,
 // and a warm non-resuming store re-runs everything while re-verifying
-// digests against the stored records.
+// digests against the stored records, without growing the WAL.
 func TestRunManyWarmStoreSkipsSimulation(t *testing.T) {
 	jobs := storeJobs()
-	attachTestStore(t, t.TempDir(), true)
+	dir := t.TempDir()
+	attachTestStore(t, dir, true)
 
 	liveRuns.Store(0)
 	cold, err := RunMany(jobs)
@@ -115,14 +117,29 @@ func TestRunManyWarmStoreSkipsSimulation(t *testing.T) {
 		}
 	}
 
-	// Recording without resuming re-executes and re-verifies digests.
-	StoreResume = false
-	liveRuns.Store(0)
-	if _, err := RunMany(jobs); err != nil {
-		t.Fatalf("re-verify RunMany: %v", err)
+	// Recording without resuming re-executes and re-verifies digests; the
+	// re-runs reproduce the stored records, so the WAL stays byte-identical.
+	walPath := filepath.Join(dir, "wal.log")
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := liveRuns.Load(); n != int64(len(jobs)) {
-		t.Fatalf("non-resume sweep executed %d simulations, want %d", n, len(jobs))
+	StoreResume = false
+	for sweep := 1; sweep <= 2; sweep++ {
+		liveRuns.Store(0)
+		if _, err := RunMany(jobs); err != nil {
+			t.Fatalf("re-verify RunMany #%d: %v", sweep, err)
+		}
+		if n := liveRuns.Load(); n != int64(len(jobs)) {
+			t.Fatalf("non-resume sweep #%d executed %d simulations, want %d", sweep, n, len(jobs))
+		}
+		after, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("non-resume sweep #%d changed wal.log: %d -> %d bytes", sweep, len(before), len(after))
+		}
 	}
 }
 

@@ -45,8 +45,6 @@ type Options struct {
 	// FlightDir is where flight dumps are written; "" disables dumping (the
 	// rings still record, and Dump reports "").
 	FlightDir string
-	// MaxDumps caps JSONL dumps per run (default 8).
-	MaxDumps int
 	// FaultBurst is the injected-fault count within one snapshot window that
 	// triggers a flight dump (default 64; <0 disables the trigger).
 	FaultBurst int64
@@ -261,7 +259,7 @@ func (rt *Runtime) Attach(n *netsim.Network, shards int) *Observer {
 		net:           n,
 		window:        rt.opts.Window,
 		shards:        make([]shardAcc, shards),
-		rec:           newRecorder(shards, rt.opts.FlightSize, rt.opts.FlightDir, rt.opts.MaxDumps),
+		rec:           newRecorder(shards, rt.opts.FlightSize, rt.opts.FlightDir),
 		nextBoundary:  rt.opts.Window,
 		minWindowJain: 1,
 	}

@@ -89,17 +89,16 @@ type Recorder struct {
 	rings []flightRing
 	dir   string
 	seq   atomic.Int32
-	max   int32
 }
 
-func newRecorder(shards, size int, dir string, maxDumps int) *Recorder {
+// maxDumps caps flight dumps per run.
+const maxDumps = 8
+
+func newRecorder(shards, size int, dir string) *Recorder {
 	if size <= 0 {
 		size = 2048
 	}
-	if maxDumps <= 0 {
-		maxDumps = 8
-	}
-	r := &Recorder{rings: make([]flightRing, shards), dir: dir, max: int32(maxDumps)}
+	r := &Recorder{rings: make([]flightRing, shards), dir: dir}
 	for i := range r.rings {
 		r.rings[i].e = make([]FlightEntry, size)
 	}
@@ -120,7 +119,7 @@ func (r *Recorder) record(shard int, e FlightEntry) {
 // Dump freezes every ring and writes the merged, VT-ordered entries to
 // flight-<seq>-<reason>.jsonl under the recorder's directory. The first
 // line is a header object carrying the reason; each following line is one
-// entry. Dump count is capped (default 8) so a systematically broken run
+// entry. Dump count is capped at maxDumps so a systematically broken run
 // cannot fill the disk; capped or unconfigured (no directory) dumps return
 // ("", nil).
 func (r *Recorder) Dump(reason string) (string, error) {
@@ -128,7 +127,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", nil
 	}
 	seq := r.seq.Add(1)
-	if seq > r.max {
+	if seq > maxDumps {
 		return "", nil
 	}
 	var all []FlightEntry

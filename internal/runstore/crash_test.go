@@ -14,8 +14,8 @@ import (
 	"testing"
 )
 
-// crashState is shared across every file a store opens (WAL, snapshot.tmp),
-// so one budget covers the whole write stream like a single power rail.
+// crashState is shared across every file a store opens, so one budget
+// covers the whole write stream like a single power rail.
 type crashState struct {
 	budget int64 // bytes that may still be written
 	dead   bool  // first failure latches: a crashed machine stays crashed
@@ -153,131 +153,68 @@ func TestCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashMatrix kills compaction after every possible byte count
-// of the snapshot write. Whatever the cut point — mid-tmp-write, before or
-// after the rename, before the WAL truncation — no record may be lost.
-func TestCompactionCrashMatrix(t *testing.T) {
-	recs := crashRecords(t)
-	snapLen := int64(len(fileHeader(magicSnap)))
-	for _, r := range recs {
-		snapLen += int64(len(appendFrame(nil, appendRecord(nil, r))))
-	}
-	for budget := int64(0); budget <= snapLen; budget++ {
-		dir := t.TempDir()
-		st := mustOpen(t, Options{Dir: dir})
-		putAll(t, st, recs)
-		st.Close()
-
-		// Reopen with the failing seam and crash inside Compact.
-		cst := &crashState{budget: 1 << 30}
-		cs, err := Open(Options{Dir: dir, open: failingOpen(cst)})
-		if err != nil {
-			t.Fatalf("budget %d: reopen: %v", budget, err)
-		}
-		cst.budget = budget
-		cs.Compact() // expected to fail for budgets < snapLen
-		cs.Close()
-
-		re := mustOpen(t, Options{Dir: dir})
-		requireSameRecords(t, re.Records(), recs)
-		re.Close()
-	}
-
-	// The rename-committed-but-WAL-not-truncated window: snapshot and WAL
-	// both hold the full batch. Replay must dedup, not duplicate.
-	dir := t.TempDir()
-	st := mustOpen(t, Options{Dir: dir})
-	putAll(t, st, recs)
-	st.Close()
-	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := append(fileHeader(magicSnap), wal[headerLen:]...)
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.dat"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re := mustOpen(t, Options{Dir: dir})
-	requireSameRecords(t, re.Records(), recs)
-	re.Close()
-}
-
-// TestBitFlipSweep flips a bit at every byte offset of the WAL and the
-// snapshot and proves total corruption coverage: the reopened store never
-// serves a record that differs from its reference, and every flip is either
-// reported by repair or (for snapshot header damage) by the salvage note.
+// TestBitFlipSweep flips a bit at every byte offset of the WAL and proves
+// total corruption coverage: the reopened store never serves a record that
+// differs from its reference, and every flip is either reported by repair
+// or by the salvage note.
 // In -short mode the flipped bit rotates with the offset (every byte and
 // every bit position still covered); the full run tries all 8 bits per byte.
 func TestBitFlipSweep(t *testing.T) {
 	recs := crashRecords(t)
-	build := func(compact bool) string {
-		dir := t.TempDir()
-		st := mustOpen(t, Options{Dir: dir})
-		putAll(t, st, recs)
-		if compact {
-			if err := st.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.Close()
-		return dir
-	}
+	const name = "wal.log"
+	srcDir := t.TempDir()
+	src := mustOpen(t, Options{Dir: srcDir})
+	putAll(t, src, recs)
+	src.Close()
 	byKey := map[Key]*Record{}
 	for _, r := range recs {
 		byKey[r.Key] = r
 	}
 
-	for _, target := range []struct {
-		name    string
-		compact bool
-	}{{"wal.log", false}, {"snapshot.dat", true}} {
-		target := target
-		t.Run(target.name, func(t *testing.T) {
-			t.Parallel()
-			srcDir := build(target.compact)
-			pristine, err := os.ReadFile(filepath.Join(srcDir, target.name))
-			if err != nil {
-				t.Fatal(err)
+	t.Run(name, func(t *testing.T) {
+		t.Parallel()
+		pristine, err := os.ReadFile(filepath.Join(srcDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(pristine); off++ {
+			bits := []int{0, 1, 2, 3, 4, 5, 6, 7}
+			if testing.Short() {
+				bits = bits[off%8 : off%8+1]
 			}
-			for off := 0; off < len(pristine); off++ {
-				bits := []int{0, 1, 2, 3, 4, 5, 6, 7}
-				if testing.Short() {
-					bits = bits[off%8 : off%8+1]
+			for _, bit := range bits {
+				dir := t.TempDir()
+				mut := append([]byte(nil), pristine...)
+				mut[off] ^= 1 << bit
+				if err := os.WriteFile(filepath.Join(dir, name), mut, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				for _, bit := range bits {
-					dir := t.TempDir()
-					mut := append([]byte(nil), pristine...)
-					mut[off] ^= 1 << bit
-					if err := os.WriteFile(filepath.Join(dir, target.name), mut, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					st, err := Open(Options{Dir: dir})
-					if err != nil {
-						t.Fatalf("offset %d bit %d: Open: %v", off, bit, err)
-					}
-					rep := st.Repair()
-					got := st.Records()
-					for _, g := range got {
-						ref, ok := byKey[g.Key]
-						if !ok || !reflect.DeepEqual(g, ref) {
-							t.Fatalf("offset %d bit %d: corrupted record served: %+v", off, bit, g)
-						}
-					}
-					detected := rep.Dirty() || rep.WALNote != "" || rep.SnapshotNote != "" ||
-						len(got) < len(recs)
-					if !detected {
-						t.Fatalf("offset %d bit %d: flip neither detected nor dropped (served %d records)", off, bit, len(got))
-					}
-					// Prefix property: the scan stops at the first damaged
-					// frame, so the served records are a prefix of the batch.
-					for i, g := range got {
-						if !bytes.Equal(appendRecord(nil, g), appendRecord(nil, recs[i])) {
-							t.Fatalf("offset %d bit %d: served records are not an in-order prefix", off, bit)
-						}
-					}
-					st.Close()
+				st, err := Open(Options{Dir: dir})
+				if err != nil {
+					t.Fatalf("offset %d bit %d: Open: %v", off, bit, err)
 				}
+				rep := st.Repair()
+				got := st.Records()
+				for _, g := range got {
+					ref, ok := byKey[g.Key]
+					if !ok || !reflect.DeepEqual(g, ref) {
+						t.Fatalf("offset %d bit %d: corrupted record served: %+v", off, bit, g)
+					}
+				}
+				detected := rep.Dirty() || rep.WALNote != "" ||
+					len(got) < len(recs)
+				if !detected {
+					t.Fatalf("offset %d bit %d: flip neither detected nor dropped (served %d records)", off, bit, len(got))
+				}
+				// Prefix property: the scan stops at the first damaged
+				// frame, so the served records are a prefix of the batch.
+				for i, g := range got {
+					if !bytes.Equal(appendRecord(nil, g), appendRecord(nil, recs[i])) {
+						t.Fatalf("offset %d bit %d: served records are not an in-order prefix", off, bit)
+					}
+				}
+				st.Close()
 			}
-		})
-	}
+		}
+	})
 }

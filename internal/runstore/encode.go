@@ -361,28 +361,27 @@ func scanRecords(data []byte) scanReport {
 	return rep
 }
 
-// File headers: an 8-byte magic, a u32 format version, and a u32 CRC32C of
-// the first 12 bytes, so corruption of the header itself is detected.
+// The WAL header: an 8-byte magic, a u32 format version, and a u32 CRC32C
+// of the first 12 bytes, so corruption of the header itself is detected.
 const (
 	headerLen     = 16
 	formatVersion = 1
 	magicWAL      = "JURYWAL1"
-	magicSnap     = "JURYSNP1"
 )
 
-func fileHeader(magic string) []byte {
+func fileHeader() []byte {
 	b := make([]byte, 0, headerLen)
-	b = append(b, magic...)
+	b = append(b, magicWAL...)
 	b = appendU32(b, formatVersion)
 	return appendU32(b, crc32.Checksum(b, crcTable))
 }
 
-func checkHeader(data []byte, magic string) error {
+func checkHeader(data []byte) error {
 	if len(data) < headerLen {
 		return fmt.Errorf("runstore: torn file header (%d bytes)", len(data))
 	}
-	if string(data[:8]) != magic {
-		return fmt.Errorf("runstore: bad magic %q, want %q", data[:8], magic)
+	if string(data[:8]) != magicWAL {
+		return fmt.Errorf("runstore: bad magic %q, want %q", data[:8], magicWAL)
 	}
 	if crc32.Checksum(data[:12], crcTable) != binary.LittleEndian.Uint32(data[12:]) {
 		return fmt.Errorf("runstore: corrupt file header")

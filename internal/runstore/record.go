@@ -6,14 +6,15 @@
 // every run whose key is already present, making multi-hour fairness
 // matrices resumable after a crash.
 //
-// Storage discipline (see DESIGN.md "Run store"): an append-only write-ahead
-// log with CRC32C per-record framing and a configurable fsync policy
-// (always/interval/never), torn-tail truncation and startup repair, and
-// periodic compaction of the log into an index snapshot. Every byte of both
-// files is covered by a checksum (header CRC or record CRC), so any
-// single-bit corruption is either detected or repaired by dropping the
-// damaged suffix — a property the crash/corruption test harness in this
-// package proves exhaustively.
+// Storage discipline (see DESIGN.md "Run store"): one file, wal.log, an
+// append-only write-ahead log with CRC32C per-record framing and a
+// configurable fsync policy (always/interval/never), torn-tail truncation
+// and startup repair. Open is its only reader. There is no compaction: Put
+// skips a record whose bytes (apart from AppendedAt) the log already holds,
+// so re-running a sweep does not grow the file. Every byte is covered by a
+// checksum (header CRC or record CRC), so any single-bit corruption is
+// either detected or repaired by dropping the damaged suffix — a property
+// the crash/corruption test harness in this package proves exhaustively.
 package runstore
 
 import (
@@ -108,7 +109,7 @@ const (
 	// FsyncAlways syncs after every append: a crash loses at most the
 	// record being written.
 	FsyncAlways
-	// FsyncNever leaves flushing to Close/Compact and the OS.
+	// FsyncNever leaves flushing to Close and the OS.
 	FsyncNever
 )
 

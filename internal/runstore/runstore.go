@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -43,15 +44,12 @@ const syncPeriod = time.Second
 
 // Options configures Open.
 type Options struct {
-	// Dir is the store directory; it holds wal.log and snapshot.dat.
+	// Dir is the store directory; it holds wal.log.
 	Dir string
 	// Fsync is the WAL flush policy (default FsyncInterval).
 	Fsync Policy
-	// CompactEvery, when positive, folds the WAL into the snapshot after
-	// that many appends. Zero means compaction only on explicit Compact.
-	CompactEvery int
 	// ReadOnly opens the store for inspection: repair is computed in memory
-	// but nothing on disk is modified, and Put/Compact fail with ErrReadOnly.
+	// but nothing on disk is modified, and Put fails with ErrReadOnly.
 	ReadOnly bool
 
 	// open is the file-open seam the crash-injection tests replace.
@@ -61,33 +59,28 @@ type Options struct {
 // RepairReport describes what startup repair found (and, unless the store
 // is read-only, fixed by truncation).
 type RepairReport struct {
-	SnapshotRecords  int
-	SnapshotTorn     int64 // snapshot bytes after the last valid record
-	SnapshotNote     string
-	WALRecords       int
-	WALTorn          int64 // WAL bytes truncated (torn tail / corrupt suffix)
-	WALNote          string
-	HeaderRewritten  bool // the WAL header itself was damaged and rewritten
-	DroppedTornBytes int64
+	WALRecords      int
+	WALTorn         int64 // WAL bytes truncated (torn tail / corrupt suffix)
+	WALNote         string
+	HeaderRewritten bool // the WAL header itself was damaged and rewritten
 }
 
 // Dirty reports whether repair found anything wrong.
 func (r RepairReport) Dirty() bool {
-	return r.SnapshotTorn != 0 || r.WALTorn != 0 || r.HeaderRewritten
+	return r.WALTorn != 0 || r.HeaderRewritten
 }
 
 // Store is an append-only, checksummed, content-addressed store of run
 // records: an in-memory index (one record per key, insertion-ordered)
-// backed by snapshot.dat + wal.log. All methods are safe for concurrent use
-// by the parallel sweep runner.
+// backed by wal.log. All methods are safe for concurrent use by the
+// parallel sweep runner.
 type Store struct {
 	mu   sync.Mutex
 	opts Options
 
-	wal        file // nil when read-only
-	goodOff    int64
-	lastSync   time.Time
-	walAppends int
+	wal      file // nil when read-only
+	goodOff  int64
+	lastSync time.Time
 
 	recs   []*Record
 	byKey  map[Key]int // key -> index into recs
@@ -95,14 +88,11 @@ type Store struct {
 	closed bool
 }
 
-func (o *Options) walPath() string  { return filepath.Join(o.Dir, "wal.log") }
-func (o *Options) snapPath() string { return filepath.Join(o.Dir, "snapshot.dat") }
-func (o *Options) tmpPath() string  { return filepath.Join(o.Dir, "snapshot.tmp") }
+func (o *Options) walPath() string { return filepath.Join(o.Dir, "wal.log") }
 
 // Open loads (and, unless ReadOnly, repairs) the store in opts.Dir,
-// creating it if needed. Load order is snapshot first, then WAL, with
-// last-write-wins per key, so a crash between compaction's snapshot rename
-// and WAL truncation only produces harmless duplicates.
+// creating it if needed. The WAL replays in append order with
+// last-write-wins per key.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("runstore: no directory")
@@ -115,25 +105,9 @@ func Open(opts Options) (*Store, error) {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("runstore: %w", err)
 		}
-		// A leftover snapshot.tmp is a compaction that died mid-write.
-		os.Remove(opts.tmpPath())
 	}
 
-	// Snapshot: never mutated here (the next compaction rewrites it), but a
-	// damaged header or tail drops the unreadable suffix from the index.
-	if data, err := os.ReadFile(opts.snapPath()); err == nil {
-		recs, rep := loadRecordFile(data, magicSnap)
-		s.repair.SnapshotRecords = len(recs)
-		s.repair.SnapshotTorn = rep.tornLen
-		s.repair.SnapshotNote = rep.note
-		for _, r := range recs {
-			s.index(r)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-
-	// WAL: parse, then truncate the file back to its last valid record so
+	// Parse, then truncate the file back to its last valid record so
 	// appends land on a clean tail.
 	walData, err := os.ReadFile(opts.walPath())
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -144,7 +118,7 @@ func Open(opts Options) (*Store, error) {
 	case len(walData) == 0:
 		// Fresh store.
 	default:
-		recs, rep := loadRecordFile(walData, magicWAL)
+		recs, rep := loadRecordFile(walData)
 		s.repair.WALRecords = len(recs)
 		s.repair.WALTorn = rep.tornLen
 		s.repair.WALNote = rep.note
@@ -156,7 +130,6 @@ func Open(opts Options) (*Store, error) {
 			s.index(r)
 		}
 	}
-	s.repair.DroppedTornBytes = s.repair.SnapshotTorn + s.repair.WALTorn
 	s.goodOff = validOff
 
 	if !opts.ReadOnly {
@@ -166,7 +139,7 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.wal = f
 		if len(walData) < headerLen || s.repair.HeaderRewritten {
-			if _, err := f.WriteAt(fileHeader(magicWAL), 0); err != nil {
+			if _, err := f.WriteAt(fileHeader(), 0); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("runstore: writing WAL header: %w", err)
 			}
@@ -197,9 +170,9 @@ type loadReport struct {
 // damaged header is not fatal: the record region still carries its own
 // CRCs, so the salvageable prefix is recovered and the header flagged for
 // rewrite.
-func loadRecordFile(data []byte, magic string) ([]*Record, loadReport) {
+func loadRecordFile(data []byte) ([]*Record, loadReport) {
 	var rep loadReport
-	if err := checkHeader(data, magic); err != nil {
+	if err := checkHeader(data); err != nil {
 		rep.headerBad = true
 		rep.note = err.Error()
 		if len(data) <= headerLen {
@@ -263,7 +236,10 @@ func (s *Store) maybeSync() error {
 
 // Put appends one record to the WAL and indexes it. Re-putting an existing
 // key re-verifies determinism: if both the stored and the new record carry
-// simcheck digests and they differ, Put refuses with ErrDigestMismatch.
+// simcheck digests and they differ, Put refuses with ErrDigestMismatch. A
+// re-put that encodes identically to the stored record apart from
+// AppendedAt writes nothing, so a warm sweep without resume leaves the WAL
+// as it found it; a record that differs appends and wins on reload.
 func (s *Store) Put(rec *Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,6 +254,9 @@ func (s *Store) Put(rec *Record) error {
 		if old.Checked && rec.Checked && old.Digest != rec.Digest {
 			return fmt.Errorf("%w: key %s stored digest %016x, new run %016x",
 				ErrDigestMismatch, rec.Key.Short(), old.Digest, rec.Digest)
+		}
+		if sameRun(old, rec) {
+			return nil
 		}
 	}
 	if rec.AppendedAt == 0 {
@@ -299,11 +278,15 @@ func (s *Store) Put(rec *Record) error {
 		return err
 	}
 	s.index(rec)
-	s.walAppends++
-	if s.opts.CompactEvery > 0 && s.walAppends >= s.opts.CompactEvery {
-		return s.compactLocked()
-	}
 	return nil
+}
+
+// sameRun reports whether a and b encode to the same bytes apart from
+// AppendedAt.
+func sameRun(a, b *Record) bool {
+	c := *b
+	c.AppendedAt = a.AppendedAt
+	return bytes.Equal(appendRecord(nil, a), appendRecord(nil, &c))
 }
 
 // Get returns the record stored under key.
@@ -340,58 +323,6 @@ func (s *Store) Repair() RepairReport {
 	return s.repair
 }
 
-// Compact folds the full index into a fresh snapshot and truncates the WAL:
-// write snapshot.tmp, fsync, atomically rename over snapshot.dat, then cut
-// the WAL back to its header. A crash anywhere in that sequence loses
-// nothing — either the old snapshot + full WAL, or the new snapshot + a
-// (possibly duplicate) WAL, both replay to the same index.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.opts.ReadOnly {
-		return ErrReadOnly
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	buf := fileHeader(magicSnap)
-	for _, rec := range s.recs {
-		buf = appendFrame(buf, appendRecord(nil, rec))
-	}
-	tmp, err := s.opts.open(s.opts.tmpPath())
-	if err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if _, err := tmp.WriteAt(buf, 0); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if err := os.Rename(s.opts.tmpPath(), s.opts.snapPath()); err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if err := s.wal.Truncate(headerLen); err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	s.goodOff = headerLen
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	s.lastSync = time.Now()
-	s.walAppends = 0
-	return nil
-}
-
 // Close flushes and releases the WAL handle. The store is unusable after.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -412,61 +343,4 @@ func (s *Store) Close() error {
 	}
 	s.wal = nil
 	return err
-}
-
-// FileReport is the integrity summary of one store file.
-type FileReport struct {
-	Present  bool
-	HeaderOK bool
-	Records  int
-	Bytes    int64
-	Torn     int64 // bytes after the last valid record
-	Note     string
-}
-
-// VerifyReport is the outcome of a read-only integrity scan.
-type VerifyReport struct {
-	Snapshot FileReport
-	WAL      FileReport
-}
-
-// Clean reports whether both files are fully intact.
-func (v VerifyReport) Clean() bool {
-	for _, f := range []FileReport{v.Snapshot, v.WAL} {
-		if f.Present && (!f.HeaderOK || f.Torn != 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Verify scans a store directory without opening (or repairing) it,
-// reporting per-file record counts and any corruption. I/O failures other
-// than absence are returned as an error.
-func Verify(dir string) (VerifyReport, error) {
-	var rep VerifyReport
-	for _, f := range []struct {
-		path string
-		magi string
-		out  *FileReport
-	}{
-		{filepath.Join(dir, "snapshot.dat"), magicSnap, &rep.Snapshot},
-		{filepath.Join(dir, "wal.log"), magicWAL, &rep.WAL},
-	} {
-		data, err := os.ReadFile(f.path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return rep, fmt.Errorf("runstore: verify: %w", err)
-		}
-		f.out.Present = true
-		f.out.Bytes = int64(len(data))
-		recs, lr := loadRecordFile(data, f.magi)
-		f.out.HeaderOK = !lr.headerBad
-		f.out.Records = len(recs)
-		f.out.Torn = lr.tornLen
-		f.out.Note = lr.note
-	}
-	return rep, nil
 }

@@ -121,82 +121,73 @@ func requireSameRecords(t *testing.T, got, want []*Record) {
 
 // TestRoundTripPolicies is the store round-trip property: a random batch of
 // records appended under each fsync policy reloads bit-identically and in
-// insertion order, with or without an intervening compaction.
+// insertion order.
 func TestRoundTripPolicies(t *testing.T) {
 	for _, pol := range []Policy{FsyncAlways, FsyncInterval, FsyncNever} {
-		for _, compact := range []bool{false, true} {
-			name := pol.String()
-			if compact {
-				name += "-compacted"
+		t.Run(pol.String(), func(t *testing.T) {
+			recs := randRecords(int64(pol)*7+1, 12)
+			dir := t.TempDir()
+			st := mustOpen(t, Options{Dir: dir, Fsync: pol})
+			putAll(t, st, recs)
+			requireSameRecords(t, st.Records(), recs)
+			if err := st.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
-			t.Run(name, func(t *testing.T) {
-				recs := randRecords(int64(pol)*7+1, 12)
-				dir := t.TempDir()
-				st := mustOpen(t, Options{Dir: dir, Fsync: pol})
-				putAll(t, st, recs[:8])
-				if compact {
-					if err := st.Compact(); err != nil {
-						t.Fatalf("Compact: %v", err)
-					}
-				}
-				putAll(t, st, recs[8:])
-				requireSameRecords(t, st.Records(), recs)
-				if err := st.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
 
-				re := mustOpen(t, Options{Dir: dir, Fsync: pol})
-				defer re.Close()
-				if re.Repair().Dirty() {
-					t.Fatalf("clean close reported dirty repair: %+v", re.Repair())
+			re := mustOpen(t, Options{Dir: dir, Fsync: pol})
+			defer re.Close()
+			if re.Repair().Dirty() {
+				t.Fatalf("clean close reported dirty repair: %+v", re.Repair())
+			}
+			requireSameRecords(t, re.Records(), recs)
+			for _, want := range recs {
+				got, ok := re.Get(want.Key)
+				if !ok {
+					t.Fatalf("Get(%s) missing", want.Key.Short())
 				}
-				requireSameRecords(t, re.Records(), recs)
-				for _, want := range recs {
-					got, ok := re.Get(want.Key)
-					if !ok {
-						t.Fatalf("Get(%s) missing", want.Key.Short())
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Get(%s) differs", want.Key.Short())
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Get(%s) differs", want.Key.Short())
 				}
-			})
-		}
-	}
-}
-
-func TestAutoCompaction(t *testing.T) {
-	dir := t.TempDir()
-	recs := randRecords(3, 10)
-	st := mustOpen(t, Options{Dir: dir, CompactEvery: 4})
-	putAll(t, st, recs)
-	if st.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", st.Len(), len(recs))
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := mustOpen(t, Options{Dir: dir})
-	defer re.Close()
-	requireSameRecords(t, re.Records(), recs)
-	// Two compactions (after appends 4 and 8) leave 8 records in the
-	// snapshot and the last 2 in the WAL.
-	if r := re.Repair(); r.SnapshotRecords != 8 || r.WALRecords != 2 {
-		t.Fatalf("snapshot/WAL hold %d/%d records after 10 appends with CompactEvery=4, want 8/2",
-			r.SnapshotRecords, r.WALRecords)
+			}
+		})
 	}
 }
 
 // TestLastWinsAndDigestMismatch: re-putting a key replaces the record in
 // place; two checked records under the same key with different digests are a
-// determinism violation and must be refused.
+// determinism violation and must be refused; and re-putting a record
+// identical apart from AppendedAt writes nothing and keeps the first stamp.
 func TestLastWinsAndDigestMismatch(t *testing.T) {
 	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
 	st := mustOpen(t, Options{Dir: dir})
 	recs := randRecords(17, 2)
 	old := recs[0]
 	old.Checked, old.Digest = true, 0x1111
 	putAll(t, st, recs)
+
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := *old
+	same.AppendedAt = old.AppendedAt + 1
+	if err := st.Put(&same); err != nil {
+		t.Fatalf("identical re-put refused: %v", err)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("identical re-put changed the WAL: %d -> %d bytes", len(before), len(after))
+	}
+	if got, _ := st.Get(old.Key); got != old || got.AppendedAt != old.AppendedAt {
+		t.Fatalf("identical re-put replaced the stored record: AppendedAt %d, want %d", got.AppendedAt, old.AppendedAt)
+	}
+	ro := mustOpen(t, Options{Dir: dir, ReadOnly: true})
+	requireSameRecords(t, ro.Records(), recs)
+	ro.Close()
 
 	upd := *old
 	upd.Utilization = 0.123
@@ -210,7 +201,7 @@ func TestLastWinsAndDigestMismatch(t *testing.T) {
 
 	bad := *old
 	bad.Digest = 0x2222
-	err := st.Put(&bad)
+	err = st.Put(&bad)
 	if !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("digest mismatch not refused: %v", err)
 	}
@@ -218,7 +209,7 @@ func TestLastWinsAndDigestMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The duplicate append survives the WAL; reload still dedups to 2.
+	// The differing re-put survives the WAL and wins; reload dedups to 2.
 	re := mustOpen(t, Options{Dir: dir})
 	defer re.Close()
 	requireSameRecords(t, re.Records(), []*Record{&upd, recs[1]})
@@ -252,9 +243,6 @@ func TestReadOnly(t *testing.T) {
 	if err := ro.Put(recs[0]); err != ErrReadOnly {
 		t.Fatalf("read-only Put = %v, want ErrReadOnly", err)
 	}
-	if err := ro.Compact(); err != ErrReadOnly {
-		t.Fatalf("read-only Compact = %v, want ErrReadOnly", err)
-	}
 	after, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +257,12 @@ func TestReadOnly(t *testing.T) {
 	if !rw.Repair().Dirty() {
 		t.Fatal("writable open missed the torn tail")
 	}
-	rep, err := Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
+	check := mustOpen(t, Options{Dir: dir, ReadOnly: true})
+	defer check.Close()
+	if rep := check.Repair(); rep.Dirty() {
 		t.Fatalf("store still damaged after writable reopen: %+v", rep)
 	}
+	requireSameRecords(t, check.Records(), recs)
 }
 
 func appendBytes(path string, b []byte) error {

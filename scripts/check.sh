@@ -105,6 +105,16 @@ if grep -n 'UpdateWorkers' $sources ||
     exit 1
 fi
 
+echo "== the run store is one log read one way"
+# wal.log is the store's only file and Open its only reader (DESIGN.md "Run
+# store"); the snapshot file, compaction and the offline Verify scan were
+# deleted and must not come back.
+store_sources=$(find internal/runstore cmd/jury -name '*.go' -not -name '*_test.go')
+if grep -n 'CompactEvery\|snapshot\.dat\|func (s \*Store) Compact\|func Verify' $store_sources; then
+    echo "a run-store snapshot, compaction or Verify path was reintroduced (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== netsim re-arms timers in place: non-test internal/netsim calls .Cancel() only in Flow.stop"
 # Cancel followed by ScheduleArg leaves a cancelled twin in the event queue
 # for the engine to pop and drain; Engine.Rearm re-keys the queued event in
@@ -195,8 +205,8 @@ go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsSh
 echo "== inference daemon: chaos matrix + batching rule + framing + zero-alloc execute under the race detector"
 go test -race -run '^(TestExecuteAllocFree|TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
 
-echo "== run store: crash matrix + bit-flip sweep under the race detector"
-go test -race -short -run '^(TestCrashMatrix|TestCompactionCrashMatrix|TestBitFlipSweep)$' -count=1 ./internal/runstore
+echo "== run store: crash matrix + bit-flip sweep + identical re-put + read-only repair under the race detector"
+go test -race -short -run '^(TestCrashMatrix|TestBitFlipSweep|TestLastWinsAndDigestMismatch|TestReadOnly)$' -count=1 ./internal/runstore
 
 echo "== run store: warm-sweep skip + kill-and-resume"
 go test -run '^(TestRunManyWarmStoreSkipsSimulation|TestKillAndResumeSweep|TestRetryPathLeavesStoreIntact|TestScenarioKeyStability)$' -count=1 ./internal/exp
