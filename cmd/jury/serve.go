@@ -15,13 +15,13 @@ import (
 // runServe is `jury serve`: the standalone policy-inference daemon — the
 // deployment shape of the paper's architecture, where one inference service
 // feeds congestion decisions to many datapath flows over the agentrpc wire
-// protocol (work-conserving request batching: whatever queued during one
-// policy execution is the next batch, nothing waits on a timer; admission
-// control).
+// protocol (each connection's decisions run on that connection's own
+// goroutine, so concurrent clients are served on all cores at once;
+// admission control bounds the decisions in flight).
 //
 //	jury serve -addr 127.0.0.1:9000                     # reference policy
 //	jury serve -actor actor.json -debug-addr :9090      # trained actor + metrics
-//	jury serve -actor actor.json -batch 128 -max-queue 1024
+//	jury serve -actor actor.json -max-inflight 1024
 //
 // SIGHUP hot-swaps the policy by reloading -actor through the
 // health gate (a rejected or later-misbehaving version is rolled back
@@ -32,8 +32,7 @@ func runServe(args []string) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:9000", "listen address for the inference service")
 		actor     = fs.String("actor", "", "serve a JSON actor network (jurytrain -out artifact)")
-		batch     = fs.Int("batch", 0, "max requests per policy execution (0 = default)")
-		maxQueue  = fs.Int("max-queue", 0, "admission-control queue bound (0 = default, negative = shed unless idle)")
+		maxFlight = fs.Int("max-inflight", 0, "admission-control bound on decisions in flight (0 = default)")
 		drainWait = fs.Duration("drain", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 	)
 	hub, err := newObsFlags(fs, "", false).parse(args)
@@ -50,10 +49,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := agentrpc.ServeConfig(*addr, p, agentrpc.Config{
-		MaxBatch: *batch,
-		MaxQueue: *maxQueue,
-	})
+	srv, err := agentrpc.ServeConfig(*addr, p, agentrpc.Config{MaxInFlight: *maxFlight})
 	if err != nil {
 		return err
 	}
@@ -80,8 +76,8 @@ func runServe(args []string) error {
 	if err := srv.Drain(*drainWait); err != nil {
 		fmt.Fprintln(os.Stderr, "jury serve: drain:", err)
 	}
-	fmt.Fprintf(os.Stderr, "jury serve: served %d decisions in %d batches (%d shed, %d timeouts, %d rollbacks)\n",
-		srv.Decisions(), srv.Batches(), srv.Shed(), srv.Timeouts(), srv.Rollbacks())
+	fmt.Fprintf(os.Stderr, "jury serve: served %d decisions (%d shed, %d timeouts, %d rollbacks)\n",
+		srv.Decisions(), srv.Shed(), srv.Timeouts(), srv.Rollbacks())
 	return nil
 }
 

@@ -5,17 +5,19 @@
 // netlink; here a datapath-side Client talks to an inference Server over a
 // stream socket with a compact binary protocol).
 //
-// The Server is an inference daemon with work-conserving
-// batching: one batcher goroutine takes the first waiting request plus
-// whatever else is already queued (up to MaxBatch) and executes it at once,
-// ideally through a BatchDecider policy so one GEMM serves every flow that
-// asked while the previous execution ran. No request ever waits for company
-// — a lone flow is answered in one forward pass plus the socket round trip.
-// Admission control bounds the queue — overload is answered with a typed
-// BUSY response, never a silent hang — per-connection read *and* write
-// deadlines reclaim stalled peers, policies hot-swap between versions with a
-// health gate and automatic rollback on non-finite output, and shutdown
-// drains in-flight batches before closing.
+// The Server is an inference daemon that decides on the goroutine of the
+// connection that asked: each decision runs through Policy.Decide as soon
+// as its frame is read, so concurrent clients are served on every core at
+// once and a lone flow is answered in one forward pass plus the socket
+// round trip — no hand-off to a shared executor, nothing waits for company.
+// Admission control bounds the decisions in flight — overload is answered
+// with a typed BUSY response, never a silent hang — a per-decision watchdog
+// answers ERR when the policy outlives the serving deadline,
+// per-connection read *and* write deadlines reclaim stalled peers, policies
+// hot-swap between versions with a health gate and automatic rollback on
+// non-finite output, and shutdown drains in-flight decisions before
+// closing. The served policy must be safe for concurrent use
+// (core.NNPolicy is).
 //
 // The Client implements core.Policy, so a Jury controller can be pointed at
 // a remote inference service transparently:
@@ -37,18 +39,8 @@ package agentrpc
 const maxStateDim = 4096
 
 // Policy matches core.Policy without importing it (no dependency cycle and
-// the package stays reusable).
+// the package stays reusable). The daemon calls Decide from many
+// connection goroutines at once.
 type Policy interface {
 	Decide(state []float64) (mu, delta float64)
-}
-
-// BatchDecider is the fast path a serving policy can implement: one batched
-// forward pass over a rows×InputDim() row-major state matrix, writing the
-// per-row decisions into mu and delta. core.NNPolicy implements it on the
-// batched GEMM kernels; the daemon falls back to per-request Decide calls
-// for policies (or mixed-dimension batches) that don't.
-type BatchDecider interface {
-	Policy
-	InputDim() int
-	DecideBatch(states []float64, rows int, mu, delta []float64)
 }

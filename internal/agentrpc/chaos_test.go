@@ -165,7 +165,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 
 // gatePolicy blocks inside Decide while its gate is held and the first
 // state value matches the jam marker — the BUSY-storm test uses it to pin
-// the batcher mid-execution deterministically.
+// one decision mid-execution deterministically.
 type gatePolicy struct{ gate chan struct{} }
 
 func (p gatePolicy) Decide(state []float64) (float64, float64) {
@@ -317,14 +317,14 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosBusyStorm jams the batcher mid-execution with no queue, so every
-// request is shed with a typed BUSY: the client must fall back instantly
-// (the connection stays healthy — no dial churn), trip its breaker on
-// consecutive BUSYs, and recover once the jam clears.
+// TestChaosBusyStorm jams one decision mid-execution with room for only one
+// in flight, so every other request is shed with a typed BUSY: the client
+// must fall back instantly (the connection stays healthy — no dial churn),
+// trip its breaker on consecutive BUSYs, and recover once the jam clears.
 func TestChaosBusyStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxQueue: -1, MaxBatch: 1})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +344,6 @@ func TestChaosBusyStorm(t *testing.T) {
 	defer cl.Close()
 	cfg = cl.cfg
 
-	// With no queue a request is shed unless the batcher is already parked
-	// on its receive, which the freshly started goroutine may not be yet.
 	var calls int64
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		calls++
@@ -358,7 +356,7 @@ func TestChaosBusyStorm(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Jam the batcher: a raw connection parks one request inside Decide.
+	// Jam the daemon: a raw connection parks one request inside Decide.
 	jam, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -368,13 +366,13 @@ func TestChaosBusyStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the jam request is actually inside the policy — its
-	// execution is the second one — before sending anything else: with no
-	// queue, a probe racing the jam to the batcher would get the jam itself
-	// shed and leave the batcher free.
+	// execution is the second one — before sending anything else: with one
+	// decision allowed in flight, a probe racing the jam to admission would
+	// get the jam itself shed and leave the daemon free.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Batches() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("batcher never jammed")
+			t.Fatal("daemon never jammed")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -426,7 +424,7 @@ func TestChaosBusyStorm(t *testing.T) {
 }
 
 // TestChaosPanicMidBatch drives a policy that panics on poisoned states:
-// the batch gets typed ERR responses (the connection survives), the client
+// the decision gets a typed ERR response (the connection survives), the client
 // falls back within budget and trips its breaker, and healthy states serve
 // again immediately — the daemon itself never dies.
 func TestChaosPanicMidBatch(t *testing.T) {
@@ -451,8 +449,6 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	defer cl.Close()
 	cfg = cl.cfg
 
-	// With no queue a request is shed unless the batcher is already parked
-	// on its receive, which the freshly started goroutine may not be yet.
 	var calls int64
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		calls++
@@ -487,7 +483,7 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for cl.RemoteDecisions() == remoteBefore {
 		if time.Now().After(deadline) {
-			t.Fatal("daemon never answered again after mid-batch panics")
+			t.Fatal("daemon never answered again after mid-decision panics")
 		}
 		decideAndCount(t, cl, cfg, []float64{1}, fb)
 		calls++
@@ -511,7 +507,7 @@ func TestChaosPanicMidBatch(t *testing.T) {
 // queueing behind the connection mutex.
 func TestClientShedsAboveMaxPending(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

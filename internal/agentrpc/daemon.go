@@ -18,41 +18,29 @@ const defaultReadTimeout = 2 * time.Minute
 
 // Serving defaults; see Config.
 const (
-	defaultMaxBatch     = 64
+	defaultMaxInFlight  = 256
 	defaultWriteTimeout = 2 * time.Second
 	defaultWaitTimeout  = time.Second
 )
 
 // Config tunes the inference daemon. The zero value selects the defaults.
 type Config struct {
-	// MaxBatch is the largest minibatch one policy execution may serve. It
-	// bounds the batcher's scratch and the latency of a single execution;
-	// requests beyond it wait for the next execution.
-	MaxBatch int
-	// MaxQueue bounds the admitted-but-unexecuted request queue. A request
-	// arriving with the queue full is shed with a typed BUSY response
-	// instead of waiting. Zero selects 4×MaxBatch; negative means no queue
-	// at all (every request not immediately claimed by the batcher is shed
-	// — a test knob for BUSY storms).
-	MaxQueue int
+	// MaxInFlight bounds the decisions executing at once. A decision
+	// arriving while that many are executing is shed with a typed BUSY
+	// response instead of waiting. Zero selects 256.
+	MaxInFlight int
 	// WriteTimeout bounds each response write, so a client that stops
 	// draining its socket costs one connection, not a goroutine forever.
 	WriteTimeout time.Duration
-	// WaitTimeout bounds how long a connection waits for the batcher to
-	// answer its request before giving up with a typed ERR response — the
+	// WaitTimeout bounds how long a decision's policy execution may run
+	// before its connection answers with a typed ERR response — the
 	// per-request serving deadline.
 	WaitTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = defaultMaxBatch
-	}
-	switch {
-	case c.MaxQueue == 0:
-		c.MaxQueue = 4 * c.MaxBatch
-	case c.MaxQueue < 0:
-		c.MaxQueue = 0 // unbuffered: shed unless the batcher is receiving
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = defaultMaxInFlight
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
@@ -70,44 +58,20 @@ var ErrUnhealthyPolicy = errors.New("agentrpc: policy failed the health probe")
 // policyVersion is one immutable entry in the hot-swap chain. prev links to
 // the version it replaced so a runtime non-finite guard can roll back.
 type policyVersion struct {
-	id    int64
-	p     Policy
-	batch BatchDecider // non-nil when p implements the batched fast path
-	dim   int          // batch input dimension (0 when batch is nil)
-	prev  *policyVersion
+	id   int64
+	p    Policy
+	prev *policyVersion
 }
 
-func newPolicyVersion(id int64, p Policy, prev *policyVersion) *policyVersion {
-	pv := &policyVersion{id: id, p: p, prev: prev}
-	if bd, ok := p.(BatchDecider); ok {
-		pv.batch = bd
-		pv.dim = bd.InputDim()
-	}
-	return pv
-}
-
-// pending is one admitted request travelling from a connection goroutine to
-// the batcher and back. The connection goroutine owns it except between
-// enqueue and the done signal; if the wait deadline expires first, the
-// goroutine abandons it (the batcher's eventual done send lands in the
-// buffered channel and the object is garbage).
-type pending struct {
-	state     []float64
-	mu, delta float64
-	status    byte
-	done      chan struct{}
-}
-
-func newPending() *pending {
-	return &pending{state: make([]float64, 0, 64), done: make(chan struct{}, 1)}
-}
+// errFrame is the ERR response a serving-deadline watchdog writes. It is
+// built once and only read, so watchdogs share it.
+var errFrame = appendResponse(nil, statusErr, 0, 0)
 
 // Server is the inference daemon around a hot-swappable Policy.
 type Server struct {
-	cfg   Config // immutable after withDefaults
-	ln    net.Listener
-	pv    atomic.Pointer[policyVersion]
-	queue chan *pending
+	cfg Config // immutable after withDefaults
+	ln  net.Listener
+	pv  atomic.Pointer[policyVersion]
 
 	mu          sync.Mutex
 	closed      bool
@@ -115,21 +79,19 @@ type Server struct {
 	readTimeout time.Duration
 	conns       map[net.Conn]struct{}
 
-	connWG     sync.WaitGroup
-	batchDone  chan struct{}
-	closeQueue sync.Once
+	connWG sync.WaitGroup
 
 	// Serving counters (see the accessor docs).
-	decisions       atomic.Int64
-	batches         atomic.Int64
-	batchedRequests atomic.Int64
-	shed            atomic.Int64
-	panics          atomic.Int64
-	nonfinite       atomic.Int64
-	swaps           atomic.Int64
-	rollbacks       atomic.Int64
-	timeouts        atomic.Int64
-	writeDrops      atomic.Int64
+	inflight   atomic.Int64
+	decisions  atomic.Int64
+	executions atomic.Int64
+	shed       atomic.Int64
+	panics     atomic.Int64
+	nonfinite  atomic.Int64
+	swaps      atomic.Int64
+	rollbacks  atomic.Int64
+	timeouts   atomic.Int64
+	writeDrops atomic.Int64
 }
 
 // ServeConfig starts a daemon on addr with the given tuning.
@@ -151,13 +113,10 @@ func NewServer(ln net.Listener, p Policy, cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		ln:          ln,
-		queue:       make(chan *pending, cfg.MaxQueue),
 		readTimeout: defaultReadTimeout,
 		conns:       map[net.Conn]struct{}{},
-		batchDone:   make(chan struct{}),
 	}
-	s.pv.Store(newPolicyVersion(1, p, nil))
-	go s.batchLoop()
+	s.pv.Store(&policyVersion{id: 1, p: p})
 	go s.acceptLoop()
 	return s
 }
@@ -176,18 +135,20 @@ func (s *Server) SetReadTimeout(d time.Duration) {
 // Decisions reports how many inference requests have been answered OK.
 func (s *Server) Decisions() int64 { return s.decisions.Load() }
 
-// Batches reports how many policy executions served those decisions; the
-// coalescing ratio is BatchedRequests()/Batches().
-func (s *Server) Batches() int64 { return s.batches.Load() }
+// Batches reports how many policy executions the daemon has run. Every
+// decision runs alone on its connection's goroutine, so this counts one per
+// admitted decision.
+func (s *Server) Batches() int64 { return s.executions.Load() }
 
-// BatchedRequests reports how many requests entered batch execution.
-func (s *Server) BatchedRequests() int64 { return s.batchedRequests.Load() }
+// BatchedRequests reports how many decisions entered policy execution; it
+// equals Batches.
+func (s *Server) BatchedRequests() int64 { return s.executions.Load() }
 
 // Shed reports how many requests admission control answered with BUSY.
 func (s *Server) Shed() int64 { return s.shed.Load() }
 
-// Panics reports how many batch executions died in a panicking policy (each
-// costs the batch a typed ERR response, never the daemon).
+// Panics reports how many policy executions died in a panicking policy (each
+// costs its decision a typed ERR response, never the daemon).
 func (s *Server) Panics() int64 { return s.panics.Load() }
 
 // NonFinite reports decisions suppressed by the non-finite output guard.
@@ -200,7 +161,7 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 // after a swapped-in policy tripped the non-finite guard.
 func (s *Server) Rollbacks() int64 { return s.rollbacks.Load() }
 
-// Timeouts reports requests whose batch execution outlived WaitTimeout.
+// Timeouts reports decisions whose policy execution outlived WaitTimeout.
 func (s *Server) Timeouts() int64 { return s.timeouts.Load() }
 
 // WriteDrops reports connections dropped by the response write deadline.
@@ -210,8 +171,10 @@ func (s *Server) WriteDrops() int64 { return s.writeDrops.Load() }
 // installed at construction is 1; every successful Swap increments it).
 func (s *Server) PolicyVersion() int64 { return s.pv.Load().id }
 
-// QueueDepth reports how many admitted requests await batch execution.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// QueueDepth reports the decisions admitted whose policy execution has not
+// returned yet (a decision the serving deadline answered with ERR counts
+// until it does).
+func (s *Server) QueueDepth() int { return int(s.inflight.Load()) }
 
 // ActiveConns reports the number of currently served connections.
 func (s *Server) ActiveConns() int {
@@ -221,7 +184,7 @@ func (s *Server) ActiveConns() int {
 }
 
 // Swap installs a new policy version after a health probe: the candidate
-// must answer a canonical probe batch with finite outputs and no panic, or
+// must answer canonical probe states with finite outputs and no panic, or
 // the swap is refused with ErrUnhealthyPolicy and the serving version is
 // untouched. On success the new version starts serving immediately and the
 // returned id identifies it; the previous version is retained for automatic
@@ -235,7 +198,7 @@ func (s *Server) Swap(p Policy) (int64, error) {
 	}
 	for {
 		cur := s.pv.Load()
-		next := newPolicyVersion(cur.id+1, p, cur)
+		next := &policyVersion{id: cur.id + 1, p: p, prev: cur}
 		if s.pv.CompareAndSwap(cur, next) {
 			s.swaps.Add(1)
 			return next.id, nil
@@ -244,9 +207,9 @@ func (s *Server) Swap(p Policy) (int64, error) {
 }
 
 // probePolicy exercises a candidate policy on canonical states (zeros, a
-// small positive ramp, an alternating ± pattern) through both the scalar
-// and, when implemented, the batched path. Any panic or non-finite output
-// fails the probe.
+// small positive ramp, an alternating ± pattern), as wide as the policy's
+// InputDim when it reports one and 16 values otherwise. Any panic or
+// non-finite output fails the probe.
 func probePolicy(p Policy) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -254,8 +217,8 @@ func probePolicy(p Policy) (err error) {
 		}
 	}()
 	dim := 16
-	if bd, ok := p.(BatchDecider); ok {
-		if d := bd.InputDim(); d > 0 && d <= maxStateDim {
+	if sized, ok := p.(interface{ InputDim() int }); ok {
+		if d := sized.InputDim(); d > 0 && d <= maxStateDim {
 			dim = d
 		}
 	}
@@ -273,21 +236,7 @@ func probePolicy(p Policy) (err error) {
 	for _, st := range probes {
 		mu, delta := p.Decide(st)
 		if !finite(mu) || !finite(delta) {
-			return fmt.Errorf("non-finite scalar decision (%v, %v)", mu, delta)
-		}
-	}
-	if bd, ok := p.(BatchDecider); ok {
-		x := make([]float64, 0, len(probes)*dim)
-		for _, st := range probes {
-			x = append(x, st...)
-		}
-		mus := make([]float64, len(probes))
-		deltas := make([]float64, len(probes))
-		bd.DecideBatch(x, len(probes), mus, deltas)
-		for i := range mus {
-			if !finite(mus[i]) || !finite(deltas[i]) {
-				return fmt.Errorf("non-finite batch decision row %d (%v, %v)", i, mus[i], deltas[i])
-			}
+			return fmt.Errorf("non-finite decision (%v, %v)", mu, delta)
 		}
 	}
 	return nil
@@ -306,10 +255,10 @@ func (s *Server) rollbackFrom(pv *policyVersion) {
 	}
 }
 
-// Close abruptly stops the daemon: listener and connections are torn down,
-// then the batcher is stopped once every connection goroutine has exited.
-// In-flight requests still get their done signal (the batcher outlives the
-// connections), their responses just have nowhere to go.
+// Close abruptly stops the daemon: the listener and every connection are
+// torn down, and Close returns once each connection goroutine has exited —
+// a decision inside the policy finishes first, its response just has
+// nowhere to go.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -324,17 +273,15 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.connWG.Wait()
-	s.closeQueue.Do(func() { close(s.queue) })
-	<-s.batchDone
 	return err
 }
 
 // Drain shuts the daemon down gracefully: stop accepting, let each
-// connection finish (and be answered for) its in-flight request, flush the
-// remaining batches, then close. Connections blocked reading their next
-// request are released immediately by an expired read deadline — a half-read
-// frame is not yet in flight. Connections that have not finished within
-// timeout are closed forcibly.
+// connection finish (and be answered for) its in-flight decision, then
+// close. Connections blocked reading their next request are released
+// immediately by an expired read deadline — a half-read frame is not yet in
+// flight. Connections that have not finished within timeout are closed
+// forcibly.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -363,8 +310,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.closeQueue.Do(func() { close(s.queue) })
-	<-s.batchDone
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
@@ -391,9 +336,16 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn owns one connection: read a frame, admit it (or shed with
-// BUSY), wait for the batcher under the serving deadline, write the response
-// under the write deadline. One request is in flight per connection, so the
-// pending object and its state buffer are reused across requests.
+// BUSY), run the policy on this goroutine, write the response under the
+// write deadline. Decisions of different connections run at once, each on
+// its own goroutine; one request is in flight per connection, so the
+// buffers and the deadline watchdog are reused across requests.
+//
+// The watchdog enforces the serving deadline: if an execution outlives
+// WaitTimeout, it answers ERR on the connection's behalf. An execution
+// that returns to find the watchdog fired (Stop reports false) waits for
+// that write and sends nothing of its own — so a wedged policy pins one
+// connection, never another client's decisions.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -403,11 +355,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connWG.Done()
 	}()
 	dec := newRequestReader(conn)
-	p := newPending()
-	wait := time.NewTimer(time.Hour)
-	if !wait.Stop() {
-		<-wait.C
-	}
+	late := make(chan bool, 1) // the watchdog's ERR write: still connected?
+	watchdog := time.AfterFunc(time.Hour, func() {
+		s.timeouts.Add(1)
+		late <- s.writeFrame(conn, errFrame)
+	})
+	watchdog.Stop()
 	var resp []byte
 	for {
 		// The deadline is set under the same lock Drain uses to expire every
@@ -437,35 +390,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		p.state = append(p.state[:0], f.state...)
 
-		// Admission control: a full queue sheds with a typed BUSY response
-		// instead of stalling the datapath's control loop.
-		select {
-		case s.queue <- p:
-		default:
+		// Admission control: with MaxInFlight decisions already executing,
+		// shed with a typed BUSY response instead of stalling the
+		// datapath's control loop.
+		if s.inflight.Add(1) > int64(s.cfg.MaxInFlight) {
+			s.inflight.Add(-1)
 			s.shed.Add(1)
 			if !s.writeResponse(conn, &resp, statusBusy, 0, 0) {
 				return
 			}
 			continue
 		}
-
-		// The serving deadline: if the batcher cannot answer in time, give
-		// up with a typed ERR. The batcher still owns the abandoned pending
-		// (its late done signal lands in the buffered channel), so the
-		// connection switches to a fresh one.
-		wait.Reset(s.cfg.WaitTimeout)
-		status, mu, delta := statusErr, 0.0, 0.0
-		select {
-		case <-p.done:
-			status, mu, delta = p.status, p.mu, p.delta
-			if !wait.Stop() {
-				<-wait.C
+		watchdog.Reset(s.cfg.WaitTimeout)
+		status, mu, delta := s.execute(f.state)
+		s.inflight.Add(-1)
+		if !watchdog.Stop() {
+			if !<-late {
+				return
 			}
-		case <-wait.C:
-			s.timeouts.Add(1)
-			p = newPending()
+			continue
 		}
 		if status == statusOK {
 			s.decisions.Add(1)
@@ -476,15 +420,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// writeResponse writes one response frame under the write deadline. It
+// writeResponse writes one response frame under the write deadline,
+// encoding it into buf.
+func (s *Server) writeResponse(conn net.Conn, buf *[]byte, status byte, mu, delta float64) bool {
+	*buf = appendResponse((*buf)[:0], status, mu, delta)
+	return s.writeFrame(conn, *buf)
+}
+
+// writeFrame writes one encoded response under the write deadline. It
 // reports false when the connection must be dropped — a peer that stops
 // draining its socket costs one connection, not a wedged goroutine.
-func (s *Server) writeResponse(conn net.Conn, buf *[]byte, status byte, mu, delta float64) bool {
+func (s *Server) writeFrame(conn net.Conn, frame []byte) bool {
 	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
 		return false
 	}
-	*buf = appendResponse((*buf)[:0], status, mu, delta)
-	if _, err := conn.Write(*buf); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			s.writeDrops.Add(1)
 		}
@@ -493,96 +443,27 @@ func (s *Server) writeResponse(conn net.Conn, buf *[]byte, status byte, mu, delt
 	return true
 }
 
-// batchLoop is the daemon's single executor. Batching is work-conserving:
-// block for the first request, take whatever else is already queued (up to
-// MaxBatch), execute. Nothing waits for company — requests that arrive
-// during an execution are the next batch. It exits when the queue is closed
-// (after every connection goroutine has), flushing whatever is still queued
-// first.
-func (s *Server) batchLoop() {
-	defer close(s.batchDone)
-	cfg := s.cfg
-	batch := make([]*pending, 0, cfg.MaxBatch)
-	xbuf := make([]float64, 0, cfg.MaxBatch*64)
-	mus := make([]float64, cfg.MaxBatch)
-	deltas := make([]float64, cfg.MaxBatch)
-	for {
-		p, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], p)
-		// The batcher is the queue's only receiver, so whatever len reports
-		// is there to take without blocking (also after the queue is closed).
-		for len(batch) < cfg.MaxBatch && len(s.queue) > 0 {
-			batch = append(batch, <-s.queue)
-		}
-		xbuf = s.execute(batch, xbuf, mus, deltas)
-	}
-}
-
-// execute answers one batch against the current policy version. A panicking
-// policy costs the batch typed ERR responses, never the daemon; a non-finite
-// decision is suppressed (ERR) and, when the serving version was hot-swapped
-// in, automatically rolled back to the version it replaced.
-func (s *Server) execute(batch []*pending, xbuf, mus, deltas []float64) []float64 {
+// execute answers one decision against the current policy version. A
+// panicking policy costs the decision a typed ERR response, never the
+// daemon; a non-finite decision is suppressed (ERR) and, when the serving
+// version was hot-swapped in, automatically rolled back to the version it
+// replaced.
+func (s *Server) execute(state []float64) (status byte, mu, delta float64) {
 	pv := s.pv.Load()
-	answered := 0
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			for _, p := range batch[answered:] {
-				p.status = statusErr
-				p.done <- struct{}{}
-			}
+			status, mu, delta = statusErr, 0, 0
 		}
 	}()
-	s.batches.Add(1)
-	s.batchedRequests.Add(int64(len(batch)))
-
-	if pv.batch != nil && sameDim(batch, pv.dim) {
-		rows := len(batch)
-		xbuf = xbuf[:0]
-		for _, p := range batch {
-			xbuf = append(xbuf, p.state...)
-		}
-		pv.batch.DecideBatch(xbuf, rows, mus[:rows], deltas[:rows])
-		for i, p := range batch {
-			s.finish(p, pv, mus[i], deltas[i])
-			answered++
-		}
-		return xbuf
-	}
-	for _, p := range batch {
-		mu, delta := pv.p.Decide(p.state)
-		s.finish(p, pv, mu, delta)
-		answered++
-	}
-	return xbuf
-}
-
-func (s *Server) finish(p *pending, pv *policyVersion, mu, delta float64) {
+	s.executions.Add(1)
+	mu, delta = pv.p.Decide(state)
 	if !finite(mu) || !finite(delta) {
 		s.nonfinite.Add(1)
 		s.rollbackFrom(pv)
-		p.status = statusErr
-	} else {
-		p.status = statusOK
-		p.mu, p.delta = mu, delta
+		return statusErr, 0, 0
 	}
-	p.done <- struct{}{}
-}
-
-func sameDim(batch []*pending, dim int) bool {
-	if dim <= 0 {
-		return false
-	}
-	for _, p := range batch {
-		if len(p.state) != dim {
-			return false
-		}
-	}
-	return true
+	return statusOK, mu, delta
 }
 
 func finite(v float64) bool {

@@ -3,7 +3,6 @@ package agentrpc
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -137,46 +136,16 @@ func TestRuntimeNonFiniteRollsBack(t *testing.T) {
 	}
 }
 
-// gatedActor is an NNPolicy that records the row count of every batched
-// execution and parks the batcher inside the execution whose first state
-// value is the jam marker until gate is closed. The batching tests use it to
-// build a known queue behind a held execution — no timing involved.
-type gatedActor struct {
-	*core.NNPolicy
-	entered chan struct{} // one token per parked execution
-	gate    chan struct{}
-
-	mu   sync.Mutex
-	rows []int
-}
-
-func newGatedActor(t *testing.T, dim int) *gatedActor {
-	return &gatedActor{NNPolicy: testActor(t, dim), entered: make(chan struct{}, 1), gate: make(chan struct{})}
-}
-
-func (g *gatedActor) DecideBatch(states []float64, rows int, mu, delta []float64) {
-	g.mu.Lock()
-	g.rows = append(g.rows, rows)
-	g.mu.Unlock()
-	if states[0] == jamMarker {
-		g.entered <- struct{}{}
-		<-g.gate
+// TestHeldDecisionBlocksNoOtherConnection: each connection decides on its
+// own goroutine, so a decision held inside the policy delays only its own
+// connection — another client's decision is answered OK meanwhile.
+func TestHeldDecisionBlocksNoOtherConnection(t *testing.T) {
+	gate := make(chan struct{})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{WaitTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.NNPolicy.DecideBatch(states, rows, mu, delta)
-}
-
-func (g *gatedActor) executions() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]int(nil), g.rows...)
-}
-
-// queueBehindHeldExecution parks the batcher inside a one-row execution,
-// waits until k more requests (one per client, each with its own state) sit
-// in the daemon's queue, then releases the gate and returns the k states and
-// their answers in client order.
-func queueBehindHeldExecution(t *testing.T, srv *Server, g *gatedActor, dim, k int) (states [][]float64, mus, deltas []float64) {
-	t.Helper()
+	defer srv.Close()
 	dial := func() *Client {
 		cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: 30 * time.Second})
 		if err != nil {
@@ -185,107 +154,50 @@ func queueBehindHeldExecution(t *testing.T, srv *Server, g *gatedActor, dim, k i
 		t.Cleanup(func() { cl.Close() })
 		return cl
 	}
+	held, other := dial(), dial()
 
-	jam := make([]float64, dim)
-	jam[0] = jamMarker
-	jammer := dial()
-	var wg sync.WaitGroup
-	wg.Add(1)
+	heldMu := make(chan float64, 1)
 	go func() {
-		defer wg.Done()
-		if mu, _ := jammer.Decide(jam); mu == -9 {
-			t.Error("held decision fell back")
-		}
+		mu, _ := held.Decide([]float64{jamMarker})
+		heldMu <- mu
 	}()
-	<-g.entered // the batcher is now inside the execution
-
-	states = make([][]float64, k)
-	mus = make([]float64, k)
-	deltas = make([]float64, k)
-	for i := 0; i < k; i++ {
-		states[i] = make([]float64, dim)
-		for j := range states[i] {
-			states[i][j] = 0.05*float64(i+1) - 0.01*float64(i%7) + 0.001*float64(j)
-		}
-		cl := dial()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mus[i], deltas[i] = cl.Decide(states[i])
-		}(i)
-	}
-	for deadline := time.Now().Add(30 * time.Second); srv.QueueDepth() < k; {
+	for deadline := time.Now().Add(30 * time.Second); srv.Batches() < 1; {
 		if time.Now().After(deadline) {
-			close(g.gate) // let the deferred Close finish
-			t.Fatalf("only %d of %d requests reached the queue", srv.QueueDepth(), k)
+			close(gate)
+			t.Fatal("held decision never reached the policy")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(g.gate)
-	wg.Wait()
-	return states, mus, deltas
-}
 
-// TestBatchCoalescing: requests that queue up while the batcher is inside an
-// execution are served together by the next one — 1 + K requests cost
-// exactly two policy executions — and every batched decision matches the
-// scalar path within float tolerance.
-func TestBatchCoalescing(t *testing.T) {
-	const dim, k = 16, 8
-	g := newGatedActor(t, dim)
-	srv, err := ServeConfig("127.0.0.1:0", g, Config{MaxBatch: 64, WaitTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	mu, delta := other.Decide([]float64{1})
+	depth := srv.QueueDepth()
+	var early bool
+	select {
+	case <-heldMu:
+		early = true
+	default:
 	}
-	defer srv.Close()
-
-	states, mus, deltas := queueBehindHeldExecution(t, srv, g, dim, k)
-	local := testActor(t, dim)
-	for i, st := range states {
-		wantMu, wantDelta := local.Decide(st)
-		if math.Abs(mus[i]-wantMu) > 1e-9 || math.Abs(deltas[i]-wantDelta) > 1e-9 {
-			t.Fatalf("client %d: batched decision (%v, %v) diverged from the scalar path (%v, %v)",
-				i, mus[i], deltas[i], wantMu, wantDelta)
-		}
+	close(gate) // before any Fatal: the deferred Close waits for the held execution
+	if early {
+		t.Fatal("held decision answered before its gate opened")
 	}
-	if got := g.executions(); len(got) != 2 || got[0] != 1 || got[1] != k {
-		t.Fatalf("executions ran %v rows, want [1 %d]", got, k)
+	if mu != 0.5 || delta != 0.5 {
+		t.Fatalf("decision beside a held one answered (%v, %v), want (0.5, 0.5)", mu, delta)
 	}
-	if srv.Batches() != 2 || srv.BatchedRequests() != k+1 || srv.Decisions() != k+1 {
-		t.Fatalf("batches=%d batched=%d decisions=%d, want 2/%d/%d",
-			srv.Batches(), srv.BatchedRequests(), srv.Decisions(), k+1, k+1)
+	if depth != 1 {
+		t.Fatalf("%d decisions in flight beside the held one, want 1", depth)
 	}
-}
-
-// TestBatchNeverExceedsMaxBatch: a queue deeper than MaxBatch is served in
-// MaxBatch-sized executions plus the remainder, in arrival order.
-func TestBatchNeverExceedsMaxBatch(t *testing.T) {
-	const dim, maxBatch = 8, 4
-	g := newGatedActor(t, dim)
-	srv, err := ServeConfig("127.0.0.1:0", g, Config{MaxBatch: maxBatch, WaitTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	if mu := <-heldMu; mu != 0.5 {
+		t.Fatalf("held decision answered mu=%v after its gate opened, want 0.5", mu)
 	}
-	defer srv.Close()
-
-	_, mus, _ := queueBehindHeldExecution(t, srv, g, dim, maxBatch+3)
-	for i, mu := range mus {
-		if mu == -9 {
-			t.Fatalf("client %d fell back", i)
-		}
-	}
-	if got := g.executions(); len(got) != 3 || got[0] != 1 || got[1] != maxBatch || got[2] != 3 {
-		t.Fatalf("executions ran %v rows, want [1 %d 3]", got, maxBatch)
-	}
-	if srv.Batches() != 3 || srv.BatchedRequests() != maxBatch+4 {
-		t.Fatalf("batches=%d batched=%d, want 3/%d", srv.Batches(), srv.BatchedRequests(), maxBatch+4)
+	if srv.Decisions() != 2 || srv.Timeouts() != 0 || srv.Shed() != 0 {
+		t.Fatalf("decisions=%d timeouts=%d shed=%d, want 2/0/0", srv.Decisions(), srv.Timeouts(), srv.Shed())
 	}
 }
 
 // TestLoneClientNeverWaitsForCompany: one closed-loop client is served one
-// execution per decision — the batcher does not hold a request back hoping
-// for a fuller batch — and every answer is bit-equal to a local one-row
-// DecideBatch.
+// execution per decision — nothing holds a request back hoping for
+// company — and every answer is bit-equal to a local one-row DecideBatch.
 func TestLoneClientNeverWaitsForCompany(t *testing.T) {
 	const dim, n = 16, 200
 	srv, err := ServeConfig("127.0.0.1:0", testActor(t, dim), Config{})
@@ -320,11 +232,11 @@ func TestLoneClientNeverWaitsForCompany(t *testing.T) {
 
 // TestServingDeadlineAnswersERR: a policy execution outliving WaitTimeout
 // must cost that request a typed ERR (client falls back), never a wedged
-// connection — and the late batcher result lands harmlessly in the
-// abandoned pending.
+// connection — and the late policy result is dropped once the execution
+// returns, leaving the connection free to serve again.
 func TestServingDeadlineAnswersERR(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1, WaitTimeout: 30 * time.Millisecond})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{WaitTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +268,10 @@ func TestServingDeadlineAnswersERR(t *testing.T) {
 }
 
 // TestDrainAnswersInFlight: a graceful drain must answer the request already
-// inside the batcher before shutting down.
+// inside the policy before shutting down.
 func TestDrainAnswersInFlight(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1, WaitTimeout: 5 * time.Second})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{WaitTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,13 +289,13 @@ func TestDrainAnswersInFlight(t *testing.T) {
 	}()
 	// Wait for the request to be inside the policy, then drain.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ActiveConns() == 0 || srv.QueueDepth() > 0 {
+	for srv.Batches() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("request never reached the batcher")
+			t.Fatal("request never reached the policy")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // let the batcher enter Decide
+	time.Sleep(20 * time.Millisecond) // let the execution enter Decide
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(5 * time.Second) }()
 	time.Sleep(20 * time.Millisecond)
@@ -405,42 +317,26 @@ func TestDrainAnswersInFlight(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocFree pins the daemon's execution core — one batched
-// policy execution plus the hand-back of every decision — to zero
-// allocations in steady state, for a lone request and for a full default
-// batch.
+// TestExecuteAllocFree pins the daemon's execution core — one decision
+// through the policy, its scratch taken from and returned to the policy's
+// free list, and the guards — to zero allocations in steady state.
 func TestExecuteAllocFree(t *testing.T) {
 	const dim = 16
-	for _, rows := range []int{1, defaultMaxBatch} {
-		s := &Server{}
-		s.pv.Store(newPolicyVersion(1, testActor(t, dim), nil))
-		batch := make([]*pending, rows)
-		for i := range batch {
-			p := newPending()
-			for j := 0; j < dim; j++ {
-				p.state = append(p.state, 0.01*float64(i%17)+0.001*float64(j))
-			}
-			batch[i] = p
-		}
-		xbuf := make([]float64, 0, rows*dim)
-		mus := make([]float64, rows)
-		deltas := make([]float64, rows)
-		avg := testing.AllocsPerRun(100, func() {
-			xbuf = s.execute(batch, xbuf, mus, deltas)
-			for _, p := range batch {
-				<-p.done
-			}
-		})
-		if avg != 0 {
-			t.Errorf("execute at %d rows allocates %v per batch, want 0", rows, avg)
-		}
-		for i, p := range batch {
-			if p.status != statusOK {
-				t.Fatalf("%d rows: row %d finished with status %d", rows, i, p.status)
-			}
-		}
-		if got := s.batchedRequests.Load(); got != int64(101*rows) {
-			t.Fatalf("%d rows: batched %d requests, want %d", rows, got, 101*rows)
-		}
+	s := &Server{}
+	s.pv.Store(&policyVersion{id: 1, p: testActor(t, dim)})
+	state := make([]float64, dim)
+	for j := range state {
+		state[j] = 0.01 + 0.001*float64(j)
+	}
+	var status byte
+	avg := testing.AllocsPerRun(100, func() { status, _, _ = s.execute(state) })
+	if avg != 0 {
+		t.Errorf("execute allocates %v per decision, want 0", avg)
+	}
+	if status != statusOK {
+		t.Fatalf("execute finished with status %d", status)
+	}
+	if got := s.Batches(); got != 101 {
+		t.Fatalf("ran %d executions, want 101", got)
 	}
 }

@@ -111,7 +111,9 @@ func TestTrainPolicySmoke(t *testing.T) {
 
 // TestTrainPolicyLeavesNoGoroutines: on a multi-core box the learner owns
 // parked helper goroutines while it trains, and none once TrainPolicy has
-// returned — callers do not have to remember agent.Close.
+// returned — callers do not have to remember agent.Close. The count is
+// polled for up to a second, since an exiting helper may still be waiting
+// to run its last instructions when TrainPolicy returns.
 func TestTrainPolicyLeavesNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	before := runtime.NumGoroutine()
@@ -129,8 +131,13 @@ func TestTrainPolicyLeavesNoGoroutines(t *testing.T) {
 	if during <= before {
 		t.Fatalf("no helper goroutines while training (%d before, %d during): the test proves nothing", before, during)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("goroutines: %d before TrainPolicy, %d after", before, after)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after != before {
+		t.Fatalf("goroutines: %d before TrainPolicy, %d a second after it returned", before, after)
 	}
 }
 

@@ -20,10 +20,10 @@ type Policy interface {
 type NNPolicy struct {
 	Net *nn.MLP
 
-	// bscratch backs DecideBatch (see serving.go), lazily built so
-	// zero-value construction (NNPolicy{Net: ...}) keeps working and grown
-	// on demand to the largest batch seen.
-	bscratch *nn.BatchScratch
+	// scratch holds the batch scratches DecideBatch is not using (see
+	// serving.go); its zero value is empty, so NNPolicy{Net: ...} keeps
+	// working.
+	scratch scratchPool
 }
 
 // Decide implements Policy as a one-row DecideBatch, so a decision has the

@@ -4,38 +4,70 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/nn"
 )
 
 // This file is the serving-side glue between trained policies and the
-// agentrpc inference daemon: batched NNPolicy inference (the daemon's
-// minibatch fast path), an AIMD-safe fallback policy for degraded clients,
-// and the loader that turns the exported actor file into a servable policy.
+// agentrpc inference daemon: batched NNPolicy inference, an AIMD-safe
+// fallback policy for degraded clients, and the loader that turns the
+// exported actor file into a servable policy.
 
-// InputDim reports the actor's state dimension; the daemon only batches
-// requests whose states match it.
+// InputDim reports the actor's state dimension; the daemon's swap health
+// probe sizes its canonical states by it.
 func (p *NNPolicy) InputDim() int { return p.Net.InputDim() }
 
 // DecideBatch runs one batched forward pass over the rows×InputDim()
 // row-major state matrix, writing the per-row decisions into mu and delta.
-// Together with InputDim it implements agentrpc.BatchDecider: one GEMM
-// serves every flow whose request queued while the daemon's previous
-// execution ran.
+// A row gets the same bits whatever else is in the batch.
 //
-// Like Decide, which runs it on one row, it is not safe for concurrent
-// use — the daemon's single batcher goroutine is the intended caller.
+// It is safe for concurrent use: each call takes a batch scratch of its own
+// from the policy's free list and returns it, so the daemon runs every
+// connection's decision on that connection's goroutine against one shared
+// policy. Once the list holds a scratch per concurrent caller, a call
+// allocates nothing.
 func (p *NNPolicy) DecideBatch(states []float64, rows int, mu, delta []float64) {
-	if p.bscratch == nil || p.bscratch.Rows() < rows {
-		p.bscratch = nn.NewBatchScratch(p.Net, rows)
-	}
-	out := p.Net.ForwardBatchInto(states, rows, p.bscratch)
+	s := p.scratch.get(p.Net, rows)
+	out := p.Net.ForwardBatchInto(states, rows, s)
 	w := p.Net.OutputDim()
 	for r := 0; r < rows; r++ {
 		mu[r] = cc.Clamp(out[r*w], -1, 1)
 		delta[r] = cc.Clamp((out[r*w+1]+1)/2, 0, 1)
 	}
+	p.scratch.put(s)
+}
+
+// scratchPool is a mutex-guarded free list of batch scratches. A sync.Pool
+// would not do: under the race detector it drops one Put in four on
+// purpose, so the daemon's zero-allocation contract could not be checked
+// there, and it empties on every GC.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*nn.BatchScratch
+}
+
+// get pops a scratch that fits rows, or builds one; a popped scratch too
+// small for rows is dropped.
+func (sp *scratchPool) get(net *nn.MLP, rows int) *nn.BatchScratch {
+	var s *nn.BatchScratch
+	sp.mu.Lock()
+	if n := len(sp.free); n > 0 {
+		s = sp.free[n-1]
+		sp.free = sp.free[:n-1]
+	}
+	sp.mu.Unlock()
+	if s == nil || s.Rows() < rows {
+		s = nn.NewBatchScratch(net, rows)
+	}
+	return s
+}
+
+func (sp *scratchPool) put(s *nn.BatchScratch) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, s)
+	sp.mu.Unlock()
 }
 
 // AIMDPolicy is the conservative fallback served while the learned policy is

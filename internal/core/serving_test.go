@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -15,7 +16,8 @@ import (
 
 // TestDecideBatchMatchesScalar: the batched serving path must agree with
 // per-request inference bit for bit at every batch size, including sizes
-// above the lazily grown scratch, and a scalar decision allocates nothing.
+// above every scratch the policy holds, and a scalar decision allocates
+// nothing.
 // Besides a small net it runs the Table 2 actor (16-128-128-2) at batch
 // sizes that leave 1, 2 and 3 rows after the 4-row panels, so every count
 // of rows the one-row kernel takes is compared against a one-row Decide.
@@ -72,6 +74,44 @@ func TestDecideBatchMatchesScalar(t *testing.T) {
 	(&NNPolicy{Net: poison}).DecideBatch(state, 1, mus, deltas)
 	if !math.IsNaN(mu) || !math.IsNaN(mus[0]) || !math.IsNaN(delta) || !math.IsNaN(deltas[0]) {
 		t.Fatalf("poisoned state: Decide (%v, %v), DecideBatch (%v, %v), want NaN from both", mu, delta, mus[0], deltas[0])
+	}
+}
+
+// TestNNPolicyConcurrentDecide: the daemon runs every connection's
+// decision on its own goroutine against one shared NNPolicy. 8 goroutines ×
+// 200 decisions through one policy on the Table 2 actor (16-128-128-2) must
+// each be bitwise equal to a serial one-row DecideBatch on another policy
+// over the same network.
+func TestNNPolicyConcurrentDecide(t *testing.T) {
+	const workers, n = 8, 200
+	net := nn.NewMLP(simcore.NewRNG(5), []int{16, 128, 128, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh})
+	dim := net.InputDim()
+	states := make([]float64, workers*n*dim)
+	rng := simcore.NewRNG(11)
+	for i := range states {
+		states[i] = rng.Range(-1, 1)
+	}
+	shared := &NNPolicy{Net: net}
+	got := make([][2]float64, workers*n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * n; i < (w+1)*n; i++ {
+				got[i][0], got[i][1] = shared.Decide(states[i*dim : (i+1)*dim])
+			}
+		}()
+	}
+	wg.Wait()
+
+	serial := &NNPolicy{Net: net}
+	var mu, delta [1]float64
+	for i := range got {
+		serial.DecideBatch(states[i*dim:(i+1)*dim], 1, mu[:], delta[:])
+		if math.Float64bits(got[i][0]) != math.Float64bits(mu[0]) || math.Float64bits(got[i][1]) != math.Float64bits(delta[0]) {
+			t.Fatalf("decision %d (worker %d): concurrent (%v, %v) != serial (%v, %v)", i, i/n, got[i][0], got[i][1], mu[0], delta[0])
+		}
 	}
 }
 

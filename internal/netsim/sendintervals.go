@@ -25,7 +25,8 @@ import (
 // emulated RTT; the ring force-delivers if it ever wraps at full size. The
 // ring starts small (sendIntervalMin) and doubles on demand: typical flows
 // have a handful of intervals in flight, so the full-size ring (~114 KB per
-// flow) would be almost entirely dead weight.
+// flow) would be almost entirely dead weight. Both are powers of two, so
+// every ring length is one and slot can mask instead of divide.
 const (
 	sendIntervalRing = 1024
 	sendIntervalMin  = 64
@@ -77,12 +78,14 @@ func newIntervalTracker(ia cc.IntervalAlgorithm) *intervalTracker {
 	return t
 }
 
+// slot maps an interval index (never negative) to its ring slot; with a
+// power-of-two ring, idx & (len-1) is idx mod len.
 func (t *intervalTracker) slot(idx int64) *sendInterval {
-	return &t.ring[idx%int64(len(t.ring))]
+	return &t.ring[idx&int64(len(t.ring)-1)]
 }
 
 // grow doubles the ring (capped at sendIntervalRing) and rehashes the live
-// slots to their positions under the new modulus.
+// slots to their positions under the new mask.
 func (t *intervalTracker) grow() {
 	old := t.ring
 	n := 2 * len(old)
@@ -92,7 +95,7 @@ func (t *intervalTracker) grow() {
 	t.ring = make([]sendInterval, n)
 	for i := range old {
 		if old[i].used {
-			t.ring[old[i].idx%int64(n)] = old[i]
+			t.ring[old[i].idx&int64(n-1)] = old[i]
 		}
 	}
 }

@@ -154,3 +154,38 @@ func TestEmptyIntervalsStillDelivered(t *testing.T) {
 		t.Fatal("no empty intervals delivered at 100 kbit/s")
 	}
 }
+
+// TestIntervalRingStaysPowerOfTwo: slot masks the interval index with
+// len(ring)-1, which is the index modulo the ring length only while that
+// length is a power of two — from sendIntervalMin through every doubling
+// to the sendIntervalRing cap. A full window of live intervals must also be
+// found at slot(idx) after each grow.
+func TestIntervalRingStaysPowerOfTwo(t *testing.T) {
+	tr := newIntervalTracker(&recordingIA{interval: 30 * time.Millisecond})
+	base := int64(1_000_003) // an arbitrary, non-aligned window start
+	for grows := 0; ; grows++ {
+		n := len(tr.ring)
+		if n <= 0 || n&(n-1) != 0 {
+			t.Fatalf("after %d grows the ring holds %d slots, not a power of two", grows, n)
+		}
+		for idx := base; idx < base+int64(n); idx++ {
+			if s := tr.slot(idx); s != &tr.ring[idx%int64(n)] {
+				t.Fatalf("ring of %d: slot(%d) is not slot idx mod %d", n, idx, n)
+			}
+			*tr.slot(idx) = sendInterval{used: true, idx: idx}
+		}
+		tr.grow()
+		for idx := base; idx < base+int64(n); idx++ {
+			if s := tr.slot(idx); !s.used || s.idx != idx {
+				t.Fatalf("grow from %d slots lost interval %d", n, idx)
+			}
+		}
+		if n == sendIntervalRing {
+			if len(tr.ring) != sendIntervalRing {
+				t.Fatalf("ring grew past its cap: %d slots", len(tr.ring))
+			}
+			return
+		}
+		base += int64(n) + 7
+	}
+}

@@ -4,7 +4,7 @@ import "time"
 
 // RPCDaemonStats is the structural slice of the inference daemon
 // (agentrpc.Server) the hub exports: served decisions and policy panics,
-// batching efficiency, admission-control shedding, hot-swap/rollback
+// policy executions, admission-control shedding, hot-swap/rollback
 // history, and deadline enforcement. The counters are atomics and the
 // connection view takes the server's mutex, so all of it is safe to call
 // from the debug HTTP goroutine.
@@ -31,16 +31,16 @@ var rpcServerGauges = []struct {
 	read       func(RPCDaemonStats) int64
 }{
 	{"rpc_server_decisions", "requests the daemon answered OK", RPCDaemonStats.Decisions},
-	{"rpc_server_panics", "batch executions lost to a panicking policy", RPCDaemonStats.Panics},
-	{"rpc_server_batches", "policy executions (batched or single) run by the daemon", RPCDaemonStats.Batches},
-	{"rpc_server_batched_requests", "requests that entered batch execution", RPCDaemonStats.BatchedRequests},
+	{"rpc_server_panics", "policy executions lost to a panicking policy", RPCDaemonStats.Panics},
+	{"rpc_server_batches", "policy executions run by the daemon (one per admitted decision)", RPCDaemonStats.Batches},
+	{"rpc_server_batched_requests", "decisions that entered policy execution (equals rpc_server_batches)", RPCDaemonStats.BatchedRequests},
 	{"rpc_server_shed", "requests shed with BUSY by admission control", RPCDaemonStats.Shed},
 	{"rpc_server_nonfinite", "decisions suppressed by the non-finite output guard", RPCDaemonStats.NonFinite},
 	{"rpc_server_swaps", "successful policy hot-swaps", RPCDaemonStats.Swaps},
 	{"rpc_server_rollbacks", "automatic policy-version rollbacks", RPCDaemonStats.Rollbacks},
 	{"rpc_server_timeouts", "requests that outlived the serving deadline", RPCDaemonStats.Timeouts},
 	{"rpc_server_write_drops", "connections dropped by the response write deadline", RPCDaemonStats.WriteDrops},
-	{"rpc_server_queue_depth", "admitted requests awaiting batch execution",
+	{"rpc_server_queue_depth", "decisions admitted and not yet answered",
 		func(s RPCDaemonStats) int64 { return int64(s.QueueDepth()) }},
 	{"rpc_server_active_conns", "currently served connections",
 		func(s RPCDaemonStats) int64 { return int64(s.ActiveConns()) }},

@@ -62,8 +62,8 @@ func TestRPCInstrumentation(t *testing.T) {
 	}
 }
 
-// TestRPCDaemonInstrumentation exports the full daemon surface: batching
-// and hot-swap.
+// TestRPCDaemonInstrumentation exports the full daemon surface: policy
+// executions and hot-swap.
 func TestRPCDaemonInstrumentation(t *testing.T) {
 	srv, err := agentrpc.ServeConfig("127.0.0.1:0", fixedPolicy{0.5, 0.25}, agentrpc.Config{})
 	if err != nil {

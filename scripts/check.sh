@@ -85,11 +85,21 @@ if go list -f '{{join .Imports "\n"}}' ./internal/telemetry | grep '^repro/'; th
     exit 1
 fi
 
-echo "== the batcher has no delay knob"
-# The daemon's batching is work-conserving (DESIGN.md "Server-side batching");
+echo "== the daemon has no delay knob"
+# The daemon decides as soon as a frame is read (DESIGN.md "Policy serving");
 # the coalescing timer and its option were deleted and must not come back.
 if grep -n 'BatchDelay\|batch-delay' $sources; then
     echo "BatchDelay / -batch-delay reintroduced (see the matches above)" >&2
+    exit 1
+fi
+
+echo "== the daemon has no batcher"
+# Each decision runs on the goroutine of the connection that read it
+# (DESIGN.md "Policy serving"); the single batcher goroutine, its MaxBatch
+# knob and the BatchDecider fast path were deleted and must not come back.
+rpc_sources=$(find internal/agentrpc cmd/jury -name '*.go' -not -name '*_test.go')
+if grep -n 'batchLoop\|MaxBatch\|BatchDecider' $rpc_sources; then
+    echo "the daemon's batcher, MaxBatch or BatchDecider was reintroduced (see the matches above)" >&2
     exit 1
 fi
 
@@ -202,8 +212,9 @@ echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + diges
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
 go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults|TestObsHugeMeshSummaryPinned)$' -count=1 ./internal/exp
 
-echo "== inference daemon: chaos matrix + batching rule + framing + zero-alloc execute under the race detector"
-go test -race -run '^(TestExecuteAllocFree|TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestBatchCoalescing|TestBatchNeverExceedsMaxBatch|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
+echo "== inference daemon: chaos matrix + per-connection execution + framing + zero-alloc execute under the race detector, and one NNPolicy shared by 8 goroutines"
+go test -race -run '^(TestExecuteAllocFree|TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestServingDeadlineAnswersERR|TestHeldDecisionBlocksNoOtherConnection|TestLoneClientNeverWaitsForCompany|TestFramingPipelinedAndDribbled)' -count=1 ./internal/agentrpc
+go test -race -run '^TestNNPolicyConcurrentDecide$' -count=1 ./internal/core
 
 echo "== run store: crash matrix + bit-flip sweep + identical re-put + read-only repair under the race detector"
 go test -race -short -run '^(TestCrashMatrix|TestBitFlipSweep|TestLastWinsAndDigestMismatch|TestReadOnly)$' -count=1 ./internal/runstore
