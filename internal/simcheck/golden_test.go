@@ -14,6 +14,9 @@ import (
 	"repro/internal/cc"
 	"repro/internal/cc/cubic"
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/netsim"
+	"repro/internal/traces"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt with the current digests")
@@ -43,6 +46,58 @@ var goldenScenarios = []struct {
 		n, ck := buildDumbbell(43, 30e6, 10*time.Millisecond, bdpBytes(30e6, 20*time.Millisecond)*3/2, 0.003, 2,
 			func(i int) cc.Algorithm { return core.NewDefault(uint64(i) + 3) })
 		n.Run(8 * time.Second)
+		if vs := ck.Finish(); len(vs) > 0 {
+			t.Fatalf("violations: %v", vs)
+		}
+		return ck
+	}},
+	// Two paced Jury flows and a Cubic flow on a 100 Mbps, 30 ms RTT
+	// dumbbell: a 1500 B packet serializes in exactly 120 µs and the RTT is
+	// 250 of them, so ACK-triggered arrivals land on departure instants
+	// every round trip and the link's equal-time ordering is exercised
+	// constantly.
+	{"tie-grid", func(t *testing.T) *Checker {
+		n, ck := buildDumbbell(47, 100e6, 15*time.Millisecond, bdpBytes(100e6, 30*time.Millisecond), 0, 3,
+			func(i int) cc.Algorithm {
+				if i < 2 {
+					return core.NewDefault(uint64(i) + 5)
+				}
+				return cubic.New()
+			})
+		n.Run(10 * time.Second)
+		if vs := ck.Finish(); len(vs) > 0 {
+			t.Fatalf("violations: %v", vs)
+		}
+		return ck
+	}},
+	// A two-link path: duplicates, reordering and delay spikes on the first
+	// link, a step-trace bottleneck second, and one flow with extra one-way
+	// delay outside both links.
+	{"two-hop-faults", func(t *testing.T) *Checker {
+		n := netsim.New(netsim.Config{Seed: 53})
+		edge := n.AddLink(netsim.LinkConfig{
+			Rate: 60e6, Delay: 4 * time.Millisecond, BufferBytes: bdpBytes(60e6, 20*time.Millisecond),
+			Faults: &faults.Config{
+				DupProb:     0.02,
+				ReorderProb: 0.02, ReorderMaxDelay: 6 * time.Millisecond,
+				JitterProb: 0.03, JitterMax: 5 * time.Millisecond,
+			},
+		})
+		btl := n.AddLink(netsim.LinkConfig{
+			Trace: traces.NewStep([]traces.Point{
+				{At: 0, Rate: 24e6}, {At: 3 * time.Second, Rate: 12e6}, {At: 6 * time.Second, Rate: 36e6},
+			}),
+			Delay: 8 * time.Millisecond, BufferBytes: bdpBytes(24e6, 40*time.Millisecond),
+		})
+		path := []*netsim.Link{edge, btl}
+		n.AddFlow(netsim.FlowConfig{Name: "f0", Path: path, ExtraOneWay: 7 * time.Millisecond,
+			CC: func() cc.Algorithm { return core.NewDefault(11) }})
+		n.AddFlow(netsim.FlowConfig{Name: "f1", Path: path, CC: func() cc.Algorithm { return cubic.New() }})
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ck := Attach(n)
+		n.Run(9 * time.Second)
 		if vs := ck.Finish(); len(vs) > 0 {
 			t.Fatalf("violations: %v", vs)
 		}
