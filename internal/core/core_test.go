@@ -278,6 +278,47 @@ func TestPostProcessMonotoneInOccupancy(t *testing.T) {
 	}
 }
 
+// The occupancy-weighted mean action is Eq. 6's aggregate drift: with
+// occupancies r_i summing to 1 and no clamp firing, Σ r_i·a_i = μ + δ(1 −
+// 2Σr_i²). At fair share that is μ + δ(1 − 2/n), so the aggregate is
+// neutral (exactly μ) at n = 2 and leans toward +δ as n grows.
+func TestPostProcessDrift(t *testing.T) {
+	if err := quick.Check(func(muR, dR float64, nR uint8, weights [16]uint16) bool {
+		mu := math.Mod(muR, 0.45) // |μ| + δ < 1: no action reaches the clamp
+		delta := math.Abs(math.Mod(dR, 0.45))
+		n := 1 + int(nR)%len(weights)
+		var total float64
+		for _, w := range weights[:n] {
+			total += float64(w) + 1
+		}
+		var drift, sumSq float64
+		for _, w := range weights[:n] {
+			r := (float64(w) + 1) / total
+			drift += r * PostProcess(mu, delta, r)
+			sumSq += r * r
+		}
+		if want := mu + delta*(1-2*sumSq); math.Abs(drift-want) > 1e-12 {
+			t.Logf("n=%d μ=%v δ=%v: Σ r·a = %v, want %v", n, mu, delta, drift, want)
+			return false
+		}
+		var fair float64
+		for i := 0; i < n; i++ {
+			fair += PostProcess(mu, delta, 1/float64(n)) / float64(n)
+		}
+		if want := mu + delta*(1-2/float64(n)); math.Abs(fair-want) > 1e-12 {
+			t.Logf("n=%d μ=%v δ=%v: fair-share drift %v, want %v", n, mu, delta, fair, want)
+			return false
+		}
+		if n == 2 && fair != mu {
+			t.Logf("μ=%v δ=%v: two fair flows drift to %v, want exactly μ", mu, delta, fair)
+			return false
+		}
+		return true
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRewardShape(t *testing.T) {
 	cfg := DefaultConfig()
 	base := 30 * time.Millisecond

@@ -451,7 +451,7 @@ func (f *Flow) sendPacket(now time.Duration) {
 }
 
 // advance moves a packet onto its next hop. It always runs on the shard
-// owning that link (cross-shard hops are routed by Link.finishTx), so the
+// owning that link (cross-shard hops are routed by Link.depart), so the
 // arrive call below never crosses shards. Packets past their last link never
 // come back here: the last link schedules the ACK itself (Link.deliver).
 func (f *Flow) advance(p *packet) {

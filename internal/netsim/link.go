@@ -34,7 +34,7 @@ type LinkConfig struct {
 
 // LinkStats aggregates what a link has carried.
 type LinkStats struct {
-	DeliveredBytes   int64 // bytes that finished serialization
+	DeliveredBytes   int64 // bytes that finished serialization (see Link.Stats)
 	DeliveredPackets int64
 	OverflowDrops    int64 // DropTail drops
 	RandomDrops      int64 // loss-rate drops
@@ -42,6 +42,9 @@ type LinkStats struct {
 }
 
 // Link is a store-and-forward directional link with a DropTail byte queue.
+// Serialization is not an event: enqueue knows when an admitted packet will
+// leave, schedules its onward hop (or ACK) for then, and keeps a departure
+// record that a later arrival books once the clock has passed it.
 type Link struct {
 	net *Network
 	cfg LinkConfig
@@ -55,10 +58,13 @@ type Link struct {
 	shard int
 	xs    *simcore.Shard
 
-	queue  []*packet
-	qHead  int
+	// deps are the queued packets' departures in FIFO order, live from
+	// dHead on; qBytes counts their bytes. freeAt is when the last of them
+	// leaves: the next packet starts serializing at max(arrival, freeAt).
+	deps   []departure
+	dHead  int
 	qBytes int64
-	busy   bool
+	freeAt time.Duration
 
 	// arena is the owning shard's packet pool. The link draws duplicate
 	// copies (fault injection) from it rather than from the flow's shard:
@@ -77,33 +83,32 @@ type Link struct {
 
 func newLink(n *Network, cfg LinkConfig, rng *simcore.RNG) *Link {
 	l := &Link{net: n, cfg: cfg, rng: rng, eng: n.eng, arena: &n.seqArena}
-	if cfg.BufferBytes > 0 {
-		// Size the queue for a buffer full of minimum-size packets, doubled
-		// because the lazy head compaction in finishTx lets the live window
-		// drift up to halfway through the backing array before sliding back.
-		l.queue = make([]*packet, 0, 2*(cfg.BufferBytes/DefaultPacketSize+1))
-	}
 	if cfg.Faults.Enabled() {
 		l.faults = newLinkFaults(l)
 	}
 	return l
 }
 
-// linkFinishTx is the shared serialization-done dispatcher: the packet's
-// current hop identifies the link, so no per-link closure is needed and the
-// ScheduleArg path stays allocation-free.
-func linkFinishTx(a any) {
-	p := a.(*packet)
-	p.flow.cfg.Path[p.hop].finishTx(p)
+// departure records one queued packet: when it finishes serializing, when
+// it started, and its size.
+type departure struct {
+	at, start time.Duration
+	size      int64
 }
 
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// Stats returns a snapshot of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+// Stats returns a snapshot of the link counters as of the executing event
+// (after a run: as of its horizon).
+func (l *Link) Stats() LinkStats {
+	l.retire(l.eng.Now(), l.eng.SchedAt())
+	return l.stats
+}
 
-// QueueBytes reports the current queue occupancy in bytes.
+// QueueBytes reports the queue occupancy in bytes as of the link's last
+// arrival (after a run: as of its horizon): departures since then are booked
+// by the next arrival.
 func (l *Link) QueueBytes() int64 { return l.qBytes }
 
 // Shard reports which shard the link runs on (0 in sequential runs).
@@ -137,7 +142,7 @@ func (l *Link) Utilization(elapsed time.Duration) float64 {
 	if capacity <= 0 {
 		return 0
 	}
-	return float64(l.stats.DeliveredBytes) * 8 / (capacity * elapsed.Seconds())
+	return float64(l.Stats().DeliveredBytes) * 8 / (capacity * elapsed.Seconds())
 }
 
 // arrive is called when a packet reaches this link (after the previous
@@ -150,10 +155,13 @@ func (l *Link) arrive(p *packet) {
 	l.enqueue(p)
 }
 
-// enqueue applies random loss and DropTail queueing. It is the re-entry
-// point for reordered packets (whose deferred arrival must not run the
-// fault pipeline twice) and for duplicate copies.
+// enqueue applies random loss and DropTail queueing, and books an admitted
+// packet's departure. It is the re-entry point for reordered packets (whose
+// deferred arrival must not run the fault pipeline twice) and for duplicate
+// copies.
 func (l *Link) enqueue(p *packet) {
+	now := l.eng.Now()
+	l.retire(now, l.eng.SchedAt())
 	if l.cfg.LossRate > 0 && l.rng.Bernoulli(l.cfg.LossRate) {
 		l.stats.RandomDrops++
 		if tap := l.net.tap; tap != nil {
@@ -170,7 +178,20 @@ func (l *Link) enqueue(p *packet) {
 		l.dropped(p)
 		return
 	}
-	l.queue = append(l.queue, p)
+	start := max(now, l.freeAt)
+	rate := l.rateAt(start)
+	if rate < 1 {
+		rate = 1 // avoid division blow-ups on pathological traces
+	}
+	txDur := time.Duration(float64(p.size) * 8 / rate * float64(time.Second))
+	if txDur < time.Nanosecond {
+		txDur = time.Nanosecond
+	}
+	l.freeAt = start + txDur
+	if len(l.deps) == cap(l.deps) && 2*l.dHead >= len(l.deps) {
+		l.deps, l.dHead = l.deps[:copy(l.deps, l.deps[l.dHead:])], 0
+	}
+	l.deps = append(l.deps, departure{at: l.freeAt, start: start, size: int64(p.size)})
 	l.qBytes += int64(p.size)
 	if l.qBytes > l.stats.MaxQueueBytes {
 		l.stats.MaxQueueBytes = l.qBytes
@@ -178,8 +199,29 @@ func (l *Link) enqueue(p *packet) {
 	if tap := l.net.tap; tap != nil {
 		tap.QueueEnqueued(l, p.size)
 	}
-	if !l.busy {
-		l.startTx()
+	l.depart(p, l.freeAt)
+}
+
+// retire books, in FIFO order, the departures that precede the executing
+// event keyed (now, sched): those a serialization-done event keyed (at,
+// start) would have preceded. At at == now && start == sched the executing
+// event goes first (DESIGN.md, "Determinism and digest parity", rule 5).
+func (l *Link) retire(now, sched time.Duration) {
+	for l.dHead < len(l.deps) {
+		d := l.deps[l.dHead]
+		if d.at > now || d.at == now && d.start >= sched {
+			break
+		}
+		l.dHead++
+		l.qBytes -= d.size
+		l.stats.DeliveredBytes += d.size
+		l.stats.DeliveredPackets++
+		if tap := l.net.tap; tap != nil {
+			tap.QueueDeparted(l, int(d.size))
+		}
+	}
+	if l.dHead == len(l.deps) {
+		l.deps, l.dHead = l.deps[:0], 0
 	}
 }
 
@@ -229,21 +271,6 @@ func (l *Link) releaseDup(p *packet) {
 	l.arena.release(p)
 }
 
-// startTx begins serializing the packet at the head of the queue.
-func (l *Link) startTx() {
-	p := l.queue[l.qHead]
-	l.busy = true
-	rate := l.rateAt(l.eng.Now())
-	if rate < 1 {
-		rate = 1 // avoid division blow-ups on pathological traces
-	}
-	txDur := time.Duration(float64(p.size) * 8 / rate * float64(time.Second))
-	if txDur < time.Nanosecond {
-		txDur = time.Nanosecond
-	}
-	l.eng.ScheduleArgAfter(txDur, linkFinishTx, p)
-}
-
 // deliver schedules the ACK of a packet that has cleared its last link and
 // reaches the receiver at arrive. The ACK fires one return leg later,
 // stamped as scheduled at arrive, so equal-time ties order as if the
@@ -260,57 +287,37 @@ func (l *Link) deliver(p *packet, arrive time.Duration) {
 	l.eng.InjectArg(at, arrive, flowAck, p)
 }
 
-// finishTx completes serialization: the packet leaves the queue and enters
-// propagation toward the next hop, or, past the last link, its ACK is
-// scheduled (see deliver).
-func (l *Link) finishTx(p *packet) {
-	l.queue[l.qHead] = nil
-	l.qHead++
-	if l.qHead > 64 && l.qHead*2 >= len(l.queue) {
-		l.queue = append(l.queue[:0], l.queue[l.qHead:]...)
-		l.qHead = 0
-	}
-	l.qBytes -= int64(p.size)
-	l.stats.DeliveredBytes += int64(p.size)
-	l.stats.DeliveredPackets++
-	if tap := l.net.tap; tap != nil {
-		tap.QueueDeparted(l, p.size)
-	}
-
+// depart sends a packet on from the instant at its serialization ends:
+// into propagation toward the next hop, or, past the last link, to its ACK
+// (see deliver), stamped as if an event at that instant had scheduled it.
+func (l *Link) depart(p *packet, at time.Duration) {
 	if p.dup {
 		// The receiver side of the link discards duplicate copies; the
-		// copy's whole cost — buffer space and serialization time — has been
-		// paid by now.
+		// copy's whole cost — buffer space and serialization time — is
+		// already booked.
 		l.releaseDup(p)
-	} else {
-		prop := l.cfg.Delay
-		if l.cfg.JitterStd > 0 {
-			j := l.rng.Norm(0, float64(l.cfg.JitterStd))
-			if j < 0 {
-				j = -j
-			}
-			prop += time.Duration(j)
-		}
-		if l.faults != nil {
-			prop += l.faults.delaySpike(p)
-		}
-		now := l.eng.Now()
-		if nh := p.hop + 1; nh == len(p.flow.cfg.Path) {
-			l.deliver(p, now+prop)
-		} else if dst := p.flow.cfg.Path[nh].shard; dst != l.shard {
-			// The packet's next arrival belongs to the next hop's shard;
-			// this link's propagation delay is exactly the lookahead the
-			// partitioner guaranteed for that cut, so the cross-send never
-			// violates the coordinator's window.
-			l.xs.Send(dst, now+prop, now, flowAdvance, p)
-		} else {
-			l.eng.ScheduleArgAfter(prop, flowAdvance, p)
-		}
+		return
 	}
-
-	if l.qHead < len(l.queue) {
-		l.startTx()
+	prop := l.cfg.Delay
+	if l.cfg.JitterStd > 0 {
+		j := l.rng.Norm(0, float64(l.cfg.JitterStd))
+		if j < 0 {
+			j = -j
+		}
+		prop += time.Duration(j)
+	}
+	if l.faults != nil {
+		prop += l.faults.delaySpike(p)
+	}
+	if nh := p.hop + 1; nh == len(p.flow.cfg.Path) {
+		l.deliver(p, at+prop)
+	} else if dst := p.flow.cfg.Path[nh].shard; dst != l.shard {
+		// The packet's next arrival belongs to the next hop's shard; this
+		// link's propagation delay is exactly the lookahead the partitioner
+		// guaranteed for that cut, so the cross-send never violates the
+		// coordinator's window.
+		l.xs.Send(dst, at+prop, at, flowAdvance, p)
 	} else {
-		l.busy = false
+		l.eng.InjectArg(at+prop, at, flowAdvance, p)
 	}
 }

@@ -25,9 +25,10 @@ import (
 )
 
 // Tap observes packet- and interval-level emulator events. All methods run
-// synchronously on the simulation goroutine at the instant the event occurs,
-// so implementations may read the current state of the flow, link, and
-// engine (Flow.CC(), Link.QueueBytes(), Network.Now(), ...). The primary
+// synchronously on the simulation goroutine, at the instant the event occurs
+// (QueueDeparted excepted), so implementations may read the current state of
+// the flow, link, and engine (Flow.CC(), Link.QueueBytes(), Network.Now(),
+// ...). The primary
 // implementation is the runtime invariant checker in internal/simcheck;
 // taps cost one nil-check per packet event when disabled.
 type Tap interface {
@@ -40,8 +41,11 @@ type Tap interface {
 	PacketLost(f *Flow, bytes int)
 	// QueueEnqueued fires after a packet joins a link's DropTail queue.
 	QueueEnqueued(l *Link, bytes int)
-	// QueueDeparted fires after a packet finishes serialization and leaves
-	// the queue.
+	// QueueDeparted fires when a link books a packet's departure from its
+	// queue: at the link's next arrival after the packet finished
+	// serializing, or at the end of the run, not at the instant itself.
+	// Departures are booked in FIFO order, and QueueBytes already excludes
+	// the packet.
 	QueueDeparted(l *Link, bytes int)
 	// QueueDropped fires when a link discards an arriving packet; random
 	// distinguishes loss-rate drops from buffer overflow.
@@ -297,7 +301,17 @@ func (n *Network) Run(horizon time.Duration) int {
 		f.armStart()
 		f.reserveSeries(horizon)
 	}
-	return n.eng.Run(horizon)
+	executed := n.eng.Run(horizon)
+	n.retireLinks(horizon)
+	return executed
+}
+
+// retireLinks books every departure at or before the horizon: the run
+// reached each one's instant.
+func (n *Network) retireLinks(horizon time.Duration) {
+	for _, l := range n.links {
+		l.retire(horizon, horizon)
+	}
 }
 
 // Validate performs basic sanity checks and returns an error describing the

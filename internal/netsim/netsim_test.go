@@ -457,9 +457,11 @@ func (m *fifoRTTModel) PacketAcked(_ *Flow, _ int, rtt time.Duration) {
 	m.acked++
 }
 
-// A packet clearing its last link schedules its own ACK: the per-packet
-// work is its serialization-done event and its ACK, nothing else, and the
-// ACK lands exactly one return leg after the packet reaches the receiver.
+// A packet's serialization is not an event and its delivery is not one
+// either: the link books the departure when the packet arrives and queues
+// the ACK for one return leg after the packet reaches the receiver. The
+// per-packet work is the ACK event alone, and every RTT still matches an
+// independent FIFO model of queueing, serialization and propagation.
 func TestLastHopSchedulesAck(t *testing.T) {
 	const (
 		rate     = 12e6
@@ -480,11 +482,12 @@ func TestLastHopSchedulesAck(t *testing.T) {
 	if m.queued == 0 {
 		t.Fatal("no packet queued: the RTT check never saw queueing delay")
 	}
-	// Start and stop, plus one record tick per interval up to the stop (the
+	// One ACK per packet (the sender sends from inside its ACK events), then
+	// start and stop, plus one record tick per interval up to the stop (the
 	// last one finds the flow stopped and does not re-arm).
 	ticks := int64(duration / n.RecordInterval())
-	if want := 2*sent + 2 + ticks; int64(executed) != want {
-		t.Fatalf("ran %d events for %d packets, want %d: finishTx and ACK per packet plus start, stop and %d record ticks",
+	if want := sent + 2 + ticks; int64(executed) != want {
+		t.Fatalf("ran %d events for %d packets, want %d: one ACK per packet plus start, stop and %d record ticks",
 			executed, sent, want, ticks)
 	}
 }

@@ -302,6 +302,7 @@ func (n *Network) RunSharded(horizon time.Duration, maxShards int) (*ShardRun, e
 		f.reserveSeries(horizon)
 	}
 	coord.Run(horizon)
+	n.retireLinks(horizon)
 	return &ShardRun{
 		Partition:     p,
 		Executed:      coord.ExecutedPerShard(),

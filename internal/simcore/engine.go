@@ -17,9 +17,9 @@ import (
 // explicit stamp (InjectArg). The coordinator injects cross-shard events at
 // window barriers (insertion-late) but stamps them with their original
 // schedule time, which restores the exact tie order a sequential replay
-// would have produced. netsim queues a packet's ACK when the packet leaves
-// its last link and stamps it with the later time the packet reaches its
-// receiver.
+// would have produced. netsim queues a packet's next hop (or its ACK) when
+// the packet joins a link's queue, stamped with the later time it leaves
+// that link (or reaches its receiver).
 //
 // Events are pooled: once an event has fired (or a cancelled event has been
 // drained), the engine recycles its storage for a future ScheduleArg call.
@@ -168,6 +168,7 @@ func (q eventHeap) siftDown(i int, ev *Event) {
 // not usable; construct with NewEngine.
 type Engine struct {
 	now     time.Duration
+	schedAt time.Duration // schedule stamp of the executing (or last executed) event
 	queue   timerWheel
 	nextSeq uint64
 	running bool
@@ -198,6 +199,13 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
+
+// SchedAt reports the schedule stamp of the executing event (after a run,
+// of the last one): when it was scheduled, its InjectArg stamp, or its
+// Rearm re-key time. It orders equal-time ties, so netsim's links, which
+// book departures lazily, can tell which side of the executing event a
+// departure at Now falls on.
+func (e *Engine) SchedAt() time.Duration { return e.schedAt }
 
 // Pending reports how many events are queued (including cancelled ones that
 // have not yet been drained).
@@ -287,8 +295,9 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 func (e *Engine) Rearm(t Timer, at time.Duration, fn func(any), arg any) Timer {
 	ev := t.ev
 	// An injected event may carry a schedule stamp ahead of this engine's
-	// clock — a cross-shard event, or a local ACK netsim stamps with its
-	// packet's arrival time — and re-keying it to now would shrink its key.
+	// clock — a cross-shard event, or a packet hop or ACK netsim stamps with
+	// its future departure or arrival time — and re-keying it to now would
+	// shrink its key.
 	if !t.Active() || ev.at != at || ev.schedAt > e.now {
 		t.Cancel()
 		return e.ScheduleArg(at, fn, arg)
@@ -319,10 +328,10 @@ func (e *Engine) ScheduleArgAfter(d time.Duration, fn func(any), arg any) Timer 
 // destination heap makes equal-time ties resolve exactly as a sequential
 // replay would — by who scheduled first, not by who happened to be inserted
 // first. The stamp may also lie ahead of the clock: netsim schedules a
-// packet's ACK when the packet leaves its last link, stamped with the time
-// the packet reaches the receiver, so the ACK ties as it did when a delivery
-// event at that time scheduled it. schedAt after at panics: such an event
-// would claim to be scheduled after it fires.
+// packet's next hop, or its ACK, when the packet joins a link's queue,
+// stamped with the time it leaves that link or reaches the receiver, so the
+// event ties as if an event at that time had scheduled it. schedAt after at
+// panics: such an event would claim to be scheduled after it fires.
 func (e *Engine) InjectArg(at, schedAt time.Duration, fn func(any), arg any) Timer {
 	if schedAt > at {
 		panic(fmt.Sprintf("simcore: inject at %v scheduled later, at %v", at, schedAt))
@@ -392,7 +401,7 @@ func (e *Engine) exec(bound time.Duration, inclusive bool) int {
 			e.release(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now, e.schedAt = ev.at, ev.schedAt
 		if e.eventHook != nil {
 			e.eventHook(ev.at, ev.seq)
 		}

@@ -249,3 +249,46 @@ func TestRNGIntnBounds(t *testing.T) {
 	}()
 	r.Intn(0)
 }
+
+// SchedAt is the executing event's schedule stamp, the tie-break half of
+// its queue key: the clock when ScheduleArg queued it, the explicit stamp
+// of an InjectArg (one ahead of the clock at injection included), and the
+// re-key time of an event Rearm moved in place.
+func TestSchedAtReportsExecutingStamp(t *testing.T) {
+	e := NewEngine()
+	got := map[string]time.Duration{}
+	record := func(name string) func(any) {
+		return func(any) { got[name] = e.SchedAt() }
+	}
+	var timer Timer
+	e.ScheduleArg(10, func(any) {
+		got["outer"] = e.SchedAt()
+		e.ScheduleArg(25, record("scheduled"), nil)
+		e.InjectArg(30, 5, record("injected"), nil)
+		e.InjectArg(40, 35, record("injected-future"), nil)
+		timer = e.ScheduleArg(50, record("rearmed"), nil)
+	}, nil)
+	e.ScheduleArg(20, func(any) {
+		pending := e.Pending()
+		timer = e.Rearm(timer, 50, record("rearmed"), nil)
+		if e.Pending() != pending {
+			t.Errorf("Rearm at the queued time left %d events queued, want %d (re-keyed in place)", e.Pending(), pending)
+		}
+	}, nil)
+	e.Run(100)
+	want := map[string]time.Duration{
+		"outer":           0,
+		"scheduled":       10,
+		"injected":        5,
+		"injected-future": 35,
+		"rearmed":         20,
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s event: SchedAt %v (ran %v), want %v", name, g, ok, w)
+		}
+	}
+	if e.SchedAt() != 20 {
+		t.Errorf("after Run, SchedAt %v, want the last executed event's stamp 20", e.SchedAt())
+	}
+}

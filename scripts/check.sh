@@ -136,6 +136,16 @@ if [ "$cancels" != "internal/netsim/flow.go: func (f *Flow) stop() {" ]; then
     exit 1
 fi
 
+echo "== serialization is not an event: non-test internal/netsim/link.go schedules with neither ScheduleArg nor ScheduleArgAfter"
+# A link books each packet's departure when the packet arrives and queues
+# only what leaves it: the onward hop or the ACK, stamped through InjectArg
+# or the coordinator (DESIGN.md "Event queue"). A link-side timer would bring
+# back a per-packet event that decides nothing.
+if grep -n 'ScheduleArg(\|ScheduleArgAfter(' internal/netsim/link.go; then
+    echo "internal/netsim/link.go schedules a timer event (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== one environment variable: non-test code outside bench/ reads JURY_SIMCHECK and nothing else"
 # Run sizes are options, not environment knobs (internal/exp/exp.go reads the
 # one variable, which forces the simcheck checker onto every run).
@@ -174,14 +184,15 @@ echo "== every nn + rl benchmark runs once, on the kernels and on the Go bodies 
 go test -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
 go test -tags purego -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
 
-echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, and far timers kept out of the heap), NN ForwardInto (+ its one-row kernel against the Go body), and a scenario's allocation ceiling"
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, far timers kept out of the heap, and the executing event's schedule stamp), NN ForwardInto (+ its one-row kernel against the Go body), and a scenario's allocation ceiling"
 GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree)$' -count=1 ./internal/rl
-go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|TestRearmStaleHandleSchedulesFresh|TestWheelPopOrderMatchesHeap|TestWheelDrainReanchors|TestFarTimersStayOutOfHeap)$' -count=1 ./internal/simcore
+go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|TestRearmStaleHandleSchedulesFresh|TestWheelPopOrderMatchesHeap|TestWheelDrainReanchors|TestFarTimersStayOutOfHeap|TestSchedAtReportsExecutingStamp)$' -count=1 ./internal/simcore
 go test -race -run '^(TestScratchPathsAllocFree|TestForwardIntoKernelMatchesGoBody)$' -count=1 ./internal/nn
 go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
-echo "== delivery is not an event, under the race detector: a packet's last link schedules its ACK (two events per acked packet, every RTT exact)"
+echo "== delivery and serialization are not events, under the race detector: a link books each departure on arrival and its last link schedules the ACK (one event per acked packet, every RTT exact), and the golden digests hold"
 go test -race -run '^TestLastHopSchedulesAck$' -count=1 ./internal/netsim
+go test -race -run '^TestGoldenEventStreamDigests$' -count=1 ./internal/simcheck
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
