@@ -228,8 +228,8 @@ func runFig1(full bool, seed uint64) error {
 	return nil
 }
 
-func runFig4(bool, uint64) error {
-	rows, err := exp.Fig4SignalPhases(exp.Fig4Options{})
+func runFig4(_ bool, seed uint64) error {
+	rows, err := exp.Fig4SignalPhases(exp.Fig4Options{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -244,8 +244,8 @@ func runFig4(bool, uint64) error {
 	return nil
 }
 
-func runFig5(bool, uint64) error {
-	rows, err := exp.Fig5OccupancyProbe(exp.Fig5Options{})
+func runFig5(_ bool, seed uint64) error {
+	rows, err := exp.Fig5OccupancyProbe(exp.Fig5Options{Seed: seed})
 	if err != nil {
 		return err
 	}
