@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // goldenShort are the ids whose exp run and plot each take well under a
@@ -33,9 +35,9 @@ func TestGoldenExpOutputs(t *testing.T) {
 	for _, f := range files {
 		have = append(have, strings.TrimSuffix(filepath.Base(f), ".txt"))
 	}
-	for _, e := range experiments {
-		if e.id != "fig14" {
-			want = append(want, e.id)
+	for _, f := range exp.Figures {
+		if f.ID != "fig14" {
+			want = append(want, f.ID)
 		}
 	}
 	sort.Strings(want)
@@ -69,15 +71,27 @@ func TestGoldenExpOutputs(t *testing.T) {
 }
 
 // TestGoldenPlotHashes pins an FNV-1a hash of the SVG `jury plot -fig <id>`
-// writes at seed 1 and reduced scale for every figure it renders. Each line
-// of testdata/golden/plot.txt is "<id> <hash>"; a failure prints the line
-// that would pass.
+// writes at seed 1 and reduced scale for every chart of the registry. Each
+// line of testdata/golden/plot.txt is "<id> <hash>", in registry order; a
+// failure prints the line that would pass.
 func TestGoldenPlotHashes(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "golden", "plot.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+	var ids, plots []string
+	for _, f := range exp.Figures {
+		plots = append(plots, f.Plots...)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	for _, line := range lines {
+		id, _, _ := strings.Cut(line, " ")
+		ids = append(ids, id)
+	}
+	if strings.Join(ids, " ") != strings.Join(plots, " ") {
+		t.Fatalf("plot goldens for %v, want one per registry plot in order: %v", ids, plots)
+	}
+	for _, line := range lines {
 		id, want, ok := strings.Cut(line, " ")
 		if !ok {
 			t.Fatalf("malformed golden line %q", line)

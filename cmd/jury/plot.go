@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/exp"
 	"repro/internal/plot"
@@ -56,7 +55,7 @@ func runPlot(args []string) error {
 		if *out == "" {
 			*out = *fig + ".svg"
 		}
-		chart, err = build(*fig, *seed, *full)
+		chart, err = figureChart(*fig, *seed, *full)
 	}
 	if err != nil {
 		return err
@@ -92,7 +91,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		return nil, err
 	}
 	defer f.Close()
-	flows := byName{}
+	flows := plot.ByName{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	lines := 0
@@ -105,7 +104,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		if tl.T != "event" || tl.Domain != "sim" || tl.Name != "sample" {
 			continue
 		}
-		flows.add(tl.Flow, float64(tl.VTNS)/1e9, tl.ThrBps/1e6)
+		flows.Add(tl.Flow, float64(tl.VTNS)/1e9, tl.ThrBps/1e6)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -114,179 +113,22 @@ func traceChart(path string) (*plot.Chart, error) {
 		return nil, fmt.Errorf("%s: no sim sample events (was the trace captured with -trace-out?)", path)
 	}
 	return &plot.Chart{Title: "telemetry trace: " + path, XLabel: "virtual time (s)", YLabel: "throughput (Mbps)",
-		Series: flows.series()}, nil
+		Series: flows.Series()}, nil
 }
 
-// byName gathers points into one series per name.
-type byName map[string]*plot.Series
-
-func (b byName) add(name string, x, y float64) {
-	s := b[name]
-	if s == nil {
-		s = &plot.Series{Name: name}
-		b[name] = s
-	}
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// series returns the series in name order.
-func (b byName) series() []plot.Series {
-	names := make([]string, 0, len(b))
-	for name := range b {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]plot.Series, len(names))
-	for i, name := range names {
-		out[i] = *b[name]
-	}
-	return out
-}
-
-// seriesChart converts flow series rows into a time/Mbps chart.
-func seriesChart(title string, rows []exp.FlowSeriesRow) *plot.Chart {
-	flows := byName{}
-	for _, r := range rows {
-		flows.add(r.Flow, r.T.Seconds(), r.Mbps)
-	}
-	return &plot.Chart{Title: title, XLabel: "time (s)", YLabel: "throughput (Mbps)", Series: flows.series()}
-}
-
-// paretoChart converts Fig. 11/13 rows into a scatter.
-func paretoChart(title string, rows []exp.Fig11Row, unit float64, yLabel string) *plot.Chart {
-	c := &plot.Chart{Title: title, XLabel: "normalized one-way delay", YLabel: yLabel}
-	for _, r := range rows {
-		c.Series = append(c.Series, plot.Series{
-			Name:   r.Scheme,
-			X:      []float64{r.NormalizedDelay},
-			Y:      []float64{r.ThroughputBps / unit},
-			Points: true,
-		})
-	}
-	return c
-}
-
-func build(fig string, seed uint64, full bool) (*plot.Chart, error) {
-	switch fig {
-	case "fig1a", "fig1b":
-		o := exp.Fig1Options{Seed: seed}
-		o.Stagger, o.Lifetime = fig1Scale.at(full)
-		res, err := exp.Fig1AstraeaGeneralization(o)
-		if err != nil {
-			return nil, err
-		}
-		if fig == "fig1a" {
-			return seriesChart("Fig 1(a): Astraea, 100 Mbps (trained region)", res.InDomainSeries), nil
-		}
-		return seriesChart("Fig 1(b): Astraea, 350 Mbps (unseen)", res.OutDomainSeries), nil
-	case "fig4":
-		rows, err := exp.Fig4SignalPhases(exp.Fig4Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		var rate, thr, rtt, loss plot.Series
-		rate.Name, thr.Name, rtt.Name, loss.Name = "send rate", "throughput", "RTT", "loss"
-		// Scaled to [0,1] like the paper's Fig. 4.
-		maxRTT := 0.0
-		for _, r := range rows {
-			if v := float64(r.AvgRTT); v > maxRTT {
-				maxRTT = v
-			}
-		}
-		for _, r := range rows {
-			x := r.SendRateBps / 1e6
-			rate.X = append(rate.X, x)
-			rate.Y = append(rate.Y, r.SendRateBps/250e6)
-			thr.X = append(thr.X, x)
-			thr.Y = append(thr.Y, r.ThroughputBps/250e6)
-			rtt.X = append(rtt.X, x)
-			rtt.Y = append(rtt.Y, float64(r.AvgRTT)/maxRTT)
-			loss.X = append(loss.X, x)
-			loss.Y = append(loss.Y, r.LossRate)
-		}
-		return &plot.Chart{
-			Title:  "Fig 4: packet statistics vs. sending rate (scaled to [0,1])",
-			XLabel: "sending rate (Mbps)", YLabel: "scaled value",
-			Series: []plot.Series{thr, rtt, loss},
-		}, nil
-	case "fig5":
-		rows, err := exp.Fig5OccupancyProbe(exp.Fig5Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		var resp, est plot.Series
-		resp.Name, resp.Points = "thr change (+10% probe)", true
-		est.Name, est.Points = "Eq.5 estimate", true
-		for _, r := range rows {
-			resp.X = append(resp.X, r.Share)
-			resp.Y = append(resp.Y, r.ThrChangeRatio)
-			est.X = append(est.X, r.Share)
-			est.Y = append(est.Y, r.EstimatedShare)
-		}
-		return &plot.Chart{
-			Title:  "Fig 5: throughput response vs. occupancy",
-			XLabel: "true share", YLabel: "ratio",
-			Series: []plot.Series{resp, est},
-		}, nil
-	case "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f", "fig7g", "fig7h":
-		id := fig[len(fig)-1:]
-		for _, p := range exp.Fig7Panels() {
-			if p.ID == id {
-				o := exp.Fig7Options{Seed: seed}
-				o.Stagger, o.Lifetime = fig7Scale.at(full)
-				res, err := exp.Fig7Convergence(p, o)
+// figureChart runs the registry figure that draws plot id and returns that
+// chart.
+func figureChart(id string, seed uint64, full bool) (*plot.Chart, error) {
+	for _, f := range exp.Figures {
+		for i, p := range f.Plots {
+			if p == id {
+				_, charts, err := f.Run(full, seed)
 				if err != nil {
 					return nil, err
 				}
-				title := fmt.Sprintf("Fig 7(%s): %s, %.0f Mbps, %v RTT, %.1f%% loss (Jain %.3f)",
-					id, p.Scheme, p.Rate/1e6, p.RTT, p.Loss*100, res.Jain)
-				return seriesChart(title, res.Series), nil
+				return charts[i], nil
 			}
 		}
-		return nil, fmt.Errorf("unknown panel %s", fig)
-	case "fig8":
-		o := exp.Fig8Options{Seed: seed}
-		o.Stagger, o.Lifetime = fig8Scale.at(full)
-		res, err := exp.Fig8RTTFairness(o)
-		if err != nil {
-			return nil, err
-		}
-		return seriesChart(fmt.Sprintf("Fig 8: RTT fairness (late Jain %.3f)", res.LateJain), res.Series), nil
-	case "fig11a":
-		rows, err := exp.Fig11Satellite(exp.Fig11Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		return paretoChart("Fig 11(a): satellite (42 Mbps / 800 ms / 0.74% loss)", rows, 1e6, "throughput (Mbps)"), nil
-	case "fig11b":
-		rows, err := exp.Fig11HighSpeed(exp.Fig11Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		return paretoChart("Fig 11(b): 10 Gbps / 15 ms", rows, 1e9, "throughput (Gbps)"), nil
-	case "fig12":
-		rows, err := exp.Fig12LTEResponsiveness(exp.Fig12Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		schemes := byName{}
-		for _, r := range rows {
-			schemes.add(r.Scheme, r.T.Seconds(), r.SendRateBps/1e6)
-		}
-		return &plot.Chart{Title: "Fig 12: LTE responsiveness", XLabel: "time (s)", YLabel: "sending rate (Mbps)",
-			Series: schemes.series()}, nil
-	case "fig13a", "fig13b":
-		rows, err := exp.Fig13WAN(fig == "fig13a", exp.Fig13Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		name := "intra-continental"
-		if fig == "fig13b" {
-			name = "inter-continental"
-		}
-		return paretoChart("Fig 13: emulated "+name+" WAN", rows, 1e6, "throughput (Mbps)"), nil
-	default:
-		return nil, fmt.Errorf("unknown figure %q", fig)
 	}
+	return nil, usageError(fmt.Sprintf("unknown figure %q", id))
 }

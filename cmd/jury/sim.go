@@ -186,19 +186,10 @@ func runFaults(args []string) error {
 // printThroughputSeries prints each flow's throughput averaged over every
 // second of the run.
 func printThroughputSeries(res *exp.RunResult) {
-	for _, f := range res.FlowSummaries {
+	for i, f := range res.FlowSummaries {
 		fmt.Printf("\n%s throughput (Mbps) per second:\n", f.Name())
-		var acc float64
-		var n int
-		next := time.Second
-		for _, p := range f.Series() {
-			acc += p.ThroughputBps
-			n++
-			if p.T >= next {
-				fmt.Printf("  t=%3ds %8.2f\n", int(next.Seconds()), acc/float64(n)/1e6)
-				acc, n = 0, 0
-				next += time.Second
-			}
+		for _, r := range exp.SeriesRows(res.FlowSummaries[i:i+1], time.Second) {
+			fmt.Printf("  t=%3ds %8.2f\n", int(r.T.Seconds()), r.Mbps)
 		}
 	}
 }

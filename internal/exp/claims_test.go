@@ -1,13 +1,10 @@
 package exp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestPaperClaims asserts three of the paper's qualitative claims at the
-// reduced scale `jury exp` runs the figures at (20 s staggers, 60 s
-// lifetimes; 100 s for Fig. 8), seed 42. EXPERIMENTS.md records the values
+// reduced scale `jury exp` runs the figures at (the Figures registry's
+// fig1Scale, fig7Scale and fig8Scale), seed 42. EXPERIMENTS.md records the values
 // these runs measure. The runs are independent and deterministic, so they
 // share the cores.
 func TestPaperClaims(t *testing.T) {
@@ -20,7 +17,9 @@ func TestPaperClaims(t *testing.T) {
 		claim func(t *testing.T)
 	}{
 		{"fig1/astraea-unfair-out-of-domain", func(t *testing.T) {
-			res, err := Fig1AstraeaGeneralization(Fig1Options{Stagger: 20 * time.Second, Lifetime: 60 * time.Second, Seed: seed})
+			o := fig1Scale.reduced
+			o.Seed = seed
+			res, err := Fig1AstraeaGeneralization(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,11 +32,13 @@ func TestPaperClaims(t *testing.T) {
 			for _, p := range Fig7Panels()[:4] {
 				t.Run(p.ID, func(t *testing.T) {
 					t.Parallel()
-					res, err := Fig7Convergence(p, Fig7Options{Stagger: 20 * time.Second, Lifetime: 60 * time.Second, Seed: seed})
+					o := fig7Scale.reduced
+					o.Seed = seed
+					results, err := runFig7([]Fig7Panel{p}, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Jain < 0.6 {
+					if res := results[0]; res.Jain < 0.6 {
 						t.Errorf("%s at %.0f Mbps, %v RTT, %.1f%% loss: Jain %.3f, want at least 0.6",
 							p.Scheme, p.Rate/1e6, p.RTT, p.Loss*100, res.Jain)
 					}
@@ -45,7 +46,9 @@ func TestPaperClaims(t *testing.T) {
 			}
 		}},
 		{"fig8/rtt-fair", func(t *testing.T) {
-			res, err := Fig8RTTFairness(Fig8Options{Stagger: 20 * time.Second, Lifetime: 100 * time.Second, Seed: seed})
+			o := fig8Scale.reduced
+			o.Seed = seed
+			res, err := Fig8RTTFairness(o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -159,10 +159,11 @@ func TestFig7PanelRuns(t *testing.T) {
 	if len(panels) != 8 {
 		t.Fatalf("panels %d, want 8", len(panels))
 	}
-	res, err := Fig7Convergence(panels[0], Fig7Options{Stagger: 10 * time.Second, Lifetime: 30 * time.Second, Seed: 4})
+	results, err := runFig7(panels[:1], Fig7Options{Stagger: 10 * time.Second, Lifetime: 30 * time.Second, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	if res.Jain < 0.5 {
 		t.Fatalf("jury 50 Mbps panel Jain %v", res.Jain)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/simcore"
 )
 
@@ -38,25 +39,43 @@ type FlowSeriesRow struct {
 	Mbps float64
 }
 
-// seriesRows flattens flow series for plotting/printing. It is generic over
-// metrics.FlowSeries so both live flows and stored run summaries plot.
-func seriesRows[F metrics.FlowSeries](flows []F, every time.Duration) []FlowSeriesRow {
+// SeriesRows flattens flow series into per-interval mean throughputs for
+// plotting and printing. It is generic over metrics.FlowSeries so both live
+// flows and stored run summaries plot.
+func SeriesRows[F metrics.FlowSeries](flows []F, every time.Duration) []FlowSeriesRow {
 	var rows []FlowSeriesRow
 	for _, f := range flows {
-		var acc float64
-		var n int
-		next := every
-		for _, p := range f.Series() {
-			acc += p.ThroughputBps
-			n++
-			if p.T >= next {
-				rows = append(rows, FlowSeriesRow{T: next, Flow: f.Name(), Mbps: acc / float64(n) / 1e6})
-				acc, n = 0, 0
-				next += every
-			}
+		for _, b := range bucketMeans(f.Series(), every, func(p netsim.SeriesPoint) float64 { return p.ThroughputBps }) {
+			rows = append(rows, FlowSeriesRow{T: b.end, Flow: f.Name(), Mbps: b.mean / 1e6})
 		}
 	}
 	return rows
+}
+
+// bucket is the mean of a series field over one interval.
+type bucket struct {
+	end  time.Duration
+	mean float64
+}
+
+// bucketMeans averages field over consecutive intervals of length every. An
+// interval closes at its first sample at or past its end, which counts
+// toward it; samples after the last closed interval are dropped.
+func bucketMeans(series []netsim.SeriesPoint, every time.Duration, field func(netsim.SeriesPoint) float64) []bucket {
+	var out []bucket
+	var acc float64
+	var n int
+	next := every
+	for _, p := range series {
+		acc += field(p)
+		n++
+		if p.T >= next {
+			out = append(out, bucket{next, acc / float64(n)})
+			acc, n = 0, 0
+			next += every
+		}
+	}
+	return out
 }
 
 // Fig1Result holds the Astraea generalization-failure demonstration.
@@ -99,8 +118,8 @@ func Fig1AstraeaGeneralization(o Fig1Options) (*Fig1Result, error) {
 	return &Fig1Result{
 		InDomainJain:    metrics.TimewiseJain(results[0].FlowSummaries),
 		OutOfDomainJain: metrics.TimewiseJain(results[1].FlowSummaries),
-		InDomainSeries:  seriesRows(results[0].FlowSummaries, 5*time.Second),
-		OutDomainSeries: seriesRows(results[1].FlowSummaries, 5*time.Second),
+		InDomainSeries:  SeriesRows(results[0].FlowSummaries, 5*time.Second),
+		OutDomainSeries: SeriesRows(results[1].FlowSummaries, 5*time.Second),
 	}, nil
 }
 
@@ -244,17 +263,6 @@ func (o *Fig7Options) defaults() {
 	}
 }
 
-// Fig7Convergence runs one panel of Fig. 7.
-func Fig7Convergence(p Fig7Panel, o Fig7Options) (*Fig7Result, error) {
-	o.defaults()
-	s := threeFlowScenario(p.Scheme, p.Rate, p.RTT/2, p.Loss, 1.5, o.Stagger, o.Lifetime, o.Seed+hash(p.ID))
-	res, err := Run(s)
-	if err != nil {
-		return nil, err
-	}
-	return fig7Result(p, o, res), nil
-}
-
 func fig7Result(p Fig7Panel, o Fig7Options, res *RunResult) *Fig7Result {
 	last := res.FlowSummaries[len(res.FlowSummaries)-1]
 	return &Fig7Result{
@@ -262,15 +270,20 @@ func fig7Result(p Fig7Panel, o Fig7Options, res *RunResult) *Fig7Result {
 		Jain:                metrics.TimewiseJain(res.FlowSummaries),
 		Utilization:         res.Utilization,
 		LastJoinConvergence: metrics.ConvergenceTime(last, 2*o.Stagger, p.Rate/3, 0.8, 5),
-		Series:              seriesRows(res.FlowSummaries, 5*time.Second),
+		Series:              SeriesRows(res.FlowSummaries, 5*time.Second),
 	}
 }
 
 // Fig7AllPanels runs every published panel of Fig. 7, fanning the
 // simulations out over the parallel runner.
 func Fig7AllPanels(o Fig7Options) ([]*Fig7Result, error) {
+	return runFig7(Fig7Panels(), o)
+}
+
+// runFig7 runs the given panels of Fig. 7; `jury exp -exp fig7a` is the
+// one-panel case.
+func runFig7(panels []Fig7Panel, o Fig7Options) ([]*Fig7Result, error) {
 	o.defaults()
-	panels := Fig7Panels()
 	jobs := make([]Scenario, len(panels))
 	for i, p := range panels {
 		jobs[i] = threeFlowScenario(p.Scheme, p.Rate, p.RTT/2, p.Loss, 1.5, o.Stagger, o.Lifetime, o.Seed+hash(p.ID))
@@ -340,7 +353,7 @@ func Fig8RTTFairness(o Fig8Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8Result{Series: seriesRows(res.FlowSummaries, 5*time.Second)}
+	out := &Fig8Result{Series: SeriesRows(res.FlowSummaries, 5*time.Second)}
 	from, to := lastStart+o.Lifetime/3, s.Horizon
 	for _, f := range res.FlowSummaries {
 		out.LateShares = append(out.LateShares, metrics.MeanThroughput(f, from, to))

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/traces"
 )
 
@@ -116,37 +117,34 @@ type Fig11Row struct {
 	NormalizedDelay float64
 }
 
-// Fig11Options selects the challenging-conditions runs.
+// Fig11Options selects the single-flow Pareto runs of Fig. 11 and Fig. 13.
 type Fig11Options struct {
 	Schemes  []string
 	Lifetime time.Duration
 	Seed     uint64
 }
 
-func (o *Fig11Options) defaults(schemes []string) {
+func (o *Fig11Options) defaults(schemes []string, lifetime time.Duration) {
 	if o.Schemes == nil {
 		o.Schemes = schemes
 	}
 	if o.Lifetime == 0 {
-		o.Lifetime = 60 * time.Second
+		o.Lifetime = lifetime
 	}
 }
 
-// runPareto runs one flow per scheme over the given link and reports the
-// throughput/latency Pareto points.
-func runPareto(o Fig11Options, rate float64, owd time.Duration, loss float64, bufBDP float64, pktSize int) ([]Fig11Row, error) {
+// runPareto runs one flow per scheme over link — a scenario without flows,
+// seed, horizon or buffer, whose Name prefixes each run's — on a buffer of
+// bufBDP bandwidth-delay products and reports the throughput/latency Pareto
+// points.
+func runPareto(o Fig11Options, link Scenario, bufBDP float64) ([]Fig11Row, error) {
 	jobs := make([]Scenario, 0, len(o.Schemes))
 	for _, scheme := range o.Schemes {
-		s := Scenario{
-			Name:        fmt.Sprintf("pareto-%s", scheme),
-			Rate:        rate,
-			OneWayDelay: owd,
-			LossRate:    loss,
-			PacketSize:  pktSize,
-			Seed:        o.Seed + hash(scheme),
-			Horizon:     o.Lifetime,
-			Flows:       []FlowSpec{{Scheme: scheme}},
-		}
+		s := link
+		s.Name = link.Name + "-" + scheme
+		s.Seed = o.Seed + hash(scheme)
+		s.Horizon = o.Lifetime
+		s.Flows = []FlowSpec{{Scheme: scheme}}
 		s.BufferBytes = s.BufferBDP(bufBDP)
 		jobs = append(jobs, s)
 	}
@@ -175,18 +173,15 @@ func paretoRow(scheme string, res *RunResult, lifetime time.Duration) Fig11Row {
 
 // Fig11Satellite reproduces Fig. 11(a): 42 Mbps, 800 ms RTT, 0.74% loss.
 func Fig11Satellite(o Fig11Options) ([]Fig11Row, error) {
-	o.defaults([]string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"})
-	return runPareto(o, 42e6, 400*time.Millisecond, 0.0074, 1, 0)
+	o.defaults([]string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}, 60*time.Second)
+	return runPareto(o, Scenario{Name: "pareto", Rate: 42e6, OneWayDelay: 400 * time.Millisecond, LossRate: 0.0074}, 1)
 }
 
 // Fig11HighSpeed reproduces Fig. 11(b): a 10 Gbps / 15 ms link (MSS scaled
 // to bound event counts; see DESIGN.md).
 func Fig11HighSpeed(o Fig11Options) ([]Fig11Row, error) {
-	o.defaults([]string{"jury", "astraea", "vivace", "bbr", "cubic", "vegas"})
-	if o.Lifetime == 60*time.Second {
-		o.Lifetime = 30 * time.Second
-	}
-	return runPareto(o, 10e9, 7500*time.Microsecond, 0, 2, 60000)
+	o.defaults([]string{"jury", "astraea", "vivace", "bbr", "cubic", "vegas"}, 30*time.Second)
+	return runPareto(o, Scenario{Name: "pareto", Rate: 10e9, OneWayDelay: 7500 * time.Microsecond, PacketSize: 60000}, 2)
 }
 
 // Fig12Row is one sample of the LTE responsiveness trace.
@@ -243,18 +238,8 @@ func Fig12LTEResponsiveness(o Fig12Options) ([]Fig12Row, error) {
 		return nil, err
 	}
 	for i, res := range results {
-		scheme := o.Schemes[i]
-		var acc float64
-		var n int
-		next := time.Second
-		for _, p := range res.FlowSummaries[0].Series() {
-			acc += p.SendRateBps
-			n++
-			if p.T >= next {
-				rows = append(rows, Fig12Row{T: next, Scheme: scheme, SendRateBps: acc / float64(n)})
-				acc, n = 0, 0
-				next += time.Second
-			}
+		for _, b := range bucketMeans(res.FlowSummaries[0].Series(), time.Second, func(p netsim.SeriesPoint) float64 { return p.SendRateBps }) {
+			rows = append(rows, Fig12Row{T: b.end, Scheme: o.Schemes[i], SendRateBps: b.mean})
 		}
 	}
 	return rows, nil
@@ -290,54 +275,21 @@ func Fig12Tracking(rows []Fig12Row, scheme string) float64 {
 	return sum / float64(n)
 }
 
-// Fig13Options selects the emulated "real-world WAN" runs.
-type Fig13Options struct {
-	Schemes  []string
-	Lifetime time.Duration
-	Seed     uint64
-}
-
-func (o *Fig13Options) defaults() {
-	if o.Schemes == nil {
-		o.Schemes = []string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}
-	}
-	if o.Lifetime == 0 {
-		o.Lifetime = 30 * time.Second
-	}
-}
-
-// Fig13WAN emulates the AWS paths of Fig. 13 (see DESIGN.md substitutions):
+// fig13WAN emulates the AWS paths of Fig. 13 (see DESIGN.md substitutions):
 // intra-continental ≈ 1.4 Gbps with ~35 ms RTT, inter-continental ≈
 // 1.2 Gbps with ~220 ms RTT, both with ±15% capacity jitter standing in for
 // cross traffic.
-func Fig13WAN(intra bool, o Fig13Options) ([]Fig11Row, error) {
-	o.defaults()
+func fig13WAN(intra bool, o Fig11Options) ([]Fig11Row, error) {
+	o.defaults([]string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}, 30*time.Second)
 	rate, owd := 1.4e9, 17500*time.Microsecond
 	if !intra {
 		rate, owd = 1.2e9, 110*time.Millisecond
 	}
-	jobs := make([]Scenario, 0, len(o.Schemes))
-	for _, scheme := range o.Schemes {
-		s := Scenario{
-			Name:        fmt.Sprintf("fig13-%s", scheme),
-			Trace:       &traces.Jittered{Base: traces.Constant(rate), Period: 500 * time.Millisecond, Amplitude: 0.15, Seed: o.Seed + 7},
-			Rate:        rate,
-			OneWayDelay: owd,
-			PacketSize:  9000,
-			Seed:        o.Seed + hash(scheme),
-			Horizon:     o.Lifetime,
-			Flows:       []FlowSpec{{Scheme: scheme}},
-		}
-		s.BufferBytes = s.BufferBDP(1.5)
-		jobs = append(jobs, s)
-	}
-	results, err := RunMany(jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig11Row, 0, len(results))
-	for i, res := range results {
-		rows = append(rows, paretoRow(o.Schemes[i], res, o.Lifetime))
-	}
-	return rows, nil
+	return runPareto(o, Scenario{
+		Name:        "fig13",
+		Trace:       &traces.Jittered{Base: traces.Constant(rate), Period: 500 * time.Millisecond, Amplitude: 0.15, Seed: o.Seed + 7},
+		Rate:        rate,
+		OneWayDelay: owd,
+		PacketSize:  9000,
+	}, 1.5)
 }

@@ -116,7 +116,7 @@ func TestEveryRunGoesThroughThePipeline(t *testing.T) {
 		run  func() error
 	}{
 		{"fig7", 1, func() error {
-			_, err := Fig7Convergence(Fig7Panels()[0], Fig7Options{Seed: 1, Stagger: stagger, Lifetime: lifetime})
+			_, err := runFig7(Fig7Panels()[:1], Fig7Options{Seed: 1, Stagger: stagger, Lifetime: lifetime})
 			return err
 		}},
 		{"tab3-long-short", 2, func() error { _, err := Tab3LongShort(tab3); return err }},

@@ -6,6 +6,7 @@ package plot
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -27,6 +28,34 @@ type Chart struct {
 	Height int // pixels; default 360
 	// YMin/YMax optionally pin the y range (both zero = auto).
 	YMin, YMax float64
+}
+
+// ByName gathers points into one series per name.
+type ByName map[string]*Series
+
+// Add appends the point (x, y) to the series called name.
+func (b ByName) Add(name string, x, y float64) {
+	s := b[name]
+	if s == nil {
+		s = &Series{Name: name}
+		b[name] = s
+	}
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
+}
+
+// Series returns the series in name order.
+func (b ByName) Series() []Series {
+	names := make([]string, 0, len(b))
+	for name := range b {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]Series, len(names))
+	for i, name := range names {
+		out[i] = *b[name]
+	}
+	return out
 }
 
 // palette holds line colors (colorblind-safe Okabe-Ito subset).

@@ -77,6 +77,16 @@ if [ "$builders" != "$want" ]; then
     exit 1
 fi
 
+echo "== one figure registry: cmd/jury runs a figure only through exp.Figures"
+# Which figures exist, at what scale, and what each prints and draws is one
+# table, internal/exp/figures.go (DESIGN.md "Figures"); jury exp and jury plot
+# look an id up in it and keep no scale or figure runner of their own.
+jury_sources=$(find cmd/jury -name '*.go' -not -name '*_test.go')
+if grep -n 'figScale\|exp\.\(Fig[0-9]\|Tab3\|RunAblation\|RunMultiBottleneck\)' $jury_sources; then
+    echo "cmd/jury runs a figure outside exp.Figures (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== telemetry imports no package of this module"
 # It attaches nothing to a network: the run pipeline adds each finished run's
 # totals to its counters (DESIGN.md "Observability").
