@@ -82,11 +82,12 @@ var Figures = []Figure{
 			return Fig1AstraeaGeneralization(o)
 		},
 		func(res *Fig1Result) (string, []*plot.Chart) {
-			return fmt.Sprintf("Astraea time-averaged Jain index:\n  in training region  (100 Mbps): %.3f\n  unseen environment  (350 Mbps): %.3f\n",
-					res.InDomainJain, res.OutOfDomainJain), []*plot.Chart{
-					seriesChart("Fig 1(a): Astraea, 100 Mbps (trained region)", res.InDomainSeries),
-					seriesChart("Fig 1(b): Astraea, 350 Mbps (unseen)", res.OutDomainSeries),
-				}
+			text := fmt.Sprintf("Astraea time-averaged Jain index:\n  in training region  (100 Mbps): %.3f\n  unseen environment  (350 Mbps): %.3f\n",
+				res.InDomainJain, res.OutOfDomainJain)
+			return text, []*plot.Chart{
+				seriesChart("Fig 1(a): Astraea, 100 Mbps (trained region)", res.InDomainSeries),
+				seriesChart("Fig 1(b): Astraea, 350 Mbps (unseen)", res.OutDomainSeries),
+			}
 		}),
 	figure("fig4", "Fig. 4: signal phases vs. increasing sending rate", []string{"fig4"},
 		func(_ bool, seed uint64) ([]Fig4Row, error) { return Fig4SignalPhases(Fig4Options{Seed: seed}) },
