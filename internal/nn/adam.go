@@ -40,8 +40,17 @@ func (a *Adam) Step(m *MLP, g *Grads) {
 	}
 }
 
+// stepSlice applies one Adam step to the parameters p with gradient g and
+// moments m, v. Each element is the Go expression below, whichever body
+// runs it: the platform prefix takes whole 4-element groups (AVX on amd64;
+// gemm_amd64.go) and the Go body the rest.
 func (a *Adam) stepSlice(p, g, m, v []float64, c1, c2 float64) {
-	for i := range p {
+	a.stepFrom(a.stepVec(p, g, m, v, c1, c2), p, g, m, v, c1, c2)
+}
+
+// stepFrom is stepSlice's Go body over elements [i, len(p)).
+func (a *Adam) stepFrom(i int, p, g, m, v []float64, c1, c2 float64) {
+	for ; i < len(p); i++ {
 		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
 		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
 		mHat := m[i] / c1
