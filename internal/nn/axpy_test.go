@@ -204,13 +204,15 @@ func TestForwardBatchRowIndependence(t *testing.T) {
 	}
 }
 
-// BenchmarkAxpyKernels times each streaming kernel as dispatched on this
-// machine ("vec": the AVX body on amd64) against its Go body, at the two row
+// BenchmarkAxpyKernels times axpy and axpySet as dispatched on this machine
+// ("vec": the AVX body on amd64) against their Go bodies, at the two row
 // widths the Table 2 networks stream (16-wide input rows, 128-wide hidden
 // rows), and MatMulT at the forward products of one 16-row update shard
 // (input, hidden and the actor's 2-wide output layer, which stays on dot)
 // and of one served decision's row (input and hidden, on the one-row
-// kernel). Under -tags purego both columns are the Go body.
+// kernel). axpy2 and axpy21 have no vector body (BenchmarkBackwardShard
+// times the row kernels that replaced them). Under -tags purego both
+// columns are the Go body.
 func BenchmarkAxpyKernels(b *testing.B) {
 	rng := simcore.NewRNG(22)
 	for _, sh := range [][3]int{{16, 16, 128}, {16, 128, 128}, {16, 128, 2}, {1, 16, 128}, {1, 128, 128}} {
@@ -228,15 +230,13 @@ func BenchmarkAxpyKernels(b *testing.B) {
 		})
 	}
 	for _, n := range []int{16, 128} {
-		x0, x1, d0, d1 := randMat(rng, n), randMat(rng, n), randMat(rng, n), randMat(rng, n)
-		const s0, s1 = 1.0000001, -0.9999999 // non-zero: the wrappers' zero-skips stay out of the timing
+		x0, d0 := randMat(rng, n), randMat(rng, n)
+		const s0 = 1.0000001 // non-zero: the wrapper's zero-skip stays out of the timing
 		kernels := []struct {
 			name      string
 			vec, body func()
 		}{
 			{"axpy", func() { axpy(s0, x0, d0) }, func() { axpyFrom(0, s0, x0, d0) }},
-			{"axpy2", func() { axpy2(s0, s1, x0, d0, d1) }, func() { axpy2From(0, s0, s1, x0, d0, d1) }},
-			{"axpy21", func() { axpy21(s0, x0, s1, x1, d0) }, func() { axpy21From(0, s0, x0, s1, x1, d0) }},
 			{"axpySet", func() { axpySet(s0, x0, d0) }, func() { axpySetFrom(0, s0, x0, d0) }},
 		}
 		for _, k := range kernels {

@@ -2,18 +2,6 @@ package nn
 
 import "math"
 
-// AllFinite reports whether every accumulated gradient is finite. Training
-// loops use it to discard poisoned updates (a single NaN reward or exploding
-// backward pass would otherwise irreversibly corrupt the weights).
-func (g *Grads) AllFinite() bool {
-	for i := range g.W {
-		if !allFinite(g.W[i]) || !allFinite(g.B[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // AllFinite reports whether every weight and bias of the network is finite.
 func (m *MLP) AllFinite() bool {
 	for _, l := range m.Layers {

@@ -258,26 +258,6 @@ func (g *Grads) Scale(s float64) {
 	}
 }
 
-// ClipNorm rescales the gradients if their global L2 norm exceeds max.
-func (g *Grads) ClipNorm(max float64) {
-	if max <= 0 {
-		return
-	}
-	var sq float64
-	for i := range g.W {
-		for _, v := range g.W[i] {
-			sq += v * v
-		}
-		for _, v := range g.B[i] {
-			sq += v * v
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm > max {
-		g.Scale(max / norm)
-	}
-}
-
 // Backward accumulates parameter gradients into g for the traced pass given
 // dOut = dLoss/dOutput, and returns dLoss/dInput (actor-critic updates
 // backpropagate the critic's input gradient into the actor).

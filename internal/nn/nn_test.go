@@ -219,24 +219,6 @@ func TestSoftUpdateMovesTarget(t *testing.T) {
 	}
 }
 
-func TestClipNorm(t *testing.T) {
-	m := newTestMLP(8)
-	g := NewGrads(m)
-	for i := range g.W[0] {
-		g.W[0][i] = 100
-	}
-	g.ClipNorm(1)
-	var sq float64
-	for i := range g.W {
-		for _, v := range g.W[i] {
-			sq += v * v
-		}
-	}
-	if math.Sqrt(sq) > 1.0001 {
-		t.Fatalf("clip failed: norm %v", math.Sqrt(sq))
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	m := newTestMLP(10)
 	data, err := json.Marshal(m)
