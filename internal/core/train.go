@@ -37,11 +37,7 @@ func DefaultTrainOptions(seed uint64) TrainOptions {
 // returns the agent (whose Actor can be wrapped in NNPolicy) along with
 // per-epoch reward statistics.
 func TrainPolicy(opts TrainOptions) (*rl.TD3, *rl.TrainResult, error) {
-	cfg := rl.DefaultConfig(opts.Env.Jury.StateDim(), 2)
-	cfg.ActorLR = 5e-4  // σ, Table 2
-	cfg.CriticLR = 1e-3 // η, Table 2
-	cfg.Gamma = 0.98    // Table 2
-	cfg.Batch = 64      // Table 2
+	cfg := rl.DefaultConfig(opts.Env.Jury.StateDim(), 2) // σ, η, γ and the batch of Table 2
 	cfg.Seed = opts.Seed
 	agent := rl.NewTD3(cfg)
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/rl"
 )
 
 // Tab1Rows renders Table 1 (the training-environment distribution) from the
@@ -22,17 +23,17 @@ func Tab1Rows() []string {
 }
 
 // Tab2Rows renders Table 2 (training hyperparameters) from the live
-// configuration.
+// configuration: the controller's (core.DefaultConfig) and the learner's
+// (rl.DefaultConfig, which core.TrainPolicy trains with).
 func Tab2Rows() []string {
 	c := core.DefaultConfig()
-	t := core.DefaultTrainOptions(0)
-	_ = t
+	l := rl.DefaultConfig(c.StateDim(), 2)
 	return []string{
 		fmt.Sprintf("control time interval        %v", c.Interval),
-		"actor learning rate (sigma)  5e-04",
-		"critic learning rate (eta)   1e-03",
-		"discount factor (gamma)      0.98",
-		"batch size                   64",
+		fmt.Sprintf("actor learning rate (sigma)  %.0e", l.ActorLR),
+		fmt.Sprintf("critic learning rate (eta)   %.0e", l.CriticLR),
+		fmt.Sprintf("discount factor (gamma)      %g", l.Gamma),
+		fmt.Sprintf("batch size                   %d", l.Batch),
 		"model update interval        5 s (epoch-batched; see DESIGN.md)",
 		fmt.Sprintf("action control coeff (alpha) %g", c.Alpha),
 		fmt.Sprintf("RTT scale coeff (beta1)      %g", c.Beta1),
