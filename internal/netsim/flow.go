@@ -257,10 +257,14 @@ func (f *Flow) Intervals() int64 {
 func (f *Flow) Shard() int { return f.shard }
 
 // reserveSeries sizes the series backing array to record through the given
-// horizon, so recordTick appends never reallocate mid-run. Fresh flows are
-// carved out of the network's shared backing block (one allocation per
-// ~16k samples instead of one per flow); a flow that already recorded
-// samples grows privately.
+// horizon, so recordTick appends never reallocate mid-run. need counts the
+// flow's samples from its start, the ones already recorded included, so it
+// is held against the whole capacity. A fresh flow is carved out of the
+// network's shared backing block (one allocation per ~16k samples instead
+// of one per flow); a flow whose series is too short grows privately to at
+// least twice its capacity, so a run stepped in short Run calls (the
+// training environment's 30 ms steps) copies its series O(log samples)
+// times rather than at every record tick.
 func (f *Flow) reserveSeries(horizon time.Duration) {
 	end := horizon
 	if f.cfg.Duration > 0 && f.cfg.Start+f.cfg.Duration < end {
@@ -270,14 +274,14 @@ func (f *Flow) reserveSeries(horizon time.Duration) {
 		return
 	}
 	need := int((end-f.cfg.Start)/f.net.cfg.RecordInterval) + 2
-	if cap(f.series)-len(f.series) >= need {
+	if cap(f.series) >= need {
 		return
 	}
-	if len(f.series) == 0 {
+	if cap(f.series) == 0 {
 		f.series = f.net.carveSeries(need)
 		return
 	}
-	s := make([]SeriesPoint, len(f.series), len(f.series)+need)
+	s := make([]SeriesPoint, len(f.series), max(need, 2*cap(f.series)))
 	copy(s, f.series)
 	f.series = s
 }

@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/traces"
@@ -338,6 +340,64 @@ func TestSeriesSendRateTracksManualRate(t *testing.T) {
 	mean := sum / float64(len(pts)-2)
 	if math.Abs(mean-8e6)/8e6 > 0.05 {
 		t.Fatalf("mean send rate %v, want ~8e6", mean)
+	}
+}
+
+// TestSteppedRunSeriesGrowsGeometrically steps a dumbbell to 20 s in 30 ms
+// Run calls, as the training environment does, and holds it to one Run to
+// the same horizon: every flow's series is the same, sample for sample, and
+// each flow's backing array was reallocated O(log samples) times, not at
+// every record tick.
+func TestSteppedRunSeriesGrowsGeometrically(t *testing.T) {
+	const horizon = 20 * time.Second
+	build := func() *Network {
+		n := New(Config{Seed: 9})
+		l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 60_000, LossRate: 0.002})
+		n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
+		n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, ExtraOneWay: 15 * time.Millisecond,
+			CC: func() cc.Algorithm { return cc.NewManual(6e6) }})
+		n.AddFlow(FlowConfig{Name: "c", Path: []*Link{l}, Start: 3 * time.Second, Duration: 9 * time.Second,
+			CC: func() cc.Algorithm { return cc.NewManual(4e6) }})
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	whole := build()
+	whole.Run(horizon)
+
+	stepped := build()
+	flows := stepped.Flows()
+	backing := make([]*SeriesPoint, len(flows))
+	reallocs := make([]int, len(flows))
+	for h := 30 * time.Millisecond; ; h += 30 * time.Millisecond {
+		h = min(h, horizon)
+		stepped.Run(h)
+		for i, f := range flows {
+			if p := unsafe.SliceData(f.series); p != backing[i] {
+				backing[i] = p
+				reallocs[i]++
+			}
+		}
+		if h == horizon {
+			break
+		}
+	}
+
+	for i, f := range flows {
+		want, got := whole.Flows()[i].Series(), f.Series()
+		if len(got) != len(want) {
+			t.Fatalf("flow %s: %d samples stepped, %d in one run", f.Name(), len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("flow %s sample %d: stepped %+v, one run %+v", f.Name(), j, got[j], want[j])
+			}
+		}
+		if bound := bits.Len(uint(len(got))) + 2; reallocs[i] > bound {
+			t.Errorf("flow %s: series reallocated %d times over %d samples, want at most %d",
+				f.Name(), reallocs[i], len(got), bound)
+		}
 	}
 }
 
