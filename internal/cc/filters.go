@@ -12,7 +12,8 @@ type windowedSample struct {
 // monotonic deque — the estimator BBR uses for bottleneck bandwidth.
 type WindowedMax struct {
 	window time.Duration
-	q      []windowedSample
+	q      []windowedSample // the deque, live from head on (see push)
+	head   int
 }
 
 // NewWindowedMax returns a max filter over the given trailing window.
@@ -22,10 +23,10 @@ func NewWindowedMax(window time.Duration) *WindowedMax {
 
 // Update inserts a sample at time now and returns the windowed maximum.
 func (w *WindowedMax) Update(now time.Duration, v float64) float64 {
-	for len(w.q) > 0 && w.q[len(w.q)-1].v <= v {
+	for len(w.q) > w.head && w.q[len(w.q)-1].v <= v {
 		w.q = w.q[:len(w.q)-1]
 	}
-	w.q = append(w.q, windowedSample{now, v})
+	w.q, w.head = push(w.q, w.head, windowedSample{now, v})
 	w.expire(now)
 	return w.Value()
 }
@@ -35,24 +36,37 @@ func (w *WindowedMax) Update(now time.Duration, v float64) float64 {
 func (w *WindowedMax) SetWindow(window time.Duration) { w.window = window }
 
 func (w *WindowedMax) expire(now time.Duration) {
-	for len(w.q) > 1 && now-w.q[0].at > w.window {
-		w.q = w.q[1:]
+	for len(w.q)-w.head > 1 && now-w.q[w.head].at > w.window {
+		w.head++
 	}
 }
 
 // Value reports the current windowed maximum (0 when empty).
 func (w *WindowedMax) Value() float64 {
-	if len(w.q) == 0 {
+	if len(w.q) == w.head {
 		return 0
 	}
-	return w.q[0].v
+	return w.q[w.head].v
+}
+
+// push appends x to a deque live from head on. Expiry advances head rather
+// than reslicing the front away, so when the backing array is full and at
+// least half of it is expired, the live part slides to the front first: a
+// filter in steady state reuses one array instead of reallocating on every
+// append past its capacity.
+func push[T any](q []T, head int, x T) ([]T, int) {
+	if len(q) == cap(q) && 2*head >= len(q) {
+		q, head = q[:copy(q, q[head:])], 0
+	}
+	return append(q, x), head
 }
 
 // WindowedMinRTT tracks the minimum RTT over a trailing time window — the
 // propagation-delay estimator used by BBR, Copa, and Vegas.
 type WindowedMinRTT struct {
 	window time.Duration
-	q      []windowedRTT
+	q      []windowedRTT // the deque, live from head on (see push)
+	head   int
 }
 
 type windowedRTT struct {
@@ -73,13 +87,13 @@ func (w *WindowedMinRTT) SetWindow(window time.Duration) { w.window = window }
 
 // Update inserts an RTT sample at time now and returns the windowed minimum.
 func (w *WindowedMinRTT) Update(now, rtt time.Duration) time.Duration {
-	for len(w.q) > 0 && w.q[len(w.q)-1].rtt >= rtt {
+	for len(w.q) > w.head && w.q[len(w.q)-1].rtt >= rtt {
 		w.q = w.q[:len(w.q)-1]
 	}
-	w.q = append(w.q, windowedRTT{now, rtt})
+	w.q, w.head = push(w.q, w.head, windowedRTT{now, rtt})
 	if w.window > 0 {
-		for len(w.q) > 1 && now-w.q[0].at > w.window {
-			w.q = w.q[1:]
+		for len(w.q)-w.head > 1 && now-w.q[w.head].at > w.window {
+			w.head++
 		}
 	}
 	return w.Value()
@@ -87,8 +101,8 @@ func (w *WindowedMinRTT) Update(now, rtt time.Duration) time.Duration {
 
 // Value reports the current windowed minimum (0 when empty).
 func (w *WindowedMinRTT) Value() time.Duration {
-	if len(w.q) == 0 {
+	if len(w.q) == w.head {
 		return 0
 	}
-	return w.q[0].rtt
+	return w.q[w.head].rtt
 }

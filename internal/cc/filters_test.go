@@ -73,6 +73,28 @@ func TestWindowedMinRTTLifetime(t *testing.T) {
 	}
 }
 
+// TestWindowedFiltersReuseBacking holds both filters to zero allocations in
+// steady state: with a sample every millisecond in a 20 ms window and
+// values that keep several of them live, expiry advances the deque's head
+// and a full array compacts in place instead of reallocating.
+func TestWindowedFiltersReuseBacking(t *testing.T) {
+	mx := NewWindowedMax(20 * time.Millisecond)
+	mn := NewWindowedMinRTT(20 * time.Millisecond)
+	now := time.Duration(0)
+	step := func() {
+		for i := 0; i < 1000; i++ {
+			now += time.Millisecond
+			k := int(now/time.Millisecond) % 37
+			mx.Update(now, float64(37-k))
+			mn.Update(now, time.Duration(k)*time.Millisecond)
+		}
+	}
+	step()
+	if avg := testing.AllocsPerRun(10, step); avg != 0 {
+		t.Fatalf("1,000 filter updates allocate %v times in steady state, want 0", avg)
+	}
+}
+
 func TestIntervalStatsThroughput(t *testing.T) {
 	s := IntervalStats{Interval: 100 * time.Millisecond, AckedBytes: 125000}
 	// 125000 bytes in 0.1 s = 10 Mbit/s.
