@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/nn"
 	"repro/internal/simcore"
@@ -182,6 +183,66 @@ func TestUpdateWeightsPinned(t *testing.T) {
 		agent.Close()
 		if got := agentHash(agent); got != pinned {
 			t.Errorf("%d worker(s): networks hash to %#016x after 300 updates, want %#016x", workers, got, pinned)
+		}
+	}
+}
+
+// TestPoolParkedAndSpinningPinned runs TestUpdateWeightsPinned's 300
+// updates on the pool twice per worker count: with a sleep longer than
+// spinBudget before every update, so each one starts on helpers that have
+// parked, and back to back, so each hand-off meets a helper still spinning.
+// Both must leave the six networks at the pinned hash, at 2 and 4 workers.
+func TestPoolParkedAndSpinningPinned(t *testing.T) {
+	const pinned = 0x71b5a017ec880c3a // TestUpdateWeightsPinned's value
+	for _, workers := range []int{2, 4} {
+		for _, parked := range []bool{true, false} {
+			cfg := DefaultConfig(16, 2)
+			cfg.Seed = 31
+			agent := NewTD3(cfg)
+			agent.workers = workers
+			buf := fillBuffer(cfg.StateDim, cfg.ActionDim, 1024, 32)
+			for i := 0; i < 300; i++ {
+				if parked {
+					time.Sleep(2 * spinBudget)
+				}
+				agent.Update(buf)
+			}
+			agent.Close()
+			if got := agentHash(agent); got != pinned {
+				t.Errorf("%d workers, parked %v: networks hash to %#016x after 300 updates, want %#016x",
+					workers, parked, got, pinned)
+			}
+		}
+	}
+}
+
+// TestCloseDuringSpin closes the pool right after an update, while its
+// helpers are still polling for the next round token, and again after they
+// have parked: Close must return with every helper gone, and the agent
+// must stay usable.
+func TestCloseDuringSpin(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := Config{StateDim: 8, ActionDim: 2, Hidden: []int{16, 8}, Batch: 32, Seed: 5}
+	buf := fillBuffer(cfg.StateDim, cfg.ActionDim, 128, 6)
+	for _, workers := range []int{2, 4} {
+		agent := NewTD3(cfg)
+		agent.workers = workers
+		for i := 0; i < 5; i++ {
+			agent.Update(buf)
+			if i%2 == 1 {
+				time.Sleep(2 * spinBudget)
+			}
+			agent.Close()
+			if agent.pool != nil {
+				t.Fatalf("%d workers: Close left the pool in place", workers)
+			}
+		}
+	}
+	// A helper leaves the WaitGroup Close waits on in a deferred call, so
+	// its goroutine may need a moment more to unwind.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d -> %d after every pool was closed", before, runtime.NumGoroutine())
 		}
 	}
 }

@@ -194,14 +194,14 @@ echo "== every nn + rl benchmark runs once, on the kernels and on the Go bodies 
 go test -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
 go test -tags purego -run '^$' -bench . -benchtime 1x ./internal/nn ./internal/rl
 
-echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism, + the one-pass gradient finish against the separate passes), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, far timers kept out of the heap, and the executing event's schedule stamp), NN ForwardInto (+ its one-row kernel, the backward row kernels and the Adam step against their Go bodies), and a scenario's allocation ceiling"
-GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree|TestFinishFoldMatchesReference)$' -count=1 ./internal/rl
+echo "== zero-alloc hot paths under the race detector: TD3 update (GOMAXPROCS=4, + worker-count determinism, + the pinned weights with the pool's helpers parked and spinning, + Close during a spin, + the one-pass gradient finish against the separate passes), replay SampleIndices+At, event scheduling and re-arming (+ Rearm's equivalence to Cancel+ScheduleArg, the timer wheel's heap-identical pop order, its re-anchor, far timers kept out of the heap, and the executing event's schedule stamp), NN ForwardInto (+ its one-row kernel, the backward row kernels and the Adam step against their Go bodies), and a scenario's allocation ceiling"
+GOMAXPROCS=4 go test -race -run '^(TestUpdateWorkerCountDeterminism|TestUpdateAllocFree|TestUpdateAllocFreeWorkers|TestReplaySampleAllocFree|TestPoolParkedAndSpinningPinned|TestCloseDuringSpin|TestFinishFoldMatchesReference)$' -count=1 ./internal/rl
 go test -race -run '^(TestScheduleArgAllocFree|TestRearmMatchesCancelSchedule|TestRearmStaleHandleSchedulesFresh|TestWheelPopOrderMatchesHeap|TestWheelDrainReanchors|TestFarTimersStayOutOfHeap|TestSchedAtReportsExecutingStamp)$' -count=1 ./internal/simcore
 go test -race -run '^(TestScratchPathsAllocFree|TestForwardIntoKernelMatchesGoBody|TestMatMulKernelMatchesGoBody|TestMatMulTAccKernelMatchesGoBody|TestAdamKernelMatchesGoBody)$' -count=1 ./internal/nn
 go test -race -run '^TestScenarioAllocCeiling$' -count=1 ./internal/exp
 
-echo "== delivery and serialization are not events, under the race detector: a link books each departure on arrival and its last link schedules the ACK (one event per acked packet, every RTT exact), and the golden digests hold"
-go test -race -run '^TestLastHopSchedulesAck$' -count=1 ./internal/netsim
+echo "== delivery and serialization are not events, under the race detector: a link books each departure on arrival and its last link schedules the ACK (one event per acked packet, every RTT exact), a run stepped in 30 ms Run calls records the one-Run series while reallocating each flow's series O(log samples) times, and the golden digests hold"
+go test -race -run '^(TestLastHopSchedulesAck|TestSteppedRunSeriesGrowsGeometrically)$' -count=1 ./internal/netsim
 go test -race -run '^TestGoldenEventStreamDigests$' -count=1 ./internal/simcheck
 
 echo "== go test -race -short ./..."
