@@ -113,6 +113,11 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"frob"}, 2, `unknown subcommand "frob"`},
 		{[]string{"-h"}, 2, "usage: jury <subcommand>"},
 		{[]string{"sim", "-nope"}, 2, "flag provided but not defined: -nope"},
+		{[]string{"sim", "faults", "-rate", "0"}, 2, "-rate must be positive"},
+		{[]string{"sim", "faults", "-rtt", "-30"}, 2, "-rtt must be positive"},
+		{[]string{"sim", "faults", "-flows", "0"}, 2, "-flows must be positive"},
+		{[]string{"sim", "faults", "-duration", "0s"}, 2, "-duration must be positive"},
+		{[]string{"sim", "faults", "-schemes", " , "}, 2, "-schemes names no scheme"},
 		{[]string{"exp"}, 2, ""},
 		{[]string{"exp", "-exp", "nope"}, 2, `unknown experiment "nope" (use -list)`},
 		{[]string{"exp", "-resume"}, 2, "-resume requires -store DIR"},

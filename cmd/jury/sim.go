@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
-	"repro/internal/report"
 )
 
 // runSim is `jury sim`: an ad-hoc emulated scenario — one bottleneck link,
@@ -121,7 +120,7 @@ func runSim(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := report.WriteFlowSeriesCSV(f, res.FlowSummaries); err != nil {
+		if err := writeFlowSeriesCSV(f, res.FlowSummaries); err != nil {
 			f.Close()
 			return err
 		}
@@ -172,6 +171,21 @@ func runFaults(args []string) error {
 		if name = strings.TrimSpace(name); name != "" {
 			o.Schemes = append(o.Schemes, name)
 		}
+	}
+	// RobustnessOptions reads a zero as its default, so a zero flag would run
+	// a table other than the one the header prints; a negative one runs none
+	// that means anything.
+	switch {
+	case !(o.Rate > 0):
+		return usageError("-rate must be positive")
+	case o.OneWay <= 0:
+		return usageError("-rtt must be positive")
+	case *flows <= 0:
+		return usageError("-flows must be positive")
+	case *duration <= 0:
+		return usageError("-duration must be positive")
+	case len(o.Schemes) == 0:
+		return usageError("-schemes names no scheme")
 	}
 	rows, err := exp.RobustnessTable(o)
 	if err != nil {

@@ -18,18 +18,16 @@ type AblationRow struct {
 	QueueMS     float64
 }
 
-// AblationOptions parameterizes the ablation study.
+// AblationOptions parameterizes the ablation study. The zero value staggers
+// the three flows 20 s and runs each 60 s; `-full` staggers 60 s and runs
+// 180 s.
 type AblationOptions struct {
-	Rate     float64
 	Stagger  time.Duration
 	Lifetime time.Duration
 	Seed     uint64
 }
 
 func (o *AblationOptions) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 200e6 // outside the training domain
-	}
 	if o.Stagger == 0 {
 		o.Stagger = 20 * time.Second
 	}
@@ -79,6 +77,7 @@ func AblationVariants() map[string]func(seed uint64) cc.Algorithm {
 // order) through RunMany.
 func RunAblation(o AblationOptions) ([]AblationRow, error) {
 	o.defaults()
+	const rate = 200e6 // outside the training domain
 	variants := AblationVariants()
 	names := make([]string, 0, len(variants))
 	for name := range variants {
@@ -90,8 +89,8 @@ func RunAblation(o AblationOptions) ([]AblationRow, error) {
 	for vi, name := range names {
 		mk := variants[name]
 		s := Scenario{
-			Name: "ablation-" + name, Rate: o.Rate, OneWayDelay: 15 * time.Millisecond,
-			BufferBytes: int(1.5 * o.Rate / 8 * 0.030),
+			Name: "ablation-" + name, Rate: rate, OneWayDelay: 15 * time.Millisecond,
+			BufferBytes: int(1.5 * rate / 8 * 0.030),
 			Horizon:     horizon, Seed: o.Seed,
 		}
 		for i := 0; i < 3; i++ {

@@ -3,8 +3,8 @@ package exp
 import "testing"
 
 // TestPaperClaims asserts three of the paper's qualitative claims at the
-// reduced scale `jury exp` runs the figures at (the Figures registry's
-// fig1Scale, fig7Scale and fig8Scale), seed 42. EXPERIMENTS.md records the values
+// reduced scale `jury exp` runs the figures at (each options type's zero
+// value), seed 42. EXPERIMENTS.md records the values
 // these runs measure. The runs are independent and deterministic, so they
 // share the cores.
 func TestPaperClaims(t *testing.T) {
@@ -17,9 +17,7 @@ func TestPaperClaims(t *testing.T) {
 		claim func(t *testing.T)
 	}{
 		{"fig1/astraea-unfair-out-of-domain", func(t *testing.T) {
-			o := fig1Scale.reduced
-			o.Seed = seed
-			res, err := Fig1AstraeaGeneralization(o)
+			res, err := Fig1AstraeaGeneralization(Fig1Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,9 +30,7 @@ func TestPaperClaims(t *testing.T) {
 			for _, p := range Fig7Panels()[:4] {
 				t.Run(p.ID, func(t *testing.T) {
 					t.Parallel()
-					o := fig7Scale.reduced
-					o.Seed = seed
-					results, err := runFig7([]Fig7Panel{p}, o)
+					results, err := runFig7([]Fig7Panel{p}, Fig7Options{Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -46,9 +42,7 @@ func TestPaperClaims(t *testing.T) {
 			}
 		}},
 		{"fig8/rtt-fair", func(t *testing.T) {
-			o := fig8Scale.reduced
-			o.Seed = seed
-			res, err := Fig8RTTFairness(o)
+			res, err := Fig8RTTFairness(Fig8Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

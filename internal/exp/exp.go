@@ -2,8 +2,8 @@
 // the paper's evaluation (§5) to a runnable experiment over the emulator,
 // with typed result rows. Each experiment accepts an options struct whose
 // zero value reproduces a scaled-down but shape-faithful version of the
-// paper's setup (this repository runs on a single CPU, whereas the paper
-// used a testbed; see DESIGN.md); crank the fields up for full scale.
+// paper's setup, the scale `jury exp` runs; the Figures registry writes out
+// the fields `-full` raises to the paper's scale (see DESIGN.md "Figures").
 package exp
 
 import (
@@ -53,8 +53,9 @@ var Schemes = []string{
 	"bbr", "cubic", "vegas", "reno", "copa", "remy",
 }
 
-// Fig6Schemes is the baseline set of the fairness comparison (Fig. 6).
-var Fig6Schemes = []string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}
+// baselineSchemes is the eight-scheme comparison set of Fig. 6, Fig. 10,
+// Fig. 11(a) and Fig. 13.
+var baselineSchemes = []string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}
 
 // NewScheme constructs a controller by name. Each flow gets its own seed so
 // stochastic components (exploration, probing order) are independent.

@@ -64,7 +64,7 @@ func TestBufferBDP(t *testing.T) {
 }
 
 func TestFig4PhasesShape(t *testing.T) {
-	rows, err := Fig4SignalPhases(Fig4Options{Seed: 1})
+	rows, err := Fig4SignalPhases(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFig4PhasesShape(t *testing.T) {
 }
 
 func TestFig5MonotoneResponse(t *testing.T) {
-	rows, err := Fig5OccupancyProbe(Fig5Options{Seed: 2})
+	rows, err := Fig5OccupancyProbe(2)
 	if err != nil {
 		t.Fatal(err)
 	}

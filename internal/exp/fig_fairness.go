@@ -86,8 +86,9 @@ type Fig1Result struct {
 	OutDomainSeries []FlowSeriesRow
 }
 
-// Fig1Options parameterizes the experiment; the zero value uses the paper's
-// panels (100 vs 350 Mbps, 30 ms RTT, 3 flows, 60 s stagger).
+// Fig1Options parameterizes the experiment: the paper's panels (100 vs
+// 350 Mbps, 30 ms RTT, 3 flows). The zero value staggers the flows 20 s and
+// runs each 60 s; the paper staggers 60 s and runs 180 s.
 type Fig1Options struct {
 	Stagger  time.Duration
 	Lifetime time.Duration
@@ -96,10 +97,10 @@ type Fig1Options struct {
 
 func (o *Fig1Options) defaults() {
 	if o.Stagger == 0 {
-		o.Stagger = 60 * time.Second
+		o.Stagger = 20 * time.Second
 	}
 	if o.Lifetime == 0 {
-		o.Lifetime = 180 * time.Second
+		o.Lifetime = 60 * time.Second
 	}
 }
 
@@ -135,7 +136,7 @@ type Fig6Row struct {
 // Fig6Options parameterizes the Jain-index comparison. The paper runs 60
 // repetitions of 3 staggered flows over bandwidths 20-400 Mbps, one-way
 // delays 10-75 ms, and loss up to 0.3%; the zero value runs a reduced but
-// identically distributed sample (single-CPU budget; see DESIGN.md).
+// identically distributed sample: 10 repetitions, 20 s stagger, 60 s flows.
 type Fig6Options struct {
 	Runs     int
 	Stagger  time.Duration
@@ -159,7 +160,7 @@ func (o *Fig6Options) defaults() {
 		o.MaxRate = 400e6
 	}
 	if o.Schemes == nil {
-		o.Schemes = Fig6Schemes
+		o.Schemes = baselineSchemes
 	}
 }
 
@@ -241,13 +242,15 @@ type Fig7Result struct {
 	Jain        float64 // time-averaged Jain over the run
 	Utilization float64 // bottleneck utilization over the run
 	// LastJoinConvergence is how long the last-joining flow took to first
-	// sustain 80%% of its fair share (−1 if never) — the paper's
+	// sustain 80% of its fair share (−1 if never) — the paper's
 	// "convergence speed" reading of the Fig. 7 panels.
 	LastJoinConvergence time.Duration
 	Series              []FlowSeriesRow
 }
 
-// Fig7Options scales the convergence panels.
+// Fig7Options scales the convergence panels. The zero value staggers the
+// three flows 20 s and runs each 60 s; the paper staggers 60 s and runs
+// 180 s.
 type Fig7Options struct {
 	Stagger  time.Duration
 	Lifetime time.Duration
@@ -256,10 +259,10 @@ type Fig7Options struct {
 
 func (o *Fig7Options) defaults() {
 	if o.Stagger == 0 {
-		o.Stagger = 60 * time.Second
+		o.Stagger = 20 * time.Second
 	}
 	if o.Lifetime == 0 {
-		o.Lifetime = 180 * time.Second
+		o.Lifetime = 60 * time.Second
 	}
 }
 
@@ -307,23 +310,21 @@ type Fig8Result struct {
 	AvgRTTms   []float64
 }
 
-// Fig8Options scales the RTT-fairness run.
+// Fig8Options scales the RTT-fairness run. The zero value staggers the
+// five flows 20 s and runs 100 s past the last start; the paper staggers
+// 60 s and runs 300 s.
 type Fig8Options struct {
-	Rate     float64
 	Stagger  time.Duration
 	Lifetime time.Duration
 	Seed     uint64
 }
 
 func (o *Fig8Options) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 100e6
-	}
 	if o.Stagger == 0 {
-		o.Stagger = 60 * time.Second
+		o.Stagger = 20 * time.Second
 	}
 	if o.Lifetime == 0 {
-		o.Lifetime = 300 * time.Second
+		o.Lifetime = 100 * time.Second
 	}
 }
 
@@ -331,14 +332,15 @@ func (o *Fig8Options) defaults() {
 // 190, and 210 ms at staggered starts and reports their shares.
 func Fig8RTTFairness(o Fig8Options) (*Fig8Result, error) {
 	o.defaults()
+	const rate = 100e6
 	baseRTTs := []time.Duration{70, 110, 150, 190, 210}
 	s := Scenario{
 		Name:        "fig8-rtt-fairness",
-		Rate:        o.Rate,
+		Rate:        rate,
 		OneWayDelay: 5 * time.Millisecond,
 		Seed:        o.Seed,
 	}
-	s.BufferBytes = int(1.0 * o.Rate / 8 * 0.210)
+	s.BufferBytes = int(1.0 * rate / 8 * 0.210)
 	lastStart := time.Duration(len(baseRTTs)-1) * o.Stagger
 	s.Horizon = lastStart + o.Lifetime
 	for i, ms := range baseRTTs {
@@ -372,7 +374,9 @@ type Fig9Row struct {
 	Ratio float64
 }
 
-// Fig9Options scales the friendliness sweep.
+// Fig9Options scales the friendliness sweep. The zero value runs 60 s at
+// 50, 150 and 300 ms RTT; the paper runs 120 s at every 50 ms from 50 to
+// 300 ms.
 type Fig9Options struct {
 	Rate     float64
 	RTTs     []time.Duration
@@ -386,13 +390,10 @@ func (o *Fig9Options) defaults() {
 		o.Rate = 100e6
 	}
 	if o.RTTs == nil {
-		o.RTTs = []time.Duration{50, 100, 150, 200, 250, 300}
-		for i := range o.RTTs {
-			o.RTTs[i] *= time.Millisecond
-		}
+		o.RTTs = []time.Duration{50 * time.Millisecond, 150 * time.Millisecond, 300 * time.Millisecond}
 	}
 	if o.Lifetime == 0 {
-		o.Lifetime = 120 * time.Second
+		o.Lifetime = 60 * time.Second
 	}
 	if o.Schemes == nil {
 		o.Schemes = []string{"jury", "aurora", "orca", "vivace", "bbr", "vegas", "astraea"}

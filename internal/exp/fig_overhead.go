@@ -26,9 +26,6 @@ type Fig14Row struct {
 // Fig14Options parameterizes the overhead measurement.
 type Fig14Options struct {
 	Schemes []string
-	// AckRate is the ACK arrival rate used to derive CPU%, default 8333/s
-	// (100 Mbps of 1500-byte packets).
-	AckRate float64
 	Iters   int
 	Seed    uint64
 }
@@ -40,9 +37,6 @@ func (o *Fig14Options) defaults() {
 		// measurable difference between Jury with and without the
 		// post-processing phase.
 		o.Schemes = []string{"aurora", "vivace", "copa", "remy", "orca", "cubic", "bbr", "vegas", "jury", "jury-ref"}
-	}
-	if o.AckRate == 0 {
-		o.AckRate = 100e6 / 8 / 1500
 	}
 	if o.Iters == 0 {
 		o.Iters = 20000
@@ -98,6 +92,8 @@ func newOverheadScheme(name string, seed uint64) (cc.Algorithm, error) {
 // adding nothing measurable — is preserved. See DESIGN.md.
 func Fig14CPUOverhead(o Fig14Options) ([]Fig14Row, error) {
 	o.defaults()
+	// CPU% is derived at 100 Mbps of 1500-byte packets, about 8333 ACKs/s.
+	const ackRate = 100e6 / 8 / 1500
 	var rows []Fig14Row
 	for _, name := range o.Schemes {
 		alg, err := newOverheadScheme(name, o.Seed+hash(name))
@@ -143,7 +139,7 @@ func Fig14CPUOverhead(o Fig14Options) ([]Fig14Row, error) {
 			perDecision = float64(time.Since(start).Nanoseconds()) / float64(o.Iters)
 		}
 
-		cpu := (perAck*o.AckRate + perDecision*decisionRate) / 1e9 * 100
+		cpu := (perAck*ackRate + perDecision*decisionRate) / 1e9 * 100
 		rows = append(rows, Fig14Row{
 			Scheme:        name,
 			NsPerAck:      perAck,

@@ -20,23 +20,17 @@ type Fig10Row struct {
 }
 
 // Fig10Options scales the sweeps. The paper sweeps 10-600 Mbps, 15-120 ms
-// one-way delay, 0-1.5% loss, and 0.2-16x BDP buffers; zero value runs the
-// same ranges with fewer points and shorter flows.
+// one-way delay, 0-1.5% loss, and 0.2-16x BDP buffers; the zero value runs
+// the same ranges with fewer bandwidth and delay points and shorter flows.
 type Fig10Options struct {
-	Schemes  []string
 	Lifetime time.Duration
 	Seed     uint64
 
 	Bandwidths []float64       // bits/second
 	Delays     []time.Duration // one-way
-	Losses     []float64
-	BufferBDPs []float64
 }
 
 func (o *Fig10Options) defaults() {
-	if o.Schemes == nil {
-		o.Schemes = []string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}
-	}
 	if o.Lifetime == 0 {
 		o.Lifetime = 40 * time.Second
 	}
@@ -45,12 +39,6 @@ func (o *Fig10Options) defaults() {
 	}
 	if o.Delays == nil {
 		o.Delays = []time.Duration{15 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond, 120 * time.Millisecond}
-	}
-	if o.Losses == nil {
-		o.Losses = []float64{0, 0.002, 0.005, 0.01, 0.015}
-	}
-	if o.BufferBDPs == nil {
-		o.BufferBDPs = []float64{0.2, 0.5, 1, 2, 4, 8, 16}
 	}
 }
 
@@ -83,17 +71,18 @@ func Fig10PerformanceSweeps(o Fig10Options) ([]Fig10Row, error) {
 		jobs = append(jobs, s)
 		rows = append(rows, Fig10Row{Scheme: scheme, Param: param, X: x})
 	}
-	for _, scheme := range o.Schemes {
+	for _, scheme := range baselineSchemes {
 		for _, bw := range o.Bandwidths {
 			add(scheme, "bandwidth", bw/1e6, bw, fig10BaseOWD, 0, fig10BaseBDP)
 		}
 		for _, d := range o.Delays {
 			add(scheme, "delay", float64(d)/1e6, fig10BaseRate, d, 0, fig10BaseBDP)
 		}
-		for _, l := range o.Losses {
+		// The loss and buffer sweeps run the paper's points at either scale.
+		for _, l := range []float64{0, 0.002, 0.005, 0.01, 0.015} {
 			add(scheme, "loss", l, fig10BaseRate, fig10BaseOWD, l, fig10BaseBDP)
 		}
-		for _, b := range o.BufferBDPs {
+		for _, b := range []float64{0.2, 0.5, 1, 2, 4, 8, 16} {
 			add(scheme, "buffer", b, fig10BaseRate, fig10BaseOWD, 0, b)
 		}
 	}
@@ -173,7 +162,7 @@ func paretoRow(scheme string, res *RunResult, lifetime time.Duration) Fig11Row {
 
 // Fig11Satellite reproduces Fig. 11(a): 42 Mbps, 800 ms RTT, 0.74% loss.
 func Fig11Satellite(o Fig11Options) ([]Fig11Row, error) {
-	o.defaults([]string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}, 60*time.Second)
+	o.defaults(baselineSchemes, 60*time.Second)
 	return runPareto(o, Scenario{Name: "pareto", Rate: 42e6, OneWayDelay: 400 * time.Millisecond, LossRate: 0.0074}, 1)
 }
 
@@ -191,45 +180,30 @@ type Fig12Row struct {
 	SendRateBps float64
 }
 
-// Fig12Options parameterizes the LTE responsiveness study.
-type Fig12Options struct {
-	Schemes  []string
-	Lifetime time.Duration
-	Seed     uint64
-}
-
-func (o *Fig12Options) defaults() {
-	if o.Schemes == nil {
-		o.Schemes = []string{"jury", "astraea", "orca", "aurora", "vivace"}
-	}
-	if o.Lifetime == 0 {
-		o.Lifetime = 60 * time.Second
-	}
-}
-
-// Fig12LTEResponsiveness runs each scheme over the synthetic LTE trace and
-// records its sending rate against the capacity.
-func Fig12LTEResponsiveness(o Fig12Options) ([]Fig12Row, error) {
-	o.defaults()
-	cfg := traces.DefaultLTE(o.Seed + 99)
+// Fig12LTEResponsiveness runs each learning-based scheme for 60 s over the
+// synthetic LTE trace and records its sending rate against the capacity.
+func Fig12LTEResponsiveness(seed uint64) ([]Fig12Row, error) {
+	const lifetime = 60 * time.Second
+	schemes := []string{"jury", "astraea", "orca", "aurora", "vivace"}
+	cfg := traces.DefaultLTE(seed + 99)
 	tr, err := traces.SynthesizeLTE(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig12Row
-	for t := time.Duration(0); t < o.Lifetime; t += time.Second {
+	for t := time.Duration(0); t < lifetime; t += time.Second {
 		rows = append(rows, Fig12Row{T: t, Scheme: "capacity", SendRateBps: tr.RateAt(t)})
 	}
-	jobs := make([]Scenario, 0, len(o.Schemes))
-	for _, scheme := range o.Schemes {
+	jobs := make([]Scenario, 0, len(schemes))
+	for _, scheme := range schemes {
 		jobs = append(jobs, Scenario{
 			Name:        "fig12-" + scheme,
 			Trace:       tr,
 			Rate:        cfg.Mean,
 			OneWayDelay: 15 * time.Millisecond,
 			BufferBytes: int(cfg.Mean / 8 * 0.5), // generous cellular buffer
-			Seed:        o.Seed + hash(scheme),
-			Horizon:     o.Lifetime,
+			Seed:        seed + hash(scheme),
+			Horizon:     lifetime,
 			Flows:       []FlowSpec{{Scheme: scheme}},
 		})
 	}
@@ -239,7 +213,7 @@ func Fig12LTEResponsiveness(o Fig12Options) ([]Fig12Row, error) {
 	}
 	for i, res := range results {
 		for _, b := range bucketMeans(res.FlowSummaries[0].Series(), time.Second, func(p netsim.SeriesPoint) float64 { return p.SendRateBps }) {
-			rows = append(rows, Fig12Row{T: b.end, Scheme: o.Schemes[i], SendRateBps: b.mean})
+			rows = append(rows, Fig12Row{T: b.end, Scheme: schemes[i], SendRateBps: b.mean})
 		}
 	}
 	return rows, nil
@@ -280,7 +254,7 @@ func Fig12Tracking(rows []Fig12Row, scheme string) float64 {
 // 1.2 Gbps with ~220 ms RTT, both with ±15% capacity jitter standing in for
 // cross traffic.
 func fig13WAN(intra bool, o Fig11Options) ([]Fig11Row, error) {
-	o.defaults([]string{"jury", "astraea", "orca", "aurora", "vivace", "bbr", "cubic", "vegas"}, 30*time.Second)
+	o.defaults(baselineSchemes, 30*time.Second)
 	rate, owd := 1.4e9, 17500*time.Microsecond
 	if !intra {
 		rate, owd = 1.2e9, 110*time.Millisecond

@@ -22,18 +22,14 @@ type Tab3Row struct {
 
 // Tab3Options scales the Table 3 experiments. The paper uses a 100-second
 // trace repeated 20 times on a ~200 Mbps aggregate; the zero value runs a
-// reduced repetition count.
+// reduced repetition count, 3.
 type Tab3Options struct {
-	Rate     float64
 	Repeats  int
 	Lifetime time.Duration
 	Seed     uint64
 }
 
 func (o *Tab3Options) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 200e6
-	}
 	if o.Repeats == 0 {
 		o.Repeats = 3
 	}
@@ -82,13 +78,14 @@ func juryAt(seed uint64) func(uint64) cc.Algorithm {
 // 15 ms one-way link, each drawing its network seed and then its flows from
 // its own RNG stream (seeded o.Seed + rep·stride), fanned out through RunMany.
 func tab3Sweep(o Tab3Options, kind string, stride uint64, bufferSec float64, flows func(*simcore.RNG) []FlowSpec) ([]*RunResult, error) {
+	const rate = 200e6
 	jobs := make([]Scenario, o.Repeats)
 	for rep := range jobs {
 		rng := simcore.NewRNG(o.Seed + uint64(rep)*stride)
 		jobs[rep] = Scenario{
 			Name: fmt.Sprintf("tab3-%s-%d", kind, rep),
-			Rate: o.Rate, OneWayDelay: 15 * time.Millisecond,
-			BufferBytes: int(o.Rate / 8 * bufferSec),
+			Rate: rate, OneWayDelay: 15 * time.Millisecond,
+			BufferBytes: int(rate / 8 * bufferSec),
 			Horizon:     o.Lifetime, Seed: rng.Uint64(),
 		}
 		jobs[rep].Flows = flows(rng)

@@ -25,32 +25,17 @@ type Fig4Row struct {
 	LossRate      float64
 }
 
-// Fig4Options parameterizes the signal-phase study. Zero value = paper
-// setup: 100 Mbps, 30 ms RTT, 750 KB buffer.
-type Fig4Options struct {
-	Rate        float64
-	OneWayDelay time.Duration
-	BufferBytes int
-	Seed        uint64
-}
-
-func (o *Fig4Options) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 100e6
-	}
-	if o.OneWayDelay == 0 {
-		o.OneWayDelay = 15 * time.Millisecond
-	}
-	if o.BufferBytes == 0 {
-		o.BufferBytes = 750_000
-	}
-}
+// The paper's link for both probes: 100 Mbps, 30 ms RTT, 750 KB buffer.
+const (
+	probeRate   = 100e6
+	probeOneWay = 15 * time.Millisecond
+	probeBuffer = 750_000
+)
 
 // Fig4SignalPhases ramps a single manual flow from 10% to 250% of the link
 // capacity and records the feedback at each step, reproducing Fig. 4's
 // phase structure.
-func Fig4SignalPhases(o Fig4Options) ([]Fig4Row, error) {
-	o.defaults()
+func Fig4SignalPhases(seed uint64) ([]Fig4Row, error) {
 	var rows []Fig4Row
 	const holdPer = 4 * time.Second
 	// The ramp is fine-grained around capacity so the intermediate
@@ -66,13 +51,13 @@ func Fig4SignalPhases(o Fig4Options) ([]Fig4Row, error) {
 	for f := 1.1; f <= 2.5; f += 0.2 {
 		fractions = append(fractions, f)
 	}
-	n := netsim.New(netsim.Config{Seed: o.Seed + 1})
-	l := n.AddLink(netsim.LinkConfig{Rate: o.Rate, Delay: o.OneWayDelay, BufferBytes: o.BufferBytes})
-	man := cc.NewManual(0.1 * o.Rate)
+	n := netsim.New(netsim.Config{Seed: seed + 1})
+	l := n.AddLink(netsim.LinkConfig{Rate: probeRate, Delay: probeOneWay, BufferBytes: probeBuffer})
+	man := cc.NewManual(0.1 * probeRate)
 	f := n.AddFlow(netsim.FlowConfig{Name: "probe", Path: []*netsim.Link{l},
 		CC: func() cc.Algorithm { return man }})
 	for i, frac := range fractions {
-		rate := o.Rate * frac
+		rate := probeRate * frac
 		man.SetRate(rate)
 		start := time.Duration(i) * holdPer
 		n.Run(start + holdPer)
@@ -106,47 +91,26 @@ type Fig5Row struct {
 	EstimatedShare float64 // Eq. 5 inversion of the observed pair
 }
 
-// Fig5Options parameterizes the occupancy-probe study.
-type Fig5Options struct {
-	Rate        float64
-	OneWayDelay time.Duration
-	BufferBytes int
-	Seed        uint64
-}
-
-func (o *Fig5Options) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 100e6
-	}
-	if o.OneWayDelay == 0 {
-		o.OneWayDelay = 15 * time.Millisecond
-	}
-	if o.BufferBytes == 0 {
-		o.BufferBytes = 750_000
-	}
-}
-
 // Fig5OccupancyProbe sweeps the probing flow's share of a saturated 2-flow
 // bottleneck and measures the throughput response to a +10% rate change,
 // then inverts it with Eq. 5 — reproducing both Fig. 5 and the estimator's
 // calibration curve.
-func Fig5OccupancyProbe(o Fig5Options) ([]Fig5Row, error) {
-	o.defaults()
+func Fig5OccupancyProbe(seed uint64) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, share := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		n := netsim.New(netsim.Config{Seed: o.Seed + uint64(share*100)})
-		l := n.AddLink(netsim.LinkConfig{Rate: o.Rate, Delay: o.OneWayDelay, BufferBytes: o.BufferBytes})
+		n := netsim.New(netsim.Config{Seed: seed + uint64(share*100)})
+		l := n.AddLink(netsim.LinkConfig{Rate: probeRate, Delay: probeOneWay, BufferBytes: probeBuffer})
 		// Offered loads sum to 120% of capacity so the bottleneck is
 		// saturated and shares are admission-proportional (Eq. 2).
-		probe := cc.NewManual(1.2 * share * o.Rate)
-		other := cc.NewManual(1.2 * (1 - share) * o.Rate)
+		probe := cc.NewManual(1.2 * share * probeRate)
+		other := cc.NewManual(1.2 * (1 - share) * probeRate)
 		fp := n.AddFlow(netsim.FlowConfig{Name: "probe", Path: []*netsim.Link{l},
 			CC: func() cc.Algorithm { return probe }})
 		n.AddFlow(netsim.FlowConfig{Name: "other", Path: []*netsim.Link{l},
 			CC: func() cc.Algorithm { return other }})
 		n.Run(20 * time.Second)
 		before := metrics.MeanThroughput(fp, 10*time.Second, 20*time.Second)
-		probe.SetRate(1.1 * 1.2 * share * o.Rate) // the +10% probe
+		probe.SetRate(1.1 * 1.2 * share * probeRate) // the +10% probe
 		n.Run(40 * time.Second)
 		after := metrics.MeanThroughput(fp, 30*time.Second, 40*time.Second)
 		if before <= 0 {
@@ -155,7 +119,7 @@ func Fig5OccupancyProbe(o Fig5Options) ([]Fig5Row, error) {
 		ratio := after / before
 		est, _ := core.EstimateOccupancy(1.1, ratio)
 		rows = append(rows, Fig5Row{
-			Share:          before / o.Rate,
+			Share:          before / probeRate,
 			ThrChangeRatio: ratio,
 			EstimatedShare: est,
 		})

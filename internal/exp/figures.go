@@ -17,28 +17,11 @@ type Figure struct {
 	Title string   // the `jury exp -list` line
 	Plots []string // `jury plot -fig` ids, one per chart Run returns
 	// Run runs the figure at seed, at the reduced scale `jury exp` defaults
-	// to or, with full, at the paper's.
+	// to or, with full, at the paper's. The reduced scale is every options
+	// type's zero value, so an entry writes out only its -full options (see
+	// DESIGN.md "Figures").
 	Run func(full bool, seed uint64) (text string, charts []*plot.Chart, err error)
 }
-
-// scale is a figure's options at the reduced scale and under -full; the run
-// sets the seed. The zero options of Fig. 1, 7 and 8 are the paper's scale
-// and those of Table 3, Fig. 6, Fig. 10 and the ablation a reduced one (see
-// DESIGN.md "Figures").
-type scale[O any] struct{ reduced, full O }
-
-func (s scale[O]) at(full bool) O {
-	if full {
-		return s.full
-	}
-	return s.reduced
-}
-
-var (
-	fig1Scale = scale[Fig1Options]{reduced: Fig1Options{Stagger: 20 * time.Second, Lifetime: 60 * time.Second}}
-	fig7Scale = scale[Fig7Options]{reduced: Fig7Options{Stagger: 20 * time.Second, Lifetime: 60 * time.Second}}
-	fig8Scale = scale[Fig8Options]{reduced: Fig8Options{Stagger: 20 * time.Second, Lifetime: 100 * time.Second}}
-)
 
 // figure makes a registry entry from a run and the renderer of its result.
 func figure[R any](id, title string, plots []string, run func(full bool, seed uint64) (R, error), show func(R) (string, []*plot.Chart)) Figure {
@@ -58,8 +41,10 @@ var Figures = []Figure{
 	staticTable("tab2", "Table 2: training hyperparameters", "Table 2 — training hyperparameters:", Tab2Rows),
 	figure("tab3", "Table 3: long/short flows and heterogeneous RTTs at scale", nil,
 		func(full bool, seed uint64) ([]Tab3Row, error) {
-			o := scale[Tab3Options]{full: Tab3Options{Repeats: 20}}.at(full)
-			o.Seed = seed
+			o := Tab3Options{Seed: seed}
+			if full {
+				o.Repeats = 20
+			}
 			rows, err := Tab3LongShort(o)
 			if err != nil {
 				return nil, err
@@ -77,8 +62,10 @@ var Figures = []Figure{
 		}),
 	figure("fig1", "Fig. 1: Astraea fairness fails outside its training region", []string{"fig1a", "fig1b"},
 		func(full bool, seed uint64) (*Fig1Result, error) {
-			o := fig1Scale.at(full)
-			o.Seed = seed
+			o := Fig1Options{Seed: seed}
+			if full {
+				o.Stagger, o.Lifetime = 60*time.Second, 180*time.Second
+			}
 			return Fig1AstraeaGeneralization(o)
 		},
 		func(res *Fig1Result) (string, []*plot.Chart) {
@@ -90,15 +77,17 @@ var Figures = []Figure{
 			}
 		}),
 	figure("fig4", "Fig. 4: signal phases vs. increasing sending rate", []string{"fig4"},
-		func(_ bool, seed uint64) ([]Fig4Row, error) { return Fig4SignalPhases(Fig4Options{Seed: seed}) },
+		func(_ bool, seed uint64) ([]Fig4Row, error) { return Fig4SignalPhases(seed) },
 		showFig4),
 	figure("fig5", "Fig. 5: throughput response to a +10% probe vs. occupancy", []string{"fig5"},
-		func(_ bool, seed uint64) ([]Fig5Row, error) { return Fig5OccupancyProbe(Fig5Options{Seed: seed}) },
+		func(_ bool, seed uint64) ([]Fig5Row, error) { return Fig5OccupancyProbe(seed) },
 		showFig5),
 	figure("fig6", "Fig. 6: average Jain index across random environments", nil,
 		func(full bool, seed uint64) ([]Fig6Row, error) {
-			o := scale[Fig6Options]{full: Fig6Options{Runs: 60, Stagger: 60 * time.Second, Lifetime: 180 * time.Second}}.at(full)
-			o.Seed = seed
+			o := Fig6Options{Seed: seed}
+			if full {
+				o.Runs, o.Stagger, o.Lifetime = 60, 60*time.Second, 180*time.Second
+			}
 			return Fig6JainIndex(o)
 		},
 		func(rows []Fig6Row) (string, []*plot.Chart) {
@@ -111,11 +100,7 @@ var Figures = []Figure{
 			return FormatTable([]string{"scheme", "meanJain", "p5", "p95", "runs"}, table), nil
 		}),
 	figure("fig7", "Fig. 7: all eight convergence panels (parallel)", nil,
-		func(full bool, seed uint64) ([]*Fig7Result, error) {
-			o := fig7Scale.at(full)
-			o.Seed = seed
-			return Fig7AllPanels(o)
-		},
+		func(full bool, seed uint64) ([]*Fig7Result, error) { return Fig7AllPanels(fig7Options(full, seed)) },
 		func(results []*Fig7Result) (string, []*plot.Chart) {
 			var b strings.Builder
 			for _, res := range results {
@@ -133,8 +118,10 @@ var Figures = []Figure{
 	fig7Panel("h", "Fig. 7(h): Orca, 350 Mbps / 150 ms / 0.2% loss"),
 	figure("fig8", "Fig. 8: RTT fairness (5 Jury flows, 70-210 ms)", []string{"fig8"},
 		func(full bool, seed uint64) (*Fig8Result, error) {
-			o := fig8Scale.at(full)
-			o.Seed = seed
+			o := Fig8Options{Seed: seed}
+			if full {
+				o.Stagger, o.Lifetime = 60*time.Second, 300*time.Second
+			}
 			return Fig8RTTFairness(o)
 		},
 		func(res *Fig8Result) (string, []*plot.Chart) {
@@ -152,9 +139,12 @@ var Figures = []Figure{
 		}),
 	figure("fig9", "Fig. 9: friendliness vs. Cubic across RTTs", nil,
 		func(full bool, seed uint64) ([]Fig9Row, error) {
-			o := scale[Fig9Options]{reduced: Fig9Options{Lifetime: 60 * time.Second,
-				RTTs: []time.Duration{50 * time.Millisecond, 150 * time.Millisecond, 300 * time.Millisecond}}}.at(full)
-			o.Seed = seed
+			o := Fig9Options{Seed: seed}
+			if full {
+				o.Lifetime = 120 * time.Second
+				o.RTTs = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 150 * time.Millisecond,
+					200 * time.Millisecond, 250 * time.Millisecond, 300 * time.Millisecond}
+			}
 			return Fig9Friendliness(o)
 		},
 		func(rows []Fig9Row) (string, []*plot.Chart) {
@@ -166,11 +156,13 @@ var Figures = []Figure{
 		}),
 	figure("fig10", "Fig. 10: utilization and queuing-delay sweeps", nil,
 		func(full bool, seed uint64) ([]Fig10Row, error) {
-			o := scale[Fig10Options]{full: Fig10Options{Lifetime: 120 * time.Second,
-				Bandwidths: []float64{10e6, 50e6, 100e6, 200e6, 300e6, 400e6, 500e6, 600e6},
-				Delays: []time.Duration{15 * time.Millisecond, 30 * time.Millisecond, 45 * time.Millisecond,
-					60 * time.Millisecond, 80 * time.Millisecond, 100 * time.Millisecond, 120 * time.Millisecond}}}.at(full)
-			o.Seed = seed
+			o := Fig10Options{Seed: seed}
+			if full {
+				o.Lifetime = 120 * time.Second
+				o.Bandwidths = []float64{10e6, 50e6, 100e6, 200e6, 300e6, 400e6, 500e6, 600e6}
+				o.Delays = []time.Duration{15 * time.Millisecond, 30 * time.Millisecond, 45 * time.Millisecond,
+					60 * time.Millisecond, 80 * time.Millisecond, 100 * time.Millisecond, 120 * time.Millisecond}
+			}
 			return Fig10PerformanceSweeps(o)
 		},
 		func(rows []Fig10Row) (string, []*plot.Chart) {
@@ -184,7 +176,7 @@ var Figures = []Figure{
 	pareto("fig11a", "Fig. 11(a): satellite link", "Fig 11(a): satellite (42 Mbps / 800 ms / 0.74% loss)", 1e6, "throughput (Mbps)", Fig11Satellite),
 	pareto("fig11b", "Fig. 11(b): 10 Gbps link", "Fig 11(b): 10 Gbps / 15 ms", 1e9, "throughput (Gbps)", Fig11HighSpeed),
 	figure("fig12", "Fig. 12: LTE responsiveness", []string{"fig12"},
-		func(_ bool, seed uint64) ([]Fig12Row, error) { return Fig12LTEResponsiveness(Fig12Options{Seed: seed}) },
+		func(_ bool, seed uint64) ([]Fig12Row, error) { return Fig12LTEResponsiveness(seed) },
 		func(rows []Fig12Row) (string, []*plot.Chart) {
 			schemes := plot.ByName{}
 			for _, r := range rows {
@@ -208,8 +200,10 @@ var Figures = []Figure{
 		}),
 	figure("ablation", "Ablations: post-processing / exploration / filtering removed", nil,
 		func(full bool, seed uint64) ([]AblationRow, error) {
-			o := scale[AblationOptions]{full: AblationOptions{Stagger: 60 * time.Second, Lifetime: 180 * time.Second}}.at(full)
-			o.Seed = seed
+			o := AblationOptions{Seed: seed}
+			if full {
+				o.Stagger, o.Lifetime = 60*time.Second, 180*time.Second
+			}
 			return RunAblation(o)
 		},
 		func(rows []AblationRow) (string, []*plot.Chart) {
@@ -254,9 +248,7 @@ func fig7Panel(id, title string) Figure {
 	}
 	return figure("fig7"+id, title, []string{"fig7" + id},
 		func(full bool, seed uint64) (*Fig7Result, error) {
-			o := fig7Scale.at(full)
-			o.Seed = seed
-			res, err := runFig7([]Fig7Panel{p}, o)
+			res, err := runFig7([]Fig7Panel{p}, fig7Options(full, seed))
 			if err != nil {
 				return nil, err
 			}
@@ -267,6 +259,16 @@ func fig7Panel(id, title string) Figure {
 				p.ID, p.Scheme, p.Rate/1e6, p.RTT, p.Loss*100, res.Jain)
 			return fig7Line(res) + formatSeries(res.Series), []*plot.Chart{seriesChart(title, res.Series)}
 		})
+}
+
+// fig7Options is the scale of `jury exp -exp fig7` and of each panel run
+// alone.
+func fig7Options(full bool, seed uint64) Fig7Options {
+	o := Fig7Options{Seed: seed}
+	if full {
+		o.Stagger, o.Lifetime = 60*time.Second, 180*time.Second
+	}
+	return o
 }
 
 // fig7Line is a panel's one-line summary.

@@ -24,15 +24,11 @@ type MultiBottleneckResult struct {
 
 // MultiBottleneckOptions parameterizes the parking-lot run.
 type MultiBottleneckOptions struct {
-	Rate     float64
 	Lifetime time.Duration
 	Seed     uint64
 }
 
 func (o *MultiBottleneckOptions) defaults() {
-	if o.Rate == 0 {
-		o.Rate = 80e6
-	}
 	if o.Lifetime == 0 {
 		o.Lifetime = 120 * time.Second
 	}
@@ -44,6 +40,7 @@ func (o *MultiBottleneckOptions) defaults() {
 // netsim.RunSharded), so sharding this run would change its results.
 func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error) {
 	o.defaults()
+	const rate = 80e6 // per link
 	return execute(job[*MultiBottleneckResult]{
 		name:    "multi-bottleneck",
 		seed:    o.Seed,
@@ -53,8 +50,8 @@ func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error
 			n := netsim.New(netsim.Config{Seed: o.Seed})
 			mk := func(delay time.Duration) *netsim.Link {
 				return n.AddLink(netsim.LinkConfig{
-					Rate: o.Rate, Delay: delay,
-					BufferBytes: int(1.5 * o.Rate / 8 * 0.030),
+					Rate: rate, Delay: delay,
+					BufferBytes: int(1.5 * rate / 8 * 0.030),
 				})
 			}
 			l1 := mk(8 * time.Millisecond)

@@ -104,9 +104,6 @@ func (o *RobustnessOptions) defaults() {
 	if o.Lifetime == 0 {
 		o.Lifetime = 60 * time.Second
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 }
 
 // RobustnessScenario builds the checked scenario for one (scheme, case)

@@ -135,3 +135,12 @@ func TestRobustnessTableSmoke(t *testing.T) {
 		t.Error("empty formatted table")
 	}
 }
+
+// TestRobustnessScenarioKeepsSeedZero: seed 0 is a seed like any other, so
+// `jury sim faults -seed 0` runs the seed its header prints.
+func TestRobustnessScenarioKeepsSeedZero(t *testing.T) {
+	s := RobustnessScenario(RobustnessOptions{Seed: 0}, "jury", RobustnessCases()[0])
+	if s.Seed != 0 {
+		t.Fatalf("RobustnessScenario rewrote seed 0 to %d", s.Seed)
+	}
+}

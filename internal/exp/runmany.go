@@ -86,9 +86,9 @@ func runSafe(s Scenario) (r *RunResult, err error) {
 // event engine, and RNG (seeded from Scenario.Seed), so each result is
 // bit-identical to what a sequential Run(jobs[i]) would produce; only
 // wall-clock time changes. A worker that panics surfaces a *PanicError for
-// that scenario (after one retry, in case the panic was transient) instead
-// of crashing the process. On error, the first failure in input order is
-// returned and the results are discarded.
+// that scenario instead of crashing the process; it is not retried, since a
+// deterministic run panics again. On error, the first failure in input
+// order is returned and the results are discarded.
 func RunMany(jobs []Scenario) ([]*RunResult, error) {
 	results := make([]*RunResult, len(jobs))
 	hub := Telemetry
@@ -100,13 +100,6 @@ func RunMany(jobs []Scenario) ([]*RunResult, error) {
 	}
 	err := parallelFor(len(jobs), func(i int) error {
 		r, err := runSafe(jobs[i])
-		if _, panicked := err.(*PanicError); panicked {
-			if hub.Enabled() {
-				hub.Registry.Counter("exp_panic_retries_total", "").Inc()
-				hub.Event("exp", "panic_retry", 0, telemetry.Str("scenario", jobs[i].Name))
-			}
-			r, err = runSafe(jobs[i])
-		}
 		results[i] = r
 		if hub.Enabled() {
 			done := completed.Add(1)

@@ -199,25 +199,27 @@ func TestRunManyConvertsPanicToError(t *testing.T) {
 	}
 }
 
-// TestRunManyRetriesTransientPanic: a panic that does not recur must be
-// absorbed by the single retry.
-func TestRunManyRetriesTransientPanic(t *testing.T) {
+// TestRunManyPanicRunsOnce: a panicking run is not retried. RunMany
+// surfaces one *PanicError for it, having called its controller factory
+// once, even when a second call would not panic.
+func TestRunManyPanicRunsOnce(t *testing.T) {
 	var calls atomic.Int64
 	jobs := []Scenario{tinyScenario("flaky", func(uint64) cc.Algorithm {
 		if calls.Add(1) == 1 {
-			panic("transient")
+			panic("first call")
 		}
 		return cubic.New()
 	})}
 	results, err := RunMany(jobs)
-	if err != nil {
-		t.Fatalf("RunMany did not retry a transient panic: %v", err)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Scenario != "flaky" {
+		t.Fatalf("RunMany error %v, want a *PanicError for scenario %q", err, "flaky")
 	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("controller factory called %d times, want 2 (initial + retry)", n)
+	if results != nil {
+		t.Fatal("RunMany returned results alongside a panic")
 	}
-	if results[0] == nil || len(results[0].FlowSummaries) != 1 {
-		t.Fatal("retry produced no usable result")
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("controller factory called %d times, want 1", n)
 	}
 }
 

@@ -98,7 +98,6 @@ func (h *Hub) preRegister() {
 	r.Counter("exp_runs_started_total", "scenario runs started")
 	r.Counter("exp_runs_finished_total", "scenario runs finished successfully")
 	r.Counter("exp_runs_failed_total", "scenario runs that returned an error")
-	r.Counter("exp_panic_retries_total", "scenario runs retried after a panic")
 	r.Histogram("exp_run_seconds", "wall time of one scenario run")
 }
 

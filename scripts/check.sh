@@ -86,6 +86,12 @@ if grep -n 'figScale\|exp\.\(Fig[0-9]\|Tab3\|RunAblation\|RunMultiBottleneck\)' 
     echo "cmd/jury runs a figure outside exp.Figures (see the matches above)" >&2
     exit 1
 fi
+# Every options type's zero value is the reduced scale, so an entry writes
+# out only its -full options; a two-sided scale table must not come back.
+if grep -n 'scale\[\|reduced:' internal/exp/figures.go; then
+    echo "internal/exp/figures.go writes out a reduced scale; the zero options are the reduced scale (see the matches above)" >&2
+    exit 1
+fi
 
 echo "== telemetry imports no package of this module"
 # It attaches nothing to a network: the run pipeline adds each finished run's
@@ -241,7 +247,7 @@ echo "== run store: crash matrix + bit-flip sweep + identical re-put + read-only
 go test -race -short -run '^(TestCrashMatrix|TestBitFlipSweep|TestLastWinsAndDigestMismatch|TestReadOnly)$' -count=1 ./internal/runstore
 
 echo "== run store: warm-sweep skip + kill-and-resume"
-go test -run '^(TestRunManyWarmStoreSkipsSimulation|TestKillAndResumeSweep|TestRetryPathLeavesStoreIntact|TestScenarioKeyStability)$' -count=1 ./internal/exp
+go test -run '^(TestRunManyWarmStoreSkipsSimulation|TestKillAndResumeSweep|TestTornAppendLeavesStoreIntact|TestScenarioKeyStability)$' -count=1 ./internal/exp
 
 echo "== fuzz smoke (10s each)"
 go test -run='^$' -fuzz='^FuzzMahimahiParse$' -fuzztime=10s ./internal/traces
