@@ -113,6 +113,11 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"frob"}, 2, `unknown subcommand "frob"`},
 		{[]string{"-h"}, 2, "usage: jury <subcommand>"},
 		{[]string{"sim", "-nope"}, 2, "flag provided but not defined: -nope"},
+		{[]string{"sim", "-rate", "0"}, 2, "-rate must be positive"},
+		{[]string{"sim", "-rtt", "-30"}, 2, "-rtt must be positive"},
+		{[]string{"sim", "-flows", "0"}, 2, "-flows must be positive"},
+		{[]string{"sim", "-flows", "-2"}, 2, "-flows must be positive"},
+		{[]string{"sim", "-duration", "0s"}, 2, "-duration must be positive"},
 		{[]string{"sim", "faults", "-rate", "0"}, 2, "-rate must be positive"},
 		{[]string{"sim", "faults", "-rtt", "-30"}, 2, "-rtt must be positive"},
 		{[]string{"sim", "faults", "-flows", "0"}, 2, "-flows must be positive"},
@@ -125,6 +130,11 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"exp", "store", "ls"}, 2, "usage: jury exp store <ls|verify> DIR"},
 		{[]string{"exp", "store", "frob", dir}, 2, `unknown store command "frob"`},
 		{[]string{"train", "-eval", filepath.Join(dir, "missing.json")}, 1, "missing.json"},
+		{[]string{"train", "-epochs", "0"}, 2, "-epochs must be positive"},
+		{[]string{"train", "-actors", "0"}, 2, "-actors must be positive"},
+		{[]string{"train", "-actors", "-3"}, 2, "-actors must be positive"},
+		{[]string{"train", "-steps", "0"}, 2, "-steps must be positive"},
+		{[]string{"train", "-updates", "0"}, 2, "-updates must be positive"},
 		{[]string{"serve", "-checkpoint", "c.json"}, 2, "flag provided but not defined: -checkpoint"},
 		{[]string{"serve", "-addr", "127.0.0.1:0", "-actor", "narrow.json"}, 1,
 			fmt.Sprintf("actor narrow.json maps 3 inputs to 1 outputs; a Jury actor maps %d to 2", state)},
@@ -133,8 +143,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"plot", "fairness"}, 2, "Usage of jury plot fairness:"},
 	} {
 		r := jury(t, dir, tc.args...)
-		if r.code != tc.code || !strings.Contains(r.stderr, tc.stderr) {
-			t.Errorf("jury %s: exit %d, stderr %q; want exit %d, stderr containing %q",
+		if r.code != tc.code || !strings.Contains(r.stderr, tc.stderr) || strings.Contains(r.stderr, "panic") {
+			t.Errorf("jury %s: exit %d, stderr %q; want exit %d, stderr containing %q and no panic",
 				strings.Join(tc.args, " "), r.code, r.stderr, tc.code, tc.stderr)
 		}
 	}

@@ -47,6 +47,16 @@ func runSim(args []string) error {
 		return err
 	}
 	defer hub.Close()
+	switch {
+	case !(*rateMbps > 0):
+		return usageError("-rate must be positive")
+	case oneWay(*rttMS) <= 0:
+		return usageError("-rtt must be positive")
+	case *flows <= 0:
+		return usageError("-flows must be positive")
+	case *duration <= 0:
+		return usageError("-duration must be positive")
+	}
 
 	names := strings.Split(*schemes, ",")
 	if len(names) == 1 {

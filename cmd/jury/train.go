@@ -44,6 +44,16 @@ func runTrain(args []string) error {
 	if *eval != "" {
 		return evaluate(*eval, *rate*1e6, 2*oneWay(*rtt), *seed)
 	}
+	switch {
+	case *epochs <= 0:
+		return usageError("-epochs must be positive")
+	case *actors <= 0:
+		return usageError("-actors must be positive")
+	case *steps <= 0:
+		return usageError("-steps must be positive")
+	case *updates <= 0:
+		return usageError("-updates must be positive")
+	}
 
 	opts := core.DefaultTrainOptions(*seed)
 	opts.Epochs = *epochs

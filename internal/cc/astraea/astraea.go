@@ -11,7 +11,7 @@
 // maximum, they saturate on faster links, so all flows on a 350 Mbps
 // bottleneck look identically "large" and the learned differentiation
 // vanishes. The SurrogatePolicy encodes that converged behaviour, with the
-// saturation made explicit via TrainedMaxThr (see DESIGN.md).
+// saturation made explicit via trainedMaxThr (see DESIGN.md).
 package astraea
 
 import (
@@ -36,29 +36,18 @@ type Policy interface {
 	Act(state []float64) float64
 }
 
-// Config parameterizes the controller.
-type Config struct {
-	Interval time.Duration
-	Alpha    float64 // multiplicative step size
-	// TrainedMaxThr is the maximum throughput seen in training (Table 1:
+// The controller's parameters mirror the §5 retraining setup.
+const (
+	interval = 30 * time.Millisecond // control interval
+	alpha    = 0.025                 // multiplicative step size
+	// trainedMaxThr is the maximum throughput seen in training (Table 1:
 	// 100 Mbps); throughput features are normalized against it and clamp
 	// at 1 beyond it.
-	TrainedMaxThr float64
-	Seed          uint64
-}
-
-// DefaultConfig mirrors the §5 retraining setup.
-func DefaultConfig() Config {
-	return Config{
-		Interval:      30 * time.Millisecond,
-		Alpha:         0.025,
-		TrainedMaxThr: 100e6,
-	}
-}
+	trainedMaxThr = 100e6
+)
 
 // Astraea is the controller. Construct with New.
 type Astraea struct {
-	cfg    Config
 	policy Policy
 
 	cwnd     float64
@@ -74,18 +63,8 @@ type Astraea struct {
 }
 
 // New returns an Astraea controller (nil policy selects the surrogate).
-func New(cfg Config, policy Policy) *Astraea {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Millisecond
-	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.025
-	}
-	if cfg.TrainedMaxThr <= 0 {
-		cfg.TrainedMaxThr = 100e6
-	}
+func New(policy Policy) *Astraea {
 	a := &Astraea{
-		cfg:      cfg,
 		cwnd:     10,
 		mss:      1500,
 		history:  make([]float64, StateDim),
@@ -93,7 +72,7 @@ func New(cfg Config, policy Policy) *Astraea {
 		lastGrow: -time.Hour, // first startup doubling is always allowed
 	}
 	if a.policy == nil {
-		a.policy = NewSurrogatePolicy(cfg)
+		a.policy = NewSurrogatePolicy()
 	}
 	return a
 }
@@ -115,7 +94,7 @@ func (a *Astraea) OnAck(k cc.Ack) {
 func (a *Astraea) OnLoss(cc.Loss) {}
 
 // ControlInterval implements cc.IntervalAlgorithm.
-func (a *Astraea) ControlInterval() time.Duration { return a.cfg.Interval }
+func (a *Astraea) ControlInterval() time.Duration { return interval }
 
 // OnInterval implements cc.IntervalAlgorithm.
 func (a *Astraea) OnInterval(s cc.IntervalStats) {
@@ -129,7 +108,7 @@ func (a *Astraea) OnInterval(s cc.IntervalStats) {
 			// Startup doubling, at most once per RTT (feedback lags one
 			// round trip; doubling per 30 ms interval would overshoot
 			// blindly) and bounded.
-			period := a.cfg.Interval
+			period := interval
 			if a.minRTT > period {
 				period = a.minRTT
 			}
@@ -161,7 +140,7 @@ func (a *Astraea) OnInterval(s cc.IntervalStats) {
 
 	// The throughput features that anchor Astraea's fairness — and clamp
 	// outside the training domain.
-	thrNorm := cc.Clamp(thr/a.cfg.TrainedMaxThr, 0, 1)
+	thrNorm := cc.Clamp(thr/trainedMaxThr, 0, 1)
 	thrRel := 0.0
 	if a.thrMax > 0 {
 		thrRel = thr / a.thrMax
@@ -183,9 +162,9 @@ func (a *Astraea) OnInterval(s cc.IntervalStats) {
 
 func (a *Astraea) applyAction(act float64) {
 	if act >= 0 {
-		a.cwnd *= 1 + a.cfg.Alpha*act
+		a.cwnd *= 1 + alpha*act
 	} else {
-		a.cwnd /= 1 - a.cfg.Alpha*act
+		a.cwnd /= 1 - alpha*act
 	}
 	if a.cwnd < 2 {
 		a.cwnd = 2
@@ -219,9 +198,9 @@ func (a *Astraea) LastState() []float64 { return a.lastState }
 // training domain) minus delay and loss penalties; the published system
 // adds a multi-agent fairness term computed across co-trained flows, which
 // the training harness supplies externally.
-func Reward(cfg Config, thrBps float64, rtt, rttMin time.Duration, loss float64) float64 {
+func Reward(thrBps float64, rtt, rttMin time.Duration, loss float64) float64 {
 	queue := (rtt - rttMin).Seconds()
-	return thrBps/cfg.TrainedMaxThr - 5*queue - 10*loss
+	return thrBps/trainedMaxThr - 5*queue - 10*loss
 }
 
 // SurrogatePolicy encodes the converged Astraea behaviour: inside the
@@ -230,14 +209,10 @@ func Reward(cfg Config, thrBps float64, rtt, rttMin time.Duration, loss float64)
 // fairness); beyond the domain the clamped thrNorm feature makes every flow
 // look maximal and the differentiation disappears, freezing whatever
 // unequal shares the flows happened to hold (Fig. 1b).
-type SurrogatePolicy struct {
-	cfg Config
-}
+type SurrogatePolicy struct{}
 
 // NewSurrogatePolicy builds the surrogate.
-func NewSurrogatePolicy(cfg Config) *SurrogatePolicy {
-	return &SurrogatePolicy{cfg: cfg}
-}
+func NewSurrogatePolicy() *SurrogatePolicy { return &SurrogatePolicy{} }
 
 // Act implements Policy.
 func (p *SurrogatePolicy) Act(state []float64) float64 {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSurrogateDifferentiatesInDomain(t *testing.T) {
-	p := NewSurrogatePolicy(DefaultConfig())
+	p := NewSurrogatePolicy()
 	// Same congestion, different throughput features: the larger flow must
 	// yield more (the fairness mechanism of §2.2).
 	mkState := func(thrNorm float64) []float64 {
@@ -31,7 +31,7 @@ func TestSurrogateDifferentiatesInDomain(t *testing.T) {
 }
 
 func TestSurrogateSaturatesOutOfDomain(t *testing.T) {
-	p := NewSurrogatePolicy(DefaultConfig())
+	p := NewSurrogatePolicy()
 	mkState := func(thrNorm float64) []float64 {
 		s := make([]float64, StateDim)
 		n := len(s)
@@ -52,9 +52,9 @@ func TestInDomainFairness(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 80e6, Delay: 15 * time.Millisecond, BufferBytes: 600_000})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	n.Run(120 * time.Second)
 	a := metrics.MeanThroughput(f1, 80*time.Second, 120*time.Second)
 	b := metrics.MeanThroughput(f2, 80*time.Second, 120*time.Second)
@@ -69,9 +69,9 @@ func TestOutOfDomainUnfairness(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 2})
 	l := n.AddLink(netsim.LinkConfig{Rate: 350e6, Delay: 15 * time.Millisecond, BufferBytes: 1_312_500})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	n.Run(120 * time.Second)
 	a := metrics.MeanThroughput(f1, 80*time.Second, 120*time.Second)
 	b := metrics.MeanThroughput(f2, 80*time.Second, 120*time.Second)
@@ -83,7 +83,7 @@ func TestOutOfDomainUnfairness(t *testing.T) {
 }
 
 func TestControllerMechanics(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	if a.Name() != "astraea" {
 		t.Fatal("name wrong")
@@ -103,15 +103,14 @@ func TestControllerMechanics(t *testing.T) {
 }
 
 func TestRewardShape(t *testing.T) {
-	cfg := DefaultConfig()
 	base := 30 * time.Millisecond
-	if Reward(cfg, 50e6, base, base, 0) <= Reward(cfg, 10e6, base, base, 0) {
+	if Reward(50e6, base, base, 0) <= Reward(10e6, base, base, 0) {
 		t.Fatal("reward not increasing in throughput")
 	}
-	if Reward(cfg, 50e6, base+30*time.Millisecond, base, 0) >= Reward(cfg, 50e6, base, base, 0) {
+	if Reward(50e6, base+30*time.Millisecond, base, 0) >= Reward(50e6, base, base, 0) {
 		t.Fatal("reward not penalizing queueing")
 	}
-	if Reward(cfg, 50e6, base, base, 0.05) >= Reward(cfg, 50e6, base, base, 0) {
+	if Reward(50e6, base, base, 0.05) >= Reward(50e6, base, base, 0) {
 		t.Fatal("reward not penalizing loss")
 	}
 }

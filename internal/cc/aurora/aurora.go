@@ -31,32 +31,21 @@ type Policy interface {
 	Act(state []float64) float64
 }
 
-// Config parameterizes the Aurora controller.
-type Config struct {
-	Interval time.Duration // monitor interval (we align with Jury's 30 ms)
-	// Alpha scales the multiplicative rate adjustment per action, as in the
+// The controller's parameters mirror the retraining setup of §5 (Table 1
+// domain).
+const (
+	interval = 30 * time.Millisecond // monitor interval (aligned with Jury's)
+	// alpha scales the multiplicative rate adjustment per action, as in the
 	// Aurora paper: x ← x·(1+αa) for a ≥ 0, x ← x/(1−αa) for a < 0.
-	Alpha float64
-	// TrainedMaxRate is the highest sending rate (bits/s) the policy saw in
+	alpha = 0.025
+	// trainedMaxRate is the highest sending rate (bits/s) the policy saw in
 	// training. The surrogate policy's behaviour degrades above it, which
 	// is Aurora's documented generalization failure.
-	TrainedMaxRate float64
-	Seed           uint64
-}
-
-// DefaultConfig mirrors the retraining setup of §5 (Table 1 domain).
-func DefaultConfig() Config {
-	return Config{
-		Interval:       30 * time.Millisecond,
-		Alpha:          0.025,
-		TrainedMaxRate: 100e6,
-		Seed:           1,
-	}
-}
+	trainedMaxRate = 100e6
+)
 
 // Aurora is the controller. Construct with New.
 type Aurora struct {
-	cfg    Config
 	policy Policy
 
 	rate   float64 // bits/second
@@ -72,21 +61,14 @@ type Aurora struct {
 
 // New returns an Aurora controller driving the given policy (nil selects
 // the surrogate converged policy).
-func New(cfg Config, policy Policy) *Aurora {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Millisecond
-	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.025
-	}
+func New(policy Policy) *Aurora {
 	a := &Aurora{
-		cfg:     cfg,
 		policy:  policy,
 		rate:    2e6, // Aurora starts at a low fixed rate
 		history: make([]float64, StateDim),
 	}
 	if a.policy == nil {
-		sp := NewSurrogatePolicy(cfg)
+		sp := NewSurrogatePolicy()
 		sp.attach(a)
 		a.policy = sp
 	}
@@ -106,7 +88,7 @@ func (a *Aurora) OnAck(cc.Ack) {}
 func (a *Aurora) OnLoss(cc.Loss) {}
 
 // ControlInterval implements cc.IntervalAlgorithm.
-func (a *Aurora) ControlInterval() time.Duration { return a.cfg.Interval }
+func (a *Aurora) ControlInterval() time.Duration { return interval }
 
 // OnInterval implements cc.IntervalAlgorithm: update the state history,
 // query the policy, and apply the multiplicative rate change.
@@ -154,9 +136,9 @@ func (a *Aurora) OnInterval(s cc.IntervalStats) {
 // applyAction performs Aurora's multiplicative rate update.
 func (a *Aurora) applyAction(act float64) {
 	if act >= 0 {
-		a.rate *= 1 + a.cfg.Alpha*act
+		a.rate *= 1 + alpha*act
 	} else {
-		a.rate /= 1 - a.cfg.Alpha*act
+		a.rate /= 1 - alpha*act
 	}
 	if a.rate < 0.1e6 {
 		a.rate = 0.1e6
@@ -213,14 +195,11 @@ func (a *Aurora) LastReward() float64 { return a.lastReward }
 //     distribution and it stops probing — the >300 Mbps under-utilization
 //     of Fig. 10(a) and the LTE mismatch of Fig. 12.
 type SurrogatePolicy struct {
-	cfg Config
-	au  *Aurora // set via attach for rate-envelope introspection
+	au *Aurora // set via attach for rate-envelope introspection
 }
 
-// NewSurrogatePolicy builds the surrogate for the given config.
-func NewSurrogatePolicy(cfg Config) *SurrogatePolicy {
-	return &SurrogatePolicy{cfg: cfg}
-}
+// NewSurrogatePolicy builds the surrogate.
+func NewSurrogatePolicy() *SurrogatePolicy { return &SurrogatePolicy{} }
 
 // Act implements Policy. State entries hold (latency gradient, latency
 // ratio − 1, sending ratio − 1) triples, newest last.
@@ -239,7 +218,7 @@ func (p *SurrogatePolicy) Act(state []float64) float64 {
 	}
 	// Out-of-distribution stall: a policy never trained beyond its domain
 	// stops producing the probing actions that got it there.
-	if p.au != nil && p.cfg.TrainedMaxRate > 0 && p.au.rate > 3*p.cfg.TrainedMaxRate {
+	if p.au != nil && p.au.rate > 3*trainedMaxRate {
 		return -0.1
 	}
 	switch {

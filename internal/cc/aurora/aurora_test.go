@@ -23,7 +23,7 @@ func mkStats(acked int64, rtt time.Duration, lost, sent int64) cc.IntervalStats 
 }
 
 func TestProbesWhenUncongested(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	r0 := a.Rate()
 	for i := 0; i < 50; i++ {
@@ -35,7 +35,7 @@ func TestProbesWhenUncongested(t *testing.T) {
 }
 
 func TestBacksOffOnLatencyGrowth(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	for i := 0; i < 20; i++ {
 		a.OnInterval(mkStats(100, 30*time.Millisecond, 0, 100))
@@ -52,7 +52,7 @@ func TestBacksOffOnLatencyGrowth(t *testing.T) {
 }
 
 func TestBacksOffOnHeavyLoss(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	for i := 0; i < 20; i++ {
 		a.OnInterval(mkStats(100, 30*time.Millisecond, 0, 100))
@@ -69,10 +69,9 @@ func TestBacksOffOnHeavyLoss(t *testing.T) {
 func TestOutOfDomainProbingStalls(t *testing.T) {
 	// The published generalization failure (Fig. 10a): probing stops once
 	// the rate leaves ~3x the training envelope.
-	cfg := DefaultConfig()
-	a := New(cfg, nil)
+	a := New(nil)
 	a.Init(0)
-	a.rate = 3.5 * cfg.TrainedMaxRate
+	a.rate = 3.5 * trainedMaxRate
 	r := a.Rate()
 	for i := 0; i < 50; i++ {
 		a.OnInterval(mkStats(1000, 30*time.Millisecond, 0, 1000))
@@ -83,7 +82,7 @@ func TestOutOfDomainProbingStalls(t *testing.T) {
 }
 
 func TestBlackoutHalvesViaAction(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	a.rate = 50e6
 	a.OnInterval(cc.IntervalStats{Interval: 30 * time.Millisecond, SentPackets: 100, LostPackets: 100})
@@ -105,7 +104,7 @@ func TestRewardShape(t *testing.T) {
 }
 
 func TestStateDimAndIdentity(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	a.Init(0)
 	a.OnInterval(mkStats(100, 30*time.Millisecond, 0, 100))
 	if len(a.LastState()) != StateDim {
@@ -120,7 +119,7 @@ func TestStateDimAndIdentity(t *testing.T) {
 }
 
 func TestRateBounds(t *testing.T) {
-	a := New(DefaultConfig(), nil)
+	a := New(nil)
 	for i := 0; i < 2000; i++ {
 		a.applyAction(-1)
 	}

@@ -32,25 +32,18 @@ type Policy interface {
 	Act(state []float64) float64
 }
 
-// Config parameterizes the controller.
-type Config struct {
-	// Interval is Orca's monitor period (coarser than Jury's: 200 ms).
-	Interval time.Duration
-	// TrainedMaxRTT is the largest base RTT in the training domain
+// The controller's parameters mirror the §5 retraining setup.
+const (
+	// interval is Orca's monitor period (coarser than Jury's 30 ms).
+	interval = 200 * time.Millisecond
+	// trainedMaxRTT is the largest base RTT in the training domain
 	// (Table 1: 60 ms); beyond ~2x the learned component misbehaves
 	// (Fig. 10f shows <20% utilization at high base delay).
-	TrainedMaxRTT time.Duration
-	Seed          uint64
-}
-
-// DefaultConfig mirrors the §5 retraining setup.
-func DefaultConfig() Config {
-	return Config{Interval: 200 * time.Millisecond, TrainedMaxRTT: 60 * time.Millisecond}
-}
+	trainedMaxRTT = 60 * time.Millisecond
+)
 
 // Orca is the hybrid controller. Construct with New.
 type Orca struct {
-	cfg    Config
 	policy Policy
 	cubic  *cubic.Cubic
 
@@ -64,21 +57,14 @@ type Orca struct {
 }
 
 // New returns an Orca controller (nil policy selects the surrogate).
-func New(cfg Config, policy Policy) *Orca {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * time.Millisecond
-	}
-	if cfg.TrainedMaxRTT <= 0 {
-		cfg.TrainedMaxRTT = 60 * time.Millisecond
-	}
+func New(policy Policy) *Orca {
 	o := &Orca{
-		cfg:     cfg,
 		cubic:   cubic.New(),
 		policy:  policy,
 		history: make([]float64, StateDim),
 	}
 	if o.policy == nil {
-		o.policy = NewSurrogatePolicy(cfg)
+		o.policy = NewSurrogatePolicy()
 	}
 	return o
 }
@@ -101,7 +87,7 @@ func (o *Orca) OnAck(a cc.Ack) {
 func (o *Orca) OnLoss(l cc.Loss) { o.cubic.OnLoss(l) }
 
 // ControlInterval implements cc.IntervalAlgorithm.
-func (o *Orca) ControlInterval() time.Duration { return o.cfg.Interval }
+func (o *Orca) ControlInterval() time.Duration { return interval }
 
 // OnInterval implements cc.IntervalAlgorithm: the learned layer rescales
 // CUBIC's window once per monitor period.
@@ -169,18 +155,14 @@ func (o *Orca) LastState() []float64 { return o.lastState }
 // toward full utilization (positive exponents while the queue is shallow,
 // negative as latency climbs); out of its trained delay range the learned
 // component degrades to strongly negative outputs.
-type SurrogatePolicy struct {
-	cfg Config
-}
+type SurrogatePolicy struct{}
 
 // NewSurrogatePolicy builds the surrogate.
-func NewSurrogatePolicy(cfg Config) *SurrogatePolicy {
-	return &SurrogatePolicy{cfg: cfg}
-}
+func NewSurrogatePolicy() *SurrogatePolicy { return &SurrogatePolicy{} }
 
 // outOfDomain reports whether the flow's base RTT left the training range.
 func (p *SurrogatePolicy) outOfDomain(o *Orca) bool {
-	return o.minRTT > 2*p.cfg.TrainedMaxRTT
+	return o.minRTT > 2*trainedMaxRTT
 }
 
 // Act implements Policy.

@@ -24,7 +24,7 @@ func mkStats(acked int64, rtt time.Duration, lost int64, minRTT time.Duration) c
 }
 
 func TestBoostsCubicWhenUnderutilized(t *testing.T) {
-	o := New(DefaultConfig(), nil)
+	o := New(nil)
 	o.Init(0)
 	o.minRTT = 30 * time.Millisecond
 	// Establish a throughput ceiling, then run below it with no queue.
@@ -40,7 +40,7 @@ func TestBoostsCubicWhenUnderutilized(t *testing.T) {
 }
 
 func TestShrinksOnQueueBuildup(t *testing.T) {
-	o := New(DefaultConfig(), nil)
+	o := New(nil)
 	o.Init(0)
 	o.minRTT = 30 * time.Millisecond
 	o.OnInterval(mkStats(1000, 30*time.Millisecond, 0, 30*time.Millisecond))
@@ -54,7 +54,7 @@ func TestShrinksOnQueueBuildup(t *testing.T) {
 func TestOutOfDomainCollapse(t *testing.T) {
 	// Base RTT 150 ms (2.5x the training max): the learned layer outputs
 	// its collapsed exponent (Fig. 10f).
-	o := New(DefaultConfig(), nil)
+	o := New(nil)
 	o.Init(0)
 	o.minRTT = 150 * time.Millisecond
 	o.OnInterval(mkStats(1000, 150*time.Millisecond, 0, 150*time.Millisecond))
@@ -64,7 +64,7 @@ func TestOutOfDomainCollapse(t *testing.T) {
 }
 
 func TestLossPathGoesThroughCubic(t *testing.T) {
-	o := New(DefaultConfig(), nil)
+	o := New(nil)
 	o.Init(0)
 	// Grow cubic, then hit it with a loss: the hybrid inherits the cut.
 	for i := 0; i < 50; i++ {
@@ -81,7 +81,7 @@ func TestInDomainUtilization(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u < 0.8 {
 		t.Fatalf("in-domain utilization %v", u)
@@ -94,7 +94,7 @@ func TestLossyLinkDegradation(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 2})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000, LossRate: 0.01})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u > 0.75 {
 		t.Fatalf("utilization %v at 1%% loss — Orca's documented degradation did not reproduce", u)
@@ -106,7 +106,7 @@ func TestHighDelayCollapseEndToEnd(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 3})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 100 * time.Millisecond, BufferBytes: 1_250_000})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(DefaultConfig(), nil) }})
+		CC: func() cc.Algorithm { return New(nil) }})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u > 0.5 {
 		t.Fatalf("utilization %v at 200ms base RTT — expected out-of-domain collapse", u)
@@ -114,7 +114,7 @@ func TestHighDelayCollapseEndToEnd(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	o := New(DefaultConfig(), nil)
+	o := New(nil)
 	if o.Name() != "orca" || o.PacingRate() != 0 {
 		t.Fatal("identity wrong")
 	}

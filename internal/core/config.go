@@ -24,8 +24,8 @@ import (
 	"time"
 )
 
-// Config holds Jury's hyperparameters. Defaults (DefaultConfig) follow
-// Table 2 of the paper.
+// Config holds Jury's hyperparameters. New uses every field as given;
+// DefaultConfig holds Table 2 of the paper.
 type Config struct {
 	// Interval is the control interval (Table 2: 30 ms).
 	Interval time.Duration
@@ -49,11 +49,6 @@ type Config struct {
 	ExploreHigh float64
 	ExploreProb float64
 
-	// MinIntervalPackets is the statistics-significance threshold: with
-	// fewer feedback packets in an interval, Jury maximally increases the
-	// rate instead of consulting the model (§3.4, doubling as slow start).
-	MinIntervalPackets int64
-
 	// OccupancyWindow is the moving-average length for the occupancy
 	// estimate, and OccupancyMin/Max are the outlier bounds (§3.4 "Signal
 	// Averaging and Filtering").
@@ -61,55 +56,58 @@ type Config struct {
 	OccupancyMin    float64
 	OccupancyMax    float64
 
-	// SignalClamp bounds each normalized input signal to [-SignalClamp,
-	// +SignalClamp] before it reaches the policy.
-	SignalClamp float64
+	// Seed drives the exploration-action coin flips.
+	Seed uint64
+}
 
-	// MinCwnd floors the congestion window (packets).
-	MinCwnd float64
-	// MaxCwnd caps the congestion window (packets). Eq. 7 is a pure
+// The implementation constants documented in DESIGN.md.
+const (
+	// minIntervalPackets is the statistics-significance threshold: with
+	// fewer feedback packets in an interval, Jury maximally increases the
+	// rate instead of consulting the model (§3.4, doubling as slow start).
+	minIntervalPackets = 8
+
+	// signalClamp bounds each normalized input signal to [-signalClamp,
+	// +signalClamp] before it reaches the policy.
+	signalClamp = 1.0
+
+	// minCwnd floors the congestion window (packets).
+	minCwnd = 2
+	// maxCwnd caps the congestion window (packets). Eq. 7 is a pure
 	// multiplicative update; without a ceiling a flow whose signals go flat
 	// at a saturated bottleneck (RTT pinned at the full buffer, loss steady
 	// so the ratio signal telescopes to zero) ratchets its window upward
 	// without bound. Deployed Jury inherits the kernel's window limit; the
-	// emulation needs an explicit one. Zero selects the default.
-	MaxCwnd float64
-	// CollapseLoss is the congestion-collapse guard: when an interval's
+	// emulation needs an explicit one.
+	maxCwnd = 1 << 17
+	// collapseLoss is the congestion-collapse guard: when an interval's
 	// loss rate reaches this level, the window is far beyond what the path
 	// delivers and Jury retreats maximally instead of consulting the model
 	// (generalizing the §3.4 blackout rule). The policy itself cannot see
 	// this — its loss signal carries only interval-to-interval *changes*,
 	// so a steady severe loss level is invisible to it by design. Well
 	// above any random-loss environment Jury must stay efficient in
-	// (Fig. 10c uses ≤1%). Zero selects the default.
-	CollapseLoss float64
-
-	// Seed drives the exploration-action coin flips.
-	Seed uint64
-}
+	// (Fig. 10c uses ≤1%).
+	collapseLoss = 0.1
+)
 
 // DefaultConfig returns the paper's hyperparameters (Table 2) plus the
-// implementation constants documented in DESIGN.md.
+// settable implementation values documented in DESIGN.md.
 func DefaultConfig() Config {
 	return Config{
-		Interval:           30 * time.Millisecond,
-		Alpha:              0.025,
-		Beta1:              1e-5,
-		Beta2:              5,
-		Zeta:               0.9,
-		HistoryLen:         8,
-		ExploreLow:         -0.05,
-		ExploreHigh:        0.05,
-		ExploreProb:        0.5,
-		MinIntervalPackets: 8,
-		OccupancyWindow:    32,
-		OccupancyMin:       0.02,
-		OccupancyMax:       1.0,
-		SignalClamp:        1.0,
-		MinCwnd:            2,
-		MaxCwnd:            1 << 17,
-		CollapseLoss:       0.1,
-		Seed:               1,
+		Interval:        30 * time.Millisecond,
+		Alpha:           0.025,
+		Beta1:           1e-5,
+		Beta2:           5,
+		Zeta:            0.9,
+		HistoryLen:      8,
+		ExploreLow:      -0.05,
+		ExploreHigh:     0.05,
+		ExploreProb:     0.5,
+		OccupancyWindow: 32,
+		OccupancyMin:    0.02,
+		OccupancyMax:    1.0,
+		Seed:            1,
 	}
 }
 
@@ -130,10 +128,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: occupancy window %d < 1", c.OccupancyWindow)
 	case c.OccupancyMin < 0 || c.OccupancyMax > 1 || c.OccupancyMin >= c.OccupancyMax:
 		return fmt.Errorf("core: occupancy bounds [%v,%v] invalid", c.OccupancyMin, c.OccupancyMax)
-	case c.MaxCwnd != 0 && c.MaxCwnd < c.MinCwnd:
-		return fmt.Errorf("core: max cwnd %v below min cwnd %v", c.MaxCwnd, c.MinCwnd)
-	case c.CollapseLoss < 0 || c.CollapseLoss > 1:
-		return fmt.Errorf("core: collapse-loss threshold %v outside [0,1]", c.CollapseLoss)
 	}
 	return nil
 }

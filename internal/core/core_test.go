@@ -383,7 +383,7 @@ func TestApplyActionBoundsAndFloor(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		j.applyAction(-1)
 	}
-	if j.cwnd < j.cfg.MinCwnd {
+	if j.cwnd < minCwnd {
 		t.Fatalf("cwnd %v below floor", j.cwnd)
 	}
 	w := j.cwnd

@@ -11,30 +11,23 @@ import (
 )
 
 // EnvConfig parameterizes the RL training environment: each episode is one
-// emulated scenario sampled from the Table 1 domain, with the agent driving
-// one Jury flow among 2-10 competitors (§5: a mix of homogeneous flows and
-// Cubic flows).
+// emulated scenario sampled from the Table 1 domain (DefaultTrainingDomain),
+// with the agent driving one DefaultConfig Jury flow among 2-10 competitors
+// (§5: a mix of homogeneous flows and Cubic flows).
 type EnvConfig struct {
-	Jury    Config
-	Domain  TrainingDomain
-	Episode time.Duration // episode length (default 20 s)
-	// CubicCompetitorProb is the probability that each competitor runs
-	// Cubic rather than Jury-with-reference-policy. The reference policy
-	// stands in for "another flow running the current policy" (true
-	// self-play would need policy snapshots; see DESIGN.md).
-	CubicCompetitorProb float64
-	Seed                uint64
+	Episode time.Duration // episode length
+	Seed    uint64
 }
+
+// cubicCompetitorProb is the probability that each competitor runs Cubic
+// rather than Jury-with-reference-policy. The reference policy stands in for
+// "another flow running the current policy" (true self-play would need
+// policy snapshots; see DESIGN.md).
+const cubicCompetitorProb = 0.3
 
 // DefaultEnvConfig returns the training setup used by `jury train`.
 func DefaultEnvConfig(seed uint64) EnvConfig {
-	return EnvConfig{
-		Jury:                DefaultConfig(),
-		Domain:              DefaultTrainingDomain(),
-		Episode:             20 * time.Second,
-		CubicCompetitorProb: 0.3,
-		Seed:                seed,
-	}
+	return EnvConfig{Episode: 20 * time.Second, Seed: seed}
 }
 
 // TrainingEnv adapts the emulator to the rl.Env interface. Each Step
@@ -54,11 +47,8 @@ type TrainingEnv struct {
 
 var _ rl.Env = (*TrainingEnv)(nil)
 
-// NewTrainingEnv returns a training environment.
+// NewTrainingEnv returns a training environment for cfg as given.
 func NewTrainingEnv(cfg EnvConfig) *TrainingEnv {
-	if cfg.Episode <= 0 {
-		cfg.Episode = 20 * time.Second
-	}
 	return &TrainingEnv{cfg: cfg, rng: simcore.NewRNG(cfg.Seed ^ 0x7e57)}
 }
 
@@ -66,7 +56,7 @@ func NewTrainingEnv(cfg EnvConfig) *TrainingEnv {
 // agent's policy is first consulted.
 func (e *TrainingEnv) Reset() []float64 {
 	e.episode++
-	d := e.cfg.Domain
+	d := DefaultTrainingDomain()
 	bw := e.rng.Range(d.MinBandwidth, d.MaxBandwidth)
 	rtt := time.Duration(e.rng.Range(float64(d.MinRTT), float64(d.MaxRTT)))
 	bdp := bw / 8 * rtt.Seconds()
@@ -83,7 +73,7 @@ func (e *TrainingEnv) Reset() []float64 {
 	})
 
 	e.capture = &capturedPolicy{next: [2]float64{0.5, 0.5}}
-	juryCfg := e.cfg.Jury
+	juryCfg := DefaultConfig()
 	juryCfg.Seed = e.rng.Uint64()
 	e.jury = New(juryCfg, e.capture)
 	e.net.AddFlow(netsim.FlowConfig{
@@ -94,12 +84,12 @@ func (e *TrainingEnv) Reset() []float64 {
 	for i := 1; i < nFlows; i++ {
 		start := time.Duration(e.rng.Range(0, float64(e.cfg.Episode)/2))
 		var mk func() cc.Algorithm
-		if e.rng.Bernoulli(e.cfg.CubicCompetitorProb) {
+		if e.rng.Bernoulli(cubicCompetitorProb) {
 			mk = func() cc.Algorithm { return cubic.New() }
 		} else {
 			seed := e.rng.Uint64()
 			mk = func() cc.Algorithm {
-				cfg := e.cfg.Jury
+				cfg := DefaultConfig()
 				cfg.Seed = seed
 				return New(cfg, NewReferencePolicy())
 			}
@@ -120,7 +110,7 @@ func (e *TrainingEnv) Reset() []float64 {
 // consulted again or the episode ends.
 func (e *TrainingEnv) runUntilAsked() {
 	e.capture.asked = false
-	step := e.cfg.Jury.Interval
+	step := e.jury.cfg.Interval
 	for !e.capture.asked && e.net.Now() < e.endAt {
 		e.net.Run(e.net.Now() + step)
 	}
@@ -130,7 +120,7 @@ func (e *TrainingEnv) runUntilAsked() {
 // was never consulted, e.g. an all-slow-start episode).
 func (e *TrainingEnv) state() []float64 {
 	if e.capture.lastState == nil {
-		return make([]float64, e.cfg.Jury.StateDim())
+		return make([]float64, e.jury.cfg.StateDim())
 	}
 	out := make([]float64, len(e.capture.lastState))
 	copy(out, e.capture.lastState)

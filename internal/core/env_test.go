@@ -13,8 +13,8 @@ func TestTrainingEnvResetAndStep(t *testing.T) {
 	cfg.Episode = 5 * time.Second
 	env := NewTrainingEnv(cfg)
 	state := env.Reset()
-	if len(state) != cfg.Jury.StateDim() {
-		t.Fatalf("state dim %d, want %d", len(state), cfg.Jury.StateDim())
+	if len(state) != DefaultConfig().StateDim() {
+		t.Fatalf("state dim %d, want %d", len(state), DefaultConfig().StateDim())
 	}
 	steps := 0
 	done := false
@@ -22,7 +22,7 @@ func TestTrainingEnvResetAndStep(t *testing.T) {
 	for !done && steps < 10000 {
 		var next []float64
 		next, reward, done = env.Step([]float64{0.5, 0})
-		if len(next) != cfg.Jury.StateDim() {
+		if len(next) != DefaultConfig().StateDim() {
 			t.Fatalf("step state dim %d", len(next))
 		}
 		steps++
@@ -37,7 +37,7 @@ func TestTrainingEnvResetAndStep(t *testing.T) {
 	}
 	_ = reward
 	// Reset starts a fresh episode.
-	if s2 := env.Reset(); len(s2) != cfg.Jury.StateDim() {
+	if s2 := env.Reset(); len(s2) != DefaultConfig().StateDim() {
 		t.Fatal("second reset broken")
 	}
 }
@@ -76,7 +76,7 @@ func TestTrainingEnvEpisodesDiffer(t *testing.T) {
 	if rate1 == rate2 {
 		t.Fatal("consecutive episodes sampled identical bandwidth")
 	}
-	d := cfg.Domain
+	d := DefaultTrainingDomain()
 	for _, r := range []float64{rate1, rate2} {
 		if r < d.MinBandwidth || r > d.MaxBandwidth {
 			t.Fatalf("sampled bandwidth %v outside Table 1 domain", r)
@@ -93,7 +93,6 @@ func TestTrainPolicySmoke(t *testing.T) {
 	opts.Actors = 2
 	opts.StepsPerActor = 64
 	opts.UpdatesPerEpoch = 16
-	opts.Env.Episode = 3 * time.Second
 	agent, res, err := TrainPolicy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestTrainPolicySmoke(t *testing.T) {
 	}
 	// The trained actor must produce valid decision ranges.
 	policy := &NNPolicy{Net: agent.Actor}
-	mu, delta := policy.Decide(make([]float64, opts.Env.Jury.StateDim()))
+	mu, delta := policy.Decide(make([]float64, DefaultConfig().StateDim()))
 	if mu < -1 || mu > 1 || delta < 0 || delta > 1 {
 		t.Fatalf("trained policy range (%v, %v) out of bounds", mu, delta)
 	}
@@ -122,7 +121,6 @@ func TestTrainPolicyLeavesNoGoroutines(t *testing.T) {
 	opts.Actors = 2
 	opts.StepsPerActor = 64
 	opts.UpdatesPerEpoch = 4
-	opts.Env.Episode = 3 * time.Second
 	var during int
 	opts.Progress = func(int, float64, float64) { during = runtime.NumGoroutine() }
 	if _, _, err := TrainPolicy(opts); err != nil {

@@ -50,7 +50,7 @@ func TestGuardDegradesOnNaNPolicyOutput(t *testing.T) {
 	if j.NonFiniteActions() != 0 {
 		t.Fatalf("%d non-finite actions slipped past the decision guard", j.NonFiniteActions())
 	}
-	if !isFinite(j.CWND()) || j.CWND() < j.cfg.MinCwnd {
+	if !isFinite(j.CWND()) || j.CWND() < minCwnd {
 		t.Fatalf("cwnd %v corrupted", j.CWND())
 	}
 	if !isFinite(j.PacingRate()) {
@@ -121,7 +121,7 @@ func TestApplyActionLastDitchGuard(t *testing.T) {
 	// A corrupted window itself is also repaired.
 	j.cwnd = math.NaN()
 	j.applyAction(0.5)
-	if j.CWND() != j.cfg.MinCwnd {
+	if j.CWND() != minCwnd {
 		t.Fatalf("NaN cwnd not reset to floor: %v", j.CWND())
 	}
 }

@@ -82,14 +82,6 @@ func New(cfg Config, policy Policy) *Jury {
 	if policy == nil {
 		policy = NewReferencePolicy()
 	}
-	// Zero means "default" so hand-rolled Configs predating these fields
-	// keep working.
-	if cfg.MaxCwnd == 0 {
-		cfg.MaxCwnd = 1 << 17
-	}
-	if cfg.CollapseLoss == 0 {
-		cfg.CollapseLoss = 0.1
-	}
 	return &Jury{
 		cfg:         cfg,
 		policy:      policy,
@@ -153,10 +145,10 @@ func (j *Jury) OnInterval(s cc.IntervalStats) {
 		// Blackout under loss: everything sent in the interval died. Back
 		// off maximally rather than consulting a model with no signal.
 		j.applyAction(-1)
-	case s.AckedPackets < j.cfg.MinIntervalPackets && s.LostPackets > 0:
+	case s.AckedPackets < minIntervalPackets && s.LostPackets > 0:
 		// Too few samples to trust the model, and losses present: retreat.
 		j.applyAction(-1)
-	case loss >= j.cfg.CollapseLoss:
+	case loss >= collapseLoss:
 		// Congestion collapse: the window is far beyond what the path
 		// delivers. The policy cannot react — at a saturated buffer the
 		// RTT difference is flat and the loss-ratio signal only carries
@@ -164,7 +156,7 @@ func (j *Jury) OnInterval(s cc.IntervalStats) {
 		// which otherwise lets Eq. 7 ratchet the window upward while
 		// every surplus packet is dropped, starving competing flows.
 		j.applyAction(-1)
-	case s.AckedPackets < j.cfg.MinIntervalPackets:
+	case s.AckedPackets < minIntervalPackets:
 		// Statistics-significance rule (§3.4): too few samples for a
 		// reliable decision — keep maximally increasing the sending rate.
 		// This doubles as the slow-start phase and lets short flows skip
@@ -271,17 +263,17 @@ func (j *Jury) applyAction(a float64) {
 	} else {
 		j.cwnd /= 1 - j.cfg.Alpha*a
 	}
-	if j.cwnd < j.cfg.MinCwnd {
-		j.cwnd = j.cfg.MinCwnd
+	if j.cwnd < minCwnd {
+		j.cwnd = minCwnd
 	}
-	if j.cwnd > j.cfg.MaxCwnd {
-		j.cwnd = j.cfg.MaxCwnd
+	if j.cwnd > maxCwnd {
+		j.cwnd = maxCwnd
 	}
 	if !isFinite(j.cwnd) {
 		// NaN survives both clamps (every comparison is false); a corrupted
 		// window restarts from the floor rather than poisoning the flow.
 		j.nonfiniteActions.Add(1)
-		j.cwnd = j.cfg.MinCwnd
+		j.cwnd = minCwnd
 	}
 }
 
@@ -300,8 +292,8 @@ func (j *Jury) slowStartStep(s cc.IntervalStats) {
 	j.lastGrowAt = s.Now
 	j.lastAction = 1
 	j.cwnd *= 2
-	if j.cwnd > j.cfg.MaxCwnd {
-		j.cwnd = j.cfg.MaxCwnd
+	if j.cwnd > maxCwnd {
+		j.cwnd = maxCwnd
 	}
 }
 

@@ -101,11 +101,10 @@ func clampLoss(l float64) float64 {
 
 // push appends the policy-facing pair (ΔRTT, loss ratio) to the history.
 func (t *Transformer) push(sig Signals) {
-	c := t.cfg.SignalClamp
 	copy(t.history, t.history[2:])
 	n := len(t.history)
-	t.history[n-2] = cc.Clamp(sig.DRTTNorm, -c, c)
-	t.history[n-1] = cc.Clamp(sig.LossRatio, -c, c)
+	t.history[n-2] = cc.Clamp(sig.DRTTNorm, -signalClamp, signalClamp)
+	t.history[n-1] = cc.Clamp(sig.LossRatio, -signalClamp, signalClamp)
 	if t.historyReady < t.cfg.HistoryLen {
 		t.historyReady++
 	}

@@ -64,17 +64,11 @@ func NewScheme(name string, seed uint64) (cc.Algorithm, error) {
 	case "jury":
 		return core.NewDefault(seed), nil
 	case "astraea":
-		cfg := astraea.DefaultConfig()
-		cfg.Seed = seed
-		return astraea.New(cfg, nil), nil
+		return astraea.New(nil), nil
 	case "orca":
-		cfg := orca.DefaultConfig()
-		cfg.Seed = seed
-		return orca.New(cfg, nil), nil
+		return orca.New(nil), nil
 	case "aurora":
-		cfg := aurora.DefaultConfig()
-		cfg.Seed = seed
-		return aurora.New(cfg, nil), nil
+		return aurora.New(nil), nil
 	case "vivace":
 		return vivace.New(seed), nil
 	case "bbr":

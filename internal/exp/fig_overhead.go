@@ -74,11 +74,11 @@ func newOverheadScheme(name string, seed uint64) (cc.Algorithm, error) {
 	case "jury-ref":
 		return core.NewDefault(seed), nil
 	case "aurora":
-		return aurora.New(aurora.DefaultConfig(), newNNActPolicy(mlp(aurora.StateDim))), nil
+		return aurora.New(newNNActPolicy(mlp(aurora.StateDim))), nil
 	case "astraea":
-		return astraea.New(astraea.DefaultConfig(), newNNActPolicy(mlp(astraea.StateDim))), nil
+		return astraea.New(newNNActPolicy(mlp(astraea.StateDim))), nil
 	case "orca":
-		return orca.New(orca.DefaultConfig(), newNNActPolicy(mlp(orca.StateDim))), nil
+		return orca.New(newNNActPolicy(mlp(orca.StateDim))), nil
 	default:
 		return NewScheme(name, seed)
 	}

@@ -273,7 +273,7 @@ func (f *Flow) reserveSeries(horizon time.Duration) {
 	if end <= f.cfg.Start {
 		return
 	}
-	need := int((end-f.cfg.Start)/f.net.cfg.RecordInterval) + 2
+	need := int((end-f.cfg.Start)/recordInterval) + 2
 	if cap(f.series) >= need {
 		return
 	}
@@ -307,7 +307,7 @@ func (f *Flow) start() {
 		f.tracker = newIntervalTracker(ia)
 		f.eng.ScheduleArgAfter(f.tracker.interval, flowIntervalTick, f)
 	}
-	f.eng.ScheduleArgAfter(f.net.cfg.RecordInterval, flowRecordTick, f)
+	f.eng.ScheduleArgAfter(recordInterval, flowRecordTick, f)
 	f.trySend()
 }
 
@@ -334,7 +334,7 @@ func (f *Flow) recordTick() {
 		return
 	}
 	now := f.eng.Now()
-	iv := f.net.cfg.RecordInterval
+	iv := recordInterval
 	p := SeriesPoint{
 		T:             now,
 		ThroughputBps: float64(f.rec.ackedBytes) * 8 / iv.Seconds(),

@@ -87,10 +87,10 @@ type Config struct {
 	// Seed drives every random component (loss, traces via callers, CC
 	// exploration if the CC asks the flow for an RNG).
 	Seed uint64
-	// RecordInterval is the granularity of per-flow time series
-	// (default 200 ms).
-	RecordInterval time.Duration
 }
+
+// recordInterval is the granularity of per-flow time series.
+const recordInterval = 200 * time.Millisecond
 
 // Network owns the event engine, links, and flows of one simulation.
 type Network struct {
@@ -144,9 +144,6 @@ func (n *Network) carveSeries(need int) []SeriesPoint {
 
 // New returns an empty network.
 func New(cfg Config) *Network {
-	if cfg.RecordInterval <= 0 {
-		cfg.RecordInterval = 200 * time.Millisecond
-	}
 	return &Network{
 		eng: simcore.NewEngine(),
 		rng: simcore.NewRNG(cfg.Seed),
@@ -166,7 +163,7 @@ func (n *Network) SetTap(t Tap) { n.tap = t }
 func (n *Network) Tap() Tap { return n.tap }
 
 // RecordInterval reports the per-flow series sampling granularity.
-func (n *Network) RecordInterval() time.Duration { return n.cfg.RecordInterval }
+func (n *Network) RecordInterval() time.Duration { return recordInterval }
 
 // SetWindowHook installs a virtual-time window observer: once the clock has
 // provably passed a point where due(at) reports true, fire(end) runs with

@@ -62,7 +62,9 @@ func TestCollectCopiesEnvBuffers(t *testing.T) {
 // scratch). The difference of two run lengths cancels collect's fixed
 // set-up allocations.
 func TestCollectAllocsPerStep(t *testing.T) {
-	policy := NewTD3(Config{StateDim: 1, ActionDim: 1, Seed: 3}).Actor
+	cfg := DefaultConfig(1, 1)
+	cfg.Seed = 3
+	policy := NewTD3(cfg).Actor
 	env := &reusingEnv{}
 	state := env.Reset()
 	rng := simcore.NewRNG(24)

@@ -57,8 +57,16 @@ func TestReplayBufferSampleUniform(t *testing.T) {
 	}
 }
 
+// testConfig is DefaultConfig(stateDim, actionDim) with the given hidden
+// widths and seed.
+func testConfig(stateDim, actionDim int, hidden []int, seed uint64) Config {
+	cfg := DefaultConfig(stateDim, actionDim)
+	cfg.Hidden, cfg.Seed = hidden, seed
+	return cfg
+}
+
 func TestActClipsToActionBox(t *testing.T) {
-	agent := NewTD3(Config{StateDim: 3, ActionDim: 2, Hidden: []int{8}, Seed: 3})
+	agent := NewTD3(testConfig(3, 2, []int{8}, 3))
 	scratch, rng := nn.NewScratch(agent.Actor), simcore.NewRNG(3)
 	if err := quick.Check(func(a, b, c float64) bool {
 		s := []float64{sane(a), sane(b), sane(c)}
@@ -88,7 +96,7 @@ func sane(v float64) float64 {
 }
 
 func TestActDeterministicWithoutNoise(t *testing.T) {
-	agent := NewTD3(Config{StateDim: 2, ActionDim: 1, Hidden: []int{8}, Seed: 4})
+	agent := NewTD3(testConfig(2, 1, []int{8}, 4))
 	s := []float64{0.5, -0.5}
 	a1 := greedy(agent, s)
 	a2 := greedy(agent, s)
@@ -98,7 +106,7 @@ func TestActDeterministicWithoutNoise(t *testing.T) {
 }
 
 func TestUpdateNoopWhenBufferSmall(t *testing.T) {
-	agent := NewTD3(Config{StateDim: 2, ActionDim: 1, Hidden: []int{8}, Batch: 64, Seed: 5})
+	agent := NewTD3(testConfig(2, 1, []int{8}, 5))
 	buf := NewReplayBuffer(128)
 	buf.Add(Transition{State: []float64{0, 0}, Action: []float64{0}, NextState: []float64{0, 0}})
 	if got := agent.Update(buf); got != 0 {
@@ -138,20 +146,15 @@ func TestTD3SolvesContextualBandit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learning-convergence test")
 	}
-	agent := NewTD3(Config{
-		StateDim: 1, ActionDim: 1, Hidden: []int{32, 32},
-		ActorLR: 1e-3, CriticLR: 2e-3, Gamma: 0.0 /* one-step */, Batch: 64, Seed: 6,
-	})
-	// Gamma 0 is replaced by the default (0.98) in NewTD3 because of the
-	// zero-means-default convention; for a done-terminated one-step env the
-	// discount never applies, so this is harmless.
-	res, err := Train(TrainConfig{
-		Agent:           agent,
-		EnvFactory:      func(i int) Env { return &banditEnv{rng: simcore.NewRNG(uint64(i) + 10)} },
+	cfg := testConfig(1, 1, []int{32, 32}, 6)
+	cfg.ActorLR, cfg.CriticLR, cfg.Gamma = 1e-3, 2e-3, 0 // one-step
+	agent := NewTD3(cfg)
+	res, err := Train(agent, func(i int) Env { return &banditEnv{rng: simcore.NewRNG(uint64(i) + 10)} }, TrainConfig{
 		Actors:          4,
 		Epochs:          60,
 		StepsPerActor:   64,
 		UpdatesPerEpoch: 64,
+		BufferSize:      1 << 17,
 		WarmupEpochs:    2,
 		NoiseStd:        0.4,
 		Seed:            7,
@@ -208,15 +211,15 @@ func TestTD3LearnsMultiStepCredit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learning-convergence test")
 	}
-	agent := NewTD3(Config{StateDim: 1, ActionDim: 1, Hidden: []int{32, 32}, Batch: 64, Seed: 8})
-	res, err := Train(TrainConfig{
-		Agent:           agent,
-		EnvFactory:      func(i int) Env { return &chainEnv{} },
+	agent := NewTD3(testConfig(1, 1, []int{32, 32}, 8))
+	res, err := Train(agent, func(i int) Env { return &chainEnv{} }, TrainConfig{
 		Actors:          4,
 		Epochs:          50,
 		StepsPerActor:   100,
 		UpdatesPerEpoch: 50,
+		BufferSize:      1 << 17,
 		WarmupEpochs:    2,
+		NoiseStd:        0.3,
 		Seed:            9,
 	})
 	if err != nil {
@@ -234,8 +237,50 @@ func TestTD3LearnsMultiStepCredit(t *testing.T) {
 }
 
 func TestTrainValidatesConfig(t *testing.T) {
-	if _, err := Train(TrainConfig{}); err == nil {
+	if _, err := Train(nil, nil, TrainConfig{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+	// Train fills no zero field: each non-positive budget is an error, and
+	// none of them reaches the environment factory.
+	for _, tc := range []struct {
+		name string
+		edit func(*TrainConfig)
+	}{
+		{"actors", func(c *TrainConfig) { c.Actors = 0 }},
+		{"negative actors", func(c *TrainConfig) { c.Actors = -3 }},
+		{"epochs", func(c *TrainConfig) { c.Epochs = 0 }},
+		{"steps", func(c *TrainConfig) { c.StepsPerActor = 0 }},
+		{"updates", func(c *TrainConfig) { c.UpdatesPerEpoch = 0 }},
+		{"buffer", func(c *TrainConfig) { c.BufferSize = 0 }},
+	} {
+		agent := tinyAgent(1)
+		cfg := tinyTrainConfig(1)
+		tc.edit(&cfg)
+		built := false
+		_, err := Train(agent, func(int) Env { built = true; return &banditEnv{rng: simcore.NewRNG(1)} }, cfg)
+		if err == nil || built {
+			t.Errorf("%s: Train returned %v and built an environment: %v", tc.name, err, built)
+		}
+	}
+}
+
+// TestNewTD3KeepsConfig: NewTD3 uses its config as given, so a zero
+// discount is a zero discount — one update on non-terminal transitions
+// targets the reward alone.
+func TestNewTD3KeepsConfig(t *testing.T) {
+	cfg := DefaultConfig(1, 1)
+	cfg.Gamma = 0
+	agent := NewTD3(cfg)
+	defer agent.Close()
+	buf := NewReplayBuffer(cfg.Batch)
+	for i := 0; i < cfg.Batch; i++ {
+		buf.Add(Transition{State: []float64{0.5}, Action: []float64{0.1}, Reward: 0.7, NextState: []float64{-0.5}})
+	}
+	agent.Update(buf)
+	for i, y := range agent.yBuf {
+		if y != 0.7 {
+			t.Fatalf("TD target %d is %v with Gamma 0, want the reward 0.7", i, y)
+		}
 	}
 }
 
@@ -251,7 +296,9 @@ func TestNewTD3PanicsOnBadDims(t *testing.T) {
 func TestCriticLearnsValueOfFixedPolicy(t *testing.T) {
 	// Terminal one-step transitions with fixed reward 1: Q(s,a) must
 	// converge to ~1 everywhere it is trained.
-	agent := NewTD3(Config{StateDim: 1, ActionDim: 1, Hidden: []int{16}, Batch: 32, Seed: 11})
+	cfg := testConfig(1, 1, []int{16}, 11)
+	cfg.Batch = 32
+	agent := NewTD3(cfg)
 	buf := NewReplayBuffer(1024)
 	rng := simcore.NewRNG(12)
 	for i := 0; i < 512; i++ {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/simcore"
 )
 
-// Config parameterizes a TD3 agent. Zero fields take the defaults of
-// DefaultConfig, which mirror the paper's Table 2.
+// Config parameterizes a TD3 agent. NewTD3 uses every field as given;
+// DefaultConfig holds the paper's Table 2 values.
 type Config struct {
 	StateDim  int
 	ActionDim int
@@ -22,36 +22,33 @@ type Config struct {
 	ActorLR  float64 // σ in the paper: 5e-4
 	CriticLR float64 // η in the paper: 1e-3
 	Gamma    float64 // discount: 0.98
-	Tau      float64 // soft target update rate
 	Batch    int     // 64
-
-	// TD3 additions (§3.5): delayed policy updates, target policy
-	// smoothing, clipped double-Q is always on.
-	PolicyDelay int
-	TargetNoise float64
-	NoiseClip   float64
-
-	GradClip float64
 	Seed     uint64
 }
+
+// The rest of TD3's hyperparameters are fixed. TD3's additions (§3.5) are
+// delayed policy updates and target policy smoothing; clipped double-Q is
+// always on.
+const (
+	tau         = 0.005 // soft target update rate
+	policyDelay = 2     // critic updates per actor and target update
+	targetNoise = 0.2   // std of the target-action smoothing noise
+	noiseClip   = 0.5   // bound on each smoothing-noise draw
+	gradClip    = 10    // global gradient-norm clip
+)
 
 // DefaultConfig returns the paper's hyperparameters (Table 2) for the given
 // state/action dimensions.
 func DefaultConfig(stateDim, actionDim int) Config {
 	return Config{
-		StateDim:    stateDim,
-		ActionDim:   actionDim,
-		Hidden:      []int{128, 128},
-		ActorLR:     5e-4,
-		CriticLR:    1e-3,
-		Gamma:       0.98,
-		Tau:         0.005,
-		Batch:       64,
-		PolicyDelay: 2,
-		TargetNoise: 0.2,
-		NoiseClip:   0.5,
-		GradClip:    10,
-		Seed:        1,
+		StateDim:  stateDim,
+		ActionDim: actionDim,
+		Hidden:    []int{128, 128},
+		ActorLR:   5e-4,
+		CriticLR:  1e-3,
+		Gamma:     0.98,
+		Batch:     64,
+		Seed:      1,
 	}
 }
 
@@ -139,44 +136,12 @@ type TD3 struct {
 // weights; the soft target updates still run, so training continues.
 func (t *TD3) SkippedUpdates() int64 { return t.skippedUpdates }
 
-// NewTD3 builds an agent. The actor ends in tanh (actions in [-1,1]^d); the
-// critics map (state ++ action) to a scalar value.
+// NewTD3 builds an agent from cfg exactly as given. The actor ends in tanh
+// (actions in [-1,1]^d); the critics map (state ++ action) to a scalar value.
 func NewTD3(cfg Config) *TD3 {
-	if cfg.StateDim <= 0 || cfg.ActionDim <= 0 {
-		panic(fmt.Sprintf("rl: bad dims %d/%d", cfg.StateDim, cfg.ActionDim))
+	if cfg.StateDim <= 0 || cfg.ActionDim <= 0 || cfg.Batch <= 0 {
+		panic(fmt.Sprintf("rl: bad dims %d/%d or batch %d", cfg.StateDim, cfg.ActionDim, cfg.Batch))
 	}
-	def := DefaultConfig(cfg.StateDim, cfg.ActionDim)
-	if cfg.Hidden == nil {
-		cfg.Hidden = def.Hidden
-	}
-	if cfg.ActorLR == 0 {
-		cfg.ActorLR = def.ActorLR
-	}
-	if cfg.CriticLR == 0 {
-		cfg.CriticLR = def.CriticLR
-	}
-	if cfg.Gamma == 0 {
-		cfg.Gamma = def.Gamma
-	}
-	if cfg.Tau == 0 {
-		cfg.Tau = def.Tau
-	}
-	if cfg.Batch == 0 {
-		cfg.Batch = def.Batch
-	}
-	if cfg.PolicyDelay == 0 {
-		cfg.PolicyDelay = def.PolicyDelay
-	}
-	if cfg.TargetNoise == 0 {
-		cfg.TargetNoise = def.TargetNoise
-	}
-	if cfg.NoiseClip == 0 {
-		cfg.NoiseClip = def.NoiseClip
-	}
-	if cfg.GradClip == 0 {
-		cfg.GradClip = def.GradClip
-	}
-
 	rng := simcore.NewRNG(cfg.Seed)
 	actorSizes := append([]int{cfg.StateDim}, cfg.Hidden...)
 	actorSizes = append(actorSizes, cfg.ActionDim)
@@ -266,7 +231,7 @@ func clip(v, lo, hi float64) float64 {
 }
 
 // Update performs one TD3 training step on a batch sampled from buf and
-// returns the mean critic TD error (diagnostic). Every PolicyDelay-th call
+// returns the mean critic TD error (diagnostic). Every policyDelay-th call
 // also updates the actor and the target networks.
 //
 // Only what consumes the agent RNG runs on the calling goroutine, in a fixed
@@ -274,7 +239,7 @@ func clip(v, lo, hi float64) float64 {
 // draws. Everything else is a round of independent tasks (see run): the
 // smoothed target actions, the TD targets and the critic forward/backward
 // per shard; the two critics' gradient tails, then their two optimizer
-// steps; and on every PolicyDelay-th call the actor phase per shard, then
+// steps; and on every policyDelay-th call the actor phase per shard, then
 // the three target-network tails — three rounds, or five. A row's forward
 // output does not depend on which rows share the kernel call, shard
 // boundaries and the gradient fold order depend on the batch size alone (see
@@ -301,7 +266,7 @@ func (t *TD3) Update(buf *ReplayBuffer) float64 {
 	// in row-major order, matching the retired per-sample path draw for draw,
 	// and each critic shard adds its own rows' noise to its target actions.
 	for i := range t.noise {
-		t.noise[i] = clip(t.rng.Norm(0, t.cfg.TargetNoise), -t.cfg.NoiseClip, t.cfg.NoiseClip)
+		t.noise[i] = clip(t.rng.Norm(0, targetNoise), -noiseClip, noiseClip)
 	}
 
 	t.run(t.criticShardFn, len(t.shards))
@@ -318,7 +283,7 @@ func (t *TD3) Update(buf *ReplayBuffer) float64 {
 	}
 
 	t.updates++
-	if t.updates%t.cfg.PolicyDelay == 0 { // delayed policy update (TD3 trick #2)
+	if t.updates%policyDelay == 0 { // delayed policy update (TD3 trick #2)
 		t.run(t.actorShardFn, len(t.shards))
 		t.run(t.delayedTailFn, 3)
 	}
@@ -446,11 +411,11 @@ func (t *TD3) delayedTail(i int) {
 		} else {
 			t.skippedUpdates++
 		}
-		nn.SoftUpdate(t.actorTarget, t.Actor, t.cfg.Tau)
+		nn.SoftUpdate(t.actorTarget, t.Actor, tau)
 	case 1:
-		nn.SoftUpdate(t.c1Target, t.critic1, t.cfg.Tau)
+		nn.SoftUpdate(t.c1Target, t.critic1, tau)
 	case 2:
-		nn.SoftUpdate(t.c2Target, t.critic2, t.cfg.Tau)
+		nn.SoftUpdate(t.c2Target, t.critic2, tau)
 	}
 }
 
@@ -615,7 +580,7 @@ func (t *TD3) reduceShards(pick func(*updateShard) *nn.Grads) (*nn.Grads, bool) 
 	if stride < n {
 		last = pick(&t.shards[stride])
 	}
-	return g, finishFold(g, last, 1/float64(t.cfg.Batch), t.cfg.GradClip)
+	return g, finishFold(g, last, 1/float64(t.cfg.Batch), gradClip)
 }
 
 // finishFold adds o (nil: nothing) into g, scales g by scale, clips its

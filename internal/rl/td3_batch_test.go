@@ -13,6 +13,13 @@ import (
 	"repro/internal/simcore"
 )
 
+// smallConfig is an 8-16-8-2 agent at batch 32, with Table 2's other values.
+func smallConfig() Config {
+	cfg := testConfig(8, 2, []int{16, 8}, 5)
+	cfg.Batch = 32
+	return cfg
+}
+
 // fillBuffer seeds a replay buffer with deterministic random transitions.
 func fillBuffer(stateDim, actionDim, n int, seed uint64) *ReplayBuffer {
 	buf := NewReplayBuffer(4 * n)
@@ -105,7 +112,7 @@ func TestUpdateWorkerCountDeterminism(t *testing.T) {
 // same; this fails faster and under -race).
 func TestUpdateAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cfg := Config{StateDim: 8, ActionDim: 2, Hidden: []int{16, 8}, Batch: 32, Seed: 5}
+	cfg := smallConfig()
 	agent := NewTD3(cfg)
 	buf := fillBuffer(cfg.StateDim, cfg.ActionDim, 128, 6)
 	agent.Update(buf) // warm the replay index scratch
@@ -128,7 +135,7 @@ func TestUpdateAllocFree(t *testing.T) {
 // the persistent helpers, further Updates must not allocate.
 func TestUpdateAllocFreeWorkers(t *testing.T) {
 	for _, workers := range []int{2, 4} {
-		cfg := Config{StateDim: 8, ActionDim: 2, Hidden: []int{16, 8}, Batch: 32, Seed: 5}
+		cfg := smallConfig()
 		agent := NewTD3(cfg)
 		agent.workers = workers
 		buf := fillBuffer(cfg.StateDim, cfg.ActionDim, 128, 6)
@@ -222,7 +229,7 @@ func TestPoolParkedAndSpinningPinned(t *testing.T) {
 // must stay usable.
 func TestCloseDuringSpin(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := Config{StateDim: 8, ActionDim: 2, Hidden: []int{16, 8}, Batch: 32, Seed: 5}
+	cfg := smallConfig()
 	buf := fillBuffer(cfg.StateDim, cfg.ActionDim, 128, 6)
 	for _, workers := range []int{2, 4} {
 		agent := NewTD3(cfg)

@@ -21,13 +21,9 @@ type TrainObserver interface {
 
 // TrainConfig drives the distributed training loop of §4: several parallel
 // actors collect experience against independent environments while a single
-// learner performs batched TD3 updates between collection rounds.
+// learner performs batched TD3 updates between collection rounds. Train uses
+// every field as given; core.DefaultTrainOptions holds `jury train`'s values.
 type TrainConfig struct {
-	Agent *TD3
-	// EnvFactory builds an independent environment for actor i. Called once
-	// per actor; environments persist across epochs (they re-Reset).
-	EnvFactory func(actor int) Env
-
 	Actors          int     // parallel experience collectors (paper: 8)
 	Epochs          int     // collection/update rounds
 	StepsPerActor   int     // env steps per actor per epoch
@@ -35,7 +31,6 @@ type TrainConfig struct {
 	BufferSize      int     // replay capacity
 	WarmupEpochs    int     // epochs with uniform-random actions
 	NoiseStd        float64 // exploration noise at epoch 0
-	NoiseDecay      float64 // multiplicative decay per epoch
 	Seed            uint64
 
 	// Progress, if non-nil, is called after each epoch with the mean
@@ -53,32 +48,24 @@ type TrainResult struct {
 	FinalTDErr   float64
 }
 
-// Train runs the collection/update loop and returns per-epoch statistics.
-func Train(cfg TrainConfig) (*TrainResult, error) {
-	if cfg.Agent == nil || cfg.EnvFactory == nil {
+// noiseDecay is the exploration noise's multiplicative decay per epoch.
+const noiseDecay = 0.995
+
+// Train runs the collection/update loop on agent and returns per-epoch
+// statistics. envFactory builds an independent environment for actor i; it
+// is called once per actor, and environments persist across epochs (they
+// re-Reset).
+func Train(agent *TD3, envFactory func(actor int) Env, cfg TrainConfig) (*TrainResult, error) {
+	switch {
+	case agent == nil || envFactory == nil:
 		return nil, fmt.Errorf("rl: Train needs an agent and an env factory")
-	}
-	if cfg.Actors <= 0 {
-		cfg.Actors = 8
-	}
-	if cfg.StepsPerActor <= 0 {
-		cfg.StepsPerActor = 256
-	}
-	if cfg.UpdatesPerEpoch <= 0 {
-		cfg.UpdatesPerEpoch = 64
-	}
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = 1 << 17
-	}
-	if cfg.NoiseStd == 0 {
-		cfg.NoiseStd = 0.3
-	}
-	if cfg.NoiseDecay == 0 {
-		cfg.NoiseDecay = 0.995
+	case cfg.Actors <= 0, cfg.Epochs <= 0, cfg.StepsPerActor <= 0, cfg.UpdatesPerEpoch <= 0, cfg.BufferSize <= 0:
+		return nil, fmt.Errorf("rl: Train needs positive actors, epochs, steps, updates and buffer size (got %d, %d, %d, %d, %d)",
+			cfg.Actors, cfg.Epochs, cfg.StepsPerActor, cfg.UpdatesPerEpoch, cfg.BufferSize)
 	}
 	// The agent's update helpers are parked goroutines; they must not outlive
 	// the run (the agent stays usable and respawns them on demand).
-	defer cfg.Agent.Close()
+	defer agent.Close()
 
 	noise := cfg.NoiseStd
 	res := &TrainResult{}
@@ -87,15 +74,15 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	envs := make([]Env, cfg.Actors)
 	states := make([][]float64, cfg.Actors)
 	for i := range envs {
-		envs[i] = cfg.EnvFactory(i)
+		envs[i] = envFactory(i)
 		states[i] = envs[i].Reset()
 	}
-	actionDim := cfg.Agent.cfg.ActionDim
+	actionDim := agent.cfg.ActionDim
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Snapshot the policy so collectors can run concurrently with no
 		// locking; each collector gets its own RNG stream.
-		policy := cfg.Agent.Actor.Clone()
+		policy := agent.Actor.Clone()
 		warmup := epoch < cfg.WarmupEpochs
 
 		var collectStart time.Time
@@ -147,19 +134,19 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		}
 		var tdErr float64
 		for u := 0; u < cfg.UpdatesPerEpoch; u++ {
-			tdErr = cfg.Agent.Update(buf)
+			tdErr = agent.Update(buf)
 		}
 		meanReward := rewardSum / float64(steps)
 		res.EpochRewards = append(res.EpochRewards, meanReward)
 		res.FinalTDErr = tdErr
 		if cfg.Observer != nil {
 			cfg.Observer.EpochEnd(epoch, meanReward, tdErr, buf.Len(),
-				cfg.Agent.SkippedUpdates(), collectDur, time.Since(updateStart))
+				agent.SkippedUpdates(), collectDur, time.Since(updateStart))
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, meanReward, tdErr)
 		}
-		noise *= cfg.NoiseDecay
+		noise *= noiseDecay
 	}
 	return res, nil
 }

@@ -8,19 +8,18 @@ import (
 )
 
 func tinyAgent(seed uint64) *TD3 {
-	return NewTD3(Config{StateDim: 1, ActionDim: 1, Hidden: []int{16, 16}, Seed: seed})
+	return NewTD3(testConfig(1, 1, []int{16, 16}, seed))
 }
 
-func tinyTrainConfig(agent *TD3, epochs int) TrainConfig {
+func tinyTrainConfig(epochs int) TrainConfig {
 	return TrainConfig{
-		Agent:           agent,
-		EnvFactory:      func(i int) Env { return &banditEnv{rng: simcore.NewRNG(uint64(i) + 10)} },
 		Actors:          2,
 		Epochs:          epochs,
 		StepsPerActor:   64,
 		UpdatesPerEpoch: 8,
 		BufferSize:      1 << 12,
 		WarmupEpochs:    1,
+		NoiseStd:        0.3,
 		Seed:            7,
 	}
 }
@@ -45,11 +44,10 @@ func (e *nanRewardEnv) Step(a []float64) ([]float64, float64, bool) {
 // never applied — the weights stay finite throughout.
 func TestTrainSurvivesNaNRewards(t *testing.T) {
 	agent := tinyAgent(11)
-	cfg := tinyTrainConfig(agent, 4)
-	cfg.EnvFactory = func(i int) Env {
+	env := func(i int) Env {
 		return &nanRewardEnv{banditEnv: banditEnv{rng: simcore.NewRNG(uint64(i) + 20)}}
 	}
-	if _, err := Train(cfg); err != nil {
+	if _, err := Train(agent, env, tinyTrainConfig(4)); err != nil {
 		t.Fatal(err)
 	}
 	if agent.SkippedUpdates() == 0 {

@@ -44,7 +44,8 @@ import (
 
 // Core controller types (the paper's contribution).
 type (
-	// Config holds Jury's hyperparameters (Table 2 defaults).
+	// Config holds Jury's hyperparameters; DefaultConfig holds Table 2's,
+	// and a controller uses its Config as given.
 	Config = core.Config
 	// Controller is the Jury congestion controller (Fig. 2 pipeline).
 	Controller = core.Jury
@@ -62,7 +63,8 @@ type (
 	OccupancyEstimator = core.OccupancyEstimator
 	// TrainingDomain is the Table 1 environment distribution.
 	TrainingDomain = core.TrainingDomain
-	// TrainOptions configures TD3 training.
+	// TrainOptions configures TD3 training (used as given; start from
+	// DefaultTrainOptions).
 	TrainOptions = core.TrainOptions
 )
 
@@ -70,7 +72,7 @@ type (
 type (
 	// Network is a deterministic packet-level emulation.
 	Network = netsim.Network
-	// NetworkConfig seeds and configures a Network.
+	// NetworkConfig seeds a Network.
 	NetworkConfig = netsim.Config
 	// Link is a bottleneck with a DropTail byte queue.
 	Link = netsim.Link
@@ -134,5 +136,6 @@ func TrainPolicy(opts TrainOptions) (*rl.TD3, *rl.TrainResult, error) {
 	return core.TrainPolicy(opts)
 }
 
-// DefaultTrainOptions returns a laptop-scale training budget.
+// DefaultTrainOptions returns a laptop-scale training budget: `jury train`'s
+// epochs, actors, steps and updates, replay size and exploration schedule.
 func DefaultTrainOptions(seed uint64) TrainOptions { return core.DefaultTrainOptions(seed) }

@@ -131,6 +131,23 @@ if grep -n 'UpdateWorkers' $sources ||
     exit 1
 fi
 
+echo "== one default per knob: no constructor in core, rl or cc fills a zero config field"
+# Each default is written once, in a DefaultX function, and constructors take
+# their config as given (DESIGN.md "Configuration"). A line `if cfg.X == 0 {`
+# or `if cfg.X <= 0 {` followed by `cfg.X = …` writes a default a second time
+# and makes a zero impossible to ask for.
+fills=$(awk '
+    FNR == 1 { field = "" }
+    field != "" && $0 ~ ("^[ \t]*cfg\\." field "[ \t]*=[^=]") { print FILENAME ":" FNR-1 ": " prev }
+    { field = "" }
+    /^[ \t]*if cfg\.[A-Za-z0-9_]+ (==|<=) 0 \{/ { field = $2; sub(/^cfg\./, "", field); prev = $0 }
+' $(find internal/core internal/rl internal/cc -name '*.go' -not -name '*_test.go'))
+if [ -n "$fills" ]; then
+    echo "a constructor fills a zero config field (set it in the DefaultX function instead):" >&2
+    echo "$fills" >&2
+    exit 1
+fi
+
 echo "== the run store is one log read one way"
 # wal.log is the store's only file and Open its only reader (DESIGN.md "Run
 # store"); the snapshot file, compaction and the offline Verify scan were
