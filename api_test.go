@@ -32,7 +32,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	flow := net.AddFlow(jury.FlowConfig{
 		Name: "demo",
 		Path: []*jury.Link{link},
-		CC:   func() jury.CC { return jury.NewController(1) },
+		Alg:  jury.NewController(1),
 	})
 	net.Run(30 * time.Second)
 	st := flow.Stats()

@@ -15,9 +15,9 @@ func TestWriteFlowSeriesCSV(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
 	n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return cc.NewManual(5e6) }})
+		Alg: cc.NewManual(5e6)})
 	n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return cc.NewManual(3e6) }})
+		Alg: cc.NewManual(3e6)})
 	n.Run(5 * time.Second)
 
 	var buf bytes.Buffer

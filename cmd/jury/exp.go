@@ -122,7 +122,7 @@ func runStore(args []string) error {
 	var table [][]string
 	for _, r := range st.Records() {
 		table = append(table, []string{
-			r.Key.Short(), r.Scenario, strings.Join(r.Schemes, ","),
+			r.Key.Short(), r.Name, strings.Join(r.Schemes, ","),
 			fmt.Sprint(r.Seed), fmt.Sprintf("%016x", r.Digest), fmt.Sprint(r.Checked),
 			time.Unix(0, r.AppendedAt).UTC().Format("2006-01-02T15:04:05Z"),
 		})

@@ -118,6 +118,12 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"sim", "-flows", "0"}, 2, "-flows must be positive"},
 		{[]string{"sim", "-flows", "-2"}, 2, "-flows must be positive"},
 		{[]string{"sim", "-duration", "0s"}, 2, "-duration must be positive"},
+		{[]string{"sim", "-duration", "2s", "-stagger", "-5s", "-flows", "2"}, 2, "-stagger must not be negative"},
+		{[]string{"sim", "-loss", "1.5"}, 2, "-loss must be in [0, 1)"},
+		{[]string{"sim", "-loss", "1"}, 2, "-loss must be in [0, 1)"},
+		{[]string{"sim", "-loss", "-0.2"}, 2, "-loss must be in [0, 1)"},
+		{[]string{"sim", "-buffer", "0"}, 2, "-buffer must be positive"},
+		{[]string{"sim", "-buffer", "-1"}, 2, "-buffer must be positive"},
 		{[]string{"sim", "faults", "-rate", "0"}, 2, "-rate must be positive"},
 		{[]string{"sim", "faults", "-rtt", "-30"}, 2, "-rtt must be positive"},
 		{[]string{"sim", "faults", "-flows", "0"}, 2, "-flows must be positive"},
@@ -135,6 +141,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"train", "-actors", "-3"}, 2, "-actors must be positive"},
 		{[]string{"train", "-steps", "0"}, 2, "-steps must be positive"},
 		{[]string{"train", "-updates", "0"}, 2, "-updates must be positive"},
+		{[]string{"train", "-epochs", "2", "-actors", "1", "-steps", "16", "-updates", "4", "-out", "untrained.json"}, 1,
+			"32 transitions (buffer 131072), fewer than a batch of 64"},
 		{[]string{"serve", "-checkpoint", "c.json"}, 2, "flag provided but not defined: -checkpoint"},
 		{[]string{"serve", "-addr", "127.0.0.1:0", "-actor", "narrow.json"}, 1,
 			fmt.Sprintf("actor narrow.json maps 3 inputs to 1 outputs; a Jury actor maps %d to 2", state)},
@@ -147,6 +155,9 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("jury %s: exit %d, stderr %q; want exit %d, stderr containing %q and no panic",
 				strings.Join(tc.args, " "), r.code, r.stderr, tc.code, tc.stderr)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "untrained.json")); !os.IsNotExist(err) {
+		t.Errorf("a train run too short for one batch wrote its actor (stat: %v)", err)
 	}
 	r := jury(t, dir)
 	for _, c := range subcommands {
@@ -180,7 +191,7 @@ func TestDispatch(t *testing.T) {
 		{[]string{"sim", "-scheme", "cubic,jury", "-rate", "20", "-duration", "3s", "-trace-out", trace}, "link: 20.0 Mbps, 30 ms RTT"},
 		{[]string{"sim", "faults", "-schemes", "cubic", "-rate", "20", "-flows", "2", "-duration", "2s"}, "robustness table: 20.0 Mbps, 30 ms RTT, 2 flows"},
 		{[]string{"plot", "-trace", trace, "-out", "trace.svg"}, "wrote trace.svg\n"},
-		{[]string{"train", "-epochs", "1", "-actors", "1", "-steps", "16", "-updates", "1", "-out", "actor.json"}, "training Jury: 1 epochs x 1 actors x 16 steps"},
+		{[]string{"train", "-epochs", "1", "-actors", "1", "-steps", "64", "-updates", "1", "-out", "actor.json"}, "training Jury: 1 epochs x 1 actors x 64 steps"},
 		{[]string{"train", "-eval", "actor.json", "-rate", "10", "-rtt", "25"}, "trained policy on 10 Mbps / 25ms:\n"},
 	} {
 		r := jury(t, dir, tc.args...)
@@ -244,7 +255,7 @@ func TestSimPrintsTimewiseJain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.FlowSummaries))
+	want := fmt.Sprintf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.Flows))
 	if !strings.Contains(r.stdout, want) {
 		t.Errorf("stdout lacks %q:\n%s", want, r.stdout)
 	}
@@ -324,7 +335,7 @@ func TestExpStore(t *testing.T) {
 	}
 	at := time.Date(2025, 3, 30, 12, 0, 0, 0, time.UTC).UnixNano()
 	for i, name := range []string{"fig8-rtt-fairness", "robustness-burst"} {
-		rec := &runstore.Record{Key: runstore.KeyOf([]byte(name)), Scenario: name, Schemes: []string{"jury", "cubic"},
+		rec := &runstore.Record{Key: runstore.KeyOf([]byte(name)), Name: name, Schemes: []string{"jury", "cubic"},
 			Seed: uint64(i + 1), Digest: 0xabc, Checked: true, AppendedAt: at}
 		if err := st.Put(rec); err != nil {
 			t.Fatal(err)

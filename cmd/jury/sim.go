@@ -56,6 +56,12 @@ func runSim(args []string) error {
 		return usageError("-flows must be positive")
 	case *duration <= 0:
 		return usageError("-duration must be positive")
+	case *stagger < 0:
+		return usageError("-stagger must not be negative")
+	case !(*lossRate >= 0 && *lossRate < 1):
+		return usageError("-loss must be in [0, 1)")
+	case !(*bufBDP > 0):
+		return usageError("-buffer must be positive")
 	}
 
 	names := strings.Split(*schemes, ",")
@@ -107,9 +113,9 @@ func runSim(args []string) error {
 
 	fmt.Printf("link: %.1f Mbps, %.0f ms RTT, %.2f%% loss, %d B buffer — utilization %.3f\n",
 		*rateMbps, *rttMS, *lossRate*100, s.BufferBytes, res.Utilization)
-	rows := make([][]string, 0, len(res.FlowSummaries))
-	for _, f := range res.FlowSummaries {
-		st := f.Stats()
+	rows := make([][]string, 0, len(res.Flows))
+	for _, f := range res.Flows {
+		st := f.Stats
 		rows = append(rows, []string{
 			f.Name(),
 			exp.FmtMbps(st.AvgThroughputBps),
@@ -119,10 +125,10 @@ func runSim(args []string) error {
 		})
 	}
 	fmt.Print(exp.FormatTable([]string{"flow", "Mbps", "avgRTT(ms)", "minRTT(ms)", "loss"}, rows))
-	if len(res.FlowSummaries) > 1 {
+	if len(res.Flows) > 1 {
 		// Jain at each recording instant, averaged: a lifetime-mean share
 		// would count a late starter's idle prefix as unfairness.
-		fmt.Printf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.FlowSummaries))
+		fmt.Printf("Jain index (time-averaged over instants with at least 2 active flows): %.3f\n", metrics.TimewiseJain(res.Flows))
 	}
 
 	if *csvPath != "" {
@@ -130,7 +136,7 @@ func runSim(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFlowSeriesCSV(f, res.FlowSummaries); err != nil {
+		if err := writeFlowSeriesCSV(f, res.Flows); err != nil {
 			f.Close()
 			return err
 		}
@@ -210,9 +216,9 @@ func runFaults(args []string) error {
 // printThroughputSeries prints each flow's throughput averaged over every
 // second of the run.
 func printThroughputSeries(res *exp.RunResult) {
-	for i, f := range res.FlowSummaries {
+	for i, f := range res.Flows {
 		fmt.Printf("\n%s throughput (Mbps) per second:\n", f.Name())
-		for _, r := range exp.SeriesRows(res.FlowSummaries[i:i+1], time.Second) {
+		for _, r := range exp.SeriesRows(res.Flows[i:i+1], time.Second) {
 			fmt.Printf("  t=%3ds %8.2f\n", int(r.T.Seconds()), r.Mbps)
 		}
 	}

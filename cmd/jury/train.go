@@ -113,7 +113,7 @@ func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64) erro
 	}
 	fmt.Printf("trained policy on %.0f Mbps / %v:\n", rateBps/1e6, rtt)
 	for i, name := range []string{"a", "b"} {
-		st := res.FlowSummaries[i].Stats()
+		st := res.Flows[i].Stats
 		fmt.Printf("  flow %s: %.1f Mbps (avg RTT %.1f ms)\n", name, st.AvgThroughputBps/1e6, float64(st.AvgRTT)/1e6)
 	}
 	fmt.Printf("  link utilization: %.3f\n", res.Utilization)

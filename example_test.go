@@ -19,14 +19,11 @@ func ExampleNewController() {
 		BufferBytes: 750_000,               // 2 BDP
 	})
 
-	var ctrl *jury.Controller
+	ctrl := jury.NewController(1)
 	flow := net.AddFlow(jury.FlowConfig{
 		Name: "quickstart",
 		Path: []*jury.Link{link},
-		CC: func() jury.CC {
-			ctrl = jury.NewController(1)
-			return ctrl
-		},
+		Alg:  ctrl,
 	})
 
 	fmt.Println("t(s)  thr(Mbps)  rtt(ms)  occupancy     mu   delta  action")

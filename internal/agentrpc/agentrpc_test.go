@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
@@ -183,7 +182,7 @@ func TestJuryOverRPCEndToEnd(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
 	f := n.AddFlow(netsim.FlowConfig{Name: "rpc", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.New(cfg, cl) }})
+		Alg: core.New(cfg, cl)})
 	n.Run(30 * time.Second)
 
 	if u := l.Utilization(30 * time.Second); u < 0.8 {

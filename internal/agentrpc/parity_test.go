@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/simcheck"
@@ -23,7 +22,7 @@ func runParitySim(t *testing.T, mkPolicy func(flow int) core.Policy) uint64 {
 		cfg.Seed = uint64(100 + i)
 		n.AddFlow(netsim.FlowConfig{
 			Name: []string{"a", "b"}[i], Path: []*netsim.Link{l},
-			CC: func() cc.Algorithm { return core.New(cfg, mkPolicy(i)) },
+			Alg: core.New(cfg, mkPolicy(i)),
 		})
 	}
 	ck := simcheck.Attach(n)

@@ -52,9 +52,9 @@ func TestInDomainFairness(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 80e6, Delay: 15 * time.Millisecond, BufferBytes: 600_000})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	n.Run(120 * time.Second)
 	a := metrics.MeanThroughput(f1, 80*time.Second, 120*time.Second)
 	b := metrics.MeanThroughput(f2, 80*time.Second, 120*time.Second)
@@ -69,9 +69,9 @@ func TestOutOfDomainUnfairness(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 2})
 	l := n.AddLink(netsim.LinkConfig{Rate: 350e6, Delay: 15 * time.Millisecond, BufferBytes: 1_312_500})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	n.Run(120 * time.Second)
 	a := metrics.MeanThroughput(f1, 80*time.Second, 120*time.Second)
 	b := metrics.MeanThroughput(f2, 80*time.Second, 120*time.Second)

@@ -26,7 +26,7 @@ func runSingle(t *testing.T, mk func() cc.Algorithm, rate float64, owd time.Dura
 	t.Helper()
 	n := netsim.New(netsim.Config{Seed: 42})
 	l := n.AddLink(netsim.LinkConfig{Rate: rate, Delay: owd, BufferBytes: bufBytes, LossRate: lossRate})
-	f := n.AddFlow(netsim.FlowConfig{Name: "f", Path: []*netsim.Link{l}, CC: mk})
+	f := n.AddFlow(netsim.FlowConfig{Name: "f", Path: []*netsim.Link{l}, Alg: mk()})
 	ck := simcheck.Attach(n)
 	n.Run(horizon)
 	if vs := ck.Finish(); len(vs) > 0 {
@@ -162,8 +162,8 @@ func fairShareLate(t *testing.T, mk func(i int) cc.Algorithm, rate float64, hori
 	n := netsim.New(netsim.Config{Seed: 7})
 	buf := bdpBytes(rate, 30*time.Millisecond) * 2
 	l := n.AddLink(netsim.LinkConfig{Rate: rate, Delay: 15 * time.Millisecond, BufferBytes: buf})
-	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l}, CC: func() cc.Algorithm { return mk(0) }})
-	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 30 * time.Second, CC: func() cc.Algorithm { return mk(1) }})
+	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l}, Alg: mk(0)})
+	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 30 * time.Second, Alg: mk(1)})
 	ck := simcheck.Attach(n)
 	n.Run(horizon)
 	if vs := ck.Finish(); len(vs) > 0 {

@@ -70,8 +70,8 @@ func TestSeedMatrixInvariants(t *testing.T) {
 					if res.Utilization > 1.001 {
 						t.Errorf("%s: utilization %v > 1: delivered more than capacity", s.Name, res.Utilization)
 					}
-					for _, f := range res.FlowSummaries {
-						st := f.Stats()
+					for _, f := range res.Flows {
+						st := f.Stats
 						if st.AckedPackets+st.LostPackets > st.SentPackets {
 							t.Errorf("%s flow %s: acked %d + lost %d > sent %d",
 								s.Name, st.Name, st.AckedPackets, st.LostPackets, st.SentPackets)

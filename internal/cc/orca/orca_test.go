@@ -81,7 +81,7 @@ func TestInDomainUtilization(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u < 0.8 {
 		t.Fatalf("in-domain utilization %v", u)
@@ -94,7 +94,7 @@ func TestLossyLinkDegradation(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 2})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000, LossRate: 0.01})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u > 0.75 {
 		t.Fatalf("utilization %v at 1%% loss — Orca's documented degradation did not reproduce", u)
@@ -106,7 +106,7 @@ func TestHighDelayCollapseEndToEnd(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 3})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 100 * time.Millisecond, BufferBytes: 1_250_000})
 	n.AddFlow(netsim.FlowConfig{Name: "o", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return New(nil) }})
+		Alg: New(nil)})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u > 0.5 {
 		t.Fatalf("utilization %v at 200ms base RTT — expected out-of-domain collapse", u)

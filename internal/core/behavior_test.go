@@ -36,7 +36,7 @@ func TestJurySingleFlowHighUtilLowQueue(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000})
 	f := n.AddFlow(netsim.FlowConfig{Name: "j", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	n.Run(60 * time.Second)
 
 	if u := l.Utilization(60 * time.Second); u < 0.85 {
@@ -64,9 +64,9 @@ func TestJuryFairnessInTrainingDomain(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 2})
 	l := n.AddLink(netsim.LinkConfig{Rate: 60e6, Delay: 15 * time.Millisecond, BufferBytes: 450_000})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return core.NewDefault(2) }})
+		Alg: core.NewDefault(2)})
 	n.Run(100 * time.Second)
 
 	a, b := lateMean(f1, 60*time.Second), lateMean(f2, 60*time.Second)
@@ -90,9 +90,9 @@ func TestJuryFairnessGeneralizesBeyondTraining(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 3})
 	l := n.AddLink(netsim.LinkConfig{Rate: 350e6, Delay: 15 * time.Millisecond, BufferBytes: 1_312_500})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 30 * time.Second,
-		CC: func() cc.Algorithm { return core.NewDefault(2) }})
+		Alg: core.NewDefault(2)})
 	n.Run(120 * time.Second)
 
 	a, b := lateMean(f1, 80*time.Second), lateMean(f2, 80*time.Second)
@@ -111,9 +111,9 @@ func TestJuryRTTFairness(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 4})
 	l := n.AddLink(netsim.LinkConfig{Rate: 60e6, Delay: 15 * time.Millisecond, BufferBytes: 450_000})
 	f1 := n.AddFlow(netsim.FlowConfig{Name: "near", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	f2 := n.AddFlow(netsim.FlowConfig{Name: "far", Path: []*netsim.Link{l}, ExtraOneWay: 30 * time.Millisecond,
-		CC: func() cc.Algorithm { return core.NewDefault(2) }})
+		Alg: core.NewDefault(2)})
 	n.Run(120 * time.Second)
 
 	a, b := lateMean(f1, 70*time.Second), lateMean(f2, 70*time.Second)
@@ -129,7 +129,7 @@ func TestJuryLossResilience(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 5})
 	l := n.AddLink(netsim.LinkConfig{Rate: 50e6, Delay: 15 * time.Millisecond, BufferBytes: 375_000, LossRate: 0.005})
 	n.AddFlow(netsim.FlowConfig{Name: "j", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u < 0.75 {
 		t.Fatalf("utilization %v at 0.5%% random loss", u)
@@ -146,7 +146,7 @@ func TestJuryHighBDPConvergence(t *testing.T) {
 	bdp := int(350e6 / 8 * 0.150)
 	l := n.AddLink(netsim.LinkConfig{Rate: 350e6, Delay: 75 * time.Millisecond, BufferBytes: bdp})
 	f := n.AddFlow(netsim.FlowConfig{Name: "j", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	n.Run(120 * time.Second)
 	if thr := lateMean(f, 60*time.Second); thr/350e6 < 0.8 {
 		t.Fatalf("late throughput %v Mbps on the high-BDP link", thr/1e6)
@@ -159,11 +159,10 @@ func TestJuryOccupancyTracksTruth(t *testing.T) {
 	// ~50% share.
 	n := netsim.New(netsim.Config{Seed: 7})
 	l := n.AddLink(netsim.LinkConfig{Rate: 60e6, Delay: 15 * time.Millisecond, BufferBytes: 450_000})
-	var j *core.Jury
-	n.AddFlow(netsim.FlowConfig{Name: "jury", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { j = core.NewDefault(1); return j }})
+	j := core.NewDefault(1)
+	n.AddFlow(netsim.FlowConfig{Name: "jury", Path: []*netsim.Link{l}, Alg: j})
 	n.AddFlow(netsim.FlowConfig{Name: "cbr", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return cc.NewManual(30e6) }})
+		Alg: cc.NewManual(30e6)})
 	// Sample occupancy over the last 30s.
 	var samples []float64
 	for s := 60; s <= 90; s += 2 {
@@ -185,7 +184,7 @@ func TestJuryDeterministicRuns(t *testing.T) {
 		n := netsim.New(netsim.Config{Seed: 8})
 		l := n.AddLink(netsim.LinkConfig{Rate: 40e6, Delay: 15 * time.Millisecond, BufferBytes: 300_000})
 		f := n.AddFlow(netsim.FlowConfig{Name: "j", Path: []*netsim.Link{l},
-			CC: func() cc.Algorithm { return core.NewDefault(9) }})
+			Alg: core.NewDefault(9)})
 		n.Run(20 * time.Second)
 		return f.Stats().AckedBytes
 	}
@@ -204,7 +203,7 @@ func TestJuryManyFlowsShareFairly(t *testing.T) {
 		flows[i] = n.AddFlow(netsim.FlowConfig{
 			Name: fmt.Sprintf("j%d", i), Path: []*netsim.Link{l},
 			Start: time.Duration(i) * 5 * time.Second,
-			CC:    func() cc.Algorithm { return core.NewDefault(seed) },
+			Alg:   core.NewDefault(seed),
 		})
 	}
 	n.Run(150 * time.Second)
@@ -224,7 +223,7 @@ func TestJuryRobustToPathJitter(t *testing.T) {
 	l := n.AddLink(netsim.LinkConfig{Rate: 40e6, Delay: 15 * time.Millisecond,
 		BufferBytes: 300_000, JitterStd: 3 * time.Millisecond})
 	n.AddFlow(netsim.FlowConfig{Name: "j", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return core.NewDefault(1) }})
+		Alg: core.NewDefault(1)})
 	n.Run(60 * time.Second)
 	if u := l.Utilization(60 * time.Second); u < 0.75 {
 		t.Fatalf("utilization %v under path jitter", u)

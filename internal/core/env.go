@@ -79,26 +79,23 @@ func (e *TrainingEnv) Reset() []float64 {
 	e.net.AddFlow(netsim.FlowConfig{
 		Name: "agent",
 		Path: []*netsim.Link{link},
-		CC:   func() cc.Algorithm { return e.jury },
+		Alg:  e.jury,
 	})
 	for i := 1; i < nFlows; i++ {
 		start := time.Duration(e.rng.Range(0, float64(e.cfg.Episode)/2))
-		var mk func() cc.Algorithm
+		var alg cc.Algorithm
 		if e.rng.Bernoulli(cubicCompetitorProb) {
-			mk = func() cc.Algorithm { return cubic.New() }
+			alg = cubic.New()
 		} else {
-			seed := e.rng.Uint64()
-			mk = func() cc.Algorithm {
-				cfg := DefaultConfig()
-				cfg.Seed = seed
-				return New(cfg, NewReferencePolicy())
-			}
+			cfg := DefaultConfig()
+			cfg.Seed = e.rng.Uint64()
+			alg = New(cfg, NewReferencePolicy())
 		}
 		e.net.AddFlow(netsim.FlowConfig{
 			Name:  "competitor",
 			Path:  []*netsim.Link{link},
 			Start: start,
-			CC:    mk,
+			Alg:   alg,
 		})
 	}
 	e.endAt = e.cfg.Episode

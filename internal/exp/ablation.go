@@ -109,14 +109,14 @@ func RunAblation(o AblationOptions) ([]AblationRow, error) {
 	rows := make([]AblationRow, len(names))
 	for vi, r := range results {
 		var q float64
-		for _, f := range r.FlowSummaries {
+		for _, f := range r.Flows {
 			q += metrics.MeanQueuingDelayMS(f, horizon/2, horizon)
 		}
 		rows[vi] = AblationRow{
 			Variant:     names[vi],
-			Jain:        metrics.TimewiseJain(r.FlowSummaries),
+			Jain:        metrics.TimewiseJain(r.Flows),
 			Utilization: r.Utilization,
-			QueueMS:     q / float64(len(r.FlowSummaries)),
+			QueueMS:     q / float64(len(r.Flows)),
 		}
 	}
 	return rows, nil

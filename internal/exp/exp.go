@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 	"repro/internal/traces"
@@ -127,81 +126,15 @@ func (s Scenario) BufferBDP(n float64) int {
 	return int(n * s.Rate / 8 * (2 * s.OneWayDelay).Seconds())
 }
 
-// FlowSummary is the serializable read-only view of one flow of a run:
-// everything the figure and table consumers read, detached from the live
-// simulator objects so a result loaded from the run store (internal/
-// runstore) is indistinguishable from a fresh one — it is the stored form,
-// behind read-only accessors. It satisfies metrics.FlowSeries.
-type FlowSummary struct{ rec runstore.FlowRecord }
-
-// Name returns the flow's label.
-func (f *FlowSummary) Name() string { return f.rec.Stats.Name }
-
-// BaseRTT returns the flow's propagation round-trip floor.
-func (f *FlowSummary) BaseRTT() time.Duration { return f.rec.BaseRTT }
-
-// Stats returns the flow's lifetime counters.
-func (f *FlowSummary) Stats() netsim.FlowStats { return f.rec.Stats }
-
-// Series returns the recorded per-interval samples.
-func (f *FlowSummary) Series() []netsim.SeriesPoint { return f.rec.Series }
-
-// JuryCounters returns the Jury decision-guard counters (degraded
-// AIMD-fallback decisions, non-finite actions that reached Eq. 7); both are
-// zero for non-Jury schemes.
-func (f *FlowSummary) JuryCounters() (degraded, nonFinite int64) {
-	return f.rec.Degraded, f.rec.NonFinite
-}
-
-// LinkSummary carries the bottleneck-link counters a stored run preserves.
-type LinkSummary struct {
-	FaultDrops int64
-	Reordered  int64
-	Duplicated int64
-}
-
-// RunResult holds everything the figure runners need from one simulation.
-// It holds no live simulator object, so a result served from the run store
-// (Cached) carries exactly what a simulated one does.
+// RunResult is one finished scenario run: the scenario and the record the
+// run store keeps for it. It holds no live simulator object, so a result
+// served from the store (Cached) carries exactly what a simulated one does.
 type RunResult struct {
-	Scenario    Scenario
-	Utilization float64
-	// FlowSummaries is the detached per-flow view (stats, series, Jury
-	// counters) that every figure/table consumer reads.
-	FlowSummaries []*FlowSummary
-	LinkSummary   LinkSummary
-	// Digest fingerprints the run (event stream + final statistics) when
-	// the invariant checker was attached; zero otherwise.
-	Digest uint64
-	// Checked reports whether the run executed under the invariant checker.
-	Checked bool
-	// Cached reports that the result was loaded from the run store instead
+	Scenario Scenario
+	// Cached reports that the record was loaded from the run store instead
 	// of simulated.
 	Cached bool
-	// Stream is the streaming-observability summary; nil unless the run
-	// executed with the Obs runtime attached (or was restored from a record
-	// that carried one).
-	Stream *obs.StreamSummary
-}
-
-// summarize detaches the finished run's flow and link state into
-// FlowSummaries / LinkSummary.
-func (r *RunResult) summarize(flows []*netsim.Flow, link *netsim.Link) {
-	r.FlowSummaries = make([]*FlowSummary, 0, len(flows))
-	for _, f := range flows {
-		fs := &FlowSummary{rec: runstore.FlowRecord{BaseRTT: f.BaseRTT(), Stats: f.Stats(), Series: f.Series()}}
-		if j, ok := f.CC().(*core.Jury); ok {
-			fs.rec.Degraded = j.DegradedDecisions()
-			fs.rec.NonFinite = j.NonFiniteActions()
-		}
-		r.FlowSummaries = append(r.FlowSummaries, fs)
-	}
-	st := link.FaultStats()
-	r.LinkSummary = LinkSummary{
-		FaultDrops: st.Drops(),
-		Reordered:  st.Reordered,
-		Duplicated: st.Duplicated,
-	}
+	runstore.Record
 }
 
 // Run executes a scenario through the run pipeline (see execute). When a run
@@ -222,7 +155,7 @@ func Run(s Scenario) (*RunResult, error) {
 	if storable && StoreResume {
 		if rec, ok := st.Get(key); ok {
 			storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-			return resultFromRecord(s, rec), nil
+			return &RunResult{Scenario: s, Cached: true, Record: *rec}, nil
 		}
 		storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
 	}
@@ -234,26 +167,64 @@ func Run(s Scenario) (*RunResult, error) {
 		check:   s.Check,
 		build:   func() (*netsim.Network, error) { return buildDumbbell(s) },
 		shape: func(n *netsim.Network, out outcome) *RunResult {
-			link := n.Links()[0]
-			res := &RunResult{
-				Scenario:    s,
-				Utilization: link.Utilization(s.Horizon),
-				Digest:      out.digest,
-				Checked:     out.checked,
-				Stream:      out.stream,
-			}
-			res.summarize(n.Flows(), link)
-			return res
+			return &RunResult{Scenario: s, Record: record(key, s, n, out)}
 		},
 	})
 	if err != nil || !storable {
 		return res, err
 	}
-	if err := st.Put(recordFromResult(key, s, res)); err != nil {
+	// The store keeps the result's own record (Put stamps its AppendedAt);
+	// a result is not modified after Run returns it.
+	if err := st.Put(&res.Record); err != nil {
 		return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
 	}
 	storeCounter("runstore_appends_total", "run records put to the run store (an identical re-put writes nothing)").Inc()
 	return res, nil
+}
+
+// record detaches a finished dumbbell run into its stored form: the
+// bottleneck link's counters, and each flow's stats, series and Jury
+// counters.
+func record(key runstore.Key, s Scenario, n *netsim.Network, out outcome) runstore.Record {
+	link := n.Links()[0]
+	fst := link.FaultStats()
+	rec := runstore.Record{
+		Key:         key,
+		Name:        s.Name,
+		Schemes:     scenarioSchemes(s),
+		Seed:        s.Seed,
+		Horizon:     s.Horizon,
+		Digest:      out.digest,
+		Checked:     out.checked,
+		Utilization: link.Utilization(s.Horizon),
+		FaultDrops:  fst.Drops(),
+		Reordered:   fst.Reordered,
+		Duplicated:  fst.Duplicated,
+		Flows:       make([]runstore.FlowRecord, 0, len(n.Flows())),
+		Stream:      out.stream,
+	}
+	for _, f := range n.Flows() {
+		fr := runstore.FlowRecord{PathRTT: f.BaseRTT(), Stats: f.Stats(), Points: f.Series()}
+		if j, ok := f.CC().(*core.Jury); ok {
+			fr.Degraded = j.DegradedDecisions()
+			fr.NonFinite = j.NonFiniteActions()
+		}
+		rec.Flows = append(rec.Flows, fr)
+	}
+	return rec
+}
+
+// scenarioSchemes lists the distinct schemes of a scenario in flow order.
+func scenarioSchemes(s Scenario) []string {
+	seen := make(map[string]bool, len(s.Flows))
+	var out []string
+	for _, fs := range s.Flows {
+		if !seen[fs.Scheme] {
+			seen[fs.Scheme] = true
+			out = append(out, fs.Scheme)
+		}
+	}
+	return out
 }
 
 // buildDumbbell is the topology builder behind every Scenario: one
@@ -287,7 +258,7 @@ func buildDumbbell(s Scenario) (*netsim.Network, error) {
 			Duration:    fs.Duration,
 			ExtraOneWay: fs.ExtraOneWay,
 			PacketSize:  s.PacketSize,
-			CC:          func() cc.Algorithm { return alg },
+			Alg:         alg,
 		})
 	}
 	return n, n.Validate()

@@ -44,8 +44,8 @@ func TestRunBasicScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FlowSummaries) != 2 {
-		t.Fatalf("flows %d", len(res.FlowSummaries))
+	if len(res.Flows) != 2 {
+		t.Fatalf("flows %d", len(res.Flows))
 	}
 	if res.Utilization < 0.5 {
 		t.Fatalf("utilization %v", res.Utilization)

@@ -117,10 +117,10 @@ func Fig1AstraeaGeneralization(o Fig1Options) (*Fig1Result, error) {
 		return nil, err
 	}
 	return &Fig1Result{
-		InDomainJain:    metrics.TimewiseJain(results[0].FlowSummaries),
-		OutOfDomainJain: metrics.TimewiseJain(results[1].FlowSummaries),
-		InDomainSeries:  SeriesRows(results[0].FlowSummaries, 5*time.Second),
-		OutDomainSeries: SeriesRows(results[1].FlowSummaries, 5*time.Second),
+		InDomainJain:    metrics.TimewiseJain(results[0].Flows),
+		OutOfDomainJain: metrics.TimewiseJain(results[1].Flows),
+		InDomainSeries:  SeriesRows(results[0].Flows, 5*time.Second),
+		OutDomainSeries: SeriesRows(results[1].Flows, 5*time.Second),
 	}, nil
 }
 
@@ -190,7 +190,7 @@ func Fig6JainIndex(o Fig6Options) ([]Fig6Row, error) {
 	for si, scheme := range o.Schemes {
 		var jains []float64
 		for r := 0; r < o.Runs; r++ {
-			jains = append(jains, metrics.TimewiseJain(results[si*o.Runs+r].FlowSummaries))
+			jains = append(jains, metrics.TimewiseJain(results[si*o.Runs+r].Flows))
 		}
 		pcts := metrics.Percentiles(jains, 5, 95)
 		rows = append(rows, Fig6Row{
@@ -267,13 +267,13 @@ func (o *Fig7Options) defaults() {
 }
 
 func fig7Result(p Fig7Panel, o Fig7Options, res *RunResult) *Fig7Result {
-	last := res.FlowSummaries[len(res.FlowSummaries)-1]
+	last := res.Flows[len(res.Flows)-1]
 	return &Fig7Result{
 		Panel:               p,
-		Jain:                metrics.TimewiseJain(res.FlowSummaries),
+		Jain:                metrics.TimewiseJain(res.Flows),
 		Utilization:         res.Utilization,
 		LastJoinConvergence: metrics.ConvergenceTime(last, 2*o.Stagger, p.Rate/3, 0.8, 5),
-		Series:              SeriesRows(res.FlowSummaries, 5*time.Second),
+		Series:              SeriesRows(res.Flows, 5*time.Second),
 	}
 }
 
@@ -355,9 +355,9 @@ func Fig8RTTFairness(o Fig8Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8Result{Series: SeriesRows(res.FlowSummaries, 5*time.Second)}
+	out := &Fig8Result{Series: SeriesRows(res.Flows, 5*time.Second)}
 	from, to := lastStart+o.Lifetime/3, s.Horizon
-	for _, f := range res.FlowSummaries {
+	for _, f := range res.Flows {
 		out.LateShares = append(out.LateShares, metrics.MeanThroughput(f, from, to))
 		out.AvgRTTms = append(out.AvgRTTms, float64(metrics.MeanRTT(f, from, to))/1e6)
 	}
@@ -430,8 +430,8 @@ func Fig9Friendliness(o Fig9Options) ([]Fig9Row, error) {
 	}
 	for i, res := range results {
 		from := o.Lifetime / 3
-		a := metrics.MeanThroughput(res.FlowSummaries[0], from, o.Lifetime)
-		b := metrics.MeanThroughput(res.FlowSummaries[1], from, o.Lifetime)
+		a := metrics.MeanThroughput(res.Flows[0], from, o.Lifetime)
+		b := metrics.MeanThroughput(res.Flows[1], from, o.Lifetime)
 		rows[i].Ratio = math.Inf(1)
 		if b > 0 {
 			rows[i].Ratio = a / b

@@ -92,7 +92,7 @@ func Fig10PerformanceSweeps(o Fig10Options) ([]Fig10Row, error) {
 	}
 	for i, res := range results {
 		rows[i].Utilization = res.Utilization
-		rows[i].QueuingDelay = metrics.MeanQueuingDelayMS(res.FlowSummaries[0], o.Lifetime/2, o.Lifetime)
+		rows[i].QueuingDelay = metrics.MeanQueuingDelayMS(res.Flows[0], o.Lifetime/2, o.Lifetime)
 	}
 	return rows, nil
 }
@@ -150,7 +150,7 @@ func runPareto(o Fig11Options, link Scenario, bufBDP float64) ([]Fig11Row, error
 
 // paretoRow reduces one single-flow run to its throughput/latency point.
 func paretoRow(scheme string, res *RunResult, lifetime time.Duration) Fig11Row {
-	f := res.FlowSummaries[0]
+	f := res.Flows[0]
 	thr := metrics.MeanThroughput(f, lifetime/3, lifetime)
 	rtt := metrics.MeanRTT(f, lifetime/3, lifetime)
 	norm := 1.0
@@ -212,7 +212,7 @@ func Fig12LTEResponsiveness(seed uint64) ([]Fig12Row, error) {
 		return nil, err
 	}
 	for i, res := range results {
-		for _, b := range bucketMeans(res.FlowSummaries[0].Series(), time.Second, func(p netsim.SeriesPoint) float64 { return p.SendRateBps }) {
+		for _, b := range bucketMeans(res.Flows[0].Series(), time.Second, func(p netsim.SeriesPoint) float64 { return p.SendRateBps }) {
 			rows = append(rows, Fig12Row{T: b.end, Scheme: schemes[i], SendRateBps: b.mean})
 		}
 	}

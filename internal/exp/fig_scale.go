@@ -45,7 +45,7 @@ type flowAgg struct {
 	n     int
 }
 
-func (a *flowAgg) add(f *FlowSummary, from, to time.Duration) {
+func (a *flowAgg) add(f metrics.FlowSeries, from, to time.Duration) {
 	thr := metrics.MeanThroughput(f, from, to)
 	if thr <= 0 {
 		return
@@ -124,11 +124,11 @@ func Tab3LongShort(o Tab3Options) ([]Tab3Row, error) {
 	var long, short, overall flowAgg
 	warm := o.Lifetime / 5
 	for _, r := range results {
-		for _, f := range r.FlowSummaries[:4] {
+		for _, f := range r.Flows[:4] {
 			long.add(f, warm, o.Lifetime)
 			overall.add(f, warm, o.Lifetime)
 		}
-		for _, f := range r.FlowSummaries[4:] {
+		for _, f := range r.Flows[4:] {
 			short.add(f, 0, o.Lifetime)
 			overall.add(f, 0, o.Lifetime)
 		}
@@ -166,7 +166,7 @@ func Tab3HeteroRTT(o Tab3Options) ([]Tab3Row, error) {
 	var small, large flowAgg
 	warm := o.Lifetime / 3
 	for _, r := range results {
-		for i, f := range r.FlowSummaries {
+		for i, f := range r.Flows {
 			if i%2 == 1 {
 				large.add(f, warm, o.Lifetime)
 			} else {

@@ -55,7 +55,7 @@ func Fig4SignalPhases(seed uint64) ([]Fig4Row, error) {
 	l := n.AddLink(netsim.LinkConfig{Rate: probeRate, Delay: probeOneWay, BufferBytes: probeBuffer})
 	man := cc.NewManual(0.1 * probeRate)
 	f := n.AddFlow(netsim.FlowConfig{Name: "probe", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return man }})
+		Alg: man})
 	for i, frac := range fractions {
 		rate := probeRate * frac
 		man.SetRate(rate)
@@ -105,9 +105,9 @@ func Fig5OccupancyProbe(seed uint64) ([]Fig5Row, error) {
 		probe := cc.NewManual(1.2 * share * probeRate)
 		other := cc.NewManual(1.2 * (1 - share) * probeRate)
 		fp := n.AddFlow(netsim.FlowConfig{Name: "probe", Path: []*netsim.Link{l},
-			CC: func() cc.Algorithm { return probe }})
+			Alg: probe})
 		n.AddFlow(netsim.FlowConfig{Name: "other", Path: []*netsim.Link{l},
-			CC: func() cc.Algorithm { return other }})
+			Alg: other})
 		n.Run(20 * time.Second)
 		before := metrics.MeanThroughput(fp, 10*time.Second, 20*time.Second)
 		probe.SetRate(1.1 * 1.2 * share * probeRate) // the +10% probe

@@ -3,7 +3,6 @@ package exp
 import (
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -59,7 +58,7 @@ func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error
 			addFlow := func(name string, path []*netsim.Link, seed uint64) {
 				n.AddFlow(netsim.FlowConfig{
 					Name: name, Path: path,
-					CC: func() cc.Algorithm { return core.NewDefault(seed) },
+					Alg: core.NewDefault(seed),
 				})
 			}
 			addFlow("long", []*netsim.Link{l1, l2}, 1)

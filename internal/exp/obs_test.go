@@ -44,7 +44,7 @@ func TestObsStreamingJainMatchesPostHoc(t *testing.T) {
 				if r.Stream == nil {
 					t.Fatal("run with obs attached produced no streaming summary")
 				}
-				want := metrics.TimewiseJain(r.FlowSummaries)
+				want := metrics.TimewiseJain(r.Flows)
 				if math.Abs(r.Stream.FinalJain-want) > 1e-6 {
 					t.Fatalf("streaming Jain %.9f vs post-hoc %.9f", r.Stream.FinalJain, want)
 				}

@@ -161,20 +161,19 @@ func robustnessRow(scheme string, c RobustnessCase, r *RunResult, o RobustnessOp
 	}
 	// Late-window shares: ignore the convergence transient, like Fig. 8.
 	from := o.Lifetime / 3
-	shares := make([]float64, 0, len(r.FlowSummaries))
+	shares := make([]float64, 0, len(r.Flows))
 	var lossSum float64
-	for _, f := range r.FlowSummaries {
+	for _, f := range r.Flows {
 		shares = append(shares, metrics.MeanThroughput(f, from, o.Lifetime))
-		lossSum += f.Stats().LossRate
-		deg, nf := f.JuryCounters()
-		row.Degraded += deg
-		row.NonFinite += nf
+		lossSum += f.Stats.LossRate
+		row.Degraded += f.Degraded
+		row.NonFinite += f.NonFinite
 	}
 	row.Jain = metrics.JainIndex(shares)
-	row.MeanLoss = lossSum / float64(len(r.FlowSummaries))
-	row.FaultDrops = r.LinkSummary.FaultDrops
-	row.Reordered = r.LinkSummary.Reordered
-	row.Duplicated = r.LinkSummary.Duplicated
+	row.MeanLoss = lossSum / float64(len(r.Flows))
+	row.FaultDrops = r.FaultDrops
+	row.Reordered = r.Reordered
+	row.Duplicated = r.Duplicated
 	return row
 }
 

@@ -18,8 +18,8 @@ import (
 func fingerprint(r *RunResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "util=%v\n", r.Utilization)
-	for _, f := range r.FlowSummaries {
-		fmt.Fprintf(&b, "%s stats=%+v\n", f.Name(), f.Stats())
+	for _, f := range r.Flows {
+		fmt.Fprintf(&b, "%s stats=%+v\n", f.Name(), f.Stats)
 		for _, p := range f.Series() {
 			fmt.Fprintf(&b, "%+v\n", p)
 		}
@@ -238,7 +238,7 @@ func TestFlowSpecCCOverride(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("factory called %d times, want 1", n)
 	}
-	if r.FlowSummaries[0].Stats().AckedBytes == 0 {
+	if r.Flows[0].Stats.AckedBytes == 0 {
 		t.Fatal("overridden flow moved no traffic")
 	}
 }

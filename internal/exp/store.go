@@ -1,6 +1,5 @@
-// Run-store wiring: the content key of a scenario, and the conversions
-// between live RunResults and stored runstore.Records. See
-// DESIGN.md "Run store" and EXPERIMENTS.md "Resumable sweeps".
+// Run-store wiring: the attached store and the content key of a scenario.
+// See DESIGN.md "Run store" and EXPERIMENTS.md "Resumable sweeps".
 package exp
 
 import (
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 	"repro/internal/traces"
@@ -192,81 +190,4 @@ func keyFaults(b []byte, s Scenario) []byte {
 	b = keyU8(b, 1)
 	b = keyI64(b, int64(c.Flap.MeanUp))
 	return keyI64(b, int64(c.Flap.MeanDown))
-}
-
-// recordFromResult converts a completed live run into its stored form.
-func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Record {
-	rec := &runstore.Record{
-		Key:         key,
-		Scenario:    s.Name,
-		Schemes:     scenarioSchemes(s),
-		Seed:        s.Seed,
-		Horizon:     s.Horizon,
-		Digest:      r.Digest,
-		Checked:     r.Checked,
-		Utilization: r.Utilization,
-		FaultDrops:  r.LinkSummary.FaultDrops,
-		Reordered:   r.LinkSummary.Reordered,
-		Duplicated:  r.LinkSummary.Duplicated,
-	}
-	rec.Flows = make([]runstore.FlowRecord, 0, len(r.FlowSummaries))
-	for _, f := range r.FlowSummaries {
-		rec.Flows = append(rec.Flows, f.rec)
-	}
-	rec.Stream = streamToRecord(r.Stream)
-	return rec
-}
-
-// streamToRecord / streamFromRecord copy between the live obs summary and its
-// stored mirror (the mirror exists so runstore never imports obs). The type
-// conversion compiles only while the two structs stay field-for-field equal.
-func streamToRecord(s *obs.StreamSummary) *runstore.StreamSummary {
-	if s == nil {
-		return nil
-	}
-	c := runstore.StreamSummary(*s)
-	return &c
-}
-
-func streamFromRecord(s *runstore.StreamSummary) *obs.StreamSummary {
-	if s == nil {
-		return nil
-	}
-	c := obs.StreamSummary(*s)
-	return &c
-}
-
-// scenarioSchemes lists the distinct schemes of a scenario in flow order.
-func scenarioSchemes(s Scenario) []string {
-	seen := make(map[string]bool, len(s.Flows))
-	var out []string
-	for _, fs := range s.Flows {
-		if !seen[fs.Scheme] {
-			seen[fs.Scheme] = true
-			out = append(out, fs.Scheme)
-		}
-	}
-	return out
-}
-
-// resultFromRecord reconstructs the consumer-facing view of a stored run.
-func resultFromRecord(s Scenario, rec *runstore.Record) *RunResult {
-	r := &RunResult{
-		Scenario:    s,
-		Utilization: rec.Utilization,
-		Digest:      rec.Digest,
-		Checked:     rec.Checked,
-		Cached:      true,
-		LinkSummary: LinkSummary{
-			FaultDrops: rec.FaultDrops,
-			Reordered:  rec.Reordered,
-			Duplicated: rec.Duplicated,
-		},
-	}
-	r.FlowSummaries = make([]*FlowSummary, 0, len(rec.Flows))
-	for _, f := range rec.Flows {
-		r.FlowSummaries = append(r.FlowSummaries, &FlowSummary{rec: f})
-	}
-	r.Stream = streamFromRecord(rec.Stream)
-	return r
 }

@@ -78,12 +78,5 @@ func FormatTable(header []string, rows [][]string) string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // FmtMbps formats bits/second as Mbps.
 func FmtMbps(bps float64) string { return fmt.Sprintf("%.1f", bps/1e6) }

@@ -12,9 +12,10 @@ import (
 )
 
 // FlowSeries is the read-only view of a flow the series metrics need. Both
-// live *netsim.Flow values and stored run summaries (exp.FlowSummary,
-// reconstructed from the WAL-backed run store) satisfy it, so every figure
-// and table computes identically from a cached record and a fresh run.
+// live *netsim.Flow values and stored run records (runstore.FlowRecord, the
+// per-flow part of every exp.RunResult, fresh or read back from the
+// WAL-backed run store) satisfy it, so every figure and table computes
+// identically from a cached record and a fresh run.
 type FlowSeries interface {
 	Name() string
 	BaseRTT() time.Duration

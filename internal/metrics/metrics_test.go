@@ -111,8 +111,8 @@ func buildTwoFlowRun(t *testing.T) []*netsim.Flow {
 	t.Helper()
 	n := netsim.New(netsim.Config{Seed: 1})
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
-	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l}, CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
-	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
+	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l}, Alg: cc.NewManual(8e6)})
+	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Alg: cc.NewManual(8e6)})
 	n.Run(10 * time.Second)
 	return []*netsim.Flow{f1, f2}
 }
@@ -185,7 +185,7 @@ func TestConvergenceTime(t *testing.T) {
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
 	man := cc.NewManual(1e6)
 	f := n.AddFlow(netsim.FlowConfig{Name: "ramp", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return man }})
+		Alg: man})
 	n.Run(5 * time.Second)
 	man.SetRate(9e6) // jumps to ~fair share at t=5s
 	n.Run(15 * time.Second)
@@ -205,7 +205,7 @@ func TestConvergenceTimeHoldBoundary(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 3})
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
 	f := n.AddFlow(netsim.FlowConfig{Name: "steady", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return cc.NewManual(9e6) }})
+		Alg: cc.NewManual(9e6)})
 	n.Run(10 * time.Second)
 
 	target := 0.8 * 9e6
@@ -233,7 +233,7 @@ func TestConvergenceTimePreStart(t *testing.T) {
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
 	man := cc.NewManual(9e6)
 	f := n.AddFlow(netsim.FlowConfig{Name: "fade", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return man }})
+		Alg: man})
 	n.Run(5 * time.Second)
 	man.SetRate(0.5e6) // collapses after t=5s
 	n.Run(15 * time.Second)

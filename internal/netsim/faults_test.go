@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/cc/cubic"
 	"repro/internal/faults"
 )
@@ -24,7 +23,7 @@ func faultDumbbell(t *testing.T, seed uint64, fc *faults.Config) *Network {
 		n.AddFlow(FlowConfig{
 			Name: "f" + string(rune('0'+i)),
 			Path: []*Link{l},
-			CC:   func() cc.Algorithm { return cubic.New() },
+			Alg:  cubic.New(),
 		})
 	}
 	if err := n.Validate(); err != nil {
@@ -149,7 +148,7 @@ func TestFaultConfigValidatedByNetwork(t *testing.T) {
 		BufferBytes: 10_000,
 		Faults:      &faults.Config{ReorderProb: 0.5}, // no ReorderMaxDelay
 	})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return cubic.New() }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: cubic.New()})
 	if err := n.Validate(); err == nil {
 		t.Fatal("Validate accepted a reorder config with no max delay")
 	}

@@ -15,12 +15,8 @@ type FlowConfig struct {
 	Name string
 	// Path is the ordered list of links the flow's packets traverse.
 	Path []*Link
-	// CC constructs the flow's congestion controller. Exactly one of CC and
-	// Alg must be set; CC wins if both are.
-	CC func() cc.Algorithm
-	// Alg is the flow's congestion controller, pre-constructed. Bulk
-	// scenario builders use it to hand each flow its controller without
-	// wrapping every one in a factory closure.
+	// Alg is the flow's congestion controller, constructed by the caller
+	// and owned by the flow from AddFlow on.
 	Alg cc.Algorithm
 	// Start is when the flow begins sending.
 	Start time.Duration
@@ -125,7 +121,6 @@ type intervalAgg struct {
 	sentPackets  int64
 	lostPackets  int64
 	rttSum       time.Duration
-	rttMin       time.Duration
 }
 
 func (a *intervalAgg) reset() { *a = intervalAgg{} }
@@ -134,9 +129,6 @@ func (a *intervalAgg) addAck(bytes int, rtt time.Duration) {
 	a.ackedBytes += int64(bytes)
 	a.ackedPackets++
 	a.rttSum += rtt
-	if a.rttMin == 0 || rtt < a.rttMin {
-		a.rttMin = rtt
-	}
 }
 
 // Shared event dispatchers. Flow and packet events schedule these
@@ -189,7 +181,6 @@ type Flow struct {
 	net    *Network
 	cfg    FlowConfig
 	total  intervalAgg
-	rttAll time.Duration // Σ RTT for mean over all acks
 	series []SeriesPoint
 }
 
@@ -203,17 +194,13 @@ func initFlow(f *Flow, n *Network, cfg FlowConfig, rng simcore.RNG) {
 	for _, l := range cfg.Path {
 		prop += l.cfg.Delay
 	}
-	alg := cfg.Alg
-	if cfg.CC != nil {
-		alg = cfg.CC()
-	}
 	*f = Flow{
 		net:       n,
 		cfg:       cfg,
 		rng:       rng,
 		eng:       n.eng,
 		arena:     &n.seqArena,
-		alg:       alg,
+		alg:       cfg.Alg,
 		pktSize:   cfg.PacketSize,
 		returnLeg: prop + cfg.ExtraOneWay,
 		baseRTT:   2 * (prop + cfg.ExtraOneWay),
@@ -490,7 +477,6 @@ func (f *Flow) onAck(p *packet) {
 	}
 	f.rec.addAck(size, rtt)
 	f.total.addAck(size, rtt)
-	f.rttAll += rtt
 	f.alg.OnAck(cc.Ack{Now: now, SentAt: sentAt, RTT: rtt, Bytes: size})
 	f.trySend()
 	if f.tracker != nil {
@@ -555,7 +541,7 @@ func (f *Flow) Stats() FlowStats {
 		LossRate:     lossRate(f.total.lostPackets, f.total.ackedPackets),
 	}
 	if f.total.ackedPackets > 0 {
-		s.AvgRTT = f.rttAll / time.Duration(f.total.ackedPackets)
+		s.AvgRTT = f.total.rttSum / time.Duration(f.total.ackedPackets)
 	}
 	if active > 0 {
 		s.AvgThroughputBps = float64(f.total.ackedBytes) * 8 / active.Seconds()

@@ -10,7 +10,7 @@
 //
 //	net := netsim.New(netsim.Config{Seed: 1})
 //	link := net.AddLink(netsim.LinkConfig{Rate: 100e6, Delay: 15 * time.Millisecond, BufferBytes: 750_000})
-//	net.AddFlow(netsim.FlowConfig{Name: "f0", Path: []*netsim.Link{link}, CC: func() cc.Algorithm { return cubic.New() }})
+//	net.AddFlow(netsim.FlowConfig{Name: "f0", Path: []*netsim.Link{link}, Alg: cubic.New()})
 //	net.Run(120 * time.Second)
 //
 // All randomness derives from the Network seed, so runs are reproducible.
@@ -271,8 +271,8 @@ func (n *Network) AddFlow(cfg FlowConfig) *Flow {
 	if len(cfg.Path) == 0 {
 		panic("netsim: flow with empty path")
 	}
-	if cfg.CC == nil && cfg.Alg == nil {
-		panic("netsim: flow without CC factory or Alg")
+	if cfg.Alg == nil {
+		panic("netsim: flow without Alg")
 	}
 	if len(n.flowSlab) == 0 {
 		n.flowSlab = make([]Flow, flowSlabBlock)
@@ -327,8 +327,24 @@ func (n *Network) Validate() error {
 		if l.cfg.BufferBytes <= 0 {
 			return fmt.Errorf("netsim: link %d has no buffer", i)
 		}
+		if l.cfg.Delay < 0 {
+			return fmt.Errorf("netsim: link %d has negative delay %v", i, l.cfg.Delay)
+		}
+		if !(l.cfg.LossRate >= 0 && l.cfg.LossRate < 1) {
+			return fmt.Errorf("netsim: link %d loss rate %v outside [0, 1)", i, l.cfg.LossRate)
+		}
 		if err := l.cfg.Faults.Validate(); err != nil {
 			return fmt.Errorf("netsim: link %d: %w", i, err)
+		}
+	}
+	for i, f := range n.flows {
+		switch c := f.cfg; {
+		case c.Start < 0:
+			return fmt.Errorf("netsim: flow %d starts at negative time %v", i, c.Start)
+		case c.Duration < 0:
+			return fmt.Errorf("netsim: flow %d has negative duration %v", i, c.Duration)
+		case c.ExtraOneWay < 0:
+			return fmt.Errorf("netsim: flow %d has negative extra delay %v", i, c.ExtraOneWay)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -33,7 +34,7 @@ func TestSingleFlowFillsLink(t *testing.T) {
 	// link: utilization ~1, and the observed throughput equals capacity.
 	n, l, f := buildSingle(t,
 		LinkConfig{Rate: 10e6, Delay: 20 * time.Millisecond, BufferBytes: 100_000},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(20e6) }})
+		FlowConfig{Alg: cc.NewManual(20e6)})
 	n.Run(10 * time.Second)
 
 	if u := l.Utilization(10 * time.Second); u < 0.95 || u > 1.01 {
@@ -52,7 +53,7 @@ func TestSingleFlowFillsLink(t *testing.T) {
 func TestUnderloadedLinkDeliversOfferedRate(t *testing.T) {
 	n, _, f := buildSingle(t,
 		LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 1_000_000},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(30e6) }})
+		FlowConfig{Alg: cc.NewManual(30e6)})
 	n.Run(10 * time.Second)
 	s := f.Stats()
 	if math.Abs(s.AvgThroughputBps-30e6)/30e6 > 0.05 {
@@ -72,7 +73,7 @@ func TestRTTReflectsQueueing(t *testing.T) {
 	const bufBytes = 125_000 // at 10 Mbps: 100 ms of queueing
 	n, _, f := buildSingle(t,
 		LinkConfig{Rate: 10e6, Delay: 15 * time.Millisecond, BufferBytes: bufBytes},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(50e6) }})
+		FlowConfig{Alg: cc.NewManual(50e6)})
 	n.Run(10 * time.Second)
 	s := f.Stats()
 	// Steady state: queue pinned at ~full -> RTT ~ 30ms + 100ms.
@@ -98,7 +99,7 @@ func TestRTTReflectsQueueing(t *testing.T) {
 func TestPacketConservation(t *testing.T) {
 	n, l, f := buildSingle(t,
 		LinkConfig{Rate: 10e6, Delay: 5 * time.Millisecond, BufferBytes: 30_000, LossRate: 0.01},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(15e6) }})
+		FlowConfig{Alg: cc.NewManual(15e6)})
 	n.Run(20 * time.Second)
 	// Let in-flight feedback drain.
 	n.Run(21 * time.Second)
@@ -122,7 +123,7 @@ func TestPacketConservation(t *testing.T) {
 func TestRandomLossRateCalibrated(t *testing.T) {
 	n, l, f := buildSingle(t,
 		LinkConfig{Rate: 50e6, Delay: 5 * time.Millisecond, BufferBytes: 10_000_000, LossRate: 0.02},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(20e6) }})
+		FlowConfig{Alg: cc.NewManual(20e6)})
 	n.Run(30 * time.Second)
 	s := f.Stats()
 	arrived := float64(l.Stats().DeliveredPackets + l.Stats().RandomDrops)
@@ -140,8 +141,8 @@ func TestTwoFlowsShareCapacity(t *testing.T) {
 	// drain the queue at the same per-flow rate: ~5 Mbps each.
 	n := New(Config{Seed: 2})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 60_000})
-	f1 := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(20e6) }})
-	f2 := n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(20e6) }})
+	f1 := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, Alg: cc.NewManual(20e6)})
+	f2 := n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, Alg: cc.NewManual(20e6)})
 	n.Run(20 * time.Second)
 	t1 := f1.Stats().AvgThroughputBps
 	t2 := f2.Stats().AvgThroughputBps
@@ -158,8 +159,8 @@ func TestProportionalShareUnderOverload(t *testing.T) {
 	// send-rate-proportional shares (Eq. 2 of the paper).
 	n := New(Config{Seed: 3})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 60_000})
-	f1 := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(30e6) }})
-	f2 := n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(10e6) }})
+	f1 := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, Alg: cc.NewManual(30e6)})
+	f2 := n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, Alg: cc.NewManual(10e6)})
 	n.Run(20 * time.Second)
 	t1 := f1.Stats().AvgThroughputBps
 	t2 := f2.Stats().AvgThroughputBps
@@ -175,7 +176,7 @@ func TestFlowStartStop(t *testing.T) {
 		FlowConfig{
 			Start:    2 * time.Second,
 			Duration: 3 * time.Second,
-			CC:       func() cc.Algorithm { return cc.NewManual(5e6) },
+			Alg:      cc.NewManual(5e6),
 		})
 	n.Run(10 * time.Second)
 	s := f.Stats()
@@ -198,9 +199,9 @@ func TestFlowStartStop(t *testing.T) {
 func TestHeterogeneousBaseRTT(t *testing.T) {
 	n := New(Config{Seed: 4})
 	l := n.AddLink(LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 1_000_000})
-	f1 := n.AddFlow(FlowConfig{Name: "near", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(1e6) }})
+	f1 := n.AddFlow(FlowConfig{Name: "near", Path: []*Link{l}, Alg: cc.NewManual(1e6)})
 	f2 := n.AddFlow(FlowConfig{Name: "far", Path: []*Link{l}, ExtraOneWay: 40 * time.Millisecond,
-		CC: func() cc.Algorithm { return cc.NewManual(1e6) }})
+		Alg: cc.NewManual(1e6)})
 	if f1.BaseRTT() != 20*time.Millisecond {
 		t.Fatalf("near base RTT %v, want 20ms", f1.BaseRTT())
 	}
@@ -221,7 +222,7 @@ func TestMultiBottleneckPath(t *testing.T) {
 	n := New(Config{Seed: 5})
 	l1 := n.AddLink(LinkConfig{Rate: 100e6, Delay: 5 * time.Millisecond, BufferBytes: 500_000})
 	l2 := n.AddLink(LinkConfig{Rate: 10e6, Delay: 5 * time.Millisecond, BufferBytes: 100_000})
-	f := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l1, l2}, CC: func() cc.Algorithm { return cc.NewManual(50e6) }})
+	f := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l1, l2}, Alg: cc.NewManual(50e6)})
 	n.Run(10 * time.Second)
 	s := f.Stats()
 	if math.Abs(s.AvgThroughputBps-10e6)/10e6 > 0.05 {
@@ -240,7 +241,7 @@ func TestTraceDrivenLink(t *testing.T) {
 	})
 	n := New(Config{Seed: 6})
 	l := n.AddLink(LinkConfig{Trace: tr, Delay: 5 * time.Millisecond, BufferBytes: 50_000})
-	f := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(50e6) }})
+	f := n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, Alg: cc.NewManual(50e6)})
 	n.Run(10 * time.Second)
 	series := f.Series()
 	var early, late, earlyN, lateN float64
@@ -267,7 +268,7 @@ func TestLargePacketSizeScaling(t *testing.T) {
 	// MSS scaling for high-speed runs: 1 Gbps with 15000-byte packets.
 	n, l, _ := buildSingle(t,
 		LinkConfig{Rate: 1e9, Delay: 5 * time.Millisecond, BufferBytes: 10_000_000},
-		FlowConfig{PacketSize: 15000, CC: func() cc.Algorithm { return cc.NewManual(2e9) }})
+		FlowConfig{PacketSize: 15000, Alg: cc.NewManual(2e9)})
 	n.Run(3 * time.Second)
 	if u := l.Utilization(3 * time.Second); u < 0.95 {
 		t.Fatalf("1 Gbps utilization %v with scaled MSS", u)
@@ -278,7 +279,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		n, l, f := buildSingle(t,
 			LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 40_000, LossRate: 0.005},
-			FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(15e6) }})
+			FlowConfig{Alg: cc.NewManual(15e6)})
 		n.Run(5 * time.Second)
 		return f.Stats().AckedBytes, l.Stats().RandomDrops
 	}
@@ -295,9 +296,45 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		t.Error("empty network validated")
 	}
 	l := n.AddLink(LinkConfig{Rate: 0, BufferBytes: 100})
-	n.AddFlow(FlowConfig{Name: "x", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(1e6) }})
+	n.AddFlow(FlowConfig{Name: "x", Path: []*Link{l}, Alg: cc.NewManual(1e6)})
 	if err := n.Validate(); err == nil {
 		t.Error("zero-capacity link validated")
+	}
+}
+
+// TestValidateRange: Validate rejects every link and flow input a run
+// cannot honour, and accepts the boundary values next to each one.
+func TestValidateRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		link LinkConfig
+		flow FlowConfig
+		err  string // substring; "" = valid
+	}{
+		{"valid", LinkConfig{}, FlowConfig{}, ""},
+		{"almost all lost", LinkConfig{LossRate: 0.999}, FlowConfig{}, ""},
+		{"negative link delay", LinkConfig{Delay: -1}, FlowConfig{}, "negative delay"},
+		{"loss 1", LinkConfig{LossRate: 1}, FlowConfig{}, "outside [0, 1)"},
+		{"loss above 1", LinkConfig{LossRate: 1.5}, FlowConfig{}, "outside [0, 1)"},
+		{"negative loss", LinkConfig{LossRate: -0.2}, FlowConfig{}, "outside [0, 1)"},
+		{"NaN loss", LinkConfig{LossRate: math.NaN()}, FlowConfig{}, "outside [0, 1)"},
+		{"negative start", LinkConfig{}, FlowConfig{Start: -5 * time.Second}, "negative time"},
+		{"negative duration", LinkConfig{}, FlowConfig{Duration: -time.Second}, "negative duration"},
+		{"negative extra delay", LinkConfig{}, FlowConfig{ExtraOneWay: -time.Millisecond}, "negative extra delay"},
+	} {
+		n := New(Config{})
+		lc := tc.link
+		lc.Rate, lc.BufferBytes = 10e6, 50_000
+		if lc.Delay == 0 {
+			lc.Delay = 10 * time.Millisecond
+		}
+		fc := tc.flow
+		fc.Name, fc.Path, fc.Alg = "f", []*Link{n.AddLink(lc)}, cc.NewManual(1e6)
+		n.AddFlow(fc)
+		err := n.Validate()
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.err)
+		}
 	}
 }
 
@@ -308,13 +345,13 @@ func TestAddFlowPanicsOnMissingPath(t *testing.T) {
 			t.Error("empty path did not panic")
 		}
 	}()
-	n.AddFlow(FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(1) }})
+	n.AddFlow(FlowConfig{Alg: cc.NewManual(1)})
 }
 
 func TestQueueHighWaterMark(t *testing.T) {
 	n, l, _ := buildSingle(t,
 		LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 50_000},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(30e6) }})
+		FlowConfig{Alg: cc.NewManual(30e6)})
 	n.Run(5 * time.Second)
 	hw := l.Stats().MaxQueueBytes
 	if hw < 45_000 || hw > 50_000 {
@@ -325,7 +362,7 @@ func TestQueueHighWaterMark(t *testing.T) {
 func TestSeriesSendRateTracksManualRate(t *testing.T) {
 	n, _, f := buildSingle(t,
 		LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 1_000_000},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
+		FlowConfig{Alg: cc.NewManual(8e6)})
 	n.Run(5 * time.Second)
 	pts := f.Series()
 	var sum float64
@@ -353,11 +390,11 @@ func TestSteppedRunSeriesGrowsGeometrically(t *testing.T) {
 	build := func() *Network {
 		n := New(Config{Seed: 9})
 		l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 60_000, LossRate: 0.002})
-		n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
+		n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, Alg: cc.NewManual(8e6)})
 		n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, ExtraOneWay: 15 * time.Millisecond,
-			CC: func() cc.Algorithm { return cc.NewManual(6e6) }})
+			Alg: cc.NewManual(6e6)})
 		n.AddFlow(FlowConfig{Name: "c", Path: []*Link{l}, Start: 3 * time.Second, Duration: 9 * time.Second,
-			CC: func() cc.Algorithm { return cc.NewManual(4e6) }})
+			Alg: cc.NewManual(4e6)})
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +441,7 @@ func TestSteppedRunSeriesGrowsGeometrically(t *testing.T) {
 func TestJitterInflatesRTTAndPreservesConservation(t *testing.T) {
 	n, l, f := buildSingle(t,
 		LinkConfig{Rate: 20e6, Delay: 10 * time.Millisecond, BufferBytes: 200_000, JitterStd: 3 * time.Millisecond},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(10e6) }})
+		FlowConfig{Alg: cc.NewManual(10e6)})
 	n.Run(10 * time.Second)
 	s := f.Stats()
 	// Mean extra one-way delay of |N(0,3ms)| is ~2.4ms.
@@ -423,7 +460,7 @@ func TestJitterInflatesRTTAndPreservesConservation(t *testing.T) {
 func TestZeroJitterIsExactPropagation(t *testing.T) {
 	n, _, f := buildSingle(t,
 		LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 500_000},
-		FlowConfig{CC: func() cc.Algorithm { return cc.NewManual(5e6) }})
+		FlowConfig{Alg: cc.NewManual(5e6)})
 	n.Run(3 * time.Second)
 	if f.Stats().MinRTT < 20*time.Millisecond || f.Stats().MinRTT > 21*time.Millisecond {
 		t.Fatalf("min RTT %v, want ~20ms + serialization", f.Stats().MinRTT)
@@ -445,7 +482,7 @@ func TestRandomScenarioInvariants(t *testing.T) {
 			send := 0.2*rate + float64(sendRaw%100)/100*rate
 			flows[i] = n.AddFlow(FlowConfig{
 				Name: "f", Path: []*Link{l},
-				CC: func() cc.Algorithm { return cc.NewManual(send) },
+				Alg: cc.NewManual(send),
 			})
 		}
 		n.Run(3 * time.Second)

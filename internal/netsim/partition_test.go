@@ -13,8 +13,8 @@ import (
 func TestPartitionSingleBottleneckIsOneShard(t *testing.T) {
 	n := New(Config{Seed: 1})
 	l := n.AddLink(LinkConfig{Rate: 20e6, Delay: 10 * time.Millisecond, BufferBytes: 75_000})
-	n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(10e6) }})
-	n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, CC: func() cc.Algorithm { return cc.NewManual(10e6) }})
+	n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l}, Alg: cc.NewManual(10e6)})
+	n.AddFlow(FlowConfig{Name: "b", Path: []*Link{l}, Alg: cc.NewManual(10e6)})
 	p, err := n.Partition(8)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestPartitionAssignRejectsZeroDelayCut(t *testing.T) {
 	n := New(Config{Seed: 1})
 	l0 := n.AddLink(LinkConfig{Rate: 20e6, Delay: 0, BufferBytes: 75_000})
 	l1 := n.AddLink(LinkConfig{Rate: 20e6, Delay: 5 * time.Millisecond, BufferBytes: 75_000})
-	n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l0, l1}, CC: func() cc.Algorithm { return cc.NewManual(10e6) }})
+	n.AddFlow(FlowConfig{Name: "a", Path: []*Link{l0, l1}, Alg: cc.NewManual(10e6)})
 	if _, err := n.PartitionAssign([]int{0, 1}); !errors.Is(err, ErrZeroDelayCut) {
 		t.Fatalf("zero-delay cut returned %v, want ErrZeroDelayCut", err)
 	}
@@ -67,13 +67,13 @@ func parkingLot(seed uint64, localRate float64) (*Network, []*Link) {
 	l1 := n.AddLink(LinkConfig{Rate: 50e6, Delay: 7 * time.Millisecond, BufferBytes: 512_000})
 	l2 := n.AddLink(LinkConfig{Rate: 50e6, Delay: 6 * time.Millisecond, BufferBytes: 512_000})
 	links := []*Link{l0, l1, l2}
-	n.AddFlow(FlowConfig{Name: "long", Path: links, CC: func() cc.Algorithm { return cc.NewManual(8e6) }})
+	n.AddFlow(FlowConfig{Name: "long", Path: links, Alg: cc.NewManual(8e6)})
 	for i, l := range links {
 		l := l
 		n.AddFlow(FlowConfig{
 			Name: fmt.Sprintf("local-%d", i), Path: []*Link{l},
 			Start: time.Duration(i) * 100 * time.Millisecond,
-			CC:    func() cc.Algorithm { return cc.NewManual(localRate) },
+			Alg:   cc.NewManual(localRate),
 		})
 	}
 	return n, links

@@ -26,7 +26,7 @@ func TestSendIntervalConservation(t *testing.T) {
 	rec.Manual = *cc.NewManual(15e6)
 	n := New(Config{Seed: 3})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 20 * time.Millisecond, BufferBytes: 40_000, LossRate: 0.01})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(20 * time.Second)
 
 	if len(rec.stats) < 100 {
@@ -55,7 +55,7 @@ func TestSendIntervalsDeliveredInOrderAndOnTime(t *testing.T) {
 	rec.Manual = *cc.NewManual(5e6)
 	n := New(Config{Seed: 4})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 50 * time.Millisecond, BufferBytes: 100_000})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(10 * time.Second)
 
 	var prev time.Duration
@@ -78,7 +78,7 @@ func TestSendIntervalEnforcedRateSnapshot(t *testing.T) {
 	rec.Manual = *cc.NewManual(8e6)
 	n := New(Config{Seed: 5})
 	l := n.AddLink(LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(5 * time.Second)
 	for i, s := range rec.stats {
 		if s.SentPackets > 0 && s.EnforcedRateBps != 8e6 {
@@ -94,7 +94,7 @@ func TestSendIntervalDeliverySpanReflectsBottleneck(t *testing.T) {
 	rec.Manual = *cc.NewManual(20e6)
 	n := New(Config{Seed: 6})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 200_000})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(10 * time.Second)
 	late := rec.stats[len(rec.stats)/2:]
 	var sumRate float64
@@ -116,7 +116,7 @@ func TestSendIntervalDeliveryRateTracksSendWhenIdleLink(t *testing.T) {
 	rec.Manual = *cc.NewManual(8e6)
 	n := New(Config{Seed: 7})
 	l := n.AddLink(LinkConfig{Rate: 100e6, Delay: 10 * time.Millisecond, BufferBytes: 200_000})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(10 * time.Second)
 	late := rec.stats[len(rec.stats)/2:]
 	var sumRate float64
@@ -142,7 +142,7 @@ func TestEmptyIntervalsStillDelivered(t *testing.T) {
 	rec.Manual = *cc.NewManual(100e3) // ~8 packets/second
 	n := New(Config{Seed: 8})
 	l := n.AddLink(LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})
-	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, CC: func() cc.Algorithm { return rec }})
+	n.AddFlow(FlowConfig{Name: "f", Path: []*Link{l}, Alg: rec})
 	n.Run(3 * time.Second)
 	empty := 0
 	for _, s := range rec.stats {

@@ -37,7 +37,7 @@ func buildDumbbell(seed uint64) (*netsim.Network, time.Duration) {
 			Name:  []string{"cubic-0", "reno-1"}[i],
 			Path:  []*netsim.Link{link},
 			Start: time.Duration(i) * time.Second,
-			CC:    mk,
+			Alg:   mk(),
 		})
 	}
 	return n, 8 * time.Second
@@ -49,9 +49,9 @@ func buildParkingLot(seed uint64) (*netsim.Network, time.Duration) {
 	n := netsim.New(netsim.Config{Seed: seed})
 	a := n.AddLink(netsim.LinkConfig{Rate: 20e6, Delay: 10 * time.Millisecond, BufferBytes: 64 * 1500})
 	b := n.AddLink(netsim.LinkConfig{Rate: 15e6, Delay: 10 * time.Millisecond, BufferBytes: 64 * 1500})
-	n.AddFlow(netsim.FlowConfig{Name: "f-a", Path: []*netsim.Link{a}, CC: func() cc.Algorithm { return cubic.New() }})
-	n.AddFlow(netsim.FlowConfig{Name: "f-ab", Path: []*netsim.Link{a, b}, CC: func() cc.Algorithm { return reno.New() }})
-	n.AddFlow(netsim.FlowConfig{Name: "f-b", Path: []*netsim.Link{b}, CC: func() cc.Algorithm { return cubic.New() }})
+	n.AddFlow(netsim.FlowConfig{Name: "f-a", Path: []*netsim.Link{a}, Alg: cubic.New()})
+	n.AddFlow(netsim.FlowConfig{Name: "f-ab", Path: []*netsim.Link{a, b}, Alg: reno.New()})
+	n.AddFlow(netsim.FlowConfig{Name: "f-b", Path: []*netsim.Link{b}, Alg: cubic.New()})
 	return n, 6 * time.Second
 }
 
@@ -146,7 +146,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	})
 	for i := 0; i < 2; i++ {
 		name := []string{"c0", "c1"}[i]
-		n.AddFlow(netsim.FlowConfig{Name: name, Path: []*netsim.Link{link}, CC: func() cc.Algorithm { return cubic.New() }})
+		n.AddFlow(netsim.FlowConfig{Name: name, Path: []*netsim.Link{link}, Alg: cubic.New()})
 	}
 	rt := New(Options{FlightDir: dir, FlightSize: 128})
 	ob := rt.Attach(n, 1)
@@ -208,7 +208,7 @@ func TestFootprintBoundedByShards(t *testing.T) {
 		big.AddFlow(netsim.FlowConfig{
 			Name: "f" + string(rune('a'+i%26)) + string(rune('0'+i%10)),
 			Path: []*netsim.Link{link},
-			CC:   func() cc.Algorithm { return cubic.New() },
+			Alg:  cubic.New(),
 		})
 	}
 	rtB := New(Options{})

@@ -252,6 +252,9 @@ func TestTrainValidatesConfig(t *testing.T) {
 		{"steps", func(c *TrainConfig) { c.StepsPerActor = 0 }},
 		{"updates", func(c *TrainConfig) { c.UpdatesPerEpoch = 0 }},
 		{"buffer", func(c *TrainConfig) { c.BufferSize = 0 }},
+		// Budgets that never fill a batch: Update would never run.
+		{"fewer transitions than a batch", func(c *TrainConfig) { c.Actors, c.StepsPerActor, c.Epochs = 1, 16, 2 }},
+		{"buffer below a batch", func(c *TrainConfig) { c.BufferSize = 63 }},
 	} {
 		agent := tinyAgent(1)
 		cfg := tinyTrainConfig(1)
@@ -261,6 +264,12 @@ func TestTrainValidatesConfig(t *testing.T) {
 		if err == nil || built {
 			t.Errorf("%s: Train returned %v and built an environment: %v", tc.name, err, built)
 		}
+	}
+	// Exactly one batch in all is enough.
+	cfg := tinyTrainConfig(2)
+	cfg.Actors, cfg.StepsPerActor = 1, 32
+	if _, err := Train(tinyAgent(1), func(int) Env { return &banditEnv{rng: simcore.NewRNG(1)} }, cfg); err != nil {
+		t.Errorf("one batch of transitions: %v", err)
 	}
 }
 

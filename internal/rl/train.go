@@ -62,6 +62,11 @@ func Train(agent *TD3, envFactory func(actor int) Env, cfg TrainConfig) (*TrainR
 	case cfg.Actors <= 0, cfg.Epochs <= 0, cfg.StepsPerActor <= 0, cfg.UpdatesPerEpoch <= 0, cfg.BufferSize <= 0:
 		return nil, fmt.Errorf("rl: Train needs positive actors, epochs, steps, updates and buffer size (got %d, %d, %d, %d, %d)",
 			cfg.Actors, cfg.Epochs, cfg.StepsPerActor, cfg.UpdatesPerEpoch, cfg.BufferSize)
+	case min(cfg.BufferSize, cfg.Actors*cfg.StepsPerActor*cfg.Epochs) < agent.cfg.Batch:
+		// Update waits for a full batch; a run that never holds one would
+		// return the untrained actor.
+		return nil, fmt.Errorf("rl: Train collects %d transitions (buffer %d), fewer than a batch of %d",
+			cfg.Actors*cfg.StepsPerActor*cfg.Epochs, cfg.BufferSize, agent.cfg.Batch)
 	}
 	// The agent's update helpers are parked goroutines; they must not outlive
 	// the run (the agent stays usable and respawns them on demand).

@@ -86,7 +86,7 @@ func crashRecords(t *testing.T) []*Record {
 	recs := randRecords(41, 4)
 	for _, r := range recs {
 		for i := range r.Flows {
-			r.Flows[i].Series = nil // keep frames small: the sweep is byte-granular
+			r.Flows[i].Points = nil // keep frames small: the sweep is byte-granular
 		}
 		r.Key = KeyOf(appendRecord(nil, r))
 	}

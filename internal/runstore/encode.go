@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 const (
@@ -63,7 +64,7 @@ func appendBool(b []byte, v bool) []byte {
 func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, recVersion)
 	dst = append(dst, rec.Key[:]...)
-	dst = appendStr(dst, rec.Scenario)
+	dst = appendStr(dst, rec.Name)
 	dst = appendU32(dst, uint32(len(rec.Schemes)))
 	for _, s := range rec.Schemes {
 		dst = appendStr(dst, s)
@@ -81,7 +82,7 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	for i := range rec.Flows {
 		f := &rec.Flows[i]
 		dst = appendStr(dst, f.Stats.Name)
-		dst = appendI64(dst, int64(f.BaseRTT))
+		dst = appendI64(dst, int64(f.PathRTT))
 		dst = appendI64(dst, int64(f.Stats.Start))
 		dst = appendI64(dst, int64(f.Stats.ActiveFor))
 		dst = appendI64(dst, f.Stats.SentPackets)
@@ -95,8 +96,8 @@ func appendRecord(dst []byte, rec *Record) []byte {
 		dst = appendF64(dst, f.Stats.LossRate)
 		dst = appendI64(dst, f.Degraded)
 		dst = appendI64(dst, f.NonFinite)
-		dst = appendU32(dst, uint32(len(f.Series)))
-		for _, p := range f.Series {
+		dst = appendU32(dst, uint32(len(f.Points)))
+		for _, p := range f.Points {
 			dst = appendI64(dst, int64(p.T))
 			dst = appendF64(dst, p.ThroughputBps)
 			dst = appendF64(dst, p.SendRateBps)
@@ -229,7 +230,7 @@ func decodeRecord(b []byte) (*Record, error) {
 	}
 	rec := &Record{}
 	copy(rec.Key[:], r.bytes(len(rec.Key)))
-	rec.Scenario = r.str()
+	rec.Name = r.str()
 	if n := r.count("scheme", minStrBytes); n > 0 {
 		rec.Schemes = make([]string, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
@@ -250,7 +251,7 @@ func decodeRecord(b []byte) (*Record, error) {
 		for i := 0; i < n && r.err == nil; i++ {
 			var f FlowRecord
 			f.Stats.Name = r.str()
-			f.BaseRTT = r.dur()
+			f.PathRTT = r.dur()
 			f.Stats.Start = r.dur()
 			f.Stats.ActiveFor = r.dur()
 			f.Stats.SentPackets = r.i64()
@@ -265,9 +266,9 @@ func decodeRecord(b []byte) (*Record, error) {
 			f.Degraded = r.i64()
 			f.NonFinite = r.i64()
 			if m := r.count("series point", minPointBytes); m > 0 {
-				f.Series = make([]netsim.SeriesPoint, 0, m)
+				f.Points = make([]netsim.SeriesPoint, 0, m)
 				for j := 0; j < m && r.err == nil; j++ {
-					f.Series = append(f.Series, netsim.SeriesPoint{
+					f.Points = append(f.Points, netsim.SeriesPoint{
 						T:             r.dur(),
 						ThroughputBps: r.f64(),
 						SendRateBps:   r.f64(),
@@ -282,7 +283,7 @@ func decodeRecord(b []byte) (*Record, error) {
 		}
 	}
 	if r.boolean() {
-		s := &StreamSummary{}
+		s := &obs.StreamSummary{}
 		s.FinalJain = r.f64()
 		s.MinWindowJain = r.f64()
 		s.Snapshots = r.i64()

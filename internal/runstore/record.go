@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // Key is the 256-bit content address of a run: a SHA-256 over the canonical
@@ -42,43 +43,33 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
 
 // FlowRecord is the stored summary of one flow of a run: lifetime stats,
-// the recorded throughput/RTT series, and the Jury guard counters. It is
-// exactly the data exp.FlowSummary serves back to the figure runners, so a
-// cache hit is indistinguishable from a live run to every consumer.
+// the recorded throughput/RTT series, and the Jury guard counters. It
+// satisfies metrics.FlowSeries, so every figure and table computes
+// identically from a stored record and a fresh run.
 type FlowRecord struct {
-	BaseRTT   time.Duration
+	PathRTT   time.Duration // propagation round-trip floor; BaseRTT returns it
 	Stats     netsim.FlowStats
-	Degraded  int64 // core.Jury degraded (AIMD-fallback) decisions; 0 for other schemes
-	NonFinite int64 // core.Jury non-finite actions that reached Eq. 7 (must be 0)
-	Series    []netsim.SeriesPoint
+	Degraded  int64                // core.Jury degraded (AIMD-fallback) decisions; 0 for other schemes
+	NonFinite int64                // core.Jury non-finite actions that reached Eq. 7 (must be 0)
+	Points    []netsim.SeriesPoint // per-interval samples; Series returns them
 }
 
-// StreamSummary is the compact streaming-observability digest of a run
-// (obs.StreamSummary, mirrored here so the store stays free of upper-layer
-// imports): the final and worst windowed Jain, sketch percentiles of rate
-// and RTT, and the fault/degradation counters.
-type StreamSummary struct {
-	FinalJain     float64
-	MinWindowJain float64
-	Snapshots     int64
-	Samples       int64
-	RateP50       float64
-	RateP95       float64
-	RateP99       float64
-	RTTP50        float64
-	RTTP95        float64
-	RTTP99        float64
-	Drops         int64
-	Faults        int64
-	Degraded      int64
-}
+// Name returns the flow's label.
+func (f FlowRecord) Name() string { return f.Stats.Name }
 
-// Record is one stored run.
+// BaseRTT returns the flow's propagation round-trip floor.
+func (f FlowRecord) BaseRTT() time.Duration { return f.PathRTT }
+
+// Series returns the recorded per-interval samples.
+func (f FlowRecord) Series() []netsim.SeriesPoint { return f.Points }
+
+// Record is one scenario run: what exp.Run returns (embedded in
+// exp.RunResult) and what the store keeps.
 type Record struct {
-	Key      Key
-	Scenario string   // scenario label (not part of the key)
-	Schemes  []string // distinct CC schemes of the run, in flow order
-	Seed     uint64
+	Key     Key      // zero unless the run was keyed for a store
+	Name    string   // scenario label (not part of the key)
+	Schemes []string // distinct CC schemes of the run, in flow order
+	Seed    uint64
 	// AppendedAt is the wall-clock unix-nanosecond timestamp of the append;
 	// Put stamps it when zero. It feeds the "appended" column of `jury exp
 	// store ls` only — it is deliberately excluded from the key and from any
@@ -86,17 +77,17 @@ type Record struct {
 	AppendedAt int64
 	Horizon    time.Duration
 	Digest     uint64 // simcheck digest (zero unless Checked)
-	Checked    bool
+	Checked    bool   // the run executed under the invariant checker
 
-	Utilization float64
-	FaultDrops  int64
+	Utilization float64 // of the bottleneck link over the horizon
+	FaultDrops  int64   // bottleneck-link fault-injected drops
 	Reordered   int64
 	Duplicated  int64
 	Flows       []FlowRecord
 
 	// Stream is the streaming-observability summary of the run; nil when the
 	// run executed without the obs layer attached.
-	Stream *StreamSummary
+	Stream *obs.StreamSummary
 }
 
 // Policy selects when the WAL is fsynced.

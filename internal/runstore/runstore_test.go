@@ -17,7 +17,7 @@ import (
 // empty so decoded records compare DeepEqual to their sources.
 func randRecord(rng *rand.Rand) *Record {
 	rec := &Record{
-		Scenario:    randName(rng, "scn"),
+		Name:        randName(rng, "scn"),
 		Seed:        rng.Uint64(),
 		AppendedAt:  1 + rng.Int63n(1e18),
 		Horizon:     time.Duration(rng.Int63n(int64(time.Hour))),
@@ -33,7 +33,7 @@ func randRecord(rng *rand.Rand) *Record {
 	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		f := FlowRecord{
-			BaseRTT:   time.Duration(rng.Int63n(int64(time.Second))),
+			PathRTT:   time.Duration(rng.Int63n(int64(time.Second))),
 			Degraded:  rng.Int63n(50),
 			NonFinite: rng.Int63n(50),
 		}
@@ -44,7 +44,7 @@ func randRecord(rng *rand.Rand) *Record {
 		f.Stats.AvgThroughputBps = rng.Float64() * 1e9
 		f.Stats.LossRate = rng.Float64()
 		for j, m := 0, rng.Intn(4); j < m; j++ {
-			f.Series = append(f.Series, netsim.SeriesPoint{
+			f.Points = append(f.Points, netsim.SeriesPoint{
 				T:             time.Duration(j) * time.Second,
 				ThroughputBps: rng.Float64() * 1e8,
 				SendRateBps:   rng.Float64() * 1e8,

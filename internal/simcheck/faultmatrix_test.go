@@ -66,7 +66,7 @@ func faultedDumbbell(t *testing.T, seed uint64, fc *faults.Config) *Checker {
 		n.AddFlow(netsim.FlowConfig{
 			Name: "f" + string(rune('0'+i)),
 			Path: []*netsim.Link{l},
-			CC:   m,
+			Alg:  m(),
 		})
 	}
 	if err := n.Validate(); err != nil {

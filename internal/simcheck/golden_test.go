@@ -91,8 +91,8 @@ var goldenScenarios = []struct {
 		})
 		path := []*netsim.Link{edge, btl}
 		n.AddFlow(netsim.FlowConfig{Name: "f0", Path: path, ExtraOneWay: 7 * time.Millisecond,
-			CC: func() cc.Algorithm { return core.NewDefault(11) }})
-		n.AddFlow(netsim.FlowConfig{Name: "f1", Path: path, CC: func() cc.Algorithm { return cubic.New() }})
+			Alg: core.NewDefault(11)})
+		n.AddFlow(netsim.FlowConfig{Name: "f1", Path: path, Alg: cubic.New()})
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
 		}

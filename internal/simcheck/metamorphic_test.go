@@ -45,7 +45,7 @@ func runJuryScaled(t *testing.T, k int) ([][]core.RangePoint, *Checker) {
 			Name:       "jury",
 			Path:       []*netsim.Link{l},
 			PacketSize: basePkt * k,
-			CC:         func() cc.Algorithm { return j },
+			Alg:        j,
 		})
 	}
 	ck := Attach(n)
@@ -115,7 +115,7 @@ func TestBandwidthScalingDecisionStatsStable(t *testing.T) {
 		n.AddFlow(netsim.FlowConfig{
 			Name: "jury",
 			Path: []*netsim.Link{l},
-			CC:   func() cc.Algorithm { return j },
+			Alg:  j,
 		})
 		ck := Attach(n)
 		n.Run(20 * time.Second)
@@ -163,7 +163,7 @@ func TestJuryHomogeneousJainConverges(t *testing.T) {
 			Name:  "jury",
 			Path:  []*netsim.Link{l},
 			Start: time.Duration(i) * time.Second,
-			CC:    func() cc.Algorithm { return j },
+			Alg:   j,
 		})
 	}
 	ck := Attach(n)

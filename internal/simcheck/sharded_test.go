@@ -22,7 +22,7 @@ func shardedParkingLot(seed uint64) *netsim.Network {
 	links := []*netsim.Link{l0, l1, l2}
 	n.AddFlow(netsim.FlowConfig{
 		Name: "long", Path: links,
-		CC: func() cc.Algorithm { return vegas.New() },
+		Alg: vegas.New(),
 	})
 	for i, l := range links {
 		l := l
@@ -30,7 +30,7 @@ func shardedParkingLot(seed uint64) *netsim.Network {
 			Name: fmt.Sprintf("local-%d", i), Path: []*netsim.Link{l},
 			Start:       time.Duration(i) * 200 * time.Millisecond,
 			ExtraOneWay: time.Duration(i) * time.Millisecond,
-			CC:          func() cc.Algorithm { return vegas.New() },
+			Alg:         vegas.New(),
 		})
 	}
 	return n
@@ -91,7 +91,7 @@ func TestShardedDigestRepeatable(t *testing.T) {
 			l := l
 			n.AddFlow(netsim.FlowConfig{
 				Name: fmt.Sprintf("blast-%d", i), Path: []*netsim.Link{l},
-				CC: func() cc.Algorithm { return cc.NewManual(60e6) },
+				Alg: cc.NewManual(60e6),
 			})
 		}
 		ck := Attach(n)

@@ -21,7 +21,7 @@ func buildDumbbell(seed uint64, rate float64, owd time.Duration, buf int, loss f
 		n.AddFlow(netsim.FlowConfig{
 			Name: "f" + string(rune('0'+i)),
 			Path: []*netsim.Link{l},
-			CC:   func() cc.Algorithm { return mk(i) },
+			Alg:  mk(i),
 		})
 	}
 	return n, Attach(n)

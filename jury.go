@@ -12,7 +12,7 @@
 //	flow := net.AddFlow(jury.FlowConfig{
 //		Name: "demo",
 //		Path: []*jury.Link{link},
-//		CC:   func() jury.CC { return jury.NewController(1) },
+//		Alg:  jury.NewController(1),
 //	})
 //	net.Run(60 * time.Second)
 //	fmt.Println(flow.Stats())

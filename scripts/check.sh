@@ -158,6 +158,22 @@ if grep -n 'CompactEvery\|snapshot\.dat\|func (s \*Store) Compact\|func Verify' 
     exit 1
 fi
 
+echo "== one flow description, one run record"
+# A flow's controller reaches netsim one way (FlowConfig.Alg), and a finished
+# scenario run is one runstore.Record (embedded in exp.RunResult) with the
+# obs summary in it (DESIGN.md "Run pipeline"); the factory field, the
+# summary mirrors and their converters were deleted and must not come back.
+go_sources=$(find . -name '*.go' -not -path './bench/*')
+one_rec=
+if grep -nE 'CC: *func\(\) (cc\.Algorithm|jury\.CC)' $go_sources; then one_rec=1; fi
+if grep -nE '^[[:space:]]+CC[[:space:]]+[^:=[:space:]]' $(find internal/netsim -name '*.go' -not -name '*_test.go'); then one_rec=1; fi
+if grep -rnE 'type StreamSummary\b' --include='*.go' . | grep -v '^\./internal/obs/'; then one_rec=1; fi
+if grep -nE 'type (FlowSummary|LinkSummary)\b' internal/exp/*.go; then one_rec=1; fi
+if [ -n "$one_rec" ]; then
+    echo "a second flow-controller field or run-summary type is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== netsim re-arms timers in place: non-test internal/netsim calls .Cancel() only in Flow.stop"
 # Cancel followed by ScheduleArg leaves a cancelled twin in the event queue
 # for the engine to pop and drain; Engine.Rearm re-keys the queued event in
