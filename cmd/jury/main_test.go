@@ -124,6 +124,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"sim", "-loss", "-0.2"}, 2, "-loss must be in [0, 1)"},
 		{[]string{"sim", "-buffer", "0"}, 2, "-buffer must be positive"},
 		{[]string{"sim", "-buffer", "-1"}, 2, "-buffer must be positive"},
+		{[]string{"sim", "-buffer", "0.00001", "-duration", "1s"}, 2, "less than one 1500 B packet"},
+		{[]string{"sim", "-rtt", "0.001", "-duration", "1s", "-scheme", "cubic"}, 2, "less than one 1500 B packet"},
+		{[]string{"sim", "-duration", "2s", "-stagger", "5s", "-flows", "2", "-scheme", "cubic"}, 2, "-stagger starts the last flow at 5s, not before the 2s -duration"},
 		{[]string{"sim", "faults", "-rate", "0"}, 2, "-rate must be positive"},
 		{[]string{"sim", "faults", "-rtt", "-30"}, 2, "-rtt must be positive"},
 		{[]string{"sim", "faults", "-flows", "0"}, 2, "-flows must be positive"},
@@ -292,7 +295,7 @@ func TestServeDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("serve exited with %v; stderr:\n%s", err, rest.String())
 	}
 	if !strings.Contains(rest.String(), "served 0 decisions") {
-		t.Errorf("no drain summary on stderr:\n%s", rest.String())
+		t.Errorf("no closing summary on stderr:\n%s", rest.String())
 	}
 }
 

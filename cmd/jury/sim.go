@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 )
 
 // runSim is `jury sim`: an ad-hoc emulated scenario — one bottleneck link,
@@ -70,6 +71,11 @@ func runSim(args []string) error {
 			names = append(names, names[0])
 		}
 	}
+	// A flow that starts at or after the horizon never sends; with two flows
+	// the Jain line then has no instant with both active and reads a vacuous 1.
+	if last := time.Duration(len(names)-1) * *stagger; last >= *duration {
+		return usageError(fmt.Sprintf("-stagger starts the last flow at %v, not before the %v -duration", last, *duration))
+	}
 
 	s := exp.Scenario{
 		Name:        "jurysim",
@@ -80,6 +86,9 @@ func runSim(args []string) error {
 		Seed:        *seed,
 	}
 	s.BufferBytes = s.BufferBDP(*bufBDP)
+	if s.BufferBytes < netsim.DefaultPacketSize {
+		return usageError(fmt.Sprintf("-buffer %g BDP of this -rate and -rtt is %d B, less than one %d B packet", *bufBDP, s.BufferBytes, netsim.DefaultPacketSize))
+	}
 	for i, name := range names {
 		spec := exp.FlowSpec{
 			Scheme: strings.TrimSpace(name),

@@ -12,12 +12,11 @@
 // round trip — no hand-off to a shared executor, nothing waits for company.
 // Admission control bounds the decisions in flight — overload is answered
 // with a typed BUSY response, never a silent hang — a per-decision watchdog
-// answers ERR when the policy outlives the serving deadline,
-// per-connection read *and* write deadlines reclaim stalled peers, policies
-// hot-swap between versions with a health gate and automatic rollback on
-// non-finite output, and shutdown drains in-flight decisions before
-// closing. The served policy must be safe for concurrent use
-// (core.NNPolicy is).
+// answers ERR when the policy outlives the serving deadline, a non-finite
+// answer is suppressed with ERR, and per-connection read *and* write
+// deadlines reclaim stalled peers. The daemon serves the one policy it was
+// started with; Close stops it. The served policy must be safe for
+// concurrent use (core.NNPolicy is).
 //
 // The Client implements core.Policy, so a Jury controller can be pointed at
 // a remote inference service transparently:
@@ -27,12 +26,11 @@
 //	ctrl := core.New(cfg, client)
 //
 // The client degrades gracefully, because a congestion controller must never
-// stall its datapath on a dead inference service: on any transport error it
-// serves the decision from a local fallback policy, a capped exponential
-// backoff with deterministic jitter paces redials, and a circuit breaker
-// trips open after consecutive failures so a dead or overloaded service
-// costs zero network latency per decision until a half-open probe detects
-// recovery. See wire.go for the exact framing.
+// stall its datapath on a dead inference service: every decision the daemon
+// does not answer within the client's Timeout — transport error, BUSY, ERR —
+// is served from a local fallback policy, and the next decision redials a
+// dropped connection. Each flow owns one client, and its controller calls
+// Decide once per control interval. See wire.go for the exact framing.
 package agentrpc
 
 // maxStateDim bounds request sizes; real Jury states are tens of values.

@@ -15,8 +15,7 @@ import (
 // wrapper swept across every socket failure mode the serving path must
 // survive, in the style of the runstore crash matrix. Every fault must
 // degrade the client to its AIMD-safe fallback within the per-decision
-// deadline budget, the breaker must trip (no per-decision network latency
-// while the fault persists) and recover after the fault heals, the
+// deadline budget, remote decisions must resume after the fault heals, the
 // counters must account for every decision, and nothing may leak a
 // goroutine.
 
@@ -178,9 +177,19 @@ func (p gatePolicy) Decide(state []float64) (float64, float64) {
 const jamMarker = -12345
 
 // chaosBudget is the per-decision wall-clock bound every fault must respect:
-// one transport deadline, at most one dial, and scheduling grace.
+// one transport deadline, at most one dial (bounded by the same Timeout),
+// and scheduling grace.
 func chaosBudget(cfg ClientConfig) time.Duration {
-	return cfg.Timeout + cfg.DialTimeout + 200*time.Millisecond
+	return 2*cfg.Timeout + 200*time.Millisecond
+}
+
+// countingDial dials TCP and counts the attempts, so a test can tell a
+// fallback that kept its connection from one that redialed.
+func countingDial(n *atomic.Int64) func(string, time.Duration) (net.Conn, error) {
+	return func(addr string, timeout time.Duration) (net.Conn, error) {
+		n.Add(1)
+		return net.DialTimeout("tcp", addr, timeout)
+	}
 }
 
 // checkGoroutines fails the test if the goroutine count has not returned to
@@ -215,9 +224,8 @@ func decideAndCount(t *testing.T, cl *Client, cfg ClientConfig, state []float64,
 
 // TestChaosMatrix sweeps the socket fault modes: for each, a healthy client
 // suffers the fault, must serve AIMD-safe fallback decisions within the
-// budget, trip its breaker (trips ≥ 1), recover after the fault heals
-// (recoveries ≥ 1, remote decisions resume), and account for every decision
-// as exactly one of remote/fallback. Each subtest also checks for goroutine
+// budget, redial and go remote again after the fault heals, and account for
+// every decision as exactly one of remote/fallback. Each subtest also checks for goroutine
 // leaks. Run under -race by scripts/check.sh.
 func TestChaosMatrix(t *testing.T) {
 	modes := []struct {
@@ -239,12 +247,7 @@ func TestChaosMatrix(t *testing.T) {
 			defer srv.Close()
 
 			var mode atomic.Int32
-			cfg := ClientConfig{
-				Timeout:         50 * time.Millisecond,
-				BreakerTrip:     3,
-				BreakerCooldown: 40 * time.Millisecond,
-				JitterSeed:      7,
-			}
+			cfg := ClientConfig{Timeout: 50 * time.Millisecond}
 			fb := constPolicy{0.25, 0.75}
 			cl, err := dialWith(srv.Addr(), fb, cfg, func(addr string, timeout time.Duration) (net.Conn, error) {
 				conn, err := net.DialTimeout("tcp", addr, timeout)
@@ -257,7 +260,6 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			cfg = cl.cfg // capture the applied defaults for the budget
 
 			var calls int64
 			// Healthy round trip first: the fault hits an established flow.
@@ -273,24 +275,8 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				calls++
 			}
-			if cl.BreakerTrips() < 1 {
-				t.Fatalf("breaker never tripped under %s", m.name)
-			}
-			// With the breaker open, decisions must be instant — no network.
-			attempts := cl.DialAttempts()
-			for i := 0; i < 5; i++ {
-				start := time.Now()
-				cl.Decide([]float64{1})
-				calls++
-				if took := time.Since(start); cl.BreakerOpen() && took > 10*time.Millisecond {
-					t.Fatalf("open-breaker decision took %v", took)
-				}
-			}
-			if cl.BreakerOpen() && cl.DialAttempts() != attempts {
-				t.Fatal("open breaker still dialing")
-			}
 
-			// Heal: half-open probes must rediscover the service.
+			// Heal: the next redial must rediscover the service.
 			mode.Store(faultNone)
 			deadline := time.Now().Add(5 * time.Second)
 			remoteBefore := cl.RemoteDecisions()
@@ -301,9 +287,6 @@ func TestChaosMatrix(t *testing.T) {
 				decideAndCount(t, cl, cfg, []float64{1}, fb)
 				calls++
 				time.Sleep(5 * time.Millisecond)
-			}
-			if cl.BreakerRecoveries() < 1 {
-				t.Fatal("recovery not recorded by the breaker")
 			}
 			if got := cl.RemoteDecisions() + cl.FallbackDecisions(); got != calls {
 				t.Fatalf("accounting: %d remote + %d fallback != %d calls",
@@ -319,8 +302,8 @@ func TestChaosMatrix(t *testing.T) {
 
 // TestChaosBusyStorm jams one decision mid-execution with room for only one
 // in flight, so every other request is shed with a typed BUSY: the client
-// must fall back instantly (the connection stays healthy — no dial churn),
-// trip its breaker on consecutive BUSYs, and recover once the jam clears.
+// must fall back at once (the connection stays healthy — no dial churn) and
+// go remote again once the jam clears.
 func TestChaosBusyStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
 	gate := make(chan struct{})
@@ -329,20 +312,19 @@ func TestChaosBusyStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// Close waits for the jammed decision, so a failing check must still
+	// release it.
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 
-	cfg := ClientConfig{
-		Timeout:         100 * time.Millisecond,
-		BreakerTrip:     3,
-		BreakerCooldown: 40 * time.Millisecond,
-		JitterSeed:      7,
-	}
+	cfg := ClientConfig{Timeout: 100 * time.Millisecond}
 	fb := constPolicy{0.25, 0.75}
-	cl, err := DialConfig(srv.Addr(), fb, cfg)
+	var dialN atomic.Int64
+	cl, err := dialWith(srv.Addr(), fb, cfg, countingDial(&dialN))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cfg = cl.cfg
 
 	var calls int64
 	for deadline := time.Now().Add(5 * time.Second); ; {
@@ -377,25 +359,22 @@ func TestChaosBusyStorm(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	dials := cl.DialAttempts()
+	dials := dialN.Load()
 	for i := 0; i < 8; i++ {
-		if !decideAndCount(t, cl, cfg, []float64{1}, fb) && !cl.BreakerOpen() {
-			t.Fatalf("decision %d during the storm neither shed nor fallback", i)
+		if !decideAndCount(t, cl, cfg, []float64{1}, fb) {
+			t.Fatalf("decision %d during the storm not served by the fallback", i)
 		}
 		calls++
 	}
 	if cl.BusyResponses() < 1 {
 		t.Fatal("no BUSY responses recorded")
 	}
-	if cl.BreakerTrips() < 1 {
-		t.Fatal("breaker never tripped on the BUSY storm")
-	}
-	if cl.DialAttempts() != dials {
+	if dialN.Load() != dials {
 		t.Fatal("BUSY responses caused dial churn — the connection should stay up")
 	}
 
-	// Clear the jam; the breaker's half-open probe must find the service.
-	close(gate)
+	// Clear the jam; the next decision must be served remotely again.
+	release()
 	remoteBefore := cl.RemoteDecisions()
 	deadline = time.Now().Add(5 * time.Second)
 	for cl.RemoteDecisions() == remoteBefore {
@@ -405,9 +384,6 @@ func TestChaosBusyStorm(t *testing.T) {
 		decideAndCount(t, cl, cfg, []float64{1}, fb)
 		calls++
 		time.Sleep(5 * time.Millisecond)
-	}
-	if cl.BreakerRecoveries() < 1 {
-		t.Fatal("recovery not recorded")
 	}
 	if got := cl.RemoteDecisions() + cl.FallbackDecisions(); got != calls {
 		t.Fatalf("accounting: %d remote + %d fallback != %d calls",
@@ -425,8 +401,8 @@ func TestChaosBusyStorm(t *testing.T) {
 
 // TestChaosPanicMidBatch drives a policy that panics on poisoned states:
 // the decision gets a typed ERR response (the connection survives), the client
-// falls back within budget and trips its breaker, and healthy states serve
-// again immediately — the daemon itself never dies.
+// falls back within budget, and healthy states serve again immediately — the
+// daemon itself never dies.
 func TestChaosPanicMidBatch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv, err := ServeConfig("127.0.0.1:0", panicPolicy{}, Config{})
@@ -435,19 +411,14 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cfg := ClientConfig{
-		Timeout:         100 * time.Millisecond,
-		BreakerTrip:     3,
-		BreakerCooldown: 40 * time.Millisecond,
-		JitterSeed:      7,
-	}
+	cfg := ClientConfig{Timeout: 100 * time.Millisecond}
 	fb := constPolicy{0.25, 0.75}
-	cl, err := DialConfig(srv.Addr(), fb, cfg)
+	var dialN atomic.Int64
+	cl, err := dialWith(srv.Addr(), fb, cfg, countingDial(&dialN))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cfg = cl.cfg
 
 	var calls int64
 	for deadline := time.Now().Add(5 * time.Second); ; {
@@ -461,9 +432,9 @@ func TestChaosPanicMidBatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	dials := cl.DialAttempts()
+	dials := dialN.Load()
 	for i := 0; i < 6; i++ {
-		if !decideAndCount(t, cl, cfg, []float64{-1}, fb) && !cl.BreakerOpen() {
+		if !decideAndCount(t, cl, cfg, []float64{-1}, fb) {
 			t.Fatalf("poisoned decision %d not served by the fallback", i)
 		}
 		calls++
@@ -471,10 +442,7 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	if srv.Panics() < 1 {
 		t.Fatal("server recorded no panics")
 	}
-	if cl.BreakerTrips() < 1 {
-		t.Fatal("breaker never tripped on ERR responses")
-	}
-	if cl.DialAttempts() != dials {
+	if dialN.Load() != dials {
 		t.Fatal("typed ERR responses caused dial churn — the connection should stay up")
 	}
 
@@ -489,9 +457,6 @@ func TestChaosPanicMidBatch(t *testing.T) {
 		calls++
 		time.Sleep(5 * time.Millisecond)
 	}
-	if cl.BreakerRecoveries() < 1 {
-		t.Fatal("recovery not recorded")
-	}
 	if got := cl.RemoteDecisions() + cl.FallbackDecisions(); got != calls {
 		t.Fatalf("accounting: %d remote + %d fallback != %d calls",
 			cl.RemoteDecisions(), cl.FallbackDecisions(), calls)
@@ -500,61 +465,4 @@ func TestChaosPanicMidBatch(t *testing.T) {
 	cl.Close()
 	srv.Close()
 	checkGoroutines(t, base)
-}
-
-// TestClientShedsAboveMaxPending: more concurrent Decide callers than
-// MaxPending must be served from the fallback immediately instead of
-// queueing behind the connection mutex.
-func TestClientShedsAboveMaxPending(t *testing.T) {
-	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	fb := constPolicy{0.25, 0.75}
-	cl, err := DialConfig(srv.Addr(), fb, ClientConfig{
-		Timeout:    500 * time.Millisecond,
-		MaxPending: 2,
-		JitterSeed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Park one decision inside the daemon, then pile callers on the client.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl.Decide([]float64{jamMarker})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for cl.pendingN.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked decision never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	const burst = 8
-	shedBefore := cl.ShedDecisions()
-	wg.Add(burst)
-	for i := 0; i < burst; i++ {
-		go func() {
-			defer wg.Done()
-			cl.Decide([]float64{1})
-		}()
-	}
-	for cl.ShedDecisions() == shedBefore {
-		if time.Now().After(deadline) {
-			t.Fatal("no caller was shed above MaxPending")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	if cl.ShedDecisions() == 0 {
-		t.Fatal("shed decisions not recorded")
-	}
 }

@@ -2,7 +2,6 @@ package agentrpc
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -51,31 +50,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrUnhealthyPolicy reports a Swap candidate that failed the health probe
-// (panicked or produced non-finite output); the serving version is kept.
-var ErrUnhealthyPolicy = errors.New("agentrpc: policy failed the health probe")
-
-// policyVersion is one immutable entry in the hot-swap chain. prev links to
-// the version it replaced so a runtime non-finite guard can roll back.
-type policyVersion struct {
-	id   int64
-	p    Policy
-	prev *policyVersion
-}
-
 // errFrame is the ERR response a serving-deadline watchdog writes. It is
 // built once and only read, so watchdogs share it.
 var errFrame = appendResponse(nil, statusErr, 0, 0)
 
-// Server is the inference daemon around a hot-swappable Policy.
+// Server is the inference daemon around one Policy.
 type Server struct {
-	cfg Config // immutable after withDefaults
-	ln  net.Listener
-	pv  atomic.Pointer[policyVersion]
+	cfg    Config // immutable after withDefaults
+	ln     net.Listener
+	policy Policy
 
 	mu          sync.Mutex
 	closed      bool
-	draining    bool
 	readTimeout time.Duration
 	conns       map[net.Conn]struct{}
 
@@ -88,8 +74,6 @@ type Server struct {
 	shed       atomic.Int64
 	panics     atomic.Int64
 	nonfinite  atomic.Int64
-	swaps      atomic.Int64
-	rollbacks  atomic.Int64
 	timeouts   atomic.Int64
 	writeDrops atomic.Int64
 }
@@ -113,10 +97,10 @@ func NewServer(ln net.Listener, p Policy, cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		ln:          ln,
+		policy:      p,
 		readTimeout: defaultReadTimeout,
 		conns:       map[net.Conn]struct{}{},
 	}
-	s.pv.Store(&policyVersion{id: 1, p: p})
 	go s.acceptLoop()
 	return s
 }
@@ -154,22 +138,11 @@ func (s *Server) Panics() int64 { return s.panics.Load() }
 // NonFinite reports decisions suppressed by the non-finite output guard.
 func (s *Server) NonFinite() int64 { return s.nonfinite.Load() }
 
-// Swaps reports successful policy hot-swaps.
-func (s *Server) Swaps() int64 { return s.swaps.Load() }
-
-// Rollbacks reports automatic reversions to the previous policy version
-// after a swapped-in policy tripped the non-finite guard.
-func (s *Server) Rollbacks() int64 { return s.rollbacks.Load() }
-
 // Timeouts reports decisions whose policy execution outlived WaitTimeout.
 func (s *Server) Timeouts() int64 { return s.timeouts.Load() }
 
 // WriteDrops reports connections dropped by the response write deadline.
 func (s *Server) WriteDrops() int64 { return s.writeDrops.Load() }
-
-// PolicyVersion reports the id of the currently serving policy (the version
-// installed at construction is 1; every successful Swap increments it).
-func (s *Server) PolicyVersion() int64 { return s.pv.Load().id }
 
 // QueueDepth reports the decisions admitted whose policy execution has not
 // returned yet (a decision the serving deadline answered with ERR counts
@@ -183,78 +156,6 @@ func (s *Server) ActiveConns() int {
 	return len(s.conns)
 }
 
-// Swap installs a new policy version after a health probe: the candidate
-// must answer canonical probe states with finite outputs and no panic, or
-// the swap is refused with ErrUnhealthyPolicy and the serving version is
-// untouched. On success the new version starts serving immediately and the
-// returned id identifies it; the previous version is retained for automatic
-// rollback should the runtime non-finite guard trip.
-func (s *Server) Swap(p Policy) (int64, error) {
-	if p == nil {
-		return 0, errors.New("agentrpc: nil policy")
-	}
-	if err := probePolicy(p); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrUnhealthyPolicy, err)
-	}
-	for {
-		cur := s.pv.Load()
-		next := &policyVersion{id: cur.id + 1, p: p, prev: cur}
-		if s.pv.CompareAndSwap(cur, next) {
-			s.swaps.Add(1)
-			return next.id, nil
-		}
-	}
-}
-
-// probePolicy exercises a candidate policy on canonical states (zeros, a
-// small positive ramp, an alternating ± pattern), as wide as the policy's
-// InputDim when it reports one and 16 values otherwise. Any panic or
-// non-finite output fails the probe.
-func probePolicy(p Policy) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("probe panicked: %v", r)
-		}
-	}()
-	dim := 16
-	if sized, ok := p.(interface{ InputDim() int }); ok {
-		if d := sized.InputDim(); d > 0 && d <= maxStateDim {
-			dim = d
-		}
-	}
-	probes := make([][]float64, 3)
-	for i := range probes {
-		probes[i] = make([]float64, dim)
-	}
-	for j := 0; j < dim; j++ {
-		probes[1][j] = 0.01 * float64(j+1)
-		probes[2][j] = 0.5
-		if j%2 == 1 {
-			probes[2][j] = -0.5
-		}
-	}
-	for _, st := range probes {
-		mu, delta := p.Decide(st)
-		if !finite(mu) || !finite(delta) {
-			return fmt.Errorf("non-finite decision (%v, %v)", mu, delta)
-		}
-	}
-	return nil
-}
-
-// rollbackFrom reverts to the version pv replaced. A CAS guards against
-// racing rollbacks and concurrent Swaps; the founding version (no prev) is
-// never rolled back — with nowhere to go, the guard keeps answering ERR and
-// clients fall back locally.
-func (s *Server) rollbackFrom(pv *policyVersion) {
-	if pv.prev == nil {
-		return
-	}
-	if s.pv.CompareAndSwap(pv, pv.prev) {
-		s.rollbacks.Add(1)
-	}
-}
-
 // Close abruptly stops the daemon: the listener and every connection are
 // torn down, and Close returns once each connection goroutine has exited —
 // a decision inside the policy finishes first, its response just has
@@ -266,53 +167,12 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.connWG.Wait()
-	return err
-}
-
-// Drain shuts the daemon down gracefully: stop accepting, let each
-// connection finish (and be answered for) its in-flight decision, then
-// close. Connections blocked reading their next request are released
-// immediately by an expired read deadline — a half-read frame is not yet in
-// flight. Connections that have not finished within timeout are closed
-// forcibly.
-func (s *Server) Drain(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	return err
 }
 
@@ -323,15 +183,16 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.mu.Lock()
-		if s.closed || s.draining {
+		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
 			return
 		}
 		s.conns[conn] = struct{}{}
 		s.connWG.Add(1)
+		readTimeout := s.readTimeout
 		s.mu.Unlock()
-		go s.serveConn(conn)
+		go s.serveConn(conn, readTimeout)
 	}
 }
 
@@ -346,7 +207,7 @@ func (s *Server) acceptLoop() {
 // that returns to find the watchdog fired (Stop reports false) waits for
 // that write and sends nothing of its own — so a wedged policy pins one
 // connection, never another client's decisions.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn net.Conn, readTimeout time.Duration) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -363,26 +224,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	watchdog.Stop()
 	var resp []byte
 	for {
-		// The deadline is set under the same lock Drain uses to expire every
-		// connection's read: either this loop observes draining and returns,
-		// or Drain's immediate deadline lands after ours and wins.
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return
-		}
 		var deadline time.Time // zero clears any previous deadline
-		if s.readTimeout > 0 {
-			deadline = time.Now().Add(s.readTimeout)
+		if readTimeout > 0 {
+			deadline = time.Now().Add(readTimeout)
 		}
-		err := conn.SetReadDeadline(deadline)
-		s.mu.Unlock()
-		if err != nil {
+		if conn.SetReadDeadline(deadline) != nil {
 			return
 		}
 		f, err := dec.next()
 		if err != nil {
-			return // io error, idle timeout, drain, or protocol violation
+			return // io error, idle timeout, Close, or protocol violation
 		}
 		if f.kind == framePing {
 			if !s.writeResponse(conn, &resp, statusOK, 0, 0) {
@@ -443,13 +294,10 @@ func (s *Server) writeFrame(conn net.Conn, frame []byte) bool {
 	return true
 }
 
-// execute answers one decision against the current policy version. A
-// panicking policy costs the decision a typed ERR response, never the
-// daemon; a non-finite decision is suppressed (ERR) and, when the serving
-// version was hot-swapped in, automatically rolled back to the version it
-// replaced.
+// execute answers one decision. A panicking policy costs the decision a
+// typed ERR response, never the daemon; a non-finite decision is suppressed
+// with ERR, so the client serves it from its fallback.
 func (s *Server) execute(state []float64) (status byte, mu, delta float64) {
-	pv := s.pv.Load()
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -457,10 +305,9 @@ func (s *Server) execute(state []float64) (status byte, mu, delta float64) {
 		}
 	}()
 	s.executions.Add(1)
-	mu, delta = pv.p.Decide(state)
+	mu, delta = s.policy.Decide(state)
 	if !finite(mu) || !finite(delta) {
 		s.nonfinite.Add(1)
-		s.rollbackFrom(pv)
 		return statusErr, 0, 0
 	}
 	return statusOK, mu, delta

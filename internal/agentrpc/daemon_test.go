@@ -1,7 +1,6 @@
 package agentrpc
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -11,19 +10,9 @@ import (
 	"repro/internal/simcore"
 )
 
-// nanPolicy always answers NaN — a swap candidate the health gate must veto.
-type nanPolicy struct{}
-
-func (nanPolicy) Decide([]float64) (float64, float64) { return math.NaN(), 0 }
-
-// probeBomb panics on any decision — poisoned weights at their worst.
-type probeBomb struct{}
-
-func (probeBomb) Decide([]float64) (float64, float64) { panic("poisoned candidate") }
-
 // nonFiniteTrap wraps a policy and corrupts its μ output whenever the first
-// state value exceeds the trigger: it passes the health probe, then NaNs
-// under load.
+// state value exceeds the trigger: finite on ordinary states, NaN under
+// load.
 type nonFiniteTrap struct {
 	inner   Policy
 	trigger float64
@@ -43,74 +32,16 @@ func testActor(t *testing.T, dim int) *core.NNPolicy {
 	return &core.NNPolicy{Net: net}
 }
 
-func TestHotSwapServesNewVersion(t *testing.T) {
-	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(srv.Addr(), constPolicy{-9, -9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if mu, delta := cl.Decide([]float64{1}); mu != 0.1 || delta != 0.2 {
-		t.Fatalf("v1 answered (%v, %v)", mu, delta)
-	}
-	id, err := srv.Swap(constPolicy{0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 || srv.PolicyVersion() != 2 || srv.Swaps() != 1 {
-		t.Fatalf("swap bookkeeping: id=%d version=%d swaps=%d", id, srv.PolicyVersion(), srv.Swaps())
-	}
-	if mu, delta := cl.Decide([]float64{1}); mu != 0.3 || delta != 0.4 {
-		t.Fatalf("post-swap decision (%v, %v), want (0.3, 0.4)", mu, delta)
-	}
-}
-
-func TestSwapHealthGateRejectsUnhealthyCandidates(t *testing.T) {
-	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	for _, bad := range []Policy{nanPolicy{}, probeBomb{}} {
-		if _, err := srv.Swap(bad); !errors.Is(err, ErrUnhealthyPolicy) {
-			t.Fatalf("unhealthy candidate %T accepted (err=%v)", bad, err)
-		}
-	}
-	if srv.PolicyVersion() != 1 || srv.Swaps() != 0 {
-		t.Fatalf("rejected swaps mutated serving state: version=%d swaps=%d",
-			srv.PolicyVersion(), srv.Swaps())
-	}
-	// The original policy must still be serving.
-	cl, err := Dial(srv.Addr(), constPolicy{-9, -9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if mu, _ := cl.Decide([]float64{1}); mu != 0.1 {
-		t.Fatalf("v1 not serving after rejected swaps: mu=%v", mu)
-	}
-}
-
-func TestRuntimeNonFiniteRollsBack(t *testing.T) {
-	srv, err := ServeConfig("127.0.0.1:0", constPolicy{0.1, 0.2}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// The trap policy is finite on the canonical probe states (small values)
-	// but NaNs once the first state value exceeds the trigger — the failure
-	// mode a load-time health gate cannot catch.
+// TestRuntimeNonFiniteFallsBack: a policy that answers NaN costs that one
+// decision an ERR response, which the client serves from its fallback; the
+// connection stays in sync and the next finite answer is served remotely.
+func TestRuntimeNonFiniteFallsBack(t *testing.T) {
 	trap := nonFiniteTrap{inner: constPolicy{0.3, 0.4}, trigger: 100}
-	if _, err := srv.Swap(trap); err != nil {
-		t.Fatalf("trap policy failed the probe: %v", err)
+	srv, err := ServeConfig("127.0.0.1:0", trap, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
 	cl, err := Dial(srv.Addr(), constPolicy{-9, -9})
 	if err != nil {
 		t.Fatal(err)
@@ -118,21 +49,19 @@ func TestRuntimeNonFiniteRollsBack(t *testing.T) {
 	defer cl.Close()
 
 	if mu, _ := cl.Decide([]float64{1}); mu != 0.3 {
-		t.Fatalf("v2 not serving: mu=%v", mu)
+		t.Fatalf("policy not serving: mu=%v", mu)
 	}
-	// Trip the guard: the poisoned decision is suppressed (client falls
-	// back), the version rolls back automatically.
 	if mu, delta := cl.Decide([]float64{1000}); mu != -9 || delta != -9 {
 		t.Fatalf("poisoned decision leaked to the datapath: (%v, %v)", mu, delta)
 	}
-	if srv.NonFinite() != 1 || srv.Rollbacks() != 1 {
-		t.Fatalf("guard bookkeeping: nonfinite=%d rollbacks=%d", srv.NonFinite(), srv.Rollbacks())
+	if srv.NonFinite() != 1 {
+		t.Fatalf("guard bookkeeping: nonfinite=%d", srv.NonFinite())
 	}
-	if srv.PolicyVersion() != 1 {
-		t.Fatalf("still serving version %d after rollback", srv.PolicyVersion())
+	if mu, _ := cl.Decide([]float64{1}); mu != 0.3 {
+		t.Fatalf("finite decision after the guard not served remotely: mu=%v", mu)
 	}
-	if mu, _ := cl.Decide([]float64{1000}); mu != 0.1 {
-		t.Fatalf("rolled-back version not serving: mu=%v", mu)
+	if cl.RemoteDecisions() != 2 || cl.FallbackDecisions() != 1 {
+		t.Fatalf("accounting: %d remote, %d fallback; want 2, 1", cl.RemoteDecisions(), cl.FallbackDecisions())
 	}
 }
 
@@ -267,63 +196,12 @@ func TestServingDeadlineAnswersERR(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersInFlight: a graceful drain must answer the request already
-// inside the policy before shutting down.
-func TestDrainAnswersInFlight(t *testing.T) {
-	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{WaitTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: 4 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	type result struct{ mu, delta float64 }
-	got := make(chan result, 1)
-	go func() {
-		mu, delta := cl.Decide([]float64{jamMarker})
-		got <- result{mu, delta}
-	}()
-	// Wait for the request to be inside the policy, then drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Batches() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never reached the policy")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // let the execution enter Decide
-	drained := make(chan error, 1)
-	go func() { drained <- srv.Drain(5 * time.Second) }()
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-
-	select {
-	case r := <-got:
-		if r.mu != 0.5 || r.delta != 0.5 {
-			t.Fatalf("in-flight decision answered (%v, %v) during drain, want (0.5, 0.5)", r.mu, r.delta)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight decision never answered")
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if srv.ActiveConns() != 0 {
-		t.Fatalf("%d connections survived the drain", srv.ActiveConns())
-	}
-}
-
 // TestExecuteAllocFree pins the daemon's execution core — one decision
 // through the policy, its scratch taken from and returned to the policy's
 // free list, and the guards — to zero allocations in steady state.
 func TestExecuteAllocFree(t *testing.T) {
 	const dim = 16
-	s := &Server{}
-	s.pv.Store(&policyVersion{id: 1, p: testActor(t, dim)})
+	s := &Server{policy: testActor(t, dim)}
 	state := make([]float64, dim)
 	for j := range state {
 		state[j] = 0.01 + 0.001*float64(j)

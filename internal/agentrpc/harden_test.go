@@ -18,82 +18,6 @@ func (panicPolicy) Decide(state []float64) (float64, float64) {
 	return 0.5, 0.5
 }
 
-// TestDialBackoffSuppressesDialStorm: with the service dead, a burst of
-// decisions must not pay one connect timeout each — after the first failed
-// dial, redials are suppressed until the backoff window expires.
-func TestDialBackoffSuppressesDialStorm(t *testing.T) {
-	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.Addr(), constPolicy{0.25, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.Decide([]float64{1}) // healthy round trip
-	srv.Close()
-
-	before := cl.DialAttempts()
-	start := time.Now()
-	for i := 0; i < 50; i++ {
-		mu, delta := cl.Decide([]float64{1})
-		if cl.RemoteDecisions() > 1 && (mu != 0.25 || delta != 0.75) {
-			t.Fatalf("decision %d not from fallback: (%v, %v)", i, mu, delta)
-		}
-	}
-	// 50 calls, each would previously have paid up to a full dial timeout.
-	// With backoff, at most a handful of dials fit in the elapsed window
-	// (jittered waits are at least half the nominal backoff, hence base/2).
-	attempts := cl.DialAttempts() - before
-	elapsed := time.Since(start)
-	if max := 2 + int64(elapsed/(dialBackoffBase/2)); attempts > max {
-		t.Fatalf("%d dial attempts in %v — backoff not suppressing the storm (max %d)",
-			attempts, elapsed, max)
-	}
-	if cl.FallbackDecisions() == 0 {
-		t.Fatal("no fallback decisions recorded")
-	}
-}
-
-// TestDialBackoffJitterDesynchronizes: a fleet of clients entering backoff
-// together must not redial in lockstep — each client's deterministic jitter
-// stream spreads the first retry across [base/2, base).
-func TestDialBackoffJitterDesynchronizes(t *testing.T) {
-	const fleet = 16
-	waits := make([]time.Duration, fleet)
-	distinct := map[time.Duration]bool{}
-	min, max := dialBackoffBase, time.Duration(0)
-	for i := 0; i < fleet; i++ {
-		c := &Client{rngState: uint64(i + 1)}
-		w := c.jitterBackoff(dialBackoffBase)
-		if w < dialBackoffBase/2 || w >= dialBackoffBase {
-			t.Fatalf("seed %d: wait %v outside [base/2, base)", i+1, w)
-		}
-		waits[i] = w
-		distinct[w] = true
-		if w < min {
-			min = w
-		}
-		if w > max {
-			max = w
-		}
-	}
-	if len(distinct) < fleet-2 {
-		t.Fatalf("only %d distinct waits across %d seeds — fleet still synchronized", len(distinct), fleet)
-	}
-	if spread := max - min; spread < dialBackoffBase/8 {
-		t.Fatalf("waits clustered within %v — jitter too weak to desynchronize", spread)
-	}
-	// Determinism: the same seed replays the same wait sequence.
-	a, b := &Client{rngState: 42}, &Client{rngState: 42}
-	for i := 0; i < 10; i++ {
-		if wa, wb := a.jitterBackoff(dialBackoffBase), b.jitterBackoff(dialBackoffBase); wa != wb {
-			t.Fatalf("draw %d: same seed diverged (%v vs %v)", i, wa, wb)
-		}
-	}
-}
-
 // TestServerWriteDeadlineDropsStalledReader: a client that sends requests
 // but never drains its socket must cost the server one connection, not a
 // goroutine blocked in Write forever. net.Pipe is the vehicle because its
@@ -129,8 +53,9 @@ func TestServerWriteDeadlineDropsStalledReader(t *testing.T) {
 	}
 }
 
-// TestClientReconnectsAfterServerReturns: backoff must delay redials, not
-// prevent them — when the service comes back, remote decisions resume.
+// TestClientReconnectsAfterServerReturns: a dead service costs decisions
+// the fallback, not the client — when the service comes back, remote
+// decisions resume.
 func TestClientReconnectsAfterServerReturns(t *testing.T) {
 	srv, err := ServeConfig("127.0.0.1:0", echoPolicy{}, Config{})
 	if err != nil {
@@ -145,7 +70,7 @@ func TestClientReconnectsAfterServerReturns(t *testing.T) {
 	cl.Decide([]float64{1})
 	srv.Close()
 	for i := 0; i < 3; i++ {
-		cl.Decide([]float64{1}) // fail, enter backoff
+		cl.Decide([]float64{1}) // fail, redial next time
 	}
 
 	srv2, err := ServeConfig(addr, echoPolicy{}, Config{})

@@ -4,8 +4,8 @@ import "time"
 
 // RPCDaemonStats is the structural slice of the inference daemon
 // (agentrpc.Server) the hub exports: served decisions and policy panics,
-// policy executions, admission-control shedding, hot-swap/rollback
-// history, and deadline enforcement. The counters are atomics and the
+// policy executions, admission-control shedding, the non-finite guard, and
+// deadline enforcement. The counters are atomics and the
 // connection view takes the server's mutex, so all of it is safe to call
 // from the debug HTTP goroutine.
 type RPCDaemonStats interface {
@@ -15,13 +15,10 @@ type RPCDaemonStats interface {
 	BatchedRequests() int64
 	Shed() int64
 	NonFinite() int64
-	Swaps() int64
-	Rollbacks() int64
 	Timeouts() int64
 	WriteDrops() int64
 	QueueDepth() int
 	ActiveConns() int
-	PolicyVersion() int64
 }
 
 // rpcServerGauges is the daemon's gauge schema: Setup pre-registers each
@@ -36,15 +33,12 @@ var rpcServerGauges = []struct {
 	{"rpc_server_batched_requests", "decisions that entered policy execution (equals rpc_server_batches)", RPCDaemonStats.BatchedRequests},
 	{"rpc_server_shed", "requests shed with BUSY by admission control", RPCDaemonStats.Shed},
 	{"rpc_server_nonfinite", "decisions suppressed by the non-finite output guard", RPCDaemonStats.NonFinite},
-	{"rpc_server_swaps", "successful policy hot-swaps", RPCDaemonStats.Swaps},
-	{"rpc_server_rollbacks", "automatic policy-version rollbacks", RPCDaemonStats.Rollbacks},
 	{"rpc_server_timeouts", "requests that outlived the serving deadline", RPCDaemonStats.Timeouts},
 	{"rpc_server_write_drops", "connections dropped by the response write deadline", RPCDaemonStats.WriteDrops},
 	{"rpc_server_queue_depth", "decisions admitted and not yet answered",
 		func(s RPCDaemonStats) int64 { return int64(s.QueueDepth()) }},
 	{"rpc_server_active_conns", "currently served connections",
 		func(s RPCDaemonStats) int64 { return int64(s.ActiveConns()) }},
-	{"rpc_server_policy_version", "id of the serving policy version", RPCDaemonStats.PolicyVersion},
 }
 
 // ExportRPCDaemon registers callback gauges mirroring the full serving

@@ -63,7 +63,7 @@ func TestRPCInstrumentation(t *testing.T) {
 }
 
 // TestRPCDaemonInstrumentation exports the full daemon surface: policy
-// executions and hot-swap.
+// executions and served decisions.
 func TestRPCDaemonInstrumentation(t *testing.T) {
 	srv, err := agentrpc.ServeConfig("127.0.0.1:0", fixedPolicy{0.5, 0.25}, agentrpc.Config{})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestRPCDaemonInstrumentation(t *testing.T) {
 	hub := &telemetry.Hub{Registry: telemetry.NewRegistry()}
 	hub.ExportRPCDaemon(srv)
 
-	// Two decisions and one swap.
+	// Two decisions.
 	cl, err := agentrpc.Dial(srv.Addr(), fixedPolicy{-1, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +85,6 @@ func TestRPCDaemonInstrumentation(t *testing.T) {
 			t.Fatalf("decision %d: mu = %v", i, mu)
 		}
 	}
-	if _, err := srv.Swap(fixedPolicy{0.7, 0.25}); err != nil {
-		t.Fatal(err)
-	}
 
 	var b bytes.Buffer
 	if err := hub.Registry.WritePrometheus(&b); err != nil {
@@ -96,8 +93,6 @@ func TestRPCDaemonInstrumentation(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"rpc_server_batched_requests 2",
-		"rpc_server_swaps 1",
-		"rpc_server_policy_version 2",
 		"rpc_server_decisions 2",
 	} {
 		if !strings.Contains(out, want) {
